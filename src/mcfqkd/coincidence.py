@@ -4,6 +4,14 @@ and accidental-coincidence estimation.
 All operations work on sorted ``int64`` picosecond timestamp arrays and use
 integer arithmetic throughout, so results stay exact even for timestamps far
 beyond 2**53 (a day of picoseconds does not fit a double).
+
+Each pass over a pair of streams costs two binary searches of the full A
+stream into the B stream, one for the left and one for the right edge of
+every A tag's window: the histogram searches over +-range, and each match
+pass (the coincidence window and the accidental window) searches over its
+own window.  Everything else follows from those bounds.  ``tally_basis``
+converts and checks each stream once; the passes it runs accept the checked
+arrays without checking them again.
 """
 from __future__ import annotations
 
@@ -89,12 +97,31 @@ class CoincidenceTally:
         return self.counts.total / self.duration_s
 
 
+class _CheckedTimes(np.ndarray):
+    """A time array that ``_as_times`` has converted and checked.
+
+    Only the array ``_as_times`` returns carries the mark: views of it and
+    results of arithmetic on it are of this class too, but unmarked, so they
+    are checked again like any other input.
+    """
+
+    checked = False
+
+
 def _as_times(stream, name: str) -> np.ndarray:
+    if type(stream) is _CheckedTimes and stream.checked:
+        return stream
     times = np.ascontiguousarray(stream, dtype=np.int64)
     if times.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if times.size > 1 and np.any(np.diff(times) < 0):
-        raise UnsortedStreamError(f"{name} is not sorted by time")
+    if times.size > 1:
+        down = times[1:] < times[:-1]
+        if down.any():
+            raise UnsortedStreamError(
+                f"{name} is not sorted by time at index {int(down.argmax()) + 1}"
+            )
+    times = times.view(_CheckedTimes)
+    times.checked = True
     return times
 
 
@@ -143,9 +170,11 @@ def cross_correlation(stream_a, stream_b, bin_width_ps: int, range_ps: int) -> C
     if total == 0:
         return CorrelationHistogram(bin_width_ps, range_ps, bins)
 
+    # B index of each in-range pair: its rank in the pair list, shifted per
+    # A tag from the start of that tag's run in the list to its ``lo``
     start = np.zeros(a.size, dtype=np.int64)
     np.cumsum(counts[:-1], out=start[1:])
-    flat = np.arange(total, dtype=np.int64) - np.repeat(start, counts) + np.repeat(lo, counts)
+    flat = np.arange(total, dtype=np.int64) + np.repeat(lo - start, counts)
     delays = b[flat] - np.repeat(a, counts)
     idx = np.minimum((delays + range_ps) // bin_width_ps, n_bins - 1)
     bins += np.bincount(idx, minlength=n_bins).astype(np.int64)
@@ -193,71 +222,64 @@ def count_coincidences(
 
     if a.size == 0 or b.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    return _greedy_match(a, b - delay_ps, hw)
+    return _greedy_match(a, b, hw, delay_ps)
 
 
-def _greedy_match(a: np.ndarray, b: np.ndarray, hw: int) -> np.ndarray:
+def _greedy_match(a: np.ndarray, b: np.ndarray, hw: int, delay: int) -> np.ndarray:
     """Exact greedy matching, vectorized via candidate-interval segmentation.
 
-    Tags without any in-window partner can never match and are dropped first;
-    the remaining candidate intervals are split where they stop overlapping.
-    Segments are independent under the greedy rule: within one, a segment
-    with a single tag on either side yields exactly one match (first against
+    Two binary searches give each A tag its candidate interval
+    ``[lo, hi)`` of B indices, the tags with ``|t_b - t_a - delay| <= hw``.
+    Tags with an empty interval can never match and are dropped; the rest
+    are split into segments where consecutive intervals stop overlapping.
+    Within a segment the intervals overlap in a chain, so their union is one
+    run of B indices that are all candidates of some A tag in it: the
+    segment's B side is ``[lo of its first tag, hi of its last)``, in the
+    indices of the full stream, and B tags no A tag can reach never fall
+    inside one.  Segments are independent under the greedy rule: one with a
+    single tag on either side yields exactly one match (first against
     first), and only genuinely contested segments fall back to the scalar
     two-pointer walk.
     """
-    lo_a = np.searchsorted(b, a - hw, side="left")
-    hi_a = np.searchsorted(b, a + hw, side="right")
-    keep_a = np.flatnonzero(hi_a > lo_a)
-    if keep_a.size == 0:
+    lo = np.searchsorted(b, a + (delay - hw), side="left")
+    hi = np.searchsorted(b, a + (delay + hw), side="right")
+    keep = np.flatnonzero(hi > lo)
+    if keep.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    lo_b = np.searchsorted(a, b - hw, side="left")
-    hi_b = np.searchsorted(a, b + hw, side="right")
-    keep_b = np.flatnonzero(hi_b > lo_b)
+    lo = lo[keep]
+    hi = hi[keep]
 
-    a2 = a[keep_a]
-    b2 = b[keep_b]
-    lo = np.searchsorted(b2, a2 - hw, side="left")
-    hi = np.searchsorted(b2, a2 + hw, side="right")
-
-    new_seg = np.empty(a2.size, dtype=bool)
+    new_seg = np.empty(keep.size, dtype=bool)
     new_seg[0] = True
     np.greater_equal(lo[1:], hi[:-1], out=new_seg[1:])
     seg_start = np.flatnonzero(new_seg)
-    seg_end = np.append(seg_start[1:], a2.size)
+    seg_end = np.append(seg_start[1:], keep.size)
     b_start = lo[seg_start]
     b_end = hi[seg_end - 1]
 
-    n_a = seg_end - seg_start
-    n_b = b_end - b_start
-    trivial = (n_a == 1) | (n_b == 1)
+    trivial = (seg_end - seg_start == 1) | (b_end - b_start == 1)
 
-    ia = [keep_a[seg_start[trivial]]]
-    ib = [keep_b[b_start[trivial]]]
+    # B index matched to each kept A tag, -1 where it stays unmatched
+    match = np.full(keep.size, -1, dtype=np.int64)
+    match[seg_start[trivial]] = b_start[trivial]
     for s in np.flatnonzero(~trivial):
-        sa, ea = int(seg_start[s]), int(seg_end[s])
-        sb, eb = int(b_start[s]), int(b_end[s])
-        i, j = sa, sb
-        seg_ia, seg_ib = [], []
-        while i < ea and j < eb:
-            d = b2[j] - a2[i]
+        sa, sb = int(seg_start[s]), int(b_start[s])
+        t_a = (a[keep[sa : seg_end[s]]] + delay).tolist()
+        t_b = b[sb : b_end[s]].tolist()
+        i = j = 0
+        while i < len(t_a) and j < len(t_b):
+            d = t_b[j] - t_a[i]
             if d < -hw:
                 j += 1
             elif d > hw:
                 i += 1
             else:
-                seg_ia.append(i)
-                seg_ib.append(j)
+                match[sa + i] = sb + j
                 i += 1
                 j += 1
-        if seg_ia:
-            ia.append(keep_a[np.asarray(seg_ia)])
-            ib.append(keep_b[np.asarray(seg_ib)])
 
-    ia = np.concatenate(ia)
-    ib = np.concatenate(ib)
-    order = np.argsort(ia, kind="stable")
-    return np.column_stack((ia[order], ib[order]))
+    hit = np.flatnonzero(match >= 0)
+    return np.column_stack((keep[hit], match[hit]))
 
 
 def estimate_accidentals(
@@ -319,15 +341,17 @@ def tally_basis(
     """
     if duration_s <= 0:
         raise ValueError("duration must be > 0")
-    t_a = alice_tags["time_ps"].astype(np.int64)
-    t_b = bob_tags["time_ps"].astype(np.int64)
+    t_a = _as_times(alice_tags["time_ps"], "alice_tags")
+    t_b = _as_times(bob_tags["time_ps"], "bob_tags")
 
     hist = cross_correlation(t_a, t_b, hist_bin_ps, hist_range_ps)
     if delay_ps is None:
         try:
-            delay_ps = int(round(find_peak_delay(hist)))
+            delay_ps = find_peak_delay(hist)
         except NoPeakError:
             delay_ps = 0
+    # the delay every pass matches at is the one reported
+    delay_ps = int(round(delay_ps))
 
     pairs = count_coincidences(t_a, t_b, window_ps, delay_ps=delay_ps, mode=mode)
     if len(pairs):
@@ -348,7 +372,7 @@ def tally_basis(
         basis_b=basis_b,
         counts=counts,
         duration_s=duration_s,
-        delay_ps=int(delay_ps),
+        delay_ps=delay_ps,
         accidentals=accidentals,
         histogram=hist,
     )

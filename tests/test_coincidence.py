@@ -1,5 +1,7 @@
 """Unit tests for the coincidence engine against brute-force oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from mcfqkd.coincidence import (
     find_peak_delay,
     tally_basis,
 )
+from mcfqkd.coincidence import _as_times
 from mcfqkd.photonsim import TAG_DTYPE
 from oracles import greedy_match_oracle, histogram_oracle
 
@@ -120,6 +123,22 @@ class TestCountCoincidences:
         with pytest.raises(UnsortedStreamError):
             count_coincidences([5, 1], [1], 100)
 
+    def test_unsorted_message_names_stream_and_index(self):
+        with pytest.raises(UnsortedStreamError, match=r"^stream_b is not sorted by time at index 2$"):
+            count_coincidences([1, 2], [1, 5, 3, 2], 100)
+        with pytest.raises(UnsortedStreamError, match=r"^stream_a is not sorted by time at index 1$"):
+            cross_correlation([10, 5], [1, 2], 10, 100)
+        alice = make_tags([0, 300, 200], [0, 0, 0])
+        with pytest.raises(UnsortedStreamError, match=r"^alice_tags is not sorted by time at index 2$"):
+            tally_basis(alice, alice[:0], basis_a="HV", basis_b="HV", window_ps=300, duration_s=1.0)
+
+    def test_checked_stream_views_are_checked_again(self):
+        alice = make_tags([0, 100, 200], [0, 0, 0])
+        checked = _as_times(alice["time_ps"], "stream_a")
+        assert _as_times(checked, "stream_a") is checked
+        with pytest.raises(UnsortedStreamError, match="at index 1"):
+            count_coincidences(checked[::-1], checked, 100)
+
     def test_half_window_mode(self):
         # full mode: |dt| <= 150; half mode: |dt| <= 300
         assert len(count_coincidences([0], [200], 300, mode="full")) == 0
@@ -223,3 +242,132 @@ class TestTallyBasis:
         )
         assert tally.counts.total == 0
         assert tally.delay_ps == 0
+
+    def test_explicit_delay_is_rounded_once(self):
+        # with a zero half window only exact delays match: 2 pairs at 3 ps,
+        # none at 2 ps, so the matched and the reported delay must agree
+        alice = make_tags([1000, 2000], [0, 0])
+        bob = make_tags([1003, 2003], [2, 2])
+        tally = tally_basis(
+            alice, bob, basis_a="HV", basis_b="HV", window_ps=1, duration_s=1.0, delay_ps=2.7
+        )
+        assert tally.delay_ps == 3
+        assert tally.counts.total == 2
+
+
+def _peak_delay_oracle(bins, bin_width, hist_range):
+    """Rounded centre of the fullest bin; ties go to the smallest |delay|,
+    then to the negative one; 0 for an empty histogram."""
+    if not any(bins):
+        return 0
+    centers = [Fraction(2 * (-hist_range + bin_width * i) + bin_width, 2) for i in range(len(bins))]
+    best = min(range(len(bins)), key=lambda i: (-bins[i], abs(centers[i]), centers[i]))
+    return round(centers[best])
+
+
+def _tally_oracle(alice, bob, window, delay, hist_bin, hist_range, offset, mode):
+    t_a = alice["time_ps"].astype(np.int64)
+    t_b = bob["time_ps"].astype(np.int64)
+    bins = histogram_oracle(t_a, t_b, hist_bin, hist_range)
+    if delay is None:
+        delay = _peak_delay_oracle(bins.tolist(), hist_bin, hist_range)
+    full = window if mode == "full" else 2 * window
+    ports = [0, 0, 0, 0]
+    for i, j in greedy_match_oracle(t_a, t_b, full, delay):
+        ports[2 * (alice["channel"][i] % 2) + bob["channel"][j] % 2] += 1
+    accidentals = len(greedy_match_oracle(t_a, t_b, full, delay + offset))
+    return bins, delay, ports, accidentals
+
+
+class TestTallyBasisOracle:
+    """The whole tally path (histogram, peak delay, matching, accidental
+    pass and port classification) against the O(n^2) oracles."""
+
+    def _random_tags(self, rng, n, span, base, channels):
+        times = base + np.sort(rng.integers(0, span, n))
+        return make_tags(times, rng.choice(channels, n))
+
+    def _check(self, alice, bob, *, window, delay, hist_bin, hist_range, offset, mode):
+        tally = tally_basis(
+            alice,
+            bob,
+            basis_a="HV",
+            basis_b="HV",
+            window_ps=window,
+            duration_s=1.0,
+            delay_ps=delay,
+            hist_bin_ps=hist_bin,
+            hist_range_ps=hist_range,
+            accidental_offset_ps=offset,
+            mode=mode,
+        )
+        bins, want_delay, ports, accidentals = _tally_oracle(
+            alice, bob, window, delay, hist_bin, hist_range, offset, mode
+        )
+        np.testing.assert_array_equal(tally.histogram.bins, bins)
+        assert tally.delay_ps == want_delay
+        counts = tally.counts
+        assert [counts.c_pp, counts.c_pm, counts.c_mp, counts.c_mm] == ports
+        assert tally.accidentals.count == accidentals
+
+    @pytest.mark.parametrize("base", [0, 2**60])
+    def test_random_streams(self, base):
+        rng = np.random.default_rng(21 if base else 20)
+        for _ in range(60):
+            # spans down to a few windows give dense, contested segments
+            span = int(rng.integers(200, 200_000))
+            window = int(rng.integers(1, 600))
+            hist_bin = int(rng.integers(1, 100))
+            hist_range = hist_bin * int(rng.integers(1, 40))
+            explicit = rng.random() < 0.5
+            # explicit delays reach well outside +-hist_range
+            delay = int(rng.integers(-3 * hist_range, 3 * hist_range + 1)) if explicit else None
+            offset = int(rng.choice([-1, 1])) * 10 * window * int(rng.integers(1, 4))
+            mode = str(rng.choice(["full", "half"]))
+            alice = self._random_tags(rng, int(rng.integers(0, 250)), span, base, [0, 1])
+            bob = self._random_tags(rng, int(rng.integers(0, 250)), span, base, [2, 3])
+            self._check(
+                alice,
+                bob,
+                window=window,
+                delay=delay,
+                hist_bin=hist_bin,
+                hist_range=hist_range,
+                offset=offset,
+                mode=mode,
+            )
+
+    def test_correlated_streams_with_contested_segments(self):
+        rng = np.random.default_rng(22)
+        times = 2**55 + np.sort(rng.integers(0, 40_000, 300))
+        alice = make_tags(times, rng.choice([0, 1], times.size))
+        jittered = np.sort(times + 700 + rng.integers(-200, 201, times.size))
+        bob = make_tags(jittered, rng.choice([2, 3], times.size))
+        for delay in (None, 700, 9000):
+            self._check(
+                alice,
+                bob,
+                window=300,
+                delay=delay,
+                hist_bin=50,
+                hist_range=5000,
+                offset=3000,
+                mode="full",
+            )
+
+    def test_empty_streams(self):
+        rng = np.random.default_rng(23)
+        some = self._random_tags(rng, 40, 10_000, 2**54, [0, 1])
+        empty = some[:0]
+        for alice, bob in ((empty, empty), (some, empty), (empty, some)):
+            for delay in (None, 123):
+                self._check(
+                    alice,
+                    bob,
+                    window=300,
+                    delay=delay,
+                    hist_bin=50,
+                    hist_range=5000,
+                    offset=3000,
+                    mode="full",
+                )

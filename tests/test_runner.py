@@ -1,15 +1,19 @@
 """Unit tests for schedules, basis scans and the stability protocol."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from mcfqkd.config import preset_inner, preset_stability
+from mcfqkd.coincidence import count_coincidences, cross_correlation, find_peak_delay
+from mcfqkd.config import geometry_from_config, preset_inner, preset_stability, selected_pairs
 from mcfqkd.qkdmath import positive_qber_threshold
 from mcfqkd.runner import (
     MeasurementSchedule,
     ScheduleSegment,
     run_basis_scan,
     run_stability,
+    simulate_segment,
 )
 
 
@@ -160,3 +164,30 @@ class TestElevenPercentThreshold:
 
     def test_threshold_root_location(self):
         assert positive_qber_threshold(1.0) == pytest.approx(0.110, abs=0.001)
+
+
+class TestGoldenSegment:
+    """Byte-level pins of one short acquisition: the simulated tag streams
+    and the matched index pairs must not change when the simulator's
+    assembly or the matcher is reworked for speed."""
+
+    ALICE_SHA256 = "3050c8e770ec143dceb040646cd030c44ccd343cfe0bced7de26cbbeebdd2808"
+    BOB_SHA256 = "6113dd440b97286424d6feac172333ff299b9c0a421792f74261093fce97fa11"
+    PAIRS_SHA256 = "70a1a7aa5adba23bade3ccecd4fed82154d7f88393536e3a5894434ea41ac8d1"
+
+    def test_segment_streams_and_match_indices(self):
+        cfg = preset_inner(seed=42)
+        _, coupling = geometry_from_config(cfg)
+        pair = selected_pairs(cfg, coupling)[0]
+        # starts 86,000 s in, so every time is far above 2**53 ps
+        segment = ScheduleSegment("DA", 86_000.0, 2.0)
+        streams = simulate_segment(cfg, pair, segment, 3, 0.5).streams[pair.pair_id]
+        assert hashlib.sha256(streams.alice.tobytes()).hexdigest() == self.ALICE_SHA256
+        assert hashlib.sha256(streams.bob.tobytes()).hexdigest() == self.BOB_SHA256
+
+        t_a = streams.alice["time_ps"].astype(np.int64)
+        t_b = streams.bob["time_ps"].astype(np.int64)
+        delay = round(find_peak_delay(cross_correlation(t_a, t_b, 50, 5000)))
+        pairs = count_coincidences(t_a, t_b, cfg.analysis.window_ps, delay_ps=delay)
+        assert pairs.dtype == np.int64 and pairs.shape == (8562, 2)
+        assert hashlib.sha256(pairs.tobytes()).hexdigest() == self.PAIRS_SHA256
