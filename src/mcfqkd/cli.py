@@ -20,7 +20,7 @@ import sys
 import warnings
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,34 +29,32 @@ from .config import (
     ConfigError,
     RunConfig,
     dumps_config,
-    geometry_from_config,
     load_config,
     loads_config,
     preset,
     preset_inner,
     preset_outer,
     preset_stability,
-    selected_pairs,
 )
 from .linkbudget import (
     max_positive_length,
     model_from_config,
     sweep_lengths,
 )
+from .photonsim import PS_PER_S
 from .runner import (
     KeyRateReport,
-    MeasurementSchedule,
-    PairBasisResult,
     PairReport,
     analyze_segment,
+    pair_report,
     run_stability,
+    scan_schedule,
+    select_pairs,
     simulate_segment,
-    _pair_key_rate,
 )
 from .tagio import CHANNEL_ALICE, CHANNEL_BOB, TagFormatError, read_timetags, write_timetags
 
 META_FILENAME = "ground_truth.json"
-_PS_PER_S = 1_000_000_000_000
 
 #: exact public contract for the linkbudget sweep CSV
 LINKBUDGET_CSV_HEADER = ["length_km", "coin_rate", "qber", "skr_pair_bits_s", "skr_ring_bits_s"]
@@ -133,13 +131,8 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    _, coupling = geometry_from_config(cfg)
-    pairs = selected_pairs(cfg, coupling)
-    if not pairs:
-        raise CliError("empty pair set")
-    schedule = MeasurementSchedule.basis_scan(
-        cfg.schedule.acquisition_s, cfg.schedule.bases, cfg.schedule.rate_scales
-    )
+    pairs = select_pairs(cfg)
+    schedule = scan_schedule(cfg)
 
     meta: Dict = {
         "format": "mcfqkd-run-meta",
@@ -149,8 +142,8 @@ def cmd_simulate(args) -> int:
         "schedule": [
             {
                 "basis": seg.basis,
-                "start_ps": int(round(seg.start_s * _PS_PER_S)),
-                "duration_ps": int(round(seg.duration_s * _PS_PER_S)),
+                "start_ps": int(round(seg.start_s * PS_PER_S)),
+                "duration_ps": int(round(seg.duration_s * PS_PER_S)),
             }
             for seg in schedule.segments
         ],
@@ -198,16 +191,30 @@ def _slice_segment(tags: np.ndarray, start_ps: int, end_ps: Optional[int]) -> np
     return out
 
 
-def cmd_analyze(args) -> int:
-    in_dir = Path(getattr(args, "in_dir"))
+def _load_meta(in_dir: Path) -> Tuple[Dict, RunConfig]:
+    """The run metadata of a simulate output directory and its config;
+    every failure names the file."""
     meta_path = in_dir / META_FILENAME
     if not meta_path.exists():
         raise CliError(f"missing {META_FILENAME} in {in_dir}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if meta.get("format") != "mcfqkd-run-meta":
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CliError(f"{meta_path}: invalid JSON: {exc}") from exc
+    if not isinstance(meta, dict) or meta.get("format") != "mcfqkd-run-meta":
         raise CliError(f"{meta_path} is not a run metadata file")
+    for key in ("config", "schedule", "files", "truth"):
+        if key not in meta:
+            raise CliError(f"{meta_path}: missing key {key!r}")
+    try:
+        return meta, loads_config(json.dumps(meta["config"]))
+    except ConfigError as exc:
+        raise CliError(f"{meta_path}: config: {exc}") from exc
 
-    cfg = loads_config(json.dumps(meta["config"]))
+
+def cmd_analyze(args) -> int:
+    in_dir = Path(getattr(args, "in_dir"))
+    meta, cfg = _load_meta(in_dir)
     if getattr(args, "window_ps", None) is not None:
         cfg.analysis.window_ps = args.window_ps
         cfg.validate()
@@ -228,35 +235,20 @@ def cmd_analyze(args) -> int:
             raise CliError(f"pair {pair_id}: file channel ids do not match their roles")
         alice, bob = _restrict_to_overlap(alice, bob, pair_id, segments)
 
-        per_basis: Dict[str, PairBasisResult] = {}
-        analyzed_counts: Dict[str, int] = {}
-        for idx, seg in enumerate(segments):
-            a = _slice_segment(alice, seg["start_ps"], boundaries[idx + 1])
-            b = _slice_segment(bob, seg["start_ps"], boundaries[idx + 1])
-            result = analyze_segment(
-                a,
-                b,
+        per_basis = {
+            seg["basis"]: analyze_segment(
+                _slice_segment(alice, seg["start_ps"], boundaries[idx + 1]),
+                _slice_segment(bob, seg["start_ps"], boundaries[idx + 1]),
                 basis=seg["basis"],
-                duration_s=seg["duration_ps"] / _PS_PER_S,
+                duration_s=seg["duration_ps"] / PS_PER_S,
                 cfg=cfg,
             )
-            per_basis[seg["basis"]] = result
-            analyzed_counts[seg["basis"]] = result.counts.total
-        hv = per_basis.get("HV") or next(iter(per_basis.values()))
-        da = per_basis.get("DA", hv)
-        skr, clamped = _pair_key_rate(hv, da, cfg.keyrate.ec_efficiency)
-        reports.append(
-            PairReport(
-                pair_id=pair_id,
-                ring=meta["truth"]["per_pair"][pair_id_str]["ring"],
-                hv=hv,
-                da=da,
-                skr_bits_s=skr,
-                skr_clamped_bits_s=clamped,
-            )
-        )
+            for idx, seg in enumerate(segments)
+        }
+        ring = meta["truth"]["per_pair"][pair_id_str]["ring"]
+        reports.append(pair_report(pair_id, ring, per_basis, cfg.keyrate.ec_efficiency))
         truth_compare[pair_id_str] = {
-            "analyzed": analyzed_counts,
+            "analyzed": {basis: r.counts.total for basis, r in per_basis.items()},
             "ground_truth": meta["truth"]["per_pair"][pair_id_str]["true_coincidences"],
         }
 
@@ -315,7 +307,7 @@ def _restrict_to_overlap(alice: np.ndarray, bob: np.ndarray, pair_id: int, segme
     if abs(end_a - end_b) > max(0.01 * span, 1e9):
         warnings.warn(
             f"pair {pair_id}: stream durations differ "
-            f"({end_a / _PS_PER_S:.3f} s vs {end_b / _PS_PER_S:.3f} s); "
+            f"({end_a / PS_PER_S:.3f} s vs {end_b / PS_PER_S:.3f} s); "
             "analyzing the overlap",
             RuntimeWarning,
             stacklevel=2,
@@ -368,17 +360,8 @@ def cmd_linkbudget(args) -> int:
 # --------------------------------------------------------------- stability
 
 
-def cmd_stability(args) -> int:
-    cfg = _load_run_config(args)
-    points = run_stability(
-        cfg,
-        total_hours=args.hours,
-        switch_minutes=args.switch_min,
-        acquisition_s=args.acquisition_s,
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [
+def _stability_rows(points) -> List[List]:
+    return [
         [
             p.slot,
             _fmt(p.time_hours),
@@ -392,7 +375,19 @@ def cmd_stability(args) -> int:
         ]
         for p in points
     ]
-    _write_csv(out_dir / "stability.csv", STABILITY_CSV_HEADER, rows)
+
+
+def cmd_stability(args) -> int:
+    cfg = _load_run_config(args)
+    points = run_stability(
+        cfg,
+        total_hours=args.hours,
+        switch_minutes=args.switch_min,
+        acquisition_s=args.acquisition_s,
+    )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "stability.csv", STABILITY_CSV_HEADER, _stability_rows(points))
     _write_json(out_dir / "stability.json", [asdict(p) for p in points])
     qbers = [p.qber for p in points if p.qber is not None]
     print(
@@ -459,21 +454,7 @@ def _reproduce_fig3(out_dir: Path, hours: float) -> int:
 
     cfg = preset_stability()
     points = run_stability(cfg, total_hours=hours, switch_minutes=30.0, acquisition_s=60.0)
-    rows = [
-        [
-            p.slot,
-            _fmt(p.time_hours),
-            p.basis,
-            _fmt(p.coincidence_rate_cps),
-            _fmt(p.visibility),
-            _fmt(p.qber),
-            _fmt(p.skr_bits_s),
-            _fmt(p.skr_clamped_bits_s),
-            _fmt(p.drift_offset_deg),
-        ]
-        for p in points
-    ]
-    _write_csv(out_dir / "fig3.csv", STABILITY_CSV_HEADER, rows)
+    _write_csv(out_dir / "fig3.csv", STABILITY_CSV_HEADER, _stability_rows(points))
     times = [p.time_hours for p in points]
     line_chart(
         out_dir / "fig3_qber.svg",

@@ -1,8 +1,11 @@
 """Run configuration: schema, strict JSON validation, and bundled presets.
 
-The schema is a tree of dataclasses.  Loading rejects unknown keys and type
-mismatches with the full field path in the error message, and a parsed
-configuration serializes back to the same JSON (round-trip idempotent).
+The schema is a tree of dataclasses; its ``source``, ``link`` and
+``emission.calibration`` sections are the model's own ``SourceParams``,
+``LinkParams`` and ``RingCalibration``.  Loading rejects unknown keys, type
+mismatches, non-finite numbers and out-of-range values with the field path
+in the error message, and a parsed configuration serializes back to the
+same JSON (round-trip idempotent).
 
 The ``preset_*`` builders return configurations calibrated to the bundled
 reference scenario on a 411 m multicore link: per-pair coincidence rates of
@@ -15,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+import sys
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any, Dict, List, Optional, get_args, get_origin, get_type_hints
 
 from .geometry import (
@@ -31,11 +35,8 @@ from .photonsim import LinkParams, SourceParams
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "SourceConfig",
     "LayoutConfig",
     "EmissionConfig",
-    "CalibrationConfig",
-    "LinkConfig",
     "ScheduleConfig",
     "DriftConfig",
     "AnalysisConfig",
@@ -61,54 +62,15 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class SourceConfig:
-    pair_rate: float
-    visibility: float = 0.94
-    temperature_c: float = 82.5
-
-
-@dataclass
 class LayoutConfig:
     pitch_um: float = 35.0
     core_radius_um: float = 4.0
 
 
 @dataclass
-class CalibrationConfig:
-    inner_temperature_c: float = 82.5
-    inner_radius_um: float = 35.0
-    outer_temperature_c: float = 82.0
-    outer_radius_um: float = 35.0 * (math.sqrt(3.0) + 2.0) / 2.0
-
-
-@dataclass
 class EmissionConfig:
     annulus_width_um: float = 8.0
-    calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
-
-
-@dataclass
-class LinkConfig:
-    fiber_length_km: float = 0.411
-    fiber_loss_db_per_km: float = 0.2
-    system_loss_db: float = 0.0
-    detector_efficiency: float = 1.0
-    dark_rate_cps: float = 100.0
-    jitter_sigma_ps: float = 50.0
-    crosstalk_prob: float = 1e-4
-    propagation_delay_ps: int = 0
-
-    def to_link_params(self) -> LinkParams:
-        return LinkParams(
-            fiber_length_km=self.fiber_length_km,
-            fiber_loss_db_per_km=self.fiber_loss_db_per_km,
-            system_loss_db=self.system_loss_db,
-            detector_efficiency=self.detector_efficiency,
-            dark_rate_cps=self.dark_rate_cps,
-            jitter_sigma_ps=self.jitter_sigma_ps,
-            crosstalk_prob=self.crosstalk_prob,
-            propagation_delay_ps=self.propagation_delay_ps,
-        )
+    calibration: RingCalibration = field(default_factory=RingCalibration)
 
 
 @dataclass
@@ -147,26 +109,19 @@ class LinkBudgetConfig:
 
 @dataclass
 class RunConfig:
-    source: SourceConfig
+    source: SourceParams
     seed: int = 42
     ring: str = "inner"
     pairs: Optional[List[int]] = None
     layout: LayoutConfig = field(default_factory=LayoutConfig)
     emission: EmissionConfig = field(default_factory=EmissionConfig)
-    link: LinkConfig = field(default_factory=LinkConfig)
+    link: LinkParams = field(default_factory=LinkParams)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     drift: DriftConfig = field(default_factory=DriftConfig)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     keyrate: KeyRateConfig = field(default_factory=KeyRateConfig)
     linkbudget: LinkBudgetConfig = field(default_factory=LinkBudgetConfig)
     emit_ground_truth: bool = True
-
-    def source_params(self) -> SourceParams:
-        return SourceParams(
-            pair_rate=self.source.pair_rate,
-            visibility=self.source.visibility,
-            temperature_c=self.source.temperature_c,
-        )
 
     def validate(self) -> None:
         if self.seed < 0:
@@ -180,12 +135,25 @@ class RunConfig:
         for basis in self.schedule.bases:
             if basis not in ("HV", "DA"):
                 raise ConfigError(f"schedule.bases: unknown basis {basis!r}")
+        if not self.schedule.bases:
+            raise ConfigError("schedule.bases: must not be empty")
+        if len(set(self.schedule.bases)) != len(self.schedule.bases):
+            raise ConfigError(f"schedule.bases: duplicate basis in {self.schedule.bases}")
+        for basis, scale in self.schedule.rate_scales.items():
+            if basis not in ("HV", "DA"):
+                raise ConfigError(f"schedule.rate_scales.{basis}: unknown basis")
+            if scale <= 0:
+                raise ConfigError(f"schedule.rate_scales.{basis}: must be > 0")
         if self.schedule.acquisition_s <= 0:
             raise ConfigError("schedule.acquisition_s: must be > 0")
         if self.analysis.window_mode not in ("full", "half"):
             raise ConfigError("analysis.window_mode: must be 'full' or 'half'")
         if self.analysis.window_ps <= 0:
             raise ConfigError("analysis.window_ps: must be > 0")
+        if self.analysis.hist_bin_ps <= 0:
+            raise ConfigError("analysis.hist_bin_ps: must be > 0")
+        if self.analysis.hist_range_ps <= 0:
+            raise ConfigError("analysis.hist_range_ps: must be > 0")
         if self.analysis.accidental_offset_windows < 10:
             raise ConfigError("analysis.accidental_offset_windows: must be >= 10")
         if self.keyrate.ec_efficiency < 0:
@@ -207,6 +175,8 @@ def _coerce(value: Any, hint: Any, path: str) -> Any:
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -247,7 +217,7 @@ def _from_dict(cls, data: Dict[str, Any], path: str):
             kwargs[f.name] = _coerce(data[f.name], hints[f.name], sub_path)
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path or cls.__name__}: {exc}") from exc
 
 
@@ -280,14 +250,8 @@ def dump_config(cfg: RunConfig, path) -> None:
 def geometry_from_config(cfg: RunConfig) -> tuple[CoreLayout, CouplingResult]:
     """Layout and temperature-driven coupling probabilities for a config."""
     layout = build_layout(cfg.layout.pitch_um, cfg.layout.core_radius_um)
-    cal = RingCalibration(
-        inner_temperature_c=cfg.emission.calibration.inner_temperature_c,
-        inner_radius_um=cfg.emission.calibration.inner_radius_um,
-        outer_temperature_c=cfg.emission.calibration.outer_temperature_c,
-        outer_radius_um=cfg.emission.calibration.outer_radius_um,
-    )
     profile = emission_profile_from_temperature(
-        cfg.source.temperature_c, cal, cfg.emission.annulus_width_um
+        cfg.source.temperature_c, cfg.emission.calibration, cfg.emission.annulus_width_um
     )
     return layout, coupling_probabilities(profile, layout)
 
@@ -323,30 +287,25 @@ def _calibrated_config(
     target_da_cps: float,
     ring_loss_db: float,
     seed: int,
-    drift: DriftConfig,
 ) -> RunConfig:
     """Solve the source pair rate so the ring's mean per-pair coincidence
     rate in the HV basis hits the target, then scale the DA segment."""
-    link = LinkConfig()
-    analysis = AnalysisConfig()
     cfg = RunConfig(
-        source=SourceConfig(pair_rate=1.0, visibility=visibility, temperature_c=temperature_c),
+        source=SourceParams(pair_rate=1.0, visibility=visibility, temperature_c=temperature_c),
         seed=seed,
         ring=ring,
-        link=link,
-        drift=drift,
-        analysis=analysis,
         linkbudget=LinkBudgetConfig(ring_loss_db=ring_loss_db),
     )
     _, coupling = geometry_from_config(cfg)
     ring_pairs = [p for p in coupling.pairs if p.ring == ring]
     coupling_sum = sum(p.coupling_prob for p in ring_pairs)
-    t_arm = link.to_link_params().transmission
+    link, analysis = cfg.link, cfg.analysis
+    t_arm = link.transmission
     eta_w = window_capture_fraction(analysis.window_ps, link.jitter_sigma_ps, analysis.window_mode)
     keep = (1.0 - link.crosstalk_prob) ** 2
     detected_per_emission = coupling_sum * t_arm * t_arm * eta_w * keep
     pair_rate = len(ring_pairs) * target_hv_cps / detected_per_emission
-    cfg.source.pair_rate = pair_rate
+    cfg.source = replace(cfg.source, pair_rate=pair_rate)
     cfg.schedule.rate_scales = {"HV": 1.0, "DA": target_da_cps / target_hv_cps}
     return cfg
 
@@ -361,7 +320,6 @@ def preset_inner(seed: int = 42) -> RunConfig:
         target_da_cps=4240.5,
         ring_loss_db=40.06,
         seed=seed,
-        drift=DriftConfig(),
     )
 
 
@@ -375,7 +333,6 @@ def preset_outer(seed: int = 43) -> RunConfig:
         target_da_cps=7770.0,
         ring_loss_db=35.48,
         seed=seed,
-        drift=DriftConfig(),
     )
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "build_layout",
     "emission_profile_from_temperature",
     "coupling_probabilities",
-    "adjacency_map",
     "LayoutError",
 ]
 
@@ -89,11 +88,6 @@ class CoreLayout:
     @property
     def outer_pairs(self) -> Tuple[CorePair, ...]:
         return tuple(p for p in self.pairs if p.ring == RING_OUTER)
-
-    def pairs_for_ring(self, ring: str) -> Tuple[CorePair, ...]:
-        if ring not in (RING_INNER, RING_OUTER):
-            raise ValueError(f"ring must be 'inner' or 'outer', got {ring!r}")
-        return tuple(p for p in self.pairs if p.ring == ring)
 
 
 @dataclass(frozen=True)
@@ -255,18 +249,3 @@ def coupling_probabilities(profile: EmissionProfile, layout: CoreLayout) -> Coup
         pairs.append(replace(pair, coupling_prob=prob))
     return CouplingResult(tuple(pairs), uncoupled_fraction=1.0 - total)
 
-
-def adjacency_map(layout: CoreLayout) -> Dict[int, Tuple[int, ...]]:
-    """Lattice neighbors of each core (center-to-center distance = pitch)."""
-    tol = 1e-6 * layout.pitch_um
-    neighbors: Dict[int, Tuple[int, ...]] = {}
-    for core in layout.cores:
-        near = []
-        for other in layout.cores:
-            if other.core_id == core.core_id:
-                continue
-            d = math.hypot(core.x_um - other.x_um, core.y_um - other.y_um)
-            if abs(d - layout.pitch_um) <= tol:
-                near.append(other.core_id)
-        neighbors[core.core_id] = tuple(near)
-    return neighbors

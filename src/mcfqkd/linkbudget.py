@@ -219,13 +219,12 @@ def model_from_config(cfg) -> LinkModel:
 
     _, coupling = geometry_from_config(cfg)
     pairs = selected_pairs(cfg, coupling)
-    link = cfg.link.to_link_params()
     eta = window_capture_fraction(
         cfg.analysis.window_ps, cfg.link.jitter_sigma_ps, cfg.analysis.window_mode
     )
     keep = (1.0 - cfg.link.crosstalk_prob) ** 2
     mean_coupling = sum(p.coupling_prob for p in pairs) / len(pairs)
-    c_hv = cfg.source.pair_rate * mean_coupling * link.transmission**2 * eta * keep
+    c_hv = cfg.source.pair_rate * mean_coupling * cfg.link.transmission**2 * eta * keep
     c_hv *= cfg.schedule.rate_scales.get("HV", 1.0)
     c_da = c_hv * cfg.schedule.rate_scales.get("DA", 1.0)
     q_int = (1.0 - cfg.source.visibility) / 2.0

@@ -5,9 +5,11 @@ core pair (coupling probability), through per-arm transmission, and past the
 detector efficiency.  The thinning is applied analytically before any event
 is materialized, which is distribution-identical to simulating every crystal
 emission but keeps the event count proportional to what the detectors
-actually see.  Every stream derives its randomness from (master seed,
-pair id), so runs are reproducible bit for bit and core pairs can be
-simulated in any order or in parallel.
+actually see; emissions that couple into no simulated pair are not drawn.
+Crosstalk into a neighboring core is modeled as loss: the photon leaves its
+own stream and breaks its coincidence.  Every stream derives its randomness
+from (run seed, pair id), so runs are reproducible bit for bit and core
+pairs can be simulated in any order or in parallel.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import CoreLayout, CorePair, adjacency_map
+from .geometry import CorePair
 
 __all__ = [
     "CH_ALICE_T",
@@ -26,6 +28,7 @@ __all__ = [
     "CH_BOB_T",
     "CH_BOB_R",
     "FLAG_DARK",
+    "PS_PER_S",
     "TAG_DTYPE",
     "SourceParams",
     "LinkParams",
@@ -50,12 +53,10 @@ TAG_DTYPE = np.dtype(
     [("time_ps", "<u8"), ("channel", "u1"), ("flags", "u1"), ("reserved", "V6")]
 )
 
-_PICOSECONDS_PER_SECOND = 1_000_000_000_000
+PS_PER_S = 1_000_000_000_000
 
-# seed-sequence salts keeping the independent random streams disjoint
-# (core-pair streams use the bare pair id, crosstalk deposits 10000 + core id)
-_MASTER_SALT = 0x4D435154
-_XTALK_SALT = 10_000
+# seed-sequence salt keeping the drift walk disjoint from the core-pair
+# streams, which use the bare pair id
 _DRIFT_SALT = 0x0D21F7
 
 
@@ -64,7 +65,7 @@ class SourceParams:
     """Photon-pair source: emission rate and Werner-type visibility."""
 
     pair_rate: float
-    visibility: float
+    visibility: float = 0.94
     temperature_c: float = 82.5
 
     def __post_init__(self) -> None:
@@ -84,12 +85,13 @@ class LinkParams:
     detector_efficiency: float = 1.0
     dark_rate_cps: float = 100.0
     jitter_sigma_ps: float = 50.0
-    crosstalk_prob: float = 0.0
+    crosstalk_prob: float = 1e-4
     propagation_delay_ps: int = 0
 
     def __post_init__(self) -> None:
-        if self.fiber_length_km < 0 or self.fiber_loss_db_per_km < 0 or self.system_loss_db < 0:
-            raise ValueError("losses and length must be >= 0")
+        for name in ("fiber_length_km", "fiber_loss_db_per_km", "system_loss_db"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValueError("detector_efficiency must be in (0, 1]")
         if self.dark_rate_cps < 0:
@@ -158,15 +160,12 @@ class PairTruth:
     photon_singles: Dict[int, int]
     dark_counts: Dict[int, int]
     crosstalk_out: int
-    crosstalk_in: int = 0
 
 
 @dataclass
 class GroundTruth:
     duration_s: float
     seed: int
-    total_emitted: int
-    uncoupled_emissions: int
     pairs: Dict[int, PairTruth] = field(default_factory=dict)
 
 
@@ -197,10 +196,6 @@ def _pair_rng(seed: int, pair_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, pair_id])))
 
 
-def _clip_times(times: np.ndarray, duration_ps: int, slack_ps: int) -> np.ndarray:
-    return np.clip(times, 0, duration_ps + slack_ps)
-
-
 def simulate_run(
     source: SourceParams,
     channels: Sequence[SimChannel],
@@ -209,7 +204,6 @@ def simulate_run(
     duration_s: float,
     seed: int,
     *,
-    layout: Optional[CoreLayout] = None,
     angle_offset_deg: float = 0.0,
     time_offset_ps: int = 0,
     mark_dark_tags: bool = False,
@@ -218,14 +212,12 @@ def simulate_run(
 
     Emissions are assigned to core pairs by coupling probability; each photon
     independently survives its arm's transmission, receives Gaussian timing
-    jitter (truncated at 6 sigma) and may be rerouted to an adjacent core by
-    crosstalk, which breaks its coincidence.  Dark counts are added per
-    detector as independent Poisson processes.  Streams come back sorted by
-    time with a ground-truth record of what was generated.
+    jitter (truncated at 6 sigma) and is lost to crosstalk with the arm's
+    ``crosstalk_prob``, which breaks its coincidence.  Dark counts are added
+    per detector as independent Poisson processes.  Streams come back sorted
+    by time with a ground-truth record of what was generated.
 
     Args:
-        layout: needed only to route crosstalk photons into simulated
-            neighbor cores; without it rerouted photons are simply lost.
         angle_offset_deg: polarization drift added to Bob's analyzer angle.
         time_offset_ps: added to all timestamps (schedule segment start).
         mark_dark_tags: set the dark-count flag bit on dark tags.
@@ -234,7 +226,7 @@ def simulate_run(
         raise ValueError("duration must be > 0")
     if not channels:
         raise ValueError("empty pair set")
-    duration_ps = max(1, int(round(duration_s * _PICOSECONDS_PER_SECOND)))
+    duration_ps = max(1, int(round(duration_s * PS_PER_S)))
 
     total_coupling = sum(ch.pair.coupling_prob for ch in channels)
     if total_coupling == 0.0:
@@ -253,24 +245,7 @@ def simulate_run(
     cum_probs = np.cumsum(probs)
     cum_probs[-1] = 1.0
 
-    core_owner: Dict[int, Tuple[int, str]] = {}
-    for ch in channels:
-        core_owner[ch.pair.core_a] = (ch.pair.pair_id, "alice")
-        core_owner[ch.pair.core_b] = (ch.pair.pair_id, "bob")
-    adjacency = adjacency_map(layout) if layout is not None else None
-
-    master = _pair_rng(seed, _MASTER_SALT)
-    uncoupled_rate = source.pair_rate * max(0.0, 1.0 - total_coupling)
-    uncoupled = int(master.poisson(uncoupled_rate * duration_s))
-
-    truth = GroundTruth(
-        duration_s=duration_s,
-        seed=seed,
-        total_emitted=uncoupled,
-        uncoupled_emissions=uncoupled,
-    )
-    # rerouted photons waiting for their destination stream: core -> (times, src pair)
-    pending_xtalk: Dict[int, List[np.ndarray]] = {}
+    truth = GroundTruth(duration_s=duration_s, seed=seed)
     parts: Dict[int, Dict[str, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]] = {}
 
     for ch in channels:
@@ -278,7 +253,6 @@ def simulate_run(
         rng = _pair_rng(seed, pair.pair_id)
         lam = source.pair_rate * pair.coupling_prob * duration_s
         n_emit = int(rng.poisson(lam)) if lam > 0 else 0
-        truth.total_emitted += n_emit
 
         t_emit = rng.integers(0, duration_ps, n_emit, dtype=np.int64)
         t_emit.sort()
@@ -313,32 +287,18 @@ def simulate_run(
                 t = t + np.rint(jitter).astype(np.int64)
             else:
                 slack = 0
-            return _clip_times(t, duration_ps, slack)
+            return np.clip(t, 0, duration_ps + slack)
 
         t_a = detect_times(a_sel, ch.alice)
         t_b = detect_times(b_sel, ch.bob)
 
-        # crosstalk rerouting removes the photon from its own core
+        # crosstalk removes the photon from its own core
         xtalk_a = rng.random(a_sel.size) < ch.alice.crosstalk_prob
         xtalk_b = rng.random(b_sel.size) < ch.bob.crosstalk_prob
         n_xtalk = int(xtalk_a.sum() + xtalk_b.sum())
-        for mask, times, core_id in ((xtalk_a, t_a, pair.core_a), (xtalk_b, t_b, pair.core_b)):
-            n_out = int(mask.sum())
-            if n_out == 0 or adjacency is None:
-                continue
-            options = adjacency.get(core_id, ())
-            if not options:
-                continue
-            targets = rng.integers(0, len(options), n_out)
-            out_times = times[mask]
-            for k, target_idx in enumerate(targets):
-                target = options[int(target_idx)]
-                if target in core_owner:
-                    pending_xtalk.setdefault(target, []).append(out_times[k : k + 1])
-
         keep_a = ~xtalk_a
         keep_b = ~xtalk_b
-        # a coincidence survives only if neither photon was rerouted
+        # a coincidence survives only if neither photon was lost to crosstalk
         kept_a_of_both = keep_a[both_in_a]
         kept_b_of_both = keep_b[both_in_b]
         true_coinc = int((kept_a_of_both & kept_b_of_both).sum())
@@ -381,18 +341,6 @@ def simulate_run(
             dark_counts=dark_counts,
             crosstalk_out=n_xtalk,
         )
-
-    # deposit rerouted photons into their destination streams with a random port
-    for core_id, chunks in sorted(pending_xtalk.items()):
-        pair_id, party = core_owner[core_id]
-        times = np.concatenate(chunks)
-        rng = _pair_rng(seed, _XTALK_SALT + core_id)
-        base = CH_ALICE_T if party == "alice" else CH_BOB_T
-        chans = rng.integers(base, base + 2, times.size, dtype=np.uint8)
-        parts[pair_id][party].append(
-            (times, chans, np.zeros(times.size, dtype=np.uint8))
-        )
-        truth.pairs[pair_id].crosstalk_in += times.size
 
     streams = {
         pair_id: PairStreams(

@@ -2,16 +2,19 @@
 
 The runner turns a configuration into simulated acquisitions, feeds each one
 through the coincidence analysis, and aggregates per-pair visibilities,
-QBERs and key rates into ring-level reports.  Core pairs are independent, so
-they are simulated on a thread pool (capped by ``MCFQKD_THREADS``); each
-pair derives its own random stream, which keeps results identical no matter
-how the pool schedules them.
+QBERs and key rates into ring-level reports.  Every run is built from the
+same pieces: ``select_pairs`` picks the measured core pairs, ``acquire``
+simulates and analyzes one (pair, segment) acquisition, and ``pair_report``
+turns a pair's per-basis results into its key rate.  Core pairs are
+independent, so the basis scan runs them on a thread pool (capped by
+``MCFQKD_THREADS``); each pair derives its own random stream, which keeps
+results identical no matter how the pool schedules them.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,13 +22,7 @@ import numpy as np
 from .coincidence import CoincidenceTally, tally_basis
 from .config import RunConfig, geometry_from_config, selected_pairs, worker_count
 from .geometry import CorePair
-from .photonsim import (
-    AnalyzerSetting,
-    SimChannel,
-    SourceParams,
-    apply_polarization_drift,
-    simulate_run,
-)
+from .photonsim import PS_PER_S, AnalyzerSetting, SimChannel, apply_polarization_drift, simulate_run
 from .qkdmath import (
     BasisCounts,
     KeyRateInputs,
@@ -42,6 +39,10 @@ __all__ = [
     "PairReport",
     "KeyRateReport",
     "StabilityPoint",
+    "select_pairs",
+    "scan_schedule",
+    "acquire",
+    "pair_report",
     "run_basis_scan",
     "simulate_segment",
     "run_stability",
@@ -49,7 +50,6 @@ __all__ = [
 ]
 
 _BASIS_SETTINGS = {"HV": AnalyzerSetting.hv(), "DA": AnalyzerSetting.da()}
-_PS_PER_S = 1_000_000_000_000
 
 
 @dataclass(frozen=True)
@@ -83,20 +83,23 @@ class MeasurementSchedule:
         return last.start_s + last.duration_s
 
     @classmethod
+    def _acquisitions(
+        cls, slots: Sequence[Tuple[float, str]], acquisition_s: float, rate_scales: Dict[str, float]
+    ) -> "MeasurementSchedule":
+        """One acquisition of ``acquisition_s`` per (start, basis) slot."""
+        return cls(
+            tuple(
+                ScheduleSegment(basis, start_s, acquisition_s, rate_scales.get(basis, 1.0))
+                for start_s, basis in slots
+            )
+        )
+
+    @classmethod
     def basis_scan(
         cls, acquisition_s: float, bases: Sequence[str], rate_scales: Dict[str, float]
     ) -> "MeasurementSchedule":
-        segments = []
-        for i, basis in enumerate(bases):
-            segments.append(
-                ScheduleSegment(
-                    basis=basis,
-                    start_s=i * acquisition_s,
-                    duration_s=acquisition_s,
-                    rate_scale=rate_scales.get(basis, 1.0),
-                )
-            )
-        return cls(tuple(segments))
+        slots = [(i * acquisition_s, basis) for i, basis in enumerate(bases)]
+        return cls._acquisitions(slots, acquisition_s, rate_scales)
 
     @classmethod
     def stability(
@@ -113,18 +116,8 @@ class MeasurementSchedule:
             raise ValueError("schedule yields no slots")
         if acquisition_s > switch_minutes * 60.0:
             raise ValueError("acquisition does not fit into one slot")
-        segments = []
-        for k in range(n_slots):
-            basis = "HV" if k % 2 == 0 else "DA"
-            segments.append(
-                ScheduleSegment(
-                    basis=basis,
-                    start_s=k * switch_minutes * 60.0,
-                    duration_s=acquisition_s,
-                    rate_scale=rate_scales.get(basis, 1.0),
-                )
-            )
-        return cls(tuple(segments))
+        slots = [(k * switch_minutes * 60.0, "HV" if k % 2 == 0 else "DA") for k in range(n_slots)]
+        return cls._acquisitions(slots, acquisition_s, rate_scales)
 
 
 @dataclass
@@ -242,23 +235,6 @@ def analyze_segment(
     return _tally_to_result(tally, cfg.analysis.subtract_accidentals)
 
 
-def _pair_key_rate(
-    hv: PairBasisResult, da: PairBasisResult, ec_efficiency: float
-) -> Tuple[float, float]:
-    if hv.qber is None or da.qber is None:
-        return 0.0, 0.0
-    skr = secret_key_rate(
-        KeyRateInputs(
-            coin_rate_hv=hv.coincidence_rate_cps,
-            coin_rate_da=da.coincidence_rate_cps,
-            qber_hv=min(hv.qber, 0.5),
-            qber_da=min(da.qber, 0.5),
-            ec_efficiency=ec_efficiency,
-        )
-    )
-    return skr, max(0.0, skr)
-
-
 def simulate_segment(
     cfg: RunConfig,
     pair: CorePair,
@@ -267,25 +243,78 @@ def simulate_segment(
     angle_offset_deg: float,
 ):
     """One (pair, segment) acquisition; the seed mixes in the segment index."""
-    link = cfg.link.to_link_params()
-    source = SourceParams(
-        pair_rate=cfg.source.pair_rate * segment.rate_scale,
-        visibility=cfg.source.visibility,
-        temperature_c=cfg.source.temperature_c,
-    )
+    source = replace(cfg.source, pair_rate=cfg.source.pair_rate * segment.rate_scale)
     setting = _BASIS_SETTINGS[segment.basis]
-    result = simulate_run(
+    return simulate_run(
         source,
-        [SimChannel(pair=pair, alice=link, bob=link)],
+        [SimChannel(pair=pair, alice=cfg.link, bob=cfg.link)],
         setting,
         setting,
         segment.duration_s,
         seed=cfg.seed + 7919 * segment_index,
         angle_offset_deg=angle_offset_deg,
-        time_offset_ps=int(round(segment.start_s * _PS_PER_S)),
+        time_offset_ps=int(round(segment.start_s * PS_PER_S)),
         mark_dark_tags=cfg.emit_ground_truth,
     )
-    return result
+
+
+def acquire(
+    cfg: RunConfig,
+    pair: CorePair,
+    segment: ScheduleSegment,
+    segment_index: int,
+    angle_offset_deg: float,
+) -> PairBasisResult:
+    """Simulate and analyze one (pair, segment) acquisition; its tag streams
+    are freed on return, so a segment loop holds one acquisition at a time."""
+    streams = simulate_segment(cfg, pair, segment, segment_index, angle_offset_deg).streams[
+        pair.pair_id
+    ]
+    return analyze_segment(
+        streams.alice, streams.bob, basis=segment.basis, duration_s=segment.duration_s, cfg=cfg
+    )
+
+
+def pair_report(
+    pair_id: int, ring: str, per_basis: Dict[str, PairBasisResult], ec_efficiency: float
+) -> PairReport:
+    """Key rate of one pair from its latest result in each basis; a basis
+    that was not measured stands in for the other one."""
+    hv = per_basis.get("HV") or next(iter(per_basis.values()))
+    da = per_basis.get("DA", hv)
+    skr = 0.0
+    if hv.qber is not None and da.qber is not None:
+        skr = secret_key_rate(
+            KeyRateInputs(
+                coin_rate_hv=hv.coincidence_rate_cps,
+                coin_rate_da=da.coincidence_rate_cps,
+                qber_hv=min(hv.qber, 0.5),
+                qber_da=min(da.qber, 0.5),
+                ec_efficiency=ec_efficiency,
+            )
+        )
+    return PairReport(
+        pair_id=pair_id, ring=ring, hv=hv, da=da, skr_bits_s=skr, skr_clamped_bits_s=max(0.0, skr)
+    )
+
+
+def select_pairs(cfg: RunConfig, pair_ids: Optional[Sequence[int]] = None) -> Tuple[CorePair, ...]:
+    """The configured core pairs, optionally narrowed to ``pair_ids``."""
+    _, coupling = geometry_from_config(cfg)
+    pairs = selected_pairs(cfg, coupling)
+    if pair_ids is not None:
+        wanted = set(pair_ids)
+        pairs = tuple(p for p in pairs if p.pair_id in wanted)
+    if not pairs:
+        raise ValueError("empty pair set")
+    return pairs
+
+
+def scan_schedule(cfg: RunConfig) -> MeasurementSchedule:
+    """One acquisition per configured basis, back to back."""
+    return MeasurementSchedule.basis_scan(
+        cfg.schedule.acquisition_s, cfg.schedule.bases, cfg.schedule.rate_scales
+    )
 
 
 def run_basis_scan(cfg: RunConfig, pair_ids: Optional[Sequence[int]] = None) -> KeyRateReport:
@@ -296,43 +325,15 @@ def run_basis_scan(cfg: RunConfig, pair_ids: Optional[Sequence[int]] = None) -> 
     key-rate formula; the ring total sums the per-pair rates clamped at
     zero.
     """
-    _, coupling = geometry_from_config(cfg)
-    pairs = selected_pairs(cfg, coupling)
-    if pair_ids is not None:
-        wanted = set(pair_ids)
-        pairs = tuple(p for p in pairs if p.pair_id in wanted)
-    if not pairs:
-        raise ValueError("empty pair set")
-
-    schedule = MeasurementSchedule.basis_scan(
-        cfg.schedule.acquisition_s, cfg.schedule.bases, cfg.schedule.rate_scales
-    )
+    pairs = select_pairs(cfg, pair_ids)
+    schedule = scan_schedule(cfg)
 
     def work(pair: CorePair) -> PairReport:
-        per_basis: Dict[str, PairBasisResult] = {}
-        for idx, segment in enumerate(schedule.segments):
-            sim = simulate_segment(cfg, pair, segment, idx, 0.0)
-            streams = sim.streams[pair.pair_id]
-            per_basis[segment.basis] = analyze_segment(
-                streams.alice,
-                streams.bob,
-                basis=segment.basis,
-                duration_s=segment.duration_s,
-                cfg=cfg,
-            )
-        hv = per_basis.get("HV")
-        da = per_basis.get("DA", hv)
-        if hv is None:
-            hv = da
-        skr, clamped = _pair_key_rate(hv, da, cfg.keyrate.ec_efficiency)
-        return PairReport(
-            pair_id=pair.pair_id,
-            ring=pair.ring,
-            hv=hv,
-            da=da,
-            skr_bits_s=skr,
-            skr_clamped_bits_s=clamped,
-        )
+        per_basis = {
+            segment.basis: acquire(cfg, pair, segment, idx, 0.0)
+            for idx, segment in enumerate(schedule.segments)
+        }
+        return pair_report(pair.pair_id, pair.ring, per_basis, cfg.keyrate.ec_efficiency)
 
     with ThreadPoolExecutor(max_workers=worker_count(len(pairs))) as pool:
         reports = list(pool.map(work, pairs))
@@ -355,13 +356,7 @@ def run_stability(
     been measured.  Polarization drift accumulates across the run as a
     reflected random walk sampled at each slot start.
     """
-    _, coupling = geometry_from_config(cfg)
-    pairs = selected_pairs(cfg, coupling)
-    if pair_id is not None:
-        pairs = tuple(p for p in pairs if p.pair_id == pair_id)
-    if not pairs:
-        raise ValueError("empty pair set")
-    pair = pairs[0]
+    pair = select_pairs(cfg, None if pair_id is None else [pair_id])[0]
 
     schedule = MeasurementSchedule.stability(
         total_hours, switch_minutes, acquisition_s, cfg.schedule.rate_scales
@@ -374,19 +369,9 @@ def run_stability(
     points: List[StabilityPoint] = []
     latest: Dict[str, PairBasisResult] = {}
     for k, segment in enumerate(schedule.segments):
-        sim = simulate_segment(cfg, pair, segment, k, float(offsets[k]))
-        streams = sim.streams[pair.pair_id]
-        result = analyze_segment(
-            streams.alice,
-            streams.bob,
-            basis=segment.basis,
-            duration_s=segment.duration_s,
-            cfg=cfg,
-        )
+        result = acquire(cfg, pair, segment, k, float(offsets[k]))
         latest[segment.basis] = result
-        hv = latest.get("HV", result)
-        da = latest.get("DA", result)
-        skr, clamped = _pair_key_rate(hv, da, cfg.keyrate.ec_efficiency)
+        report = pair_report(pair.pair_id, pair.ring, latest, cfg.keyrate.ec_efficiency)
         points.append(
             StabilityPoint(
                 slot=k,
@@ -395,8 +380,8 @@ def run_stability(
                 coincidence_rate_cps=result.coincidence_rate_cps,
                 visibility=result.visibility,
                 qber=result.qber,
-                skr_bits_s=skr,
-                skr_clamped_bits_s=clamped,
+                skr_bits_s=report.skr_bits_s,
+                skr_clamped_bits_s=report.skr_clamped_bits_s,
                 drift_offset_deg=float(offsets[k]),
             )
         )

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -117,6 +118,20 @@ class TestAnalyze:
         empty.mkdir()
         assert main(["analyze", "--in", str(empty), "--out", str(tmp_path / "rep")]) != 0
 
+    def test_bad_metadata_names_file_and_key(self, sim_dir, tmp_path, capsys):
+        meta_path = sim_dir / "ground_truth.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["config"]
+        meta_path.write_text(json.dumps(meta))
+        rc = main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        assert f"error: {meta_path}: missing key 'config'" in capsys.readouterr().err
+
+        meta_path.write_text("{not json")
+        rc = main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        assert f"error: {meta_path}: invalid JSON" in capsys.readouterr().err
+
     def test_empty_streams_zero_report(self, sim_dir, tmp_path):
         # truncate one pair's files to headers only: zero-count report, no crash
         for name in ("pair0_alice.mcqt", "pair0_bob.mcqt"):
@@ -226,3 +241,46 @@ class TestEntryPoint:
         monkeypatch.setenv("MCFQKD_THREADS", "1")
         out = tmp_path / "sim"
         assert main(["simulate", "--config", str(quick_config), "--out", str(out)]) == 0
+
+
+class TestGoldenRoundTrip:
+    """Byte-level pins of the CLI's outputs for fixed seeds: the simulate
+    tag files and ground-truth metadata (including its config dump), the
+    analyze reports, and a short stability run.  Captured before the
+    acquisition pipeline and the config types were consolidated."""
+
+    SIMULATE_SHA256 = {
+        "ground_truth.json": "8ca40942c3613bd3cca7e6c76cc3deb4a35b7c0ab68b0ced75ef079e7b1237ee",
+        "pair0_alice.mcqt": "22cd086229788d0942619be246571fca214f86a51858190f906e6e99d2d77141",
+        "pair0_bob.mcqt": "3fb7d94d568a7aa135483a450aa75d9a51aebc90cf50d705b76b458feed54102",
+        "pair1_alice.mcqt": "045d6b63944e157b279036447a2eeb69386320154c1df2d92414fe247aafe7ea",
+        "pair1_bob.mcqt": "4a3adc05f9405364f766cdbcf770baca59d3eccaedf41a23618e14b611211439",
+        "pair2_alice.mcqt": "2a007f04a09ea6c22e9a64c49530291bfd9a536e91a45bc2e46e5f957d628cd4",
+        "pair2_bob.mcqt": "e05aca6c3c2ec98684ca9aff4fd057fc7fd0a84e2fc544cee46019419c3ceaf5",
+    }
+    ANALYZE_SHA256 = {
+        "report.json": "40c168d493c169e26ccd637cc148ed9b5621842987d9de477c12773c04f3c3ec",
+        "report.csv": "c92a76746e9064e0b974008e8480b677ce7eb59c3a2a8386e6a4d6db52310141",
+    }
+    STABILITY_CSV_SHA256 = "a6cfedbf826509b56066f7a8316f921d0e0d8a7166d1987f427c6f445135f66e"
+
+    @staticmethod
+    def digests(directory, names):
+        return {n: hashlib.sha256((directory / n).read_bytes()).hexdigest() for n in names}
+
+    def test_simulate_analyze_round_trip(self, quick_config, tmp_path):
+        sim, rep = tmp_path / "sim", tmp_path / "rep"
+        assert main(["simulate", "--config", str(quick_config), "--out", str(sim)]) == 0
+        assert sorted(p.name for p in sim.iterdir()) == sorted(self.SIMULATE_SHA256)
+        assert self.digests(sim, self.SIMULATE_SHA256) == self.SIMULATE_SHA256
+        assert main(["analyze", "--in", str(sim), "--out", str(rep)]) == 0
+        assert self.digests(rep, self.ANALYZE_SHA256) == self.ANALYZE_SHA256
+
+    def test_stability_csv(self, tmp_path):
+        out = tmp_path / "stab"
+        rc = main(
+            ["stability", "--preset", "stability", "--hours", "1", "--switch-min", "15",
+             "--acquisition-s", "2", "--out", str(out)]
+        )
+        assert rc == 0
+        assert self.digests(out, ["stability.csv"]) == {"stability.csv": self.STABILITY_CSV_SHA256}

@@ -1,6 +1,8 @@
 """Unit tests for configuration parsing, validation and presets."""
 
 import json
+import math
+import re
 
 import pytest
 
@@ -78,7 +80,7 @@ class TestPresets:
         _, coupling = geometry_from_config(cfg)
         pairs = selected_pairs(cfg, coupling)
         assert len(pairs) == 3
-        t = cfg.link.to_link_params().transmission
+        t = cfg.link.transmission
         eta = window_capture_fraction(cfg.analysis.window_ps, cfg.link.jitter_sigma_ps)
         keep = (1 - cfg.link.crosstalk_prob) ** 2
         mean_rate = (
@@ -97,7 +99,7 @@ class TestPresets:
         _, coupling = geometry_from_config(cfg)
         pairs = selected_pairs(cfg, coupling)
         assert len(pairs) == 6
-        t = cfg.link.to_link_params().transmission
+        t = cfg.link.transmission
         eta = window_capture_fraction(cfg.analysis.window_ps, cfg.link.jitter_sigma_ps)
         keep = (1 - cfg.link.crosstalk_prob) ** 2
         total = cfg.source.pair_rate * sum(p.coupling_prob for p in pairs) * t * t * eta * keep
@@ -139,3 +141,36 @@ class TestWorkerCount:
     def test_default_positive(self, monkeypatch):
         monkeypatch.delenv("MCFQKD_THREADS", raising=False)
         assert worker_count(4) >= 1
+
+
+def _with(section, key, value):
+    data = json.loads(dumps_config(preset_inner()))
+    data[section][key] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, path",
+    [
+        (_with("source", "pair_rate", math.nan), "source.pair_rate"),
+        (_with("source", "pair_rate", 0.0), "source: pair_rate"),
+        (_with("source", "visibility", 1.5), "source: visibility"),
+        (_with("link", "detector_efficiency", 0.0), "link: detector_efficiency"),
+        (_with("link", "crosstalk_prob", 1.0), "link: crosstalk_prob"),
+        (_with("link", "jitter_sigma_ps", -1.0), "link: jitter_sigma_ps"),
+        (_with("link", "fiber_length_km", -1.0), "link: fiber_length_km"),
+        (_with("link", "dark_rate_cps", math.inf), "link.dark_rate_cps"),
+        (_with("analysis", "accidental_offset_windows", math.nan), "analysis.accidental_offset_windows"),
+        (_with("analysis", "hist_bin_ps", 0), "analysis.hist_bin_ps"),
+        (_with("analysis", "hist_range_ps", -5000), "analysis.hist_range_ps"),
+        (_with("schedule", "bases", []), "schedule.bases"),
+        (_with("schedule", "bases", ["HV", "HV"]), "schedule.bases"),
+        (_with("schedule", "rate_scales", {"HV": 1.0, "XY": 1.0}), "schedule.rate_scales.XY"),
+        (_with("schedule", "rate_scales", {"HV": 1.0, "DA": 0.0}), "schedule.rate_scales.DA"),
+        (_with("keyrate", "ec_efficiency", 10**400), "keyrate.ec_efficiency"),
+    ],
+)
+def test_invalid_values_rejected_with_field_path(data, path):
+    # NaN and Infinity are what Python's JSON parser accepts for them
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        loads_config(json.dumps(data))

@@ -11,7 +11,6 @@ from mcfqkd.geometry import (
     CouplingResult,
     LayoutError,
     RingCalibration,
-    adjacency_map,
     build_layout,
     coupling_probabilities,
     emission_profile_from_temperature,
@@ -77,15 +76,6 @@ class TestBuildLayout:
             build_layout(10.0, 5.0)
         with pytest.raises(LayoutError):
             build_layout(35.0, 0.0)
-
-    def test_adjacency_neighbors_at_pitch(self):
-        layout = build_layout(35.0, 4.0)
-        neighbors = adjacency_map(layout)
-        assert len(neighbors[0]) == 6  # the center touches the whole inner ring
-        assert set(neighbors[0]) == {1, 2, 3, 4, 5, 6}
-        for core_id, near in neighbors.items():
-            for other in near:
-                assert core_id in neighbors[other]
 
 
 class TestEmissionProfile:
