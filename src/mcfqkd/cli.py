@@ -9,7 +9,9 @@ Verbs:
 * ``reproduce``  - bundled reference scenarios (fig2 / fig3) as CSV + SVG
 
 Every command exits non-zero on any error and zero only on full success.
-``MCFQKD_THREADS`` caps the per-pair simulation parallelism.
+``MCFQKD_THREADS`` caps the threads that run acquisitions in parallel (the
+pairs of a basis scan, the slots of a stability run); results do not depend
+on it.  ``simulate`` and ``analyze`` handle their pairs one after another.
 """
 from __future__ import annotations
 
@@ -206,6 +208,16 @@ def _load_meta(in_dir: Path) -> Tuple[Dict, RunConfig]:
     for key in ("config", "schedule", "files", "truth"):
         if key not in meta:
             raise CliError(f"{meta_path}: missing key {key!r}")
+    if not isinstance(meta["schedule"], list) or not meta["schedule"]:
+        raise CliError(f"{meta_path}: schedule: expected a non-empty list of segments")
+    for idx, seg in enumerate(meta["schedule"]):
+        for key in ("basis", "start_ps", "duration_ps"):
+            if not isinstance(seg, dict) or key not in seg:
+                raise CliError(f"{meta_path}: schedule[{idx}]: missing key {key!r}")
+    per_pair = meta["truth"].get("per_pair") if isinstance(meta["truth"], dict) else None
+    for pair_id in meta["files"]:
+        if not isinstance(per_pair, dict) or pair_id not in per_pair:
+            raise CliError(f"{meta_path}: truth.per_pair: no entry for pair {pair_id}")
     try:
         return meta, loads_config(json.dumps(meta["config"]))
     except ConfigError as exc:

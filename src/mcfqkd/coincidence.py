@@ -40,6 +40,10 @@ __all__ = [
 #: (|dt| <= w).
 WINDOW_MODES = ("full", "half")
 
+#: A tags per block of the histogram and matching passes, which bounds their
+#: temporary arrays whatever the stream length
+_BLOCK = 1 << 16
+
 
 class UnsortedStreamError(ValueError):
     """A timetag stream was not sorted in non-decreasing time order."""
@@ -163,21 +167,19 @@ def cross_correlation(stream_a, stream_b, bin_width_ps: int, range_ps: int) -> C
     if a.size == 0 or b.size == 0:
         return CorrelationHistogram(bin_width_ps, range_ps, bins)
 
-    lo = np.searchsorted(b, a - range_ps, side="left")
-    hi = np.searchsorted(b, a + range_ps, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return CorrelationHistogram(bin_width_ps, range_ps, bins)
-
-    # B index of each in-range pair: its rank in the pair list, shifted per
-    # A tag from the start of that tag's run in the list to its ``lo``
-    start = np.zeros(a.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=start[1:])
-    flat = np.arange(total, dtype=np.int64) + np.repeat(lo - start, counts)
-    delays = b[flat] - np.repeat(a, counts)
-    idx = np.minimum((delays + range_ps) // bin_width_ps, n_bins - 1)
-    bins += np.bincount(idx, minlength=n_bins).astype(np.int64)
+    # the histogram adds up over blocks of A, so the pair list is built one
+    # block at a time and never for the whole stream
+    for s in range(0, a.size, _BLOCK):
+        block = a[s : s + _BLOCK]
+        lo = np.searchsorted(b, block - range_ps, side="left")
+        counts = np.searchsorted(b, block + range_ps, side="right") - lo
+        # B index of each in-range pair: its rank in the pair list, shifted
+        # per A tag from the start of that tag's run in the list to its ``lo``
+        lo[1:] -= np.cumsum(counts[:-1])
+        flat = np.arange(counts.sum(), dtype=np.int64) + np.repeat(lo, counts)
+        delays = b[flat] - np.repeat(block, counts)
+        idx = np.minimum((delays + range_ps) // bin_width_ps, n_bins - 1)
+        bins += np.bincount(idx, minlength=n_bins)
     return CorrelationHistogram(bin_width_ps, range_ps, bins)
 
 
@@ -240,12 +242,36 @@ def _greedy_match(a: np.ndarray, b: np.ndarray, hw: int, delay: int) -> np.ndarr
     single tag on either side yields exactly one match (first against
     first), and only genuinely contested segments fall back to the scalar
     two-pointer walk.
+
+    A is processed in blocks of about ``_BLOCK`` tags, each ending where two
+    consecutive A windows are disjoint (``a[i] - a[i-1] > 2*hw``), so no
+    segment spans two blocks and the matches come out as for one block.
     """
+    out = np.empty((min(a.size, b.size), 2), dtype=np.int64)
+    n_out = start = 0
+    while start < a.size:
+        end = min(start + _BLOCK, a.size)
+        while end < a.size:
+            cut = np.flatnonzero(np.diff(a[end - 1 : end + _BLOCK]) > 2 * hw)
+            if cut.size:
+                end += int(cut[0])
+                break
+            end = min(end + _BLOCK, a.size)
+        n_out = _match_block(a[start:end], start, b, hw, delay, out, n_out)
+        start = end
+    return out[:n_out]
+
+
+def _match_block(
+    a: np.ndarray, offset: int, b: np.ndarray, hw: int, delay: int, out: np.ndarray, n_out: int
+) -> int:
+    """Match one block of A (its first tag at ``offset``) into ``out`` from
+    row ``n_out``; returns the row after the last match."""
     lo = np.searchsorted(b, a + (delay - hw), side="left")
     hi = np.searchsorted(b, a + (delay + hw), side="right")
     keep = np.flatnonzero(hi > lo)
     if keep.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
+        return n_out
     lo = lo[keep]
     hi = hi[keep]
 
@@ -279,7 +305,10 @@ def _greedy_match(a: np.ndarray, b: np.ndarray, hw: int, delay: int) -> np.ndarr
                 j += 1
 
     hit = np.flatnonzero(match >= 0)
-    return np.column_stack((keep[hit], match[hit]))
+    n_hit = hit.size
+    np.add(keep[hit], offset, out=out[n_out : n_out + n_hit, 0])
+    out[n_out : n_out + n_hit, 1] = match[hit]
+    return n_out + n_hit
 
 
 def estimate_accidentals(
@@ -354,13 +383,12 @@ def tally_basis(
     delay_ps = int(round(delay_ps))
 
     pairs = count_coincidences(t_a, t_b, window_ps, delay_ps=delay_ps, mode=mode)
-    if len(pairs):
-        refl_a = (alice_tags["channel"][pairs[:, 0]] % 2).astype(np.int64)
-        refl_b = (bob_tags["channel"][pairs[:, 1]] % 2).astype(np.int64)
-        combo = np.bincount(2 * refl_a + refl_b, minlength=4)
-        counts = BasisCounts(int(combo[0]), int(combo[1]), int(combo[2]), int(combo[3]))
-    else:
-        counts = BasisCounts(0, 0, 0, 0)
+    # port combination of each match, 2 * (A reflected) + (B reflected); the
+    # matches are freed before the accidental pass
+    combo = 2 * (alice_tags["channel"][pairs[:, 0]] % 2) + bob_tags["channel"][pairs[:, 1]] % 2
+    del pairs
+    counts = BasisCounts(*(int(c) for c in np.bincount(combo, minlength=4)))
+    del combo
 
     accidentals = None
     if accidental_offset_ps is not None:

@@ -362,7 +362,7 @@ def preset(name: str, seed: Optional[int] = None) -> RunConfig:
 
 
 def worker_count(n_tasks: int) -> int:
-    """Thread count for per-pair parallelism, capped by MCFQKD_THREADS."""
+    """Thread count for parallel acquisitions, capped by MCFQKD_THREADS."""
     cap = os.environ.get("MCFQKD_THREADS")
     if cap is not None:
         try:

@@ -248,6 +248,8 @@ def simulate_run(
     truth = GroundTruth(duration_s=duration_s, seed=seed)
     parts: Dict[int, Dict[str, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]] = {}
 
+    # each intermediate array is dropped once spent, so only the tag chunks
+    # of the streams are alive when they are assembled
     for ch in channels:
         pair = ch.pair
         rng = _pair_rng(seed, pair.pair_id)
@@ -259,52 +261,53 @@ def simulate_run(
         surv_a = rng.random(n_emit) < ch.alice.transmission
         surv_b = rng.random(n_emit) < ch.bob.transmission
 
-        both = surv_a & surv_b
-        n_both = int(both.sum())
+        # which surviving photon of each arm has a surviving partner
+        both_in_a = surv_b[surv_a]
+        both_in_b = surv_a[surv_b]
+        n_both = int(both_in_a.sum())
         outcome = np.searchsorted(cum_probs, rng.random(n_both), side="right")
         outcome_counts = np.bincount(outcome, minlength=4)
 
         # channel of each surviving photon: transmitted port for +, reflected for -
-        a_sel = np.flatnonzero(surv_a)
-        b_sel = np.flatnonzero(surv_b)
-        a_ch = np.empty(a_sel.size, dtype=np.uint8)
-        b_ch = np.empty(b_sel.size, dtype=np.uint8)
-        both_in_a = both[a_sel]
-        both_in_b = both[b_sel]
+        a_ch = np.empty(both_in_a.size, dtype=np.uint8)
+        b_ch = np.empty(both_in_b.size, dtype=np.uint8)
         a_ch[both_in_a] = np.where(outcome < 2, CH_ALICE_T, CH_ALICE_R)
         b_ch[both_in_b] = np.where(outcome % 2 == 0, CH_BOB_T, CH_BOB_R)
-        n_only_a = int(a_sel.size - n_both)
-        n_only_b = int(b_sel.size - n_both)
-        a_ch[~both_in_a] = rng.integers(CH_ALICE_T, CH_ALICE_R + 1, n_only_a, dtype=np.uint8)
-        b_ch[~both_in_b] = rng.integers(CH_BOB_T, CH_BOB_R + 1, n_only_b, dtype=np.uint8)
+        del outcome
+        a_ch[~both_in_a] = rng.integers(CH_ALICE_T, CH_ALICE_R + 1, a_ch.size - n_both, dtype=np.uint8)
+        b_ch[~both_in_b] = rng.integers(CH_BOB_T, CH_BOB_R + 1, b_ch.size - n_both, dtype=np.uint8)
 
-        def detect_times(select: np.ndarray, link: LinkParams) -> np.ndarray:
-            t = t_emit[select] + link.propagation_delay_ps
+        def detect_times(survived: np.ndarray, link: LinkParams) -> np.ndarray:
+            t = t_emit[survived]
+            t += link.propagation_delay_ps
+            slack = 0
             if link.jitter_sigma_ps > 0:
                 slack = int(math.ceil(6.0 * link.jitter_sigma_ps))
-                jitter = rng.normal(0.0, link.jitter_sigma_ps, select.size)
+                jitter = rng.normal(0.0, link.jitter_sigma_ps, t.size)
                 np.clip(jitter, -slack, slack, out=jitter)
-                t = t + np.rint(jitter).astype(np.int64)
-            else:
-                slack = 0
-            return np.clip(t, 0, duration_ps + slack)
+                t += np.rint(jitter, out=jitter).astype(np.int64)
+            return np.clip(t, 0, duration_ps + slack, out=t)
 
-        t_a = detect_times(a_sel, ch.alice)
-        t_b = detect_times(b_sel, ch.bob)
+        t_a = detect_times(surv_a, ch.alice)
+        del surv_a
+        t_b = detect_times(surv_b, ch.bob)
+        del surv_b, t_emit
 
         # crosstalk removes the photon from its own core
-        xtalk_a = rng.random(a_sel.size) < ch.alice.crosstalk_prob
-        xtalk_b = rng.random(b_sel.size) < ch.bob.crosstalk_prob
+        xtalk_a = rng.random(t_a.size) < ch.alice.crosstalk_prob
+        xtalk_b = rng.random(t_b.size) < ch.bob.crosstalk_prob
         n_xtalk = int(xtalk_a.sum() + xtalk_b.sum())
         keep_a = ~xtalk_a
         keep_b = ~xtalk_b
         # a coincidence survives only if neither photon was lost to crosstalk
-        kept_a_of_both = keep_a[both_in_a]
-        kept_b_of_both = keep_b[both_in_b]
-        true_coinc = int((kept_a_of_both & kept_b_of_both).sum())
+        true_coinc = int((keep_a[both_in_a] & keep_b[both_in_b]).sum())
+        parts[pair.pair_id] = {
+            "alice": [(t_a[keep_a], a_ch[keep_a], np.zeros(int(keep_a.sum()), dtype=np.uint8))],
+            "bob": [(t_b[keep_b], b_ch[keep_b], np.zeros(int(keep_b.sum()), dtype=np.uint8))],
+        }
+        del t_a, t_b
 
         # dark counts per detector
-        dark_parts = {"alice": [], "bob": []}
         dark_counts: Dict[int, int] = {}
         for det, party, link in (
             (CH_ALICE_T, "alice", ch.alice),
@@ -316,7 +319,7 @@ def simulate_run(
             dark_counts[det] = n_dark
             d_times = rng.integers(0, duration_ps, n_dark, dtype=np.int64)
             d_flags = np.full(n_dark, FLAG_DARK if mark_dark_tags else 0, dtype=np.uint8)
-            dark_parts[party].append(
+            parts[pair.pair_id][party].append(
                 (d_times, np.full(n_dark, det, dtype=np.uint8), d_flags)
             )
 
@@ -325,12 +328,6 @@ def simulate_run(
             CH_ALICE_R: int(np.sum((a_ch == CH_ALICE_R) & keep_a)),
             CH_BOB_T: int(np.sum((b_ch == CH_BOB_T) & keep_b)),
             CH_BOB_R: int(np.sum((b_ch == CH_BOB_R) & keep_b)),
-        }
-        parts[pair.pair_id] = {
-            "alice": [(t_a[keep_a], a_ch[keep_a], np.zeros(int(keep_a.sum()), dtype=np.uint8))]
-            + dark_parts["alice"],
-            "bob": [(t_b[keep_b], b_ch[keep_b], np.zeros(int(keep_b.sum()), dtype=np.uint8))]
-            + dark_parts["bob"],
         }
         truth.pairs[pair.pair_id] = PairTruth(
             pair_id=pair.pair_id,
@@ -355,16 +352,26 @@ def simulate_run(
 def _assemble(
     chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]], time_offset_ps: int
 ) -> np.ndarray:
-    times = np.concatenate([c[0] for c in chunks]) + time_offset_ps
-    chans = np.concatenate([c[1] for c in chunks])
-    flags = np.concatenate([c[2] for c in chunks])
-    # one sort on (time, channel) packed into one key; channels are 0-3 and
-    # times stay below 2**61, so the key fits int64
-    order = np.argsort(times * 4 + chans, kind="stable")
-    tags = np.zeros(times.size, dtype=TAG_DTYPE)
-    tags["time_ps"] = times[order]
-    tags["channel"] = chans[order]
-    tags["flags"] = flags[order]
+    # one sort of (time, channel, flag) packed into one int64 key: channels
+    # are 0-3, flags 0 or FLAG_DARK (1) and times in [0, 2**60), and equal
+    # keys are equal records, so the order is that of a stable sort on (time,
+    # channel) with photon tags before dark ones; ``chunks`` is emptied
+    key = np.concatenate([c[0] for c in chunks])
+    key += time_offset_ps
+    if key.size and (key.min() < 0 or key.max() >= 1 << 60):
+        raise ValueError("tag times must lie in [0, 2**60) ps")
+    key <<= 2
+    key += np.concatenate([c[1] for c in chunks])
+    key <<= 1
+    key += np.concatenate([c[2] for c in chunks])
+    chunks.clear()
+    key.sort()
+    tags = np.zeros(key.size, dtype=TAG_DTYPE)
+    tags["flags"] = key & 1
+    key >>= 1
+    tags["channel"] = key & 3
+    key >>= 2
+    tags["time_ps"] = key
     return tags
 
 

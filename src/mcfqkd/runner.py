@@ -5,10 +5,13 @@ through the coincidence analysis, and aggregates per-pair visibilities,
 QBERs and key rates into ring-level reports.  Every run is built from the
 same pieces: ``select_pairs`` picks the measured core pairs, ``acquire``
 simulates and analyzes one (pair, segment) acquisition, and ``pair_report``
-turns a pair's per-basis results into its key rate.  Core pairs are
-independent, so the basis scan runs them on a thread pool (capped by
-``MCFQKD_THREADS``); each pair derives its own random stream, which keeps
-results identical no matter how the pool schedules them.
+turns a pair's per-basis results into its key rate.  Core pairs and
+stability slots are independent acquisitions, so the basis scan runs its
+pairs, and the stability run its slots, on one thread pool (capped by
+``MCFQKD_THREADS``, one acquisition in flight per worker); each acquisition
+derives its own random stream from the seed, pair and segment index, which
+keeps results identical whatever the thread count and however the pool
+schedules them.
 """
 from __future__ import annotations
 
@@ -366,10 +369,18 @@ def run_stability(
         slot_hours, cfg.drift.rate_deg_per_hour, cfg.seed, cfg.drift.max_offset_deg
     )
 
+    def work(k: int) -> PairBasisResult:
+        return acquire(cfg, pair, schedule.segments[k], k, float(offsets[k]))
+
+    # the slots run on the pool; pairing each with the latest result in the
+    # other basis is a serial pass over them in slot order
+    n_slots = len(schedule.segments)
+    with ThreadPoolExecutor(max_workers=worker_count(n_slots)) as pool:
+        results = list(pool.map(work, range(n_slots)))
+
     points: List[StabilityPoint] = []
     latest: Dict[str, PairBasisResult] = {}
-    for k, segment in enumerate(schedule.segments):
-        result = acquire(cfg, pair, segment, k, float(offsets[k]))
+    for k, (segment, result) in enumerate(zip(schedule.segments, results)):
         latest[segment.basis] = result
         report = pair_report(pair.pair_id, pair.ring, latest, cfg.keyrate.ec_efficiency)
         points.append(

@@ -8,12 +8,13 @@ Little-endian layout:
   (bit 0 marks a ground-truth dark count when emission of ground truth was
   enabled), six reserved zero bytes.
 
-Fixed-width records make the files scannable with a single ``frombuffer``.
+Fixed-width records let a reader fill one record array straight from the
+file.
 """
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -63,19 +64,24 @@ def read_timetags(path) -> tuple[np.ndarray, int]:
         TagFormatError: on a bad magic number, unsupported version, or a
             truncated record region.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise TagFormatError("file shorter than the 16-byte header", offset=0)
-    magic, version, channel_id, _reserved = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise TagFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    if version != FORMAT_VERSION:
-        raise TagFormatError(f"unsupported format version {version}", offset=4)
-    body = len(raw) - _HEADER.size
-    if body % _RECORD_SIZE != 0:
-        raise TagFormatError(
-            f"record region of {body} bytes is not a multiple of {_RECORD_SIZE}",
-            offset=_HEADER.size + body - body % _RECORD_SIZE,
-        )
-    tags = np.frombuffer(raw, dtype=TAG_DTYPE, offset=_HEADER.size).copy()
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise TagFormatError("file shorter than the 16-byte header", offset=0)
+        magic, version, channel_id, _reserved = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise TagFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+        if version != FORMAT_VERSION:
+            raise TagFormatError(f"unsupported format version {version}", offset=4)
+        body = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if body % _RECORD_SIZE != 0:
+            raise TagFormatError(
+                f"record region of {body} bytes is not a multiple of {_RECORD_SIZE}",
+                offset=_HEADER.size + body - body % _RECORD_SIZE,
+            )
+        # the records go straight into their array, the only copy in memory
+        tags = np.empty(body // _RECORD_SIZE, dtype=TAG_DTYPE)
+        n_read = fh.readinto(tags.view(np.uint8))
+    if n_read != body:
+        raise TagFormatError("file ended while its records were read", offset=_HEADER.size + n_read)
     return tags, channel_id

@@ -14,21 +14,25 @@ import numpy as np
 
 ORACLE_PRECISION = 25
 
+with localcontext() as _ctx:
+    _ctx.prec = ORACLE_PRECISION
+    #: ln 2 at the oracle precision, the same value every call used to compute
+    _LN2 = Decimal(2).ln()
+
 
 def entropy_oracle(x: float) -> Decimal:
-    """Binary entropy evaluated in 50-digit decimal arithmetic."""
+    """Binary entropy evaluated in 25-digit decimal arithmetic."""
     with localcontext() as ctx:
         ctx.prec = ORACLE_PRECISION
         xd = Decimal(x)  # exact binary-to-decimal conversion
         if xd == 0 or xd == 1:
             return Decimal(0)
-        ln2 = Decimal(2).ln()
         one = Decimal(1)
-        return -(xd * xd.ln() + (one - xd) * (one - xd).ln()) / ln2
+        return -(xd * xd.ln() + (one - xd) * (one - xd).ln()) / _LN2
 
 
 def key_rate_oracle(c_hv: float, c_da: float, q_hv: float, q_da: float, f: float) -> Decimal:
-    """Secret key rate evaluated in 50-digit decimal arithmetic."""
+    """Secret key rate evaluated in 25-digit decimal arithmetic."""
     with localcontext() as ctx:
         ctx.prec = ORACLE_PRECISION
         one = Decimal(1)

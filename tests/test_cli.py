@@ -132,6 +132,43 @@ class TestAnalyze:
         assert rc == 2
         assert f"error: {meta_path}: invalid JSON" in capsys.readouterr().err
 
+    @staticmethod
+    def _analyze_with_meta(sim_dir, tmp_path, capsys, edit):
+        meta_path = sim_dir / "ground_truth.json"
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+        rc = main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")])
+        return rc, capsys.readouterr().err, meta_path
+
+    def test_empty_schedule_rejected(self, sim_dir, tmp_path, capsys):
+        rc, err, meta_path = self._analyze_with_meta(
+            sim_dir, tmp_path, capsys, lambda m: m.update(schedule=[])
+        )
+        assert rc == 2
+        assert f"error: {meta_path}: schedule: expected a non-empty list" in err
+
+    @pytest.mark.parametrize("key", ["basis", "start_ps", "duration_ps"])
+    def test_schedule_entry_without_key_rejected(self, sim_dir, tmp_path, capsys, key):
+        rc, err, meta_path = self._analyze_with_meta(
+            sim_dir, tmp_path, capsys, lambda m: m["schedule"][1].pop(key)
+        )
+        assert rc == 2
+        assert f"error: {meta_path}: schedule[1]: missing key {key!r}" in err
+
+    def test_pair_without_truth_entry_rejected(self, sim_dir, tmp_path, capsys):
+        rc, err, meta_path = self._analyze_with_meta(
+            sim_dir, tmp_path, capsys, lambda m: m["truth"]["per_pair"].pop("2")
+        )
+        assert rc == 2
+        assert f"error: {meta_path}: truth.per_pair: no entry for pair 2" in err
+
+        rc, err, _ = self._analyze_with_meta(
+            sim_dir, tmp_path, capsys, lambda m: m["truth"].pop("per_pair")
+        )
+        assert rc == 2
+        assert "truth.per_pair: no entry for pair 0" in err
+
     def test_empty_streams_zero_report(self, sim_dir, tmp_path):
         # truncate one pair's files to headers only: zero-count report, no crash
         for name in ("pair0_alice.mcqt", "pair0_bob.mcqt"):

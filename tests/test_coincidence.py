@@ -15,6 +15,7 @@ from mcfqkd.coincidence import (
     find_peak_delay,
     tally_basis,
 )
+from mcfqkd import coincidence
 from mcfqkd.coincidence import _as_times
 from mcfqkd.photonsim import TAG_DTYPE
 from oracles import greedy_match_oracle, histogram_oracle
@@ -180,6 +181,52 @@ class TestCountCoincidences:
         b = np.array([base + 149, base + 1151], dtype=np.int64)
         pairs = count_coincidences(a, b, 300)
         assert pairs.tolist() == [[0, 0]]  # 151 > 150 excluded, 149 included
+
+
+class TestBlockedPasses:
+    """The histogram and the matcher walk A in blocks of ``_BLOCK`` tags.
+    With blocks of a few tags they must still agree with the oracles and
+    give the very bytes of a single whole-stream block."""
+
+    def _whole_and_blocked(self, monkeypatch, block, a, b, window, delay, bw, hist_range):
+        with monkeypatch.context() as m:
+            m.setattr(coincidence, "_BLOCK", 1 << 40)
+            whole = count_coincidences(a, b, window, delay_ps=delay)
+            whole_bins = cross_correlation(a, b, bw, hist_range).bins
+        monkeypatch.setattr(coincidence, "_BLOCK", block)
+        pairs = count_coincidences(a, b, window, delay_ps=delay)
+        bins = cross_correlation(a, b, bw, hist_range).bins
+        assert pairs.dtype == np.int64 and pairs.shape == whole.shape
+        assert pairs.tobytes() == whole.tobytes()
+        np.testing.assert_array_equal(bins, whole_bins)
+        assert pairs.tolist() == [list(p) for p in greedy_match_oracle(a, b, window, delay)]
+        np.testing.assert_array_equal(bins, histogram_oracle(a, b, bw, hist_range))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_dense_contested_streams(self, monkeypatch, block):
+        rng = np.random.default_rng(40 + block)
+        for _ in range(30):
+            # spans of a few windows: most A windows overlap their neighbours
+            window = int(rng.integers(1, 600))
+            span = int(rng.integers(window, 60 * window + 2))
+            a = np.sort(rng.integers(0, span, int(rng.integers(0, 200))))
+            b = np.sort(rng.integers(0, span, int(rng.integers(0, 200))))
+            delay = int(rng.integers(-window, window + 1))
+            bw = int(rng.integers(1, 60))
+            self._whole_and_blocked(
+                monkeypatch, block, a, b, window, delay, bw, bw * int(rng.integers(1, 20))
+            )
+
+    @pytest.mark.parametrize("step", [100, 600, 601])
+    def test_long_runs_without_a_safe_cut(self, monkeypatch, step):
+        # window 600 (half width 300): a block may end only before a gap
+        # > 600, so runs of 400 tags spaced by 100 or 600 have no cut inside
+        # them and a spacing of 601 has one at every tag
+        rng = np.random.default_rng(step)
+        a = np.concatenate([start + step * np.arange(400) for start in (0, 10**6)])
+        b = np.sort(np.concatenate([a + rng.integers(-400, 401, a.size), rng.integers(0, 2 * 10**6, 80)]))
+        for block in (1, 5, 64):
+            self._whole_and_blocked(monkeypatch, block, a, b, 600, 37, 50, 2000)
 
 
 class TestEstimateAccidentals:

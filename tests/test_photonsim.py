@@ -102,6 +102,22 @@ class TestSimulateRun:
             assert times.min() >= 0
             assert times.max() <= bound
 
+    def test_times_outside_packed_key_range_rejected(self):
+        # tags are sorted on (time*4 + channel)*2 + flag in int64
+        source = SourceParams(pair_rate=10_000, visibility=0.9)
+        ch = make_channel(dark_rate_cps=100.0)
+        for offset in (-10**11, 2**60 - 10**9):
+            with pytest.raises(ValueError, match="2\\*\\*60"):
+                simulate_run(
+                    source, [ch], AnalyzerSetting.hv(), AnalyzerSetting.hv(), 0.01, seed=5,
+                    time_offset_ps=offset,
+                )
+        res = simulate_run(
+            source, [ch], AnalyzerSetting.hv(), AnalyzerSetting.hv(), 0.01, seed=5,
+            time_offset_ps=2**60 - 10**11,
+        )
+        assert int(res.streams[0].alice["time_ps"].max()) < 2**60
+
     def test_singles_rate_poisson_consistency(self):
         # expected singles per arm: rate * coupling * transmission * T + dark * T
         coupling, trans_db, dark, duration = 0.4, 3.0, 200.0, 0.5

@@ -1,6 +1,7 @@
 """Unit tests for schedules, basis scans and the stability protocol."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from mcfqkd.qkdmath import positive_qber_threshold
 from mcfqkd.runner import (
     MeasurementSchedule,
     ScheduleSegment,
+    acquire,
     run_basis_scan,
     run_stability,
+    select_pairs,
     simulate_segment,
 )
 
@@ -143,6 +146,36 @@ class TestRunStability:
     def test_empty_pair_rejected(self):
         with pytest.raises(ValueError, match="empty pair set"):
             run_stability(preset_stability(), total_hours=1.0, pair_id=5)
+
+    def test_points_independent_of_thread_count(self, monkeypatch):
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MCFQKD_THREADS", threads)
+            runs.append(
+                run_stability(
+                    preset_stability(), total_hours=2.0, switch_minutes=15.0, acquisition_s=2.0
+                )
+            )
+        assert len(runs[0]) == 8
+        assert runs[0] == runs[1]
+
+    def test_acquisition_working_set_is_bounded(self):
+        # the stability slots run on the pair pool, one acquisition per
+        # worker; each must stay within 3x the bytes of its two tag streams
+        cfg = preset_stability()
+        pair = select_pairs(cfg)[0]
+        segment = MeasurementSchedule.stability(1.0, 30.0, 60.0, cfg.schedule.rate_scales).segments[0]
+        streams = simulate_segment(cfg, pair, segment, 0, 0.3).streams[pair.pair_id]
+        stream_bytes = streams.alice.nbytes + streams.bob.nbytes
+        assert stream_bytes > 8 * 2**20
+        del streams
+        tracemalloc.start()
+        try:
+            acquire(cfg, pair, segment, 0, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * stream_bytes
 
 
 class TestElevenPercentThreshold:

@@ -1,5 +1,7 @@
 """Unit tests for the binary timetag format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,7 @@ class TestCorruption:
         with pytest.raises(TagFormatError) as err:
             read_timetags(path)
         assert err.value.offset == 0
+        assert str(err.value) == "bad magic b'XXXX', expected b'MCQT' (offset 0)"
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad.mcqt"
@@ -75,17 +78,35 @@ class TestCorruption:
         with pytest.raises(TagFormatError) as err:
             read_timetags(path)
         assert err.value.offset == 4
+        assert str(err.value) == "unsupported format version 99 (offset 4)"
 
     def test_truncated_records(self, tmp_path):
         path = tmp_path / "trunc.mcqt"
         write_timetags(path, sample_tags(10), CHANNEL_ALICE)
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
-        with pytest.raises(TagFormatError):
+        with pytest.raises(TagFormatError) as err:
             read_timetags(path)
+        assert str(err.value) == "record region of 155 bytes is not a multiple of 16 (offset 160)"
 
     def test_too_short_for_header(self, tmp_path):
         path = tmp_path / "short.mcqt"
         path.write_bytes(b"MC")
-        with pytest.raises(TagFormatError):
+        with pytest.raises(TagFormatError) as err:
             read_timetags(path)
+        assert str(err.value) == "file shorter than the 16-byte header (offset 0)"
+
+
+def test_read_holds_one_copy_of_the_records(tmp_path):
+    tags = sample_tags(200_000)
+    path = tmp_path / "big.mcqt"
+    write_timetags(path, tags, CHANNEL_BOB)
+    tracemalloc.start()
+    try:
+        back, _ = read_timetags(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == tags.tobytes()
+    # a bytes copy of the file beside the array would double this
+    assert peak <= 1.1 * tags.nbytes
