@@ -27,7 +27,6 @@ from .geometry import (
 from .photonsim import (
     AnalyzerSetting,
     LinkParams,
-    SimChannel,
     SourceParams,
     apply_polarization_drift,
     joint_outcome_probs,
@@ -65,7 +64,6 @@ __all__ = [
     "emission_profile_from_temperature",
     "AnalyzerSetting",
     "LinkParams",
-    "SimChannel",
     "SourceParams",
     "apply_polarization_drift",
     "joint_outcome_probs",

@@ -37,6 +37,7 @@ from .config import (
     preset_inner,
     preset_outer,
     preset_stability,
+    selected_pairs,
 )
 from .linkbudget import (
     max_positive_length,
@@ -51,7 +52,6 @@ from .runner import (
     pair_report,
     run_stability,
     scan_schedule,
-    select_pairs,
     simulate_segment,
 )
 from .tagio import CHANNEL_ALICE, CHANNEL_BOB, TagFormatError, read_timetags, write_timetags
@@ -102,9 +102,6 @@ def _load_run_config(args) -> RunConfig:
         raise CliError("either --config or --preset is required")
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    if getattr(args, "window_ps", None) is not None:
-        cfg.analysis.window_ps = args.window_ps
-        cfg.validate()
     return cfg
 
 
@@ -133,7 +130,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    pairs = select_pairs(cfg)
+    pairs = selected_pairs(cfg)
     schedule = scan_schedule(cfg)
 
     meta: Dict = {
@@ -215,9 +212,20 @@ def _load_meta(in_dir: Path) -> Tuple[Dict, RunConfig]:
             if not isinstance(seg, dict) or key not in seg:
                 raise CliError(f"{meta_path}: schedule[{idx}]: missing key {key!r}")
     per_pair = meta["truth"].get("per_pair") if isinstance(meta["truth"], dict) else None
-    for pair_id in meta["files"]:
+    if not isinstance(meta["files"], dict):
+        raise CliError(f"{meta_path}: files: expected an object")
+    for pair_id, files in meta["files"].items():
+        where = f"{meta_path}: files.{pair_id}"
+        if not pair_id.isdecimal():
+            raise CliError(f"{where}: pair id is not a decimal integer")
+        roles = files if isinstance(files, dict) else {}
+        if not all(isinstance(roles.get(k), str) for k in ("alice", "bob")):
+            raise CliError(f"{where}: expected an object with string 'alice' and 'bob'")
         if not isinstance(per_pair, dict) or pair_id not in per_pair:
             raise CliError(f"{meta_path}: truth.per_pair: no entry for pair {pair_id}")
+        truth = per_pair[pair_id]
+        if not (isinstance(truth, dict) and {"ring", "true_coincidences"} <= truth.keys()):
+            raise CliError(f"{where}: truth.per_pair entry needs 'ring' and 'true_coincidences'")
     try:
         return meta, loads_config(json.dumps(meta["config"]))
     except ConfigError as exc:
@@ -418,9 +426,7 @@ def cmd_reproduce(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.figure == "fig2":
         return _reproduce_fig2(out_dir)
-    if args.figure == "fig3":
-        return _reproduce_fig3(out_dir, args.hours)
-    raise CliError(f"unknown figure id {args.figure!r}; expected fig2 or fig3")
+    return _reproduce_fig3(out_dir, args.hours)
 
 
 def _reproduce_fig2(out_dir: Path) -> int:

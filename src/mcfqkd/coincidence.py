@@ -88,8 +88,6 @@ class AccidentalEstimate:
 class CoincidenceTally:
     """Windowed coincidence counts of one acquisition at one basis setting."""
 
-    basis_a: str
-    basis_b: str
     counts: BasisCounts
     duration_s: float
     delay_ps: int
@@ -350,8 +348,6 @@ def tally_basis(
     alice_tags: np.ndarray,
     bob_tags: np.ndarray,
     *,
-    basis_a: str,
-    basis_b: str,
     window_ps: int,
     duration_s: float,
     delay_ps: Optional[int] = None,
@@ -396,8 +392,6 @@ def tally_basis(
             t_a, t_b, window_ps, accidental_offset_ps, duration_s, delay_ps=delay_ps, mode=mode
         )
     return CoincidenceTally(
-        basis_a=basis_a,
-        basis_b=basis_b,
         counts=counts,
         duration_s=duration_s,
         delay_ps=delay_ps,

@@ -20,10 +20,9 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Any, Dict, List, Optional, get_args, get_origin, get_type_hints
+from typing import Any, Dict, List, Optional, Sequence, get_args, get_origin, get_type_hints
 
 from .geometry import (
-    CoreLayout,
     CouplingResult,
     RingCalibration,
     build_layout,
@@ -247,23 +246,30 @@ def dump_config(cfg: RunConfig, path) -> None:
         fh.write(dumps_config(cfg) + "\n")
 
 
-def geometry_from_config(cfg: RunConfig) -> tuple[CoreLayout, CouplingResult]:
-    """Layout and temperature-driven coupling probabilities for a config."""
+def geometry_from_config(cfg: RunConfig) -> CouplingResult:
+    """Temperature-driven coupling probabilities of a config's core pairs."""
     layout = build_layout(cfg.layout.pitch_um, cfg.layout.core_radius_um)
     profile = emission_profile_from_temperature(
         cfg.source.temperature_c, cfg.emission.calibration, cfg.emission.annulus_width_um
     )
-    return layout, coupling_probabilities(profile, layout)
+    return coupling_probabilities(profile, layout)
 
 
-def selected_pairs(cfg: RunConfig, coupling: CouplingResult):
-    """Core pairs measured by this run (explicit list or the whole ring)."""
+def selected_pairs(cfg: RunConfig, pair_ids: Optional[Sequence[int]] = None):
+    """Core pairs measured by this run (explicit list or the whole ring),
+    optionally narrowed to ``pair_ids``, with their coupling probabilities."""
+    pairs = geometry_from_config(cfg).pairs
     if cfg.pairs is not None:
         if not cfg.pairs:
             raise ConfigError("pairs: empty pair set")
-        wanted = set(cfg.pairs)
-        return tuple(p for p in coupling.pairs if p.pair_id in wanted)
-    return tuple(p for p in coupling.pairs if p.ring == cfg.ring)
+        pairs = tuple(p for p in pairs if p.pair_id in cfg.pairs)
+    else:
+        pairs = tuple(p for p in pairs if p.ring == cfg.ring)
+    if pair_ids is not None:
+        pairs = tuple(p for p in pairs if p.pair_id in pair_ids)
+    if not pairs:
+        raise ValueError("empty pair set")
+    return pairs
 
 
 def window_capture_fraction(window_ps: float, jitter_sigma_ps: float, mode: str = "full") -> float:
@@ -296,8 +302,7 @@ def _calibrated_config(
         ring=ring,
         linkbudget=LinkBudgetConfig(ring_loss_db=ring_loss_db),
     )
-    _, coupling = geometry_from_config(cfg)
-    ring_pairs = [p for p in coupling.pairs if p.ring == ring]
+    ring_pairs = selected_pairs(cfg)
     coupling_sum = sum(p.coupling_prob for p in ring_pairs)
     link, analysis = cfg.link, cfg.analysis
     t_arm = link.transmission

@@ -81,14 +81,6 @@ class CoreLayout:
     def core(self, core_id: int) -> Core:
         return self.cores[core_id]
 
-    @property
-    def inner_pairs(self) -> Tuple[CorePair, ...]:
-        return tuple(p for p in self.pairs if p.ring == RING_INNER)
-
-    @property
-    def outer_pairs(self) -> Tuple[CorePair, ...]:
-        return tuple(p for p in self.pairs if p.ring == RING_OUTER)
-
 
 @dataclass(frozen=True)
 class EmissionProfile:
@@ -130,9 +122,6 @@ class RingCalibration:
 class CouplingResult:
     pairs: Tuple[CorePair, ...]
     uncoupled_fraction: float
-
-    def by_pair_id(self) -> Dict[int, float]:
-        return {p.pair_id: p.coupling_prob for p in self.pairs}
 
 
 def build_layout(pitch_um: float = 35.0, core_radius_um: float = 4.0) -> CoreLayout:

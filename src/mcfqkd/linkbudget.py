@@ -27,6 +27,9 @@ __all__ = [
 
 _SEARCH_CEILING_KM = 1.0e5
 
+#: detectors behind each arm's analyzer (transmitted and reflected port)
+DETECTORS_PER_ARM = 2
+
 
 class NoPositiveRateError(ValueError):
     """The key rate is not positive at the reference length."""
@@ -37,24 +40,23 @@ class LinkModel:
     """Per-pair link baseline plus the noise terms that scale with length.
 
     Rates are per second at the reference length.  ``q_int_*`` is the
-    intrinsic (accidental-free) QBER; ``s_photon_*`` the photon-only singles
-    rate of each arm; dark counts are per detector and each arm carries
-    ``detectors_per_arm`` of them.
+    intrinsic (accidental-free) QBER; ``s_photon`` the photon-only singles
+    rate of each arm, which both arms share because both cross the same
+    fiber; dark counts are per detector and each arm carries
+    ``DETECTORS_PER_ARM`` of them.
     """
 
     c_true_hv: float
     c_true_da: float
     q_int_hv: float
     q_int_da: float
-    s_photon_a: float
-    s_photon_b: float
+    s_photon: float
     dark_rate_cps: float
     window_ps: float
     pairs_in_ring: int
     reference_length_km: float = 0.411
     fiber_loss_db_per_km: float = 0.2
     ec_efficiency: float = DEFAULT_EC_EFFICIENCY
-    detectors_per_arm: int = 2
 
     def __post_init__(self) -> None:
         if min(self.c_true_hv, self.c_true_da) < 0:
@@ -63,10 +65,10 @@ class LinkModel:
             q = getattr(self, name)
             if not 0.0 <= q <= 0.5:
                 raise ValueError(f"{name} must be in [0, 0.5], got {q}")
-        if min(self.s_photon_a, self.s_photon_b) < 0 or self.dark_rate_cps < 0:
+        if self.s_photon < 0 or self.dark_rate_cps < 0:
             raise ValueError("singles and dark rates must be >= 0")
-        if max(self.c_true_hv, self.c_true_da) > min(self.s_photon_a, self.s_photon_b) + 1e-9:
-            raise ValueError("true coincidences cannot exceed either arm's singles")
+        if max(self.c_true_hv, self.c_true_da) > self.s_photon + 1e-9:
+            raise ValueError("true coincidences cannot exceed the arm singles")
         if self.window_ps <= 0 or self.pairs_in_ring < 1:
             raise ValueError("window must be > 0 and pairs_in_ring >= 1")
         if self.fiber_loss_db_per_km < 0 or self.reference_length_km < 0:
@@ -87,7 +89,6 @@ class LinkModel:
         reference_length_km: float = 0.411,
         fiber_loss_db_per_km: float = 0.2,
         ec_efficiency: float = DEFAULT_EC_EFFICIENCY,
-        detectors_per_arm: int = 2,
     ) -> "LinkModel":
         """Invert measured baseline rates into the intrinsic model.
 
@@ -98,7 +99,7 @@ class LinkModel:
         the true coincidence rate and the total arm loss.
         """
         t_arm = 10.0 ** (-arm_loss_db / 10.0)
-        dark_arm = detectors_per_arm * dark_rate_cps
+        dark_arm = DETECTORS_PER_ARM * dark_rate_cps
         window_s = window_ps * 1e-12
         mean_true = 0.5 * (c_meas_hv + c_meas_da)
 
@@ -129,15 +130,13 @@ class LinkModel:
             c_true_da=c_true_da,
             q_int_hv=q_int_hv,
             q_int_da=q_int_da,
-            s_photon_a=s_photon,
-            s_photon_b=s_photon,
+            s_photon=s_photon,
             dark_rate_cps=dark_rate_cps,
             window_ps=window_ps,
             pairs_in_ring=pairs_in_ring,
             reference_length_km=reference_length_km,
             fiber_loss_db_per_km=fiber_loss_db_per_km,
             ec_efficiency=ec_efficiency,
-            detectors_per_arm=detectors_per_arm,
         )
 
 
@@ -161,10 +160,8 @@ def keyrate_at_length(model: LinkModel, length_km: float) -> LengthPoint:
     u = 10.0 ** (
         -model.fiber_loss_db_per_km * (length_km - model.reference_length_km) / 10.0
     )
-    dark_arm = model.detectors_per_arm * model.dark_rate_cps
-    s_a = model.s_photon_a * u + dark_arm
-    s_b = model.s_photon_b * u + dark_arm
-    accidentals = s_a * s_b * model.window_ps * 1e-12
+    singles = model.s_photon * u + DETECTORS_PER_ARM * model.dark_rate_cps
+    accidentals = singles * singles * model.window_ps * 1e-12
 
     def basis(c_true_ref: float, q_int: float) -> tuple[float, float]:
         c_true = c_true_ref * u * u
@@ -215,10 +212,9 @@ def model_from_config(cfg) -> LinkModel:
     between the two arms, which is what makes the accidental floor realistic
     even though the simulator folds loss into its effective pair rate.
     """
-    from .config import geometry_from_config, selected_pairs, window_capture_fraction
+    from .config import selected_pairs, window_capture_fraction
 
-    _, coupling = geometry_from_config(cfg)
-    pairs = selected_pairs(cfg, coupling)
+    pairs = selected_pairs(cfg)
     eta = window_capture_fraction(
         cfg.analysis.window_ps, cfg.link.jitter_sigma_ps, cfg.analysis.window_mode
     )

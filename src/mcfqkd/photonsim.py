@@ -1,22 +1,24 @@
 """Monte Carlo generation of detector timetag streams for entangled pairs.
 
-Pair emission at the crystal is a Poisson process thinned three ways: into a
-core pair (coupling probability), through per-arm transmission, and past the
-detector efficiency.  The thinning is applied analytically before any event
-is materialized, which is distribution-identical to simulating every crystal
-emission but keeps the event count proportional to what the detectors
-actually see; emissions that couple into no simulated pair are not drawn.
-Crosstalk into a neighboring core is modeled as loss: the photon leaves its
-own stream and breaks its coincidence.  Every stream derives its randomness
-from (run seed, pair id), so runs are reproducible bit for bit and core
-pairs can be simulated in any order or in parallel.
+One call simulates one acquisition of one core pair: both photons cross the
+same link and are analyzed at the same plate setting, with an optional drift
+offset on Bob's analyzer.  Pair emission at the crystal is a Poisson process
+thinned three ways: into the core pair (coupling probability), through the
+link's transmission, and past the detector efficiency.  The thinning is
+applied analytically before any event is materialized, which is
+distribution-identical to simulating every crystal emission but keeps the
+event count proportional to what the detectors actually see.  Crosstalk into
+a neighboring core is modeled as loss: the photon leaves its own stream and
+breaks its coincidence.  Every stream derives its randomness from (run seed,
+pair id), so runs are reproducible bit for bit and core pairs can be
+simulated in any order or in parallel.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +35,6 @@ __all__ = [
     "SourceParams",
     "LinkParams",
     "AnalyzerSetting",
-    "SimChannel",
     "PairStreams",
     "PairTruth",
     "GroundTruth",
@@ -77,7 +78,8 @@ class SourceParams:
 
 @dataclass(frozen=True)
 class LinkParams:
-    """Loss, detector and noise parameters of one arm of one channel."""
+    """Loss, detector and noise parameters of one arm; both arms of a core
+    pair share them."""
 
     fiber_length_km: float = 0.411
     fiber_loss_db_per_km: float = 0.2
@@ -119,14 +121,6 @@ class AnalyzerSetting:
         """Polarization-frame analyzer angle (twice the plate angle)."""
         return 2.0 * self.hwp_angle_deg
 
-    @property
-    def basis(self) -> Optional[str]:
-        if self.hwp_angle_deg == 0.0:
-            return "HV"
-        if self.hwp_angle_deg == 22.5:
-            return "DA"
-        return None
-
     @classmethod
     def hv(cls) -> "AnalyzerSetting":
         return cls(0.0)
@@ -134,15 +128,6 @@ class AnalyzerSetting:
     @classmethod
     def da(cls) -> "AnalyzerSetting":
         return cls(22.5)
-
-
-@dataclass(frozen=True)
-class SimChannel:
-    """One opposite-core channel with its two arms."""
-
-    pair: CorePair
-    alice: LinkParams
-    bob: LinkParams
 
 
 @dataclass
@@ -164,8 +149,6 @@ class PairTruth:
 
 @dataclass
 class GroundTruth:
-    duration_s: float
-    seed: int
     pairs: Dict[int, PairTruth] = field(default_factory=dict)
 
 
@@ -198,9 +181,9 @@ def _pair_rng(seed: int, pair_id: int) -> np.random.Generator:
 
 def simulate_run(
     source: SourceParams,
-    channels: Sequence[SimChannel],
-    alice_setting: AnalyzerSetting,
-    bob_setting: AnalyzerSetting,
+    pair: CorePair,
+    link: LinkParams,
+    setting: AnalyzerSetting,
     duration_s: float,
     seed: int,
     *,
@@ -208,145 +191,130 @@ def simulate_run(
     time_offset_ps: int = 0,
     mark_dark_tags: bool = False,
 ) -> SimulationResult:
-    """Simulate one acquisition and return per-pair timetag streams.
+    """Simulate one acquisition of one core pair and return its two streams.
 
-    Emissions are assigned to core pairs by coupling probability; each photon
-    independently survives its arm's transmission, receives Gaussian timing
-    jitter (truncated at 6 sigma) and is lost to crosstalk with the arm's
-    ``crosstalk_prob``, which breaks its coincidence.  Dark counts are added
-    per detector as independent Poisson processes.  Streams come back sorted
-    by time with a ground-truth record of what was generated.
+    Emissions couple into the pair with its coupling probability; each
+    photon independently survives the link's transmission, receives Gaussian
+    timing jitter (truncated at 6 sigma) and is lost to crosstalk with the
+    link's ``crosstalk_prob``, which breaks its coincidence.  Dark counts are
+    added per detector as independent Poisson processes.  Streams come back
+    sorted by time with a ground-truth record of what was generated, both
+    keyed by the pair id.
 
     Args:
+        setting: plate setting of both analyzers.
         angle_offset_deg: polarization drift added to Bob's analyzer angle.
         time_offset_ps: added to all timestamps (schedule segment start).
         mark_dark_tags: set the dark-count flag bit on dark tags.
     """
     if duration_s <= 0:
         raise ValueError("duration must be > 0")
-    if not channels:
-        raise ValueError("empty pair set")
     duration_ps = max(1, int(round(duration_s * PS_PER_S)))
 
-    total_coupling = sum(ch.pair.coupling_prob for ch in channels)
-    if total_coupling == 0.0:
+    if pair.coupling_prob == 0.0:
         warnings.warn(
-            "all selected core pairs have zero coupling probability; "
+            f"core pair {pair.pair_id} has zero coupling probability; "
             "only dark counts will be generated",
             RuntimeWarning,
             stacklevel=2,
         )
 
     probs = joint_outcome_probs(
-        alice_setting.analyzer_angle_deg,
-        bob_setting.analyzer_angle_deg + angle_offset_deg,
+        setting.analyzer_angle_deg,
+        setting.analyzer_angle_deg + angle_offset_deg,
         source.visibility,
     )
     cum_probs = np.cumsum(probs)
     cum_probs[-1] = 1.0
 
-    truth = GroundTruth(duration_s=duration_s, seed=seed)
-    parts: Dict[int, Dict[str, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]] = {}
-
     # each intermediate array is dropped once spent, so only the tag chunks
     # of the streams are alive when they are assembled
-    for ch in channels:
-        pair = ch.pair
-        rng = _pair_rng(seed, pair.pair_id)
-        lam = source.pair_rate * pair.coupling_prob * duration_s
-        n_emit = int(rng.poisson(lam)) if lam > 0 else 0
+    rng = _pair_rng(seed, pair.pair_id)
+    lam = source.pair_rate * pair.coupling_prob * duration_s
+    n_emit = int(rng.poisson(lam)) if lam > 0 else 0
 
-        t_emit = rng.integers(0, duration_ps, n_emit, dtype=np.int64)
-        t_emit.sort()
-        surv_a = rng.random(n_emit) < ch.alice.transmission
-        surv_b = rng.random(n_emit) < ch.bob.transmission
+    t_emit = rng.integers(0, duration_ps, n_emit, dtype=np.int64)
+    t_emit.sort()
+    surv_a = rng.random(n_emit) < link.transmission
+    surv_b = rng.random(n_emit) < link.transmission
 
-        # which surviving photon of each arm has a surviving partner
-        both_in_a = surv_b[surv_a]
-        both_in_b = surv_a[surv_b]
-        n_both = int(both_in_a.sum())
-        outcome = np.searchsorted(cum_probs, rng.random(n_both), side="right")
-        outcome_counts = np.bincount(outcome, minlength=4)
+    # which surviving photon of each arm has a surviving partner
+    both_in_a = surv_b[surv_a]
+    both_in_b = surv_a[surv_b]
+    n_both = int(both_in_a.sum())
+    outcome = np.searchsorted(cum_probs, rng.random(n_both), side="right")
+    outcome_counts = np.bincount(outcome, minlength=4)
 
-        # channel of each surviving photon: transmitted port for +, reflected for -
-        a_ch = np.empty(both_in_a.size, dtype=np.uint8)
-        b_ch = np.empty(both_in_b.size, dtype=np.uint8)
-        a_ch[both_in_a] = np.where(outcome < 2, CH_ALICE_T, CH_ALICE_R)
-        b_ch[both_in_b] = np.where(outcome % 2 == 0, CH_BOB_T, CH_BOB_R)
-        del outcome
-        a_ch[~both_in_a] = rng.integers(CH_ALICE_T, CH_ALICE_R + 1, a_ch.size - n_both, dtype=np.uint8)
-        b_ch[~both_in_b] = rng.integers(CH_BOB_T, CH_BOB_R + 1, b_ch.size - n_both, dtype=np.uint8)
+    # channel of each surviving photon: transmitted port for +, reflected for -
+    a_ch = np.empty(both_in_a.size, dtype=np.uint8)
+    b_ch = np.empty(both_in_b.size, dtype=np.uint8)
+    a_ch[both_in_a] = np.where(outcome < 2, CH_ALICE_T, CH_ALICE_R)
+    b_ch[both_in_b] = np.where(outcome % 2 == 0, CH_BOB_T, CH_BOB_R)
+    del outcome
+    a_ch[~both_in_a] = rng.integers(CH_ALICE_T, CH_ALICE_R + 1, a_ch.size - n_both, dtype=np.uint8)
+    b_ch[~both_in_b] = rng.integers(CH_BOB_T, CH_BOB_R + 1, b_ch.size - n_both, dtype=np.uint8)
 
-        def detect_times(survived: np.ndarray, link: LinkParams) -> np.ndarray:
-            t = t_emit[survived]
-            t += link.propagation_delay_ps
-            slack = 0
-            if link.jitter_sigma_ps > 0:
-                slack = int(math.ceil(6.0 * link.jitter_sigma_ps))
-                jitter = rng.normal(0.0, link.jitter_sigma_ps, t.size)
-                np.clip(jitter, -slack, slack, out=jitter)
-                t += np.rint(jitter, out=jitter).astype(np.int64)
-            return np.clip(t, 0, duration_ps + slack, out=t)
+    def detect_times(survived: np.ndarray) -> np.ndarray:
+        t = t_emit[survived]
+        t += link.propagation_delay_ps
+        slack = 0
+        if link.jitter_sigma_ps > 0:
+            slack = int(math.ceil(6.0 * link.jitter_sigma_ps))
+            jitter = rng.normal(0.0, link.jitter_sigma_ps, t.size)
+            np.clip(jitter, -slack, slack, out=jitter)
+            t += np.rint(jitter, out=jitter).astype(np.int64)
+        return np.clip(t, 0, duration_ps + slack, out=t)
 
-        t_a = detect_times(surv_a, ch.alice)
-        del surv_a
-        t_b = detect_times(surv_b, ch.bob)
-        del surv_b, t_emit
+    t_a = detect_times(surv_a)
+    del surv_a
+    t_b = detect_times(surv_b)
+    del surv_b, t_emit
 
-        # crosstalk removes the photon from its own core
-        xtalk_a = rng.random(t_a.size) < ch.alice.crosstalk_prob
-        xtalk_b = rng.random(t_b.size) < ch.bob.crosstalk_prob
-        n_xtalk = int(xtalk_a.sum() + xtalk_b.sum())
-        keep_a = ~xtalk_a
-        keep_b = ~xtalk_b
-        # a coincidence survives only if neither photon was lost to crosstalk
-        true_coinc = int((keep_a[both_in_a] & keep_b[both_in_b]).sum())
-        parts[pair.pair_id] = {
-            "alice": [(t_a[keep_a], a_ch[keep_a], np.zeros(int(keep_a.sum()), dtype=np.uint8))],
-            "bob": [(t_b[keep_b], b_ch[keep_b], np.zeros(int(keep_b.sum()), dtype=np.uint8))],
-        }
-        del t_a, t_b
+    # crosstalk removes the photon from its own core
+    xtalk_a = rng.random(t_a.size) < link.crosstalk_prob
+    xtalk_b = rng.random(t_b.size) < link.crosstalk_prob
+    n_xtalk = int(xtalk_a.sum() + xtalk_b.sum())
+    keep_a = ~xtalk_a
+    keep_b = ~xtalk_b
+    # a coincidence survives only if neither photon was lost to crosstalk
+    true_coinc = int((keep_a[both_in_a] & keep_b[both_in_b]).sum())
+    # tag chunks of Alice's and Bob's stream
+    chunks = (
+        [(t_a[keep_a], a_ch[keep_a], np.zeros(int(keep_a.sum()), dtype=np.uint8))],
+        [(t_b[keep_b], b_ch[keep_b], np.zeros(int(keep_b.sum()), dtype=np.uint8))],
+    )
+    del t_a, t_b
 
-        # dark counts per detector
-        dark_counts: Dict[int, int] = {}
-        for det, party, link in (
-            (CH_ALICE_T, "alice", ch.alice),
-            (CH_ALICE_R, "alice", ch.alice),
-            (CH_BOB_T, "bob", ch.bob),
-            (CH_BOB_R, "bob", ch.bob),
-        ):
-            n_dark = int(rng.poisson(link.dark_rate_cps * duration_s))
-            dark_counts[det] = n_dark
-            d_times = rng.integers(0, duration_ps, n_dark, dtype=np.int64)
-            d_flags = np.full(n_dark, FLAG_DARK if mark_dark_tags else 0, dtype=np.uint8)
-            parts[pair.pair_id][party].append(
-                (d_times, np.full(n_dark, det, dtype=np.uint8), d_flags)
-            )
+    # dark counts per detector; channels 0/1 are Alice's, 2/3 Bob's
+    dark_counts: Dict[int, int] = {}
+    for det in (CH_ALICE_T, CH_ALICE_R, CH_BOB_T, CH_BOB_R):
+        n_dark = int(rng.poisson(link.dark_rate_cps * duration_s))
+        dark_counts[det] = n_dark
+        d_times = rng.integers(0, duration_ps, n_dark, dtype=np.int64)
+        d_flags = np.full(n_dark, FLAG_DARK if mark_dark_tags else 0, dtype=np.uint8)
+        chunks[det // 2].append((d_times, np.full(n_dark, det, dtype=np.uint8), d_flags))
 
-        photon_singles = {
-            CH_ALICE_T: int(np.sum((a_ch == CH_ALICE_T) & keep_a)),
-            CH_ALICE_R: int(np.sum((a_ch == CH_ALICE_R) & keep_a)),
-            CH_BOB_T: int(np.sum((b_ch == CH_BOB_T) & keep_b)),
-            CH_BOB_R: int(np.sum((b_ch == CH_BOB_R) & keep_b)),
-        }
-        truth.pairs[pair.pair_id] = PairTruth(
-            pair_id=pair.pair_id,
-            emitted=n_emit,
-            outcome_counts=tuple(int(v) for v in outcome_counts),
-            true_coincidences=true_coinc,
-            photon_singles=photon_singles,
-            dark_counts=dark_counts,
-            crosstalk_out=n_xtalk,
-        )
-
-    streams = {
-        pair_id: PairStreams(
-            alice=_assemble(p["alice"], time_offset_ps),
-            bob=_assemble(p["bob"], time_offset_ps),
-        )
-        for pair_id, p in parts.items()
+    photon_singles = {
+        CH_ALICE_T: int(np.sum((a_ch == CH_ALICE_T) & keep_a)),
+        CH_ALICE_R: int(np.sum((a_ch == CH_ALICE_R) & keep_a)),
+        CH_BOB_T: int(np.sum((b_ch == CH_BOB_T) & keep_b)),
+        CH_BOB_R: int(np.sum((b_ch == CH_BOB_R) & keep_b)),
     }
-    return SimulationResult(streams=streams, truth=truth)
+    truth = PairTruth(
+        pair_id=pair.pair_id,
+        emitted=n_emit,
+        outcome_counts=tuple(int(v) for v in outcome_counts),
+        true_coincidences=true_coinc,
+        photon_singles=photon_singles,
+        dark_counts=dark_counts,
+        crosstalk_out=n_xtalk,
+    )
+    streams = PairStreams(
+        alice=_assemble(chunks[0], time_offset_ps), bob=_assemble(chunks[1], time_offset_ps)
+    )
+    return SimulationResult(
+        streams={pair.pair_id: streams}, truth=GroundTruth(pairs={pair.pair_id: truth})
+    )
 
 
 def _assemble(

@@ -3,15 +3,16 @@
 The runner turns a configuration into simulated acquisitions, feeds each one
 through the coincidence analysis, and aggregates per-pair visibilities,
 QBERs and key rates into ring-level reports.  Every run is built from the
-same pieces: ``select_pairs`` picks the measured core pairs, ``acquire``
-simulates and analyzes one (pair, segment) acquisition, and ``pair_report``
-turns a pair's per-basis results into its key rate.  Core pairs and
-stability slots are independent acquisitions, so the basis scan runs its
-pairs, and the stability run its slots, on one thread pool (capped by
-``MCFQKD_THREADS``, one acquisition in flight per worker); each acquisition
-derives its own random stream from the seed, pair and segment index, which
-keeps results identical whatever the thread count and however the pool
-schedules them.
+same pieces: ``config.selected_pairs`` picks the measured core pairs,
+``acquire`` simulates and analyzes one (pair, segment) acquisition, which is
+one ``simulate_run`` call with the configured link on both arms and one
+analyzer setting, and ``pair_report`` turns a pair's per-basis results into
+its key rate.  Core pairs and stability slots are independent acquisitions,
+so the basis scan runs its pairs, and the stability run its slots, on one
+thread pool (capped by ``MCFQKD_THREADS``, one acquisition in flight per
+worker); each acquisition derives its own random stream from the seed, pair
+and segment index, which keeps results identical whatever the thread count
+and however the pool schedules them.
 """
 from __future__ import annotations
 
@@ -23,9 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .coincidence import CoincidenceTally, tally_basis
-from .config import RunConfig, geometry_from_config, selected_pairs, worker_count
+from .config import RunConfig, selected_pairs, worker_count
 from .geometry import CorePair
-from .photonsim import PS_PER_S, AnalyzerSetting, SimChannel, apply_polarization_drift, simulate_run
+from .photonsim import PS_PER_S, AnalyzerSetting, apply_polarization_drift, simulate_run
 from .qkdmath import (
     BasisCounts,
     KeyRateInputs,
@@ -42,7 +43,6 @@ __all__ = [
     "PairReport",
     "KeyRateReport",
     "StabilityPoint",
-    "select_pairs",
     "scan_schedule",
     "acquire",
     "pair_report",
@@ -180,7 +180,7 @@ class StabilityPoint:
     drift_offset_deg: float
 
 
-def _tally_to_result(tally: CoincidenceTally, subtract: bool) -> PairBasisResult:
+def _tally_to_result(tally: CoincidenceTally, basis: str, subtract: bool) -> PairBasisResult:
     counts = tally.counts
     if subtract and tally.accidentals is not None and counts.total > 0:
         # remove the estimated accidentals evenly from the four combinations
@@ -198,7 +198,7 @@ def _tally_to_result(tally: CoincidenceTally, subtract: bool) -> PairBasisResult
         visibility = None
         qber = None
     return PairBasisResult(
-        basis=tally.basis_a,
+        basis=basis,
         counts=counts,
         duration_s=tally.duration_s,
         coincidence_rate_cps=counts.total / tally.duration_s,
@@ -224,8 +224,6 @@ def analyze_segment(
     tally = tally_basis(
         alice_tags,
         bob_tags,
-        basis_a=basis,
-        basis_b=basis,
         window_ps=cfg.analysis.window_ps,
         duration_s=duration_s,
         hist_bin_ps=cfg.analysis.hist_bin_ps,
@@ -235,7 +233,7 @@ def analyze_segment(
         ),
         mode=cfg.analysis.window_mode,
     )
-    return _tally_to_result(tally, cfg.analysis.subtract_accidentals)
+    return _tally_to_result(tally, basis, cfg.analysis.subtract_accidentals)
 
 
 def simulate_segment(
@@ -247,12 +245,11 @@ def simulate_segment(
 ):
     """One (pair, segment) acquisition; the seed mixes in the segment index."""
     source = replace(cfg.source, pair_rate=cfg.source.pair_rate * segment.rate_scale)
-    setting = _BASIS_SETTINGS[segment.basis]
     return simulate_run(
         source,
-        [SimChannel(pair=pair, alice=cfg.link, bob=cfg.link)],
-        setting,
-        setting,
+        pair,
+        cfg.link,
+        _BASIS_SETTINGS[segment.basis],
         segment.duration_s,
         seed=cfg.seed + 7919 * segment_index,
         angle_offset_deg=angle_offset_deg,
@@ -301,18 +298,6 @@ def pair_report(
     )
 
 
-def select_pairs(cfg: RunConfig, pair_ids: Optional[Sequence[int]] = None) -> Tuple[CorePair, ...]:
-    """The configured core pairs, optionally narrowed to ``pair_ids``."""
-    _, coupling = geometry_from_config(cfg)
-    pairs = selected_pairs(cfg, coupling)
-    if pair_ids is not None:
-        wanted = set(pair_ids)
-        pairs = tuple(p for p in pairs if p.pair_id in wanted)
-    if not pairs:
-        raise ValueError("empty pair set")
-    return pairs
-
-
 def scan_schedule(cfg: RunConfig) -> MeasurementSchedule:
     """One acquisition per configured basis, back to back."""
     return MeasurementSchedule.basis_scan(
@@ -328,7 +313,7 @@ def run_basis_scan(cfg: RunConfig, pair_ids: Optional[Sequence[int]] = None) -> 
     key-rate formula; the ring total sums the per-pair rates clamped at
     zero.
     """
-    pairs = select_pairs(cfg, pair_ids)
+    pairs = selected_pairs(cfg, pair_ids)
     schedule = scan_schedule(cfg)
 
     def work(pair: CorePair) -> PairReport:
@@ -359,7 +344,7 @@ def run_stability(
     been measured.  Polarization drift accumulates across the run as a
     reflected random walk sampled at each slot start.
     """
-    pair = select_pairs(cfg, None if pair_id is None else [pair_id])[0]
+    pair = selected_pairs(cfg, None if pair_id is None else [pair_id])[0]
 
     schedule = MeasurementSchedule.stability(
         total_hours, switch_minutes, acquisition_s, cfg.schedule.rate_scales

@@ -26,7 +26,6 @@ from mcfqkd.linkbudget import keyrate_at_length, max_positive_length, model_from
 from mcfqkd.photonsim import (
     AnalyzerSetting,
     LinkParams,
-    SimChannel,
     SourceParams,
     joint_outcome_probs,
     simulate_run,
@@ -182,7 +181,7 @@ def _noise_free_channel():
         jitter_sigma_ps=0.0,
         crosstalk_prob=0.0,
     )
-    return SimChannel(pair=pair, alice=link, bob=link)
+    return pair, link
 
 
 def test_criterion_5_quantum_correlation_statistics():
@@ -191,18 +190,11 @@ def test_criterion_5_quantum_correlation_statistics():
         source = SourceParams(pair_rate=100_000, visibility=1.0)
         for k, delta in enumerate((0.0, 22.5, 45.0, 67.5, 90.0)):
             res = simulate_run(
-                source,
-                [channel],
-                AnalyzerSetting(0.0),
-                AnalyzerSetting(delta / 2.0),  # analyzer angle is twice the plate angle
-                1.0,
-                seed=600 + k,
+                source, *channel, AnalyzerSetting(0.0), 1.0, seed=600 + k, angle_offset_deg=delta
             )
             tally = tally_basis(
                 res.streams[0].alice,
                 res.streams[0].bob,
-                basis_a="A",
-                basis_b="B",
                 window_ps=300,
                 duration_s=1.0,
                 delay_ps=0,
@@ -225,12 +217,10 @@ def test_criterion_5_quantum_correlation_statistics():
 
         source = SourceParams(pair_rate=100_000, visibility=0.94)
         for setting, seed in ((AnalyzerSetting.hv(), 701), (AnalyzerSetting.da(), 702)):
-            res = simulate_run(source, [channel], setting, setting, 1.0, seed=seed)
+            res = simulate_run(source, *channel, setting, 1.0, seed=seed)
             tally = tally_basis(
                 res.streams[0].alice,
                 res.streams[0].bob,
-                basis_a="HV",
-                basis_b="HV",
                 window_ps=300,
                 duration_s=1.0,
                 delay_ps=0,

@@ -156,6 +156,27 @@ class TestAnalyze:
         assert rc == 2
         assert f"error: {meta_path}: schedule[1]: missing key {key!r}" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["files"]["0"].pop("bob"), "files.0: expected an object with string"),
+            (lambda m: m["files"].update({"0": "pair0_alice.mcqt"}), "files.0: expected an object"),
+            (lambda m: m["files"]["0"].update(bob=5), "files.0: expected an object with string"),
+            (lambda m: m["truth"]["per_pair"]["0"].pop("ring"), "files.0: truth.per_pair entry needs"),
+            (
+                lambda m: m["truth"]["per_pair"]["0"].pop("true_coincidences"),
+                "files.0: truth.per_pair entry needs",
+            ),
+            (lambda m: m["files"].update(x=m["files"].pop("0")), "files.x: pair id is not a decimal"),
+            (lambda m: m.update(files=[]), "files: expected an object"),
+        ],
+        ids=["no-bob", "string-entry", "int-bob", "no-ring", "no-true-coincidences", "id-x", "list"],
+    )
+    def test_bad_files_entry_rejected(self, sim_dir, tmp_path, capsys, edit, message):
+        rc, err, meta_path = self._analyze_with_meta(sim_dir, tmp_path, capsys, edit)
+        assert rc == 2
+        assert f"error: {meta_path}: {message}" in err
+
     def test_pair_without_truth_entry_rejected(self, sim_dir, tmp_path, capsys):
         rc, err, meta_path = self._analyze_with_meta(
             sim_dir, tmp_path, capsys, lambda m: m["truth"]["per_pair"].pop("2")
@@ -300,6 +321,12 @@ class TestGoldenRoundTrip:
         "report.csv": "c92a76746e9064e0b974008e8480b677ce7eb59c3a2a8386e6a4d6db52310141",
     }
     STABILITY_CSV_SHA256 = "a6cfedbf826509b56066f7a8316f921d0e0d8a7166d1987f427c6f445135f66e"
+    # captured before the link model's per-arm fields were merged
+    FIG2_SHA256 = {
+        "fig2_inner.csv": "c2806a073d66731277612c5c03974d1a8ea34a97168f321f23d4e24012e3b926",
+        "fig2_outer.csv": "e6440e1d53a23cb5d634c3a5349f737228727e7144f16b70871fd0a877738f86",
+        "fig2.svg": "b9d951a85e233760821e184074a4e38a6b02b0c2cbbdf393110706e1fb95b9cb",
+    }
 
     @staticmethod
     def digests(directory, names):
@@ -321,3 +348,8 @@ class TestGoldenRoundTrip:
         )
         assert rc == 0
         assert self.digests(out, ["stability.csv"]) == {"stability.csv": self.STABILITY_CSV_SHA256}
+
+    def test_reproduce_fig2(self, tmp_path):
+        out = tmp_path / "fig2"
+        assert main(["reproduce", "fig2", "--out", str(out)]) == 0
+        assert self.digests(out, self.FIG2_SHA256) == self.FIG2_SHA256

@@ -131,7 +131,7 @@ class TestCountCoincidences:
             cross_correlation([10, 5], [1, 2], 10, 100)
         alice = make_tags([0, 300, 200], [0, 0, 0])
         with pytest.raises(UnsortedStreamError, match=r"^alice_tags is not sorted by time at index 2$"):
-            tally_basis(alice, alice[:0], basis_a="HV", basis_b="HV", window_ps=300, duration_s=1.0)
+            tally_basis(alice, alice[:0], window_ps=300, duration_s=1.0)
 
     def test_checked_stream_views_are_checked_again(self):
         alice = make_tags([0, 100, 200], [0, 0, 0])
@@ -262,9 +262,7 @@ class TestTallyBasis:
         # two TT pairs, one TR pair, one RT pair, plus an unmatched bob tag
         alice = make_tags([1000, 2000, 3000, 4000], [0, 0, 0, 1])
         bob = make_tags([1010, 2010, 3010, 4010, 9_000_000], [2, 2, 3, 2, 2])
-        tally = tally_basis(
-            alice, bob, basis_a="HV", basis_b="HV", window_ps=300, duration_s=1.0, delay_ps=0
-        )
+        tally = tally_basis(alice, bob, window_ps=300, duration_s=1.0, delay_ps=0)
         assert tally.counts.c_pp == 2
         assert tally.counts.c_pm == 1
         assert tally.counts.c_mp == 1
@@ -276,17 +274,13 @@ class TestTallyBasis:
         times = np.sort(rng.integers(0, int(1e12), 5000))
         alice = make_tags(times, np.zeros(times.size, dtype=int))
         bob = make_tags(times + 2000, np.full(times.size, 2))
-        tally = tally_basis(
-            alice, bob, basis_a="HV", basis_b="HV", window_ps=300, duration_s=1.0
-        )
+        tally = tally_basis(alice, bob, window_ps=300, duration_s=1.0)
         assert abs(tally.delay_ps - 2000) <= 50
         assert tally.counts.total == 5000
 
     def test_empty_streams_zero_report(self):
         empty = np.zeros(0, dtype=TAG_DTYPE)
-        tally = tally_basis(
-            empty, empty, basis_a="HV", basis_b="HV", window_ps=300, duration_s=1.0
-        )
+        tally = tally_basis(empty, empty, window_ps=300, duration_s=1.0)
         assert tally.counts.total == 0
         assert tally.delay_ps == 0
 
@@ -295,9 +289,7 @@ class TestTallyBasis:
         # none at 2 ps, so the matched and the reported delay must agree
         alice = make_tags([1000, 2000], [0, 0])
         bob = make_tags([1003, 2003], [2, 2])
-        tally = tally_basis(
-            alice, bob, basis_a="HV", basis_b="HV", window_ps=1, duration_s=1.0, delay_ps=2.7
-        )
+        tally = tally_basis(alice, bob, window_ps=1, duration_s=1.0, delay_ps=2.7)
         assert tally.delay_ps == 3
         assert tally.counts.total == 2
 
@@ -338,8 +330,6 @@ class TestTallyBasisOracle:
         tally = tally_basis(
             alice,
             bob,
-            basis_a="HV",
-            basis_b="HV",
             window_ps=window,
             duration_s=1.0,
             delay_ps=delay,

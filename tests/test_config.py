@@ -9,7 +9,6 @@ import pytest
 from mcfqkd.config import (
     ConfigError,
     dumps_config,
-    geometry_from_config,
     loads_config,
     preset,
     preset_inner,
@@ -77,8 +76,7 @@ class TestParsing:
 class TestPresets:
     def test_inner_preset_hits_target_rate(self):
         cfg = preset_inner()
-        _, coupling = geometry_from_config(cfg)
-        pairs = selected_pairs(cfg, coupling)
+        pairs = selected_pairs(cfg)
         assert len(pairs) == 3
         t = cfg.link.transmission
         eta = window_capture_fraction(cfg.analysis.window_ps, cfg.link.jitter_sigma_ps)
@@ -96,8 +94,7 @@ class TestPresets:
 
     def test_outer_preset_hits_target_rate(self):
         cfg = preset_outer()
-        _, coupling = geometry_from_config(cfg)
-        pairs = selected_pairs(cfg, coupling)
+        pairs = selected_pairs(cfg)
         assert len(pairs) == 6
         t = cfg.link.transmission
         eta = window_capture_fraction(cfg.analysis.window_ps, cfg.link.jitter_sigma_ps)
@@ -119,9 +116,8 @@ class TestPresets:
     def test_explicit_empty_pairs_rejected(self):
         cfg = preset_inner()
         cfg.pairs = []
-        _, coupling = geometry_from_config(cfg)
         with pytest.raises(ConfigError, match="empty pair set"):
-            selected_pairs(cfg, coupling)
+            selected_pairs(cfg)
 
 
 class TestWorkerCount:

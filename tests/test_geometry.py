@@ -63,8 +63,8 @@ class TestBuildLayout:
     def test_pair_structure(self):
         layout = build_layout()
         assert len(layout.pairs) == 9
-        assert len(layout.inner_pairs) == 3
-        assert len(layout.outer_pairs) == 6
+        assert sum(p.ring == RING_INNER for p in layout.pairs) == 3
+        assert sum(p.ring == RING_OUTER for p in layout.pairs) == 6
         paired = {p.core_a for p in layout.pairs} | {p.core_b for p in layout.pairs}
         assert 0 not in paired  # the center core is never paired
         assert len(paired) == 18
@@ -176,5 +176,4 @@ class TestCouplingProbabilities:
         profile = emission_profile_from_temperature(82.5)
         result = coupling_probabilities(profile, layout)
         assert isinstance(result, CouplingResult)
-        lookup = result.by_pair_id()
-        assert set(lookup) == set(range(9))
+        assert {p.pair_id for p in result.pairs} == set(range(9))

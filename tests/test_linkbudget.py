@@ -21,8 +21,7 @@ def simple_model(**overrides):
         c_true_da=4000.0,
         q_int_hv=0.03,
         q_int_da=0.03,
-        s_photon_a=4.0e5,
-        s_photon_b=4.0e5,
+        s_photon=4.0e5,
         dark_rate_cps=100.0,
         window_ps=300.0,
         pairs_in_ring=3,
@@ -41,14 +40,14 @@ class TestKeyrateAtLength:
 
     def test_coincidence_scaling_50km(self):
         # two arms, 0.2 dB/km each: coincidences scale by 10^(-2*0.2*50/10)
-        model = simple_model(dark_rate_cps=0.0, s_photon_a=4000.0, s_photon_b=4000.0)
+        model = simple_model(dark_rate_cps=0.0, s_photon=4000.0)
         ref = keyrate_at_length(model, model.reference_length_km)
         far = keyrate_at_length(model, model.reference_length_km + 50.0)
         acc_free_ref = ref.coin_rate_cps
         assert far.coin_rate_cps / acc_free_ref == pytest.approx(0.01, rel=1e-3)
 
     def test_qber_constant_without_noise(self):
-        model = simple_model(dark_rate_cps=0.0, s_photon_a=4000.0, s_photon_b=4000.0)
+        model = simple_model(dark_rate_cps=0.0, s_photon=4000.0)
         # singles equal to coincidences and no darks: accidentals are tiny
         qbers = [keyrate_at_length(model, L).qber for L in (0.411, 50, 100, 200)]
         for q in qbers:
@@ -91,7 +90,7 @@ class TestMaxPositiveLength:
     def test_no_noise_returns_infinity(self):
         model = simple_model(
             dark_rate_cps=0.0, q_int_hv=0.0, q_int_da=0.0,
-            s_photon_a=4000.0, s_photon_b=4000.0,
+            s_photon=4000.0,
         )
         assert max_positive_length(model) == math.inf
 
@@ -175,7 +174,7 @@ class TestFromReference:
 
     def test_inconsistent_singles_rejected(self):
         with pytest.raises(ValueError):
-            simple_model(s_photon_a=1000.0)  # singles below the coincidence rate
+            simple_model(s_photon=1000.0)  # singles below the coincidence rate
 
     def test_consistent_with_runner_baseline(self):
         # a model built from a measured report reproduces that report's key

@@ -1,5 +1,6 @@
 """Unit tests for the Monte Carlo photon-pair simulator."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from mcfqkd.photonsim import (
     FLAG_DARK,
     AnalyzerSetting,
     LinkParams,
-    SimChannel,
     SourceParams,
     apply_polarization_drift,
     joint_outcome_probs,
@@ -37,8 +37,7 @@ def make_channel(pair_index=0, coupling=1.0, **link_kwargs):
         crosstalk_prob=0.0,
     )
     params.update(link_kwargs)
-    link = LinkParams(**params)
-    return SimChannel(pair=pair, alice=link, bob=link)
+    return pair, LinkParams(**params)
 
 
 class TestJointOutcomeProbs:
@@ -81,7 +80,7 @@ class TestSimulateRun:
         source = SourceParams(pair_rate=50_000, visibility=0.94)
         ch = make_channel(dark_rate_cps=100.0, jitter_sigma_ps=50.0)
         runs = [
-            simulate_run(source, [ch], AnalyzerSetting.hv(), AnalyzerSetting.hv(), 0.5, seed=7)
+            simulate_run(source, *ch, AnalyzerSetting.hv(), 0.5, seed=7)
             for _ in range(2)
         ]
         a0 = runs[0].streams[0]
@@ -92,9 +91,7 @@ class TestSimulateRun:
     def test_streams_sorted_and_bounded(self):
         source = SourceParams(pair_rate=100_000, visibility=0.9)
         ch = make_channel(dark_rate_cps=500.0, jitter_sigma_ps=80.0)
-        res = simulate_run(
-            source, [ch], AnalyzerSetting.hv(), AnalyzerSetting.da(), 0.2, seed=3
-        )
+        res = simulate_run(source, *ch, AnalyzerSetting.hv(), 0.2, seed=3, angle_offset_deg=45.0)
         bound = 0.2e12 + 6 * 80
         for tags in (res.streams[0].alice, res.streams[0].bob):
             times = tags["time_ps"].astype(np.int64)
@@ -109,11 +106,11 @@ class TestSimulateRun:
         for offset in (-10**11, 2**60 - 10**9):
             with pytest.raises(ValueError, match="2\\*\\*60"):
                 simulate_run(
-                    source, [ch], AnalyzerSetting.hv(), AnalyzerSetting.hv(), 0.01, seed=5,
+                    source, *ch, AnalyzerSetting.hv(), 0.01, seed=5,
                     time_offset_ps=offset,
                 )
         res = simulate_run(
-            source, [ch], AnalyzerSetting.hv(), AnalyzerSetting.hv(), 0.01, seed=5,
+            source, *ch, AnalyzerSetting.hv(), 0.01, seed=5,
             time_offset_ps=2**60 - 10**11,
         )
         assert int(res.streams[0].alice["time_ps"].max()) < 2**60
@@ -127,9 +124,7 @@ class TestSimulateRun:
         expected = 40_000 * coupling * t * duration + 2 * dark * duration
         totals = []
         for seed in range(100):
-            res = simulate_run(
-                source, [ch], AnalyzerSetting.hv(), AnalyzerSetting.hv(), duration, seed=seed
-            )
+            res = simulate_run(source, *ch, AnalyzerSetting.hv(), duration, seed=seed)
             totals.append(len(res.streams[0].alice))
         mean = np.mean(totals)
         sigma = math.sqrt(expected / len(totals))
@@ -138,9 +133,7 @@ class TestSimulateRun:
     def test_no_anticorrelated_events_at_unit_visibility(self):
         source = SourceParams(pair_rate=200_000, visibility=1.0)
         ch = make_channel()
-        res = simulate_run(
-            source, [ch], AnalyzerSetting.hv(), AnalyzerSetting.hv(), 0.5, seed=11
-        )
+        res = simulate_run(source, *ch, AnalyzerSetting.hv(), 0.5, seed=11)
         truth = res.truth.pairs[0]
         assert truth.outcome_counts[1] == 0
         assert truth.outcome_counts[2] == 0
@@ -150,25 +143,16 @@ class TestSimulateRun:
         source = SourceParams(pair_rate=150_000, visibility=0.94)
         ch = make_channel(jitter_sigma_ps=50.0)
         for setting in (AnalyzerSetting.hv(), AnalyzerSetting.da()):
-            res = simulate_run(source, [ch], setting, setting, 1.0, seed=13)
-            tally = tally_basis(
-                res.streams[0].alice,
-                res.streams[0].bob,
-                basis_a=setting.basis,
-                basis_b=setting.basis,
-                window_ps=300,
-                duration_s=1.0,
-            )
+            res = simulate_run(source, *ch, setting, 1.0, seed=13)
+            streams = res.streams[0]
+            tally = tally_basis(streams.alice, streams.bob, window_ps=300, duration_s=1.0)
             v = visibility_from_counts(tally.counts)
             sigma = math.sqrt((1 - 0.94**2) / tally.counts.total)
             assert abs(v - 0.94) < 4 * sigma
 
     def test_ground_truth_bookkeeping(self):
         source = SourceParams(pair_rate=80_000, visibility=0.94)
-        channels = [make_channel(0, 0.3), make_channel(1, 0.2)]
-        res = simulate_run(
-            source, channels, AnalyzerSetting.hv(), AnalyzerSetting.hv(), 0.25, seed=17
-        )
+        res = simulate_run(source, *make_channel(0, 0.5), AnalyzerSetting.hv(), 0.25, seed=17)
         truth = res.truth
         lam = 80_000 * 0.5 * 0.25
         assert abs(sum(p.emitted for p in truth.pairs.values()) - lam) < 5 * math.sqrt(lam)
@@ -177,11 +161,11 @@ class TestSimulateRun:
         source = SourceParams(pair_rate=1_000, visibility=0.9)
         ch = make_channel(dark_rate_cps=5_000.0)
         marked = simulate_run(
-            source, [ch], AnalyzerSetting.hv(), AnalyzerSetting.hv(), 0.2, seed=5,
+            source, *ch, AnalyzerSetting.hv(), 0.2, seed=5,
             mark_dark_tags=True,
         )
         plain = simulate_run(
-            source, [ch], AnalyzerSetting.hv(), AnalyzerSetting.hv(), 0.2, seed=5,
+            source, *ch, AnalyzerSetting.hv(), 0.2, seed=5,
             mark_dark_tags=False,
         )
         n_marked = int((marked.streams[0].alice["flags"] & FLAG_DARK).sum())
@@ -194,24 +178,15 @@ class TestSimulateRun:
         source = SourceParams(pair_rate=1_000, visibility=0.9)
         ch = make_channel(coupling=0.0)
         with pytest.warns(RuntimeWarning):
-            simulate_run(source, [ch], AnalyzerSetting.hv(), AnalyzerSetting.hv(), 0.1, seed=1)
-
-    def test_empty_pair_set_rejected(self):
-        source = SourceParams(pair_rate=1_000, visibility=0.9)
-        with pytest.raises(ValueError, match="empty pair set"):
-            simulate_run(source, [], AnalyzerSetting.hv(), AnalyzerSetting.hv(), 0.1, seed=1)
+            simulate_run(source, *ch, AnalyzerSetting.hv(), 0.1, seed=1)
 
     def test_crosstalk_lost_without_layout(self):
         source = SourceParams(pair_rate=100_000, visibility=0.94)
         link = LinkParams(
             fiber_length_km=0.0, dark_rate_cps=0.0, jitter_sigma_ps=0.0, crosstalk_prob=0.05
         )
-        ch = SimChannel(
-            __import__("dataclasses").replace(LAYOUT.pairs[0], coupling_prob=0.5), link, link
-        )
-        res = simulate_run(
-            source, [ch], AnalyzerSetting.hv(), AnalyzerSetting.hv(), 0.2, seed=29
-        )
+        pair = __import__("dataclasses").replace(LAYOUT.pairs[0], coupling_prob=0.5)
+        res = simulate_run(source, pair, link, AnalyzerSetting.hv(), 0.2, seed=29)
         truth = res.truth.pairs[0]
         assert truth.crosstalk_out > 0
         # lost photons leave both streams and break their coincidences
@@ -222,17 +197,46 @@ class TestSimulateRun:
     def test_time_offset_shifts_streams(self):
         source = SourceParams(pair_rate=50_000, visibility=0.9)
         ch = make_channel()
-        base = simulate_run(
-            source, [ch], AnalyzerSetting.hv(), AnalyzerSetting.hv(), 0.1, seed=31
-        )
+        base = simulate_run(source, *ch, AnalyzerSetting.hv(), 0.1, seed=31)
         shifted = simulate_run(
-            source, [ch], AnalyzerSetting.hv(), AnalyzerSetting.hv(), 0.1, seed=31,
+            source, *ch, AnalyzerSetting.hv(), 0.1, seed=31,
             time_offset_ps=10**9,
         )
         np.testing.assert_array_equal(
             base.streams[0].alice["time_ps"].astype(np.int64) + 10**9,
             shifted.streams[0].alice["time_ps"].astype(np.int64),
         )
+
+
+class TestGoldenRun:
+    """Byte-level pin of one acquisition on a link no preset uses: a
+    propagation delay, heavy crosstalk, 80 ps jitter, a 5 kcps dark rate and
+    non-zero drift and time offsets."""
+
+    ALICE_SHA256 = "e203d6ad060926f80c426adaadb13f132e36adb129d49be7d091d97078673d38"
+    BOB_SHA256 = "87e8e8acd1dd0f0010789343d8ee279d7200dd4efa39bbcc54890cf3b60bf4ab"
+
+    def test_streams_and_truth(self):
+        ch = make_channel(
+            4, 0.5, fiber_length_km=1.5, system_loss_db=2.0, detector_efficiency=0.8,
+            dark_rate_cps=5_000.0, jitter_sigma_ps=80.0, crosstalk_prob=0.05,
+            propagation_delay_ps=12_345,
+        )
+        res = simulate_run(
+            SourceParams(pair_rate=300_000, visibility=0.9), *ch, AnalyzerSetting.da(), 0.05,
+            seed=2024, angle_offset_deg=7.5, time_offset_ps=3 * 10**12, mark_dark_tags=False,
+        )
+        streams = res.streams[4]
+        assert (len(streams.alice), len(streams.bob)) == (3835, 3885)
+        assert hashlib.sha256(streams.alice.tobytes()).hexdigest() == self.ALICE_SHA256
+        assert hashlib.sha256(streams.bob.tobytes()).hexdigest() == self.BOB_SHA256
+        truth = res.truth.pairs[4]
+        assert truth.emitted == 7556
+        assert truth.outcome_counts == (769, 54, 51, 801)
+        assert truth.true_coincidences == 1500
+        assert truth.photon_singles == {0: 1659, 1: 1710, 2: 1687, 3: 1696}
+        assert truth.dark_counts == {0: 238, 1: 228, 2: 259, 3: 243}
+        assert truth.crosstalk_out == 345
 
 
 class TestLinkParams:

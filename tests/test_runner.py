@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mcfqkd.coincidence import count_coincidences, cross_correlation, find_peak_delay
-from mcfqkd.config import geometry_from_config, preset_inner, preset_stability, selected_pairs
+from mcfqkd.config import preset_inner, preset_stability, selected_pairs
 from mcfqkd.qkdmath import positive_qber_threshold
 from mcfqkd.runner import (
     MeasurementSchedule,
@@ -15,7 +15,6 @@ from mcfqkd.runner import (
     acquire,
     run_basis_scan,
     run_stability,
-    select_pairs,
     simulate_segment,
 )
 
@@ -163,7 +162,7 @@ class TestRunStability:
         # the stability slots run on the pair pool, one acquisition per
         # worker; each must stay within 3x the bytes of its two tag streams
         cfg = preset_stability()
-        pair = select_pairs(cfg)[0]
+        pair = selected_pairs(cfg)[0]
         segment = MeasurementSchedule.stability(1.0, 30.0, 60.0, cfg.schedule.rate_scales).segments[0]
         streams = simulate_segment(cfg, pair, segment, 0, 0.3).streams[pair.pair_id]
         stream_bytes = streams.alice.nbytes + streams.bob.nbytes
@@ -210,8 +209,7 @@ class TestGoldenSegment:
 
     def test_segment_streams_and_match_indices(self):
         cfg = preset_inner(seed=42)
-        _, coupling = geometry_from_config(cfg)
-        pair = selected_pairs(cfg, coupling)[0]
+        pair = selected_pairs(cfg)[0]
         # starts 86,000 s in, so every time is far above 2**53 ps
         segment = ScheduleSegment("DA", 86_000.0, 2.0)
         streams = simulate_segment(cfg, pair, segment, 3, 0.5).streams[pair.pair_id]
