@@ -10,8 +10,8 @@ Verbs:
 
 Every command exits non-zero on any error and zero only on full success.
 ``MCFQKD_THREADS`` caps the threads that run acquisitions in parallel (the
-pairs of a basis scan, the slots of a stability run); results do not depend
-on it.  ``simulate`` and ``analyze`` handle their pairs one after another.
+pairs of a basis scan, ``simulate`` or ``analyze``, the slots of a stability
+run), one acquisition per thread at a time; results do not depend on it.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import csv
 import json
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -38,6 +39,7 @@ from .config import (
     preset_outer,
     preset_stability,
     selected_pairs,
+    worker_count,
 )
 from .linkbudget import (
     max_positive_length,
@@ -54,7 +56,7 @@ from .runner import (
     scan_schedule,
     simulate_segment,
 )
-from .tagio import CHANNEL_ALICE, CHANNEL_BOB, TagFormatError, read_timetags, write_timetags
+from .tagio import CHANNEL_ALICE, CHANNEL_BOB, last_tag_time, read_timetags, write_timetags
 
 META_FILENAME = "ground_truth.json"
 
@@ -146,12 +148,14 @@ def cmd_simulate(args) -> int:
             }
             for seg in schedule.segments
         ],
-        "files": {},
-        "truth": {"per_pair": {}},
+        "files": {
+            str(p.pair_id): {role: f"pair{p.pair_id}_{role}.mcqt" for role in ("alice", "bob")}
+            for p in pairs
+        },
     }
 
-    for pair in pairs:
-        alice_parts, bob_parts = [], []
+    def work(pair) -> Dict:
+        names = meta["files"][str(pair.pair_id)]
         truth_entry: Dict = {
             "ring": pair.ring,
             "coupling_prob": pair.coupling_prob,
@@ -161,17 +165,16 @@ def cmd_simulate(args) -> int:
         for idx, segment in enumerate(schedule.segments):
             sim = simulate_segment(cfg, pair, segment, idx, 0.0)
             streams = sim.streams[pair.pair_id]
-            alice_parts.append(streams.alice)
-            bob_parts.append(streams.bob)
+            write_timetags(out_dir / names["alice"], streams.alice, CHANNEL_ALICE, append=idx > 0)
+            write_timetags(out_dir / names["bob"], streams.bob, CHANNEL_BOB, append=idx > 0)
             pt = sim.truth.pairs[pair.pair_id]
             truth_entry["emitted"] += pt.emitted
             truth_entry["true_coincidences"][segment.basis] = pt.true_coincidences
-        alice_name = f"pair{pair.pair_id}_alice.mcqt"
-        bob_name = f"pair{pair.pair_id}_bob.mcqt"
-        write_timetags(out_dir / alice_name, np.concatenate(alice_parts), CHANNEL_ALICE)
-        write_timetags(out_dir / bob_name, np.concatenate(bob_parts), CHANNEL_BOB)
-        meta["files"][str(pair.pair_id)] = {"alice": alice_name, "bob": bob_name}
-        meta["truth"]["per_pair"][str(pair.pair_id)] = truth_entry
+            del sim, streams  # freed before the next segment is simulated
+        return truth_entry
+
+    with ThreadPoolExecutor(max_workers=worker_count(len(pairs))) as pool:
+        meta["truth"] = {"per_pair": dict(zip(meta["files"], pool.map(work, pairs)))}
 
     _write_json(out_dir / META_FILENAME, meta)
     print(f"simulate: wrote {2 * len(pairs)} timetag files to {out_dir}")
@@ -179,15 +182,6 @@ def cmd_simulate(args) -> int:
 
 
 # ----------------------------------------------------------------- analyze
-
-
-def _slice_segment(tags: np.ndarray, start_ps: int, end_ps: Optional[int]) -> np.ndarray:
-    times = tags["time_ps"].astype(np.int64)
-    lo = int(np.searchsorted(times, start_ps, side="left"))
-    hi = int(np.searchsorted(times, end_ps, side="left")) if end_ps is not None else len(tags)
-    out = tags[lo:hi].copy()
-    out["time_ps"] -= np.uint64(start_ps)
-    return out
 
 
 def _load_meta(in_dir: Path) -> Tuple[Dict, RunConfig]:
@@ -207,10 +201,19 @@ def _load_meta(in_dir: Path) -> Tuple[Dict, RunConfig]:
             raise CliError(f"{meta_path}: missing key {key!r}")
     if not isinstance(meta["schedule"], list) or not meta["schedule"]:
         raise CliError(f"{meta_path}: schedule: expected a non-empty list of segments")
+    end = 0
     for idx, seg in enumerate(meta["schedule"]):
+        where = f"{meta_path}: schedule[{idx}]"
         for key in ("basis", "start_ps", "duration_ps"):
             if not isinstance(seg, dict) or key not in seg:
-                raise CliError(f"{meta_path}: schedule[{idx}]: missing key {key!r}")
+                raise CliError(f"{where}: missing key {key!r}")
+        if not all(type(seg[k]) is int for k in ("start_ps", "duration_ps")):
+            raise CliError(f"{where}: start_ps and duration_ps must be integers")
+        if seg["duration_ps"] <= 0 or seg["start_ps"] < end:
+            raise CliError(f"{where}: needs duration_ps > 0 and start_ps >= {end} (no overlap)")
+        if seg["basis"] not in ("HV", "DA"):
+            raise CliError(f"{where}: basis must be 'HV' or 'DA', got {seg['basis']!r}")
+        end = seg["start_ps"] + seg["duration_ps"]
     per_pair = meta["truth"].get("per_pair") if isinstance(meta["truth"], dict) else None
     if not isinstance(meta["files"], dict):
         raise CliError(f"{meta_path}: files: expected an object")
@@ -243,37 +246,34 @@ def cmd_analyze(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     segments = meta["schedule"]
-    boundaries = [seg["start_ps"] for seg in segments] + [None]
+    truth = meta["truth"]["per_pair"]
+    pair_ids = sorted(meta["files"], key=int)
+    ranges = {pid: _segment_ranges(in_dir, meta["files"][pid], pid, segments) for pid in pair_ids}
 
-    reports: List[PairReport] = []
-    truth_compare = {}
-    for pair_id_str, files in sorted(meta["files"].items(), key=lambda kv: int(kv[0])):
-        pair_id = int(pair_id_str)
-        alice, ch_a = read_timetags(in_dir / files["alice"])
-        bob, ch_b = read_timetags(in_dir / files["bob"])
-        if ch_a != CHANNEL_ALICE or ch_b != CHANNEL_BOB:
-            raise CliError(f"pair {pair_id}: file channel ids do not match their roles")
-        alice, bob = _restrict_to_overlap(alice, bob, pair_id, segments)
-
+    def work(pair_id: str) -> Tuple[PairReport, Dict[str, int]]:
+        files = meta["files"][pair_id]
         per_basis = {
             seg["basis"]: analyze_segment(
-                _slice_segment(alice, seg["start_ps"], boundaries[idx + 1]),
-                _slice_segment(bob, seg["start_ps"], boundaries[idx + 1]),
+                *(read_timetags(in_dir / files[role], start, end)[0] for role in ("alice", "bob")),
                 basis=seg["basis"],
                 duration_s=seg["duration_ps"] / PS_PER_S,
                 cfg=cfg,
             )
-            for idx, seg in enumerate(segments)
+            for seg, (start, end) in zip(segments, ranges[pair_id])
         }
-        ring = meta["truth"]["per_pair"][pair_id_str]["ring"]
-        reports.append(pair_report(pair_id, ring, per_basis, cfg.keyrate.ec_efficiency))
-        truth_compare[pair_id_str] = {
-            "analyzed": {basis: r.counts.total for basis, r in per_basis.items()},
-            "ground_truth": meta["truth"]["per_pair"][pair_id_str]["true_coincidences"],
-        }
+        ring = truth[pair_id]["ring"]
+        report = pair_report(int(pair_id), ring, per_basis, cfg.keyrate.ec_efficiency)
+        return report, {basis: r.counts.total for basis, r in per_basis.items()}
+
+    with ThreadPoolExecutor(max_workers=worker_count(len(pair_ids))) as pool:
+        results = list(pool.map(work, pair_ids))
+    truth_compare = {
+        pid: {"analyzed": counts, "ground_truth": truth[pid]["true_coincidences"]}
+        for pid, (_, counts) in zip(pair_ids, results)
+    }
 
     report = KeyRateReport(
-        ring=cfg.ring, ec_efficiency=cfg.keyrate.ec_efficiency, pairs=reports
+        ring=cfg.ring, ec_efficiency=cfg.keyrate.ec_efficiency, pairs=[r for r, _ in results]
     )
     payload = {
         "ring": report.ring,
@@ -306,36 +306,34 @@ def cmd_analyze(args) -> int:
         ],
     )
     print(
-        f"analyze: {len(reports)} pairs, total {report.total_bits_s:.1f} bits/s, "
+        f"analyze: {len(report.pairs)} pairs, total {report.total_bits_s:.1f} bits/s, "
         f"mean QBER {report.mean_qber:.4f}"
     )
     return 0
 
 
-def _restrict_to_overlap(alice: np.ndarray, bob: np.ndarray, pair_id: int, segments):
-    """Warn on mismatched stream spans and keep only the common time range.
-
-    Coincidence rates still use the nominal segment durations, so a
-    truncated stream shows up as a low rate rather than a silently shifted
-    one.
+def _segment_ranges(in_dir: Path, files: Dict, pair_id: str, segments) -> List[Tuple]:
+    """Each segment's ``[start_ps, end_ps)`` in a pair's files, whose channel
+    ids must match their roles.  Streams that end far apart are cut at the
+    earlier end, with a warning; coincidence rates still use the nominal
+    durations, so a truncated stream shows as a low rate, not a shifted one.
     """
-    if len(alice) == 0 or len(bob) == 0:
-        return alice, bob
+    (end_a, ch_a), (end_b, ch_b) = (last_tag_time(in_dir / files[r]) for r in ("alice", "bob"))
+    if ch_a != CHANNEL_ALICE or ch_b != CHANNEL_BOB:
+        raise CliError(f"pair {pair_id}: file channel ids do not match their roles")
+    starts = [seg["start_ps"] for seg in segments]
     span = segments[-1]["start_ps"] + segments[-1]["duration_ps"]
-    end_a = int(alice["time_ps"].max())
-    end_b = int(bob["time_ps"].max())
-    if abs(end_a - end_b) > max(0.01 * span, 1e9):
-        warnings.warn(
-            f"pair {pair_id}: stream durations differ "
-            f"({end_a / PS_PER_S:.3f} s vs {end_b / PS_PER_S:.3f} s); "
-            "analyzing the overlap",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        cutoff = np.uint64(min(end_a, end_b))
-        alice = alice[alice["time_ps"] <= cutoff]
-        bob = bob[bob["time_ps"] <= cutoff]
-    return alice, bob
+    if end_a is None or end_b is None or abs(end_a - end_b) <= max(0.01 * span, 1e9):
+        return list(zip(starts, starts[1:] + [None]))
+    warnings.warn(
+        f"pair {pair_id}: stream durations differ "
+        f"({end_a / PS_PER_S:.3f} s vs {end_b / PS_PER_S:.3f} s); "
+        "analyzing the overlap",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    cutoff = min(end_a, end_b) + 1
+    return [(start, min(end, cutoff)) for start, end in zip(starts, starts[1:] + [cutoff])]
 
 
 # -------------------------------------------------------------- linkbudget
@@ -552,7 +550,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, TagFormatError, ValueError, OSError) as exc:
+    except (CliError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

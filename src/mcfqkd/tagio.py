@@ -9,10 +9,13 @@ Little-endian layout:
   enabled), six reserved zero bytes.
 
 Fixed-width records let a reader fill one record array straight from the
-file.
+file, or only a time range's records, found by a binary search that reads one
+record time per step.  Appended parts equal one write of their concatenation.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import os
 import struct
 
@@ -28,6 +31,7 @@ __all__ = [
     "TagFormatError",
     "write_timetags",
     "read_timetags",
+    "last_tag_time",
 ]
 
 MAGIC = b"MCQT"
@@ -47,41 +51,68 @@ class TagFormatError(ValueError):
         self.offset = offset
 
 
-def write_timetags(path, tags: np.ndarray, channel_id: int) -> None:
-    """Write one timetag stream; ``tags`` must use ``TAG_DTYPE``."""
+def write_timetags(path, tags: np.ndarray, channel_id: int, *, append: bool = False) -> None:
+    """Write one timetag stream (``TAG_DTYPE``); ``append`` adds to its file."""
     if tags.dtype != TAG_DTYPE:
         raise ValueError(f"tags must have dtype {TAG_DTYPE}, got {tags.dtype}")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, channel_id, 0)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(tags).tobytes())
+    with open(path, "ab" if append else "wb") as fh:
+        if not append:
+            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, channel_id, 0))
+        fh.write(np.ascontiguousarray(tags).view(np.uint8))
 
 
-def read_timetags(path) -> tuple[np.ndarray, int]:
-    """Read a timetag stream back as ``(tags, channel_id)``.
+def _check_header(fh) -> tuple[int, int]:
+    """``(channel_id, record count)`` of an open timetag file."""
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise TagFormatError("file shorter than the 16-byte header", offset=0)
+    magic, version, channel_id, _reserved = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise TagFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+    if version != FORMAT_VERSION:
+        raise TagFormatError(f"unsupported format version {version}", offset=4)
+    body = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if body % _RECORD_SIZE != 0:
+        raise TagFormatError(
+            f"record region of {body} bytes is not a multiple of {_RECORD_SIZE}",
+            offset=_HEADER.size + body - body % _RECORD_SIZE,
+        )
+    return channel_id, body // _RECORD_SIZE
+
+
+def _time_at(fh, index: int) -> int:
+    fh.seek(_HEADER.size + index * _RECORD_SIZE)
+    return int.from_bytes(fh.read(8), "little")
+
+
+def read_timetags(path, start_ps: int = 0, end_ps: int | None = None) -> tuple[np.ndarray, int]:
+    """``(tags, channel_id)`` of the time-ordered records with ``start_ps <= time_ps < end_ps``.
 
     Raises:
-        TagFormatError: on a bad magic number, unsupported version, or a
-            truncated record region.
+        TagFormatError: on a bad magic number, unsupported version, a
+            truncated record region, or times out of order at the range end.
     """
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise TagFormatError("file shorter than the 16-byte header", offset=0)
-        magic, version, channel_id, _reserved = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise TagFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-        if version != FORMAT_VERSION:
-            raise TagFormatError(f"unsupported format version {version}", offset=4)
-        body = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if body % _RECORD_SIZE != 0:
-            raise TagFormatError(
-                f"record region of {body} bytes is not a multiple of {_RECORD_SIZE}",
-                offset=_HEADER.size + body - body % _RECORD_SIZE,
-            )
+        channel_id, n = _check_header(fh)
+        at = functools.partial(_time_at, fh)
+        # both bounds search the whole file, so adjacent ranges meet at one
+        # record even in a file out of time order, whose reads then show it;
+        # a range that ends past the last record must reach the end of the file
+        lo = bisect.bisect_left(range(n), start_ps, key=at) if start_ps > 0 else 0
+        hi = n if end_ps is None else bisect.bisect_left(range(n), max(start_ps, end_ps), key=at)
+        if hi < n and at(n - 1) < max(start_ps, end_ps):
+            offset = _HEADER.size + hi * _RECORD_SIZE
+            raise TagFormatError("times decrease after this record", offset)
+        fh.seek(_HEADER.size + lo * _RECORD_SIZE)
         # the records go straight into their array, the only copy in memory
-        tags = np.empty(body // _RECORD_SIZE, dtype=TAG_DTYPE)
-        n_read = fh.readinto(tags.view(np.uint8))
-    if n_read != body:
-        raise TagFormatError("file ended while its records were read", offset=_HEADER.size + n_read)
+        tags = np.empty(hi - lo, dtype=TAG_DTYPE)
+        if fh.readinto(tags.view(np.uint8)) != tags.nbytes:
+            raise TagFormatError("file ended while its records were read", offset=fh.tell())
     return tags, channel_id
+
+
+def last_tag_time(path) -> tuple[int | None, int]:
+    """``(last record's time_ps or None, channel_id)``; checks as ``read_timetags``."""
+    with open(path, "rb") as fh:
+        channel_id, n = _check_header(fh)
+        return (_time_at(fh, n - 1) if n else None), channel_id

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from mcfqkd.cli import LINKBUDGET_CSV_HEADER, main
-from mcfqkd.config import dump_config, preset_inner, window_capture_fraction
+from mcfqkd.config import dump_config, preset_inner, selected_pairs, window_capture_fraction
+from mcfqkd.runner import analyze_segment, scan_schedule, simulate_segment
+from mcfqkd.tagio import read_timetags, write_timetags
 
 
 @pytest.fixture
@@ -157,6 +161,28 @@ class TestAnalyze:
         assert f"error: {meta_path}: schedule[1]: missing key {key!r}" in err
 
     @pytest.mark.parametrize(
+        "idx, key, value, message",
+        [
+            (0, "start_ps", "5", "start_ps and duration_ps must be integers"),
+            (0, "start_ps", True, "start_ps and duration_ps must be integers"),
+            (1, "duration_ps", 2.5e12, "start_ps and duration_ps must be integers"),
+            (0, "duration_ps", 0, "needs duration_ps > 0 and start_ps >= 0"),
+            (1, "duration_ps", -1, "needs duration_ps > 0 and start_ps >= 2000000000000"),
+            (0, "start_ps", -5, "needs duration_ps > 0 and start_ps >= 0"),
+            (1, "start_ps", 10**12, "needs duration_ps > 0 and start_ps >= 2000000000000"),
+            (1, "basis", "XY", "basis must be 'HV' or 'DA', got 'XY'"),
+        ],
+        ids=["str-start", "bool-start", "float-duration", "zero-duration", "negative-duration",
+             "negative-start", "overlap", "basis-XY"],
+    )
+    def test_bad_schedule_value_rejected(self, sim_dir, tmp_path, capsys, idx, key, value, message):
+        rc, err, meta_path = self._analyze_with_meta(
+            sim_dir, tmp_path, capsys, lambda m: m["schedule"][idx].update({key: value})
+        )
+        assert rc == 2
+        assert f"error: {meta_path}: schedule[{idx}]: {message}" in err
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda m: m["files"]["0"].pop("bob"), "files.0: expected an object with string"),
@@ -202,6 +228,18 @@ class TestAnalyze:
         assert pair0["hv"]["counts"] == {"c_pp": 0, "c_pm": 0, "c_mp": 0, "c_mm": 0}
         assert pair0["hv"]["visibility"] is None
         assert pair0["skr_bits_s"] == 0.0
+
+    def test_tags_out_of_time_order_rejected(self, sim_dir, tmp_path, capsys):
+        # Alice's halves swapped: her last record now ends the first segment,
+        # so the overlap cutoff ends her reads there, before the file's end
+        path = sim_dir / "pair0_alice.mcqt"
+        tags, channel = read_timetags(path)
+        half = len(tags) // 2
+        write_timetags(path, np.concatenate([tags[half:], tags[:half]]), channel)
+        with pytest.warns(RuntimeWarning, match="durations differ"):
+            rc = main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        assert "times decrease after this record (offset 16)" in capsys.readouterr().err
 
     def test_mismatched_durations_warns(self, sim_dir, tmp_path):
         # drop the second half of Bob's stream for pair 0
@@ -299,6 +337,81 @@ class TestEntryPoint:
         monkeypatch.setenv("MCFQKD_THREADS", "1")
         out = tmp_path / "sim"
         assert main(["simulate", "--config", str(quick_config), "--out", str(out)]) == 0
+
+    def test_round_trip_independent_of_thread_count(self, quick_config, tmp_path, monkeypatch):
+        trees = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MCFQKD_THREADS", threads)
+            sim, rep = tmp_path / f"sim{threads}", tmp_path / f"rep{threads}"
+            assert main(["simulate", "--config", str(quick_config), "--out", str(sim)]) == 0
+            assert main(["analyze", "--in", str(sim), "--out", str(rep)]) == 0
+            trees.append({p.name: p.read_bytes() for d in (sim, rep) for p in d.iterdir()})
+        assert len(trees[0]) == 9
+        assert trees[0] == trees[1]
+
+
+class TestWorkingSet:
+    """With one worker, the CLI holds one (pair, segment) acquisition at a
+    time: its traced peak exceeds the peak of that acquisition's own
+    simulation or analysis by less than a quarter of the pair's file bytes,
+    where holding a whole file, or all of a pair's segments, adds at least
+    half of them."""
+
+    @pytest.fixture
+    def one_pair(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MCFQKD_THREADS", "1")
+        cfg = preset_inner()
+        cfg.pairs = [0]
+        cfg.schedule.acquisition_s = 10.0
+        path = tmp_path / "run.json"
+        dump_config(cfg, path)
+        return cfg, path
+
+    @staticmethod
+    def traced_peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def file_bytes(directory):
+        return sum(p.stat().st_size for p in directory.glob("*.mcqt"))
+
+    def test_simulate_holds_one_acquisition(self, one_pair, tmp_path):
+        cfg, path = one_pair
+        pair = selected_pairs(cfg)[0]
+        one = max(
+            self.traced_peak(simulate_segment, cfg, pair, segment, idx, 0.0)
+            for idx, segment in enumerate(scan_schedule(cfg).segments)
+        )
+        sim = tmp_path / "sim"
+        peak = self.traced_peak(main, ["simulate", "--config", str(path), "--out", str(sim)])
+        pair_bytes = self.file_bytes(sim)
+        assert pair_bytes > 2 * 2**20
+        assert peak < one + pair_bytes / 4
+
+    def test_analyze_holds_one_acquisition(self, one_pair, tmp_path):
+        cfg, path = one_pair
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(sim)]) == 0
+        schedule = json.loads((sim / "ground_truth.json").read_text())["schedule"]
+        ends = [seg["start_ps"] for seg in schedule[1:]] + [None]
+
+        def analyze_one(seg, end_ps):
+            streams = [
+                read_timetags(sim / f"pair0_{role}.mcqt", seg["start_ps"], end_ps)[0]
+                for role in ("alice", "bob")
+            ]
+            analyze_segment(
+                *streams, basis=seg["basis"], duration_s=seg["duration_ps"] / 1e12, cfg=cfg
+            )
+
+        one = max(self.traced_peak(analyze_one, seg, end) for seg, end in zip(schedule, ends))
+        peak = self.traced_peak(main, ["analyze", "--in", str(sim), "--out", str(tmp_path / "rep")])
+        assert peak < one + self.file_bytes(sim) / 4
 
 
 class TestGoldenRoundTrip:

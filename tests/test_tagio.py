@@ -12,6 +12,7 @@ from mcfqkd.tagio import (
     FORMAT_VERSION,
     MAGIC,
     TagFormatError,
+    last_tag_time,
     read_timetags,
     write_timetags,
 )
@@ -61,6 +62,116 @@ class TestRoundTrip:
     def test_wrong_dtype_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_timetags(tmp_path / "x.mcqt", np.zeros(3, dtype=np.int64), 0)
+
+
+class TestRangeRead:
+    # runs of equal times at 20 and 40; the ranges cover bounds on, between
+    # and inside the runs, and ranges before the first and after the last tag
+    TIMES = [10, 20, 20, 20, 30, 40, 40, 50]
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        tags = np.zeros(len(self.TIMES), dtype=TAG_DTYPE)
+        tags["time_ps"] = self.TIMES
+        tags["channel"] = np.arange(len(self.TIMES)) % 2
+        path = tmp_path / "runs.mcqt"
+        write_timetags(path, tags, CHANNEL_BOB)
+        return path
+
+    @staticmethod
+    def expected(path, start_ps, end_ps):
+        tags, _ = read_timetags(path)
+        keep = tags["time_ps"] >= start_ps
+        if end_ps is not None:
+            keep &= tags["time_ps"] < end_ps
+        return tags[keep]
+
+    @pytest.mark.parametrize(
+        "start_ps, end_ps",
+        [
+            (0, None), (10, 20), (20, 21), (20, 40), (21, 40), (15, 35), (30, 30),
+            (40, None), (41, 50), (50, 51), (0, 10), (0, 5), (51, None), (60, 70), (30, 20),
+        ],
+    )
+    def test_range_equals_filtered_full_read(self, path, start_ps, end_ps):
+        tags, channel = read_timetags(path, start_ps, end_ps)
+        assert channel == CHANNEL_BOB
+        assert tags.tobytes() == self.expected(path, start_ps, end_ps).tobytes()
+
+    def test_random_ranges_with_many_equal_times(self, tmp_path):
+        rng = np.random.default_rng(7)
+        tags = np.zeros(3000, dtype=TAG_DTYPE)
+        tags["time_ps"] = np.sort(rng.integers(0, 200, tags.size))
+        tags["channel"] = rng.integers(0, 2, tags.size)
+        path = tmp_path / "dup.mcqt"
+        write_timetags(path, tags, CHANNEL_ALICE)
+        for start_ps, end_ps in rng.integers(-5, 210, (50, 2)):
+            got, _ = read_timetags(path, int(start_ps), int(end_ps))
+            assert got.tobytes() == self.expected(path, start_ps, end_ps).tobytes()
+
+    def test_adjacent_ranges_tile_a_file_out_of_order(self, tmp_path):
+        # a reader that checks each range's order then sees every record
+        rng = np.random.default_rng(11)
+        tags = np.zeros(500, dtype=TAG_DTYPE)
+        tags["time_ps"] = rng.integers(0, 1000, tags.size)
+        tags["time_ps"][-1] = 1000  # past every bound
+        path = tmp_path / "shuffled.mcqt"
+        write_timetags(path, tags, CHANNEL_ALICE)
+        for _ in range(20):
+            bounds = [0, *np.sort(rng.integers(1, 1000, 3)).tolist(), None]
+            parts = [read_timetags(path, s, e)[0] for s, e in zip(bounds, bounds[1:])]
+            assert np.concatenate(parts).tobytes() == tags.tobytes()
+
+    def test_range_ending_past_the_last_record_must_reach_it(self, tmp_path):
+        tags = np.zeros(4, dtype=TAG_DTYPE)
+        tags["time_ps"] = [40, 50, 60, 10]
+        path = tmp_path / "tail.mcqt"
+        write_timetags(path, tags, CHANNEL_ALICE)
+        with pytest.raises(TagFormatError) as err:
+            read_timetags(path, 0, 30)
+        assert str(err.value) == "times decrease after this record (offset 16)"
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.mcqt"
+        write_timetags(path, np.zeros(0, dtype=TAG_DTYPE), CHANNEL_BOB)
+        tags, channel = read_timetags(path, 5, 10)
+        assert len(tags) == 0 and channel == CHANNEL_BOB
+        assert last_tag_time(path) == (None, CHANNEL_BOB)
+
+    def test_last_tag_time(self, path):
+        assert last_tag_time(path) == (50, CHANNEL_BOB)
+
+    def test_range_read_holds_only_its_records(self, tmp_path):
+        tags = sample_tags(200_000)
+        path = tmp_path / "big.mcqt"
+        write_timetags(path, tags, CHANNEL_ALICE)
+        start_ps, end_ps = (int(t) for t in tags["time_ps"][[90_000, 110_000]])
+        tracemalloc.start()
+        try:
+            part, _ = read_timetags(path, start_ps, end_ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert part.tobytes() == tags[90_000:110_000].tobytes()
+        # a copy of the file's time column would be five times the range
+        assert peak <= 1.1 * part.nbytes
+
+
+class TestAppend:
+    def test_appended_parts_equal_one_write(self, tmp_path):
+        tags = sample_tags(1000, seed=5)
+        parts = [tags[:300], tags[300:300], tags[300:]]
+        whole, pieces = tmp_path / "whole.mcqt", tmp_path / "pieces.mcqt"
+        write_timetags(whole, tags, CHANNEL_BOB)
+        for k, part in enumerate(parts):
+            write_timetags(pieces, part, CHANNEL_BOB, append=k > 0)
+        assert pieces.read_bytes() == whole.read_bytes()
+
+    def test_plain_write_replaces_the_file(self, tmp_path):
+        path = tmp_path / "s.mcqt"
+        write_timetags(path, sample_tags(50), CHANNEL_ALICE)
+        write_timetags(path, sample_tags(7), CHANNEL_ALICE)
+        assert path.stat().st_size == 16 + 7 * 16
 
 
 class TestCorruption:
