@@ -31,6 +31,7 @@ from . import __version__
 from .config import (
     ConfigError,
     RunConfig,
+    coerce,
     dumps_config,
     load_config,
     loads_config,
@@ -49,7 +50,9 @@ from .linkbudget import (
 from .photonsim import PS_PER_S
 from .runner import (
     KeyRateReport,
+    MeasurementSchedule,
     PairReport,
+    ScheduleSegment,
     analyze_segment,
     pair_report,
     run_stability,
@@ -140,14 +143,7 @@ def cmd_simulate(args) -> int:
         "version": 1,
         "seed": cfg.seed,
         "config": json.loads(dumps_config(cfg)),
-        "schedule": [
-            {
-                "basis": seg.basis,
-                "start_ps": int(round(seg.start_s * PS_PER_S)),
-                "duration_ps": int(round(seg.duration_s * PS_PER_S)),
-            }
-            for seg in schedule.segments
-        ],
+        "schedule": [asdict(seg) for seg in schedule.segments],
         "files": {
             str(p.pair_id): {role: f"pair{p.pair_id}_{role}.mcqt" for role in ("alice", "bob")}
             for p in pairs
@@ -184,9 +180,9 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------- analyze
 
 
-def _load_meta(in_dir: Path) -> Tuple[Dict, RunConfig]:
-    """The run metadata of a simulate output directory and its config;
-    every failure names the file."""
+def _load_meta(in_dir: Path) -> Tuple[Dict, Tuple[ScheduleSegment, ...], RunConfig]:
+    """The run metadata of a simulate output directory, its schedule's
+    segments and its config; every failure names the file."""
     meta_path = in_dir / META_FILENAME
     if not meta_path.exists():
         raise CliError(f"missing {META_FILENAME} in {in_dir}")
@@ -196,24 +192,19 @@ def _load_meta(in_dir: Path) -> Tuple[Dict, RunConfig]:
         raise CliError(f"{meta_path}: invalid JSON: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("format") != "mcfqkd-run-meta":
         raise CliError(f"{meta_path} is not a run metadata file")
-    for key in ("config", "schedule", "files", "truth"):
+    for key in ("version", "config", "schedule", "files", "truth"):
         if key not in meta:
             raise CliError(f"{meta_path}: missing key {key!r}")
-    if not isinstance(meta["schedule"], list) or not meta["schedule"]:
-        raise CliError(f"{meta_path}: schedule: expected a non-empty list of segments")
-    end = 0
-    for idx, seg in enumerate(meta["schedule"]):
-        where = f"{meta_path}: schedule[{idx}]"
-        for key in ("basis", "start_ps", "duration_ps"):
-            if not isinstance(seg, dict) or key not in seg:
-                raise CliError(f"{where}: missing key {key!r}")
-        if not all(type(seg[k]) is int for k in ("start_ps", "duration_ps")):
-            raise CliError(f"{where}: start_ps and duration_ps must be integers")
-        if seg["duration_ps"] <= 0 or seg["start_ps"] < end:
-            raise CliError(f"{where}: needs duration_ps > 0 and start_ps >= {end} (no overlap)")
-        if seg["basis"] not in ("HV", "DA"):
-            raise CliError(f"{where}: basis must be 'HV' or 'DA', got {seg['basis']!r}")
-        end = seg["start_ps"] + seg["duration_ps"]
+    if type(meta["version"]) is not int or meta["version"] != 1:
+        raise CliError(f"{meta_path}: version: expected 1, got {meta['version']!r}")
+    segments = coerce(meta["schedule"], Tuple[ScheduleSegment, ...], f"{meta_path}: schedule")
+    try:
+        MeasurementSchedule(segments)
+    except ValueError as exc:
+        raise CliError(f"{meta_path}: {exc}") from exc
+    for idx, seg in enumerate(segments):
+        if seg.basis in [earlier.basis for earlier in segments[:idx]]:
+            raise CliError(f"{meta_path}: schedule[{idx}].basis: {seg.basis!r} is measured twice")
     per_pair = meta["truth"].get("per_pair") if isinstance(meta["truth"], dict) else None
     if not isinstance(meta["files"], dict):
         raise CliError(f"{meta_path}: files: expected an object")
@@ -229,15 +220,21 @@ def _load_meta(in_dir: Path) -> Tuple[Dict, RunConfig]:
         truth = per_pair[pair_id]
         if not (isinstance(truth, dict) and {"ring", "true_coincidences"} <= truth.keys()):
             raise CliError(f"{where}: truth.per_pair entry needs 'ring' and 'true_coincidences'")
+        entry = f"{meta_path}: truth.per_pair.{pair_id}"
+        if truth["ring"] not in ("inner", "outer"):
+            raise CliError(f"{entry}.ring: expected 'inner' or 'outer', got {truth['ring']!r}")
+        counts = coerce(truth["true_coincidences"], Dict[str, int], f"{entry}.true_coincidences")
+        if not counts.keys() <= {"HV", "DA"}:
+            raise CliError(f"{entry}.true_coincidences: keys must be HV/DA, got {sorted(counts)}")
     try:
-        return meta, loads_config(json.dumps(meta["config"]))
+        return meta, segments, loads_config(json.dumps(meta["config"]))
     except ConfigError as exc:
         raise CliError(f"{meta_path}: config: {exc}") from exc
 
 
 def cmd_analyze(args) -> int:
     in_dir = Path(getattr(args, "in_dir"))
-    meta, cfg = _load_meta(in_dir)
+    meta, segments, cfg = _load_meta(in_dir)
     if getattr(args, "window_ps", None) is not None:
         cfg.analysis.window_ps = args.window_ps
         cfg.validate()
@@ -245,7 +242,6 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    segments = meta["schedule"]
     truth = meta["truth"]["per_pair"]
     pair_ids = sorted(meta["files"], key=int)
     ranges = {pid: _segment_ranges(in_dir, meta["files"][pid], pid, segments) for pid in pair_ids}
@@ -253,11 +249,10 @@ def cmd_analyze(args) -> int:
     def work(pair_id: str) -> Tuple[PairReport, Dict[str, int]]:
         files = meta["files"][pair_id]
         per_basis = {
-            seg["basis"]: analyze_segment(
+            seg.basis: analyze_segment(
                 *(read_timetags(in_dir / files[role], start, end)[0] for role in ("alice", "bob")),
-                basis=seg["basis"],
-                duration_s=seg["duration_ps"] / PS_PER_S,
-                cfg=cfg,
+                seg,
+                cfg,
             )
             for seg, (start, end) in zip(segments, ranges[pair_id])
         }
@@ -321,8 +316,8 @@ def _segment_ranges(in_dir: Path, files: Dict, pair_id: str, segments) -> List[T
     (end_a, ch_a), (end_b, ch_b) = (last_tag_time(in_dir / files[r]) for r in ("alice", "bob"))
     if ch_a != CHANNEL_ALICE or ch_b != CHANNEL_BOB:
         raise CliError(f"pair {pair_id}: file channel ids do not match their roles")
-    starts = [seg["start_ps"] for seg in segments]
-    span = segments[-1]["start_ps"] + segments[-1]["duration_ps"]
+    starts = [seg.start_ps for seg in segments]
+    span = segments[-1].start_ps + segments[-1].duration_ps
     if end_a is None or end_b is None or abs(end_a - end_b) <= max(0.01 * span, 1e9):
         return list(zip(starts, starts[1:] + [None]))
     warnings.warn(

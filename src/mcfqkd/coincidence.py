@@ -94,10 +94,6 @@ class CoincidenceTally:
     accidentals: Optional[AccidentalEstimate] = None
     histogram: Optional[CorrelationHistogram] = field(default=None, repr=False)
 
-    @property
-    def coincidence_rate(self) -> float:
-        return self.counts.total / self.duration_s
-
 
 class _CheckedTimes(np.ndarray):
     """A time array that ``_as_times`` has converted and checked.

@@ -19,11 +19,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, get_args, get_origin, get_type_hints
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple, get_args, get_origin, get_type_hints
 
 from .geometry import (
-    CouplingResult,
+    CorePair,
     RingCalibration,
     build_layout,
     coupling_probabilities,
@@ -45,6 +45,7 @@ __all__ = [
     "loads_config",
     "dump_config",
     "dumps_config",
+    "coerce",
     "geometry_from_config",
     "selected_pairs",
     "window_capture_fraction",
@@ -159,13 +160,15 @@ class RunConfig:
             raise ConfigError("keyrate.ec_efficiency: must be >= 0")
 
 
-def _coerce(value: Any, hint: Any, path: str) -> Any:
+def coerce(value: Any, hint: Any, path: str) -> Any:
+    """``value`` parsed from JSON into type ``hint``, dataclasses through
+    their own checks; every error is a ``ConfigError`` naming ``path``."""
     args = get_args(hint)
     if args and type(None) in args:  # Optional[...]
         if value is None:
             return None
         (inner,) = [a for a in args if a is not type(None)]
-        return _coerce(value, inner, path)
+        return coerce(value, inner, path)
     origin = get_origin(hint)
     if origin is None and is_dataclass(hint):
         if not isinstance(value, dict):
@@ -189,16 +192,15 @@ def _coerce(value: Any, hint: Any, path: str) -> Any:
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
         return value
-    if origin is list:
+    if origin in (list, tuple):  # List[X] or Tuple[X, ...]
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list")
-        (item_type,) = get_args(hint)
-        return [_coerce(v, item_type, f"{path}[{i}]") for i, v in enumerate(value)]
+        items = [coerce(v, args[0], f"{path}[{i}]") for i, v in enumerate(value)]
+        return items if origin is list else tuple(items)
     if origin is dict:
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object")
-        _, val_type = get_args(hint)
-        return {k: _coerce(v, val_type, f"{path}.{k}") for k, v in value.items()}
+        return {k: coerce(v, args[1], f"{path}.{k}") for k, v in value.items()}
     raise ConfigError(f"{path}: unsupported value {value!r}")
 
 
@@ -211,9 +213,11 @@ def _from_dict(cls, data: Dict[str, Any], path: str):
         raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
     kwargs = {}
     for f in fields(cls):
+        sub_path = f"{path}.{f.name}" if path else f.name
         if f.name in data:
-            sub_path = f"{path}.{f.name}" if path else f.name
-            kwargs[f.name] = _coerce(data[f.name], hints[f.name], sub_path)
+            kwargs[f.name] = coerce(data[f.name], hints[f.name], sub_path)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{sub_path}: missing key")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -246,7 +250,7 @@ def dump_config(cfg: RunConfig, path) -> None:
         fh.write(dumps_config(cfg) + "\n")
 
 
-def geometry_from_config(cfg: RunConfig) -> CouplingResult:
+def geometry_from_config(cfg: RunConfig) -> Tuple[CorePair, ...]:
     """Temperature-driven coupling probabilities of a config's core pairs."""
     layout = build_layout(cfg.layout.pitch_um, cfg.layout.core_radius_um)
     profile = emission_profile_from_temperature(
@@ -258,7 +262,7 @@ def geometry_from_config(cfg: RunConfig) -> CouplingResult:
 def selected_pairs(cfg: RunConfig, pair_ids: Optional[Sequence[int]] = None):
     """Core pairs measured by this run (explicit list or the whole ring),
     optionally narrowed to ``pair_ids``, with their coupling probabilities."""
-    pairs = geometry_from_config(cfg).pairs
+    pairs = geometry_from_config(cfg)
     if cfg.pairs is not None:
         if not cfg.pairs:
             raise ConfigError("pairs: empty pair set")

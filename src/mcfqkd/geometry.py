@@ -25,7 +25,6 @@ __all__ = [
     "CorePair",
     "EmissionProfile",
     "RingCalibration",
-    "CouplingResult",
     "build_layout",
     "emission_profile_from_temperature",
     "coupling_probabilities",
@@ -118,12 +117,6 @@ class RingCalibration:
             raise ValueError("calibration radii must be > 0")
 
 
-@dataclass(frozen=True)
-class CouplingResult:
-    pairs: Tuple[CorePair, ...]
-    uncoupled_fraction: float
-
-
 def build_layout(pitch_um: float = 35.0, core_radius_um: float = 4.0) -> CoreLayout:
     """Construct the 19-core layout with exact point-reflection symmetry.
 
@@ -213,8 +206,8 @@ def _disk_overlap(distance: float, disk_radius: float, r0: float, sigma: float) 
     return integral / _annulus_total(r0, sigma)
 
 
-def coupling_probabilities(profile: EmissionProfile, layout: CoreLayout) -> CouplingResult:
-    """Per-pair coupling probabilities |g|^2 and the uncoupled remainder.
+def coupling_probabilities(profile: EmissionProfile, layout: CoreLayout) -> Tuple[CorePair, ...]:
+    """The layout's core pairs with their coupling probabilities |g|^2.
 
     A pair emission enters the pair when either photon lands in either core
     of the pair; by the point symmetry of the annulus both cores of a pair
@@ -223,7 +216,6 @@ def coupling_probabilities(profile: EmissionProfile, layout: CoreLayout) -> Coup
     """
     cache: Dict[float, float] = {}
     pairs = []
-    total = 0.0
     for pair in layout.pairs:
         distance = layout.core(pair.core_a).radius_from_center_um
         if distance not in cache:
@@ -233,8 +225,6 @@ def coupling_probabilities(profile: EmissionProfile, layout: CoreLayout) -> Coup
                 profile.annulus_radius_um,
                 profile.annulus_width_um,
             )
-        prob = 2.0 * cache[distance]
-        total += prob
-        pairs.append(replace(pair, coupling_prob=prob))
-    return CouplingResult(tuple(pairs), uncoupled_fraction=1.0 - total)
+        pairs.append(replace(pair, coupling_prob=2.0 * cache[distance]))
+    return tuple(pairs)
 

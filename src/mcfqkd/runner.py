@@ -7,12 +7,16 @@ same pieces: ``config.selected_pairs`` picks the measured core pairs,
 ``acquire`` simulates and analyzes one (pair, segment) acquisition, which is
 one ``simulate_run`` call with the configured link on both arms and one
 analyzer setting, and ``pair_report`` turns a pair's per-basis results into
-its key rate.  Core pairs and stability slots are independent acquisitions,
-so the basis scan runs its pairs, and the stability run its slots, on one
-thread pool (capped by ``MCFQKD_THREADS``, one acquisition in flight per
-worker); each acquisition derives its own random stream from the seed, pair
-and segment index, which keeps results identical whatever the thread count
-and however the pool schedules them.
+its key rate.  A schedule is a ``MeasurementSchedule`` of ``ScheduleSegment``
+(basis, start and duration in the integer picoseconds of the tag files);
+``simulate`` writes it to ``ground_truth.json`` and ``analyze`` parses it back
+into the same type, whose checks are the only schedule checks.  Core pairs
+and stability slots are independent acquisitions, so the basis scan runs its
+pairs, and the stability run its slots, on one thread pool (capped by
+``MCFQKD_THREADS``, one acquisition in flight per worker); each acquisition
+derives its own random stream from the seed, pair and segment index, which
+keeps results identical whatever the thread count and however the pool
+schedules them.
 """
 from __future__ import annotations
 
@@ -58,15 +62,14 @@ _BASIS_SETTINGS = {"HV": AnalyzerSetting.hv(), "DA": AnalyzerSetting.da()}
 @dataclass(frozen=True)
 class ScheduleSegment:
     basis: str
-    start_s: float
-    duration_s: float
-    rate_scale: float = 1.0
+    start_ps: int
+    duration_ps: int
 
     def __post_init__(self) -> None:
         if self.basis not in _BASIS_SETTINGS:
-            raise ValueError(f"unknown basis {self.basis!r}")
-        if self.duration_s <= 0:
-            raise ValueError("segment duration must be > 0")
+            raise ValueError(f"basis must be 'HV' or 'DA', got {self.basis!r}")
+        if self.duration_ps <= 0:
+            raise ValueError(f"duration_ps must be > 0, got {self.duration_ps}")
 
 
 @dataclass(frozen=True)
@@ -74,53 +77,37 @@ class MeasurementSchedule:
     segments: Tuple[ScheduleSegment, ...]
 
     def __post_init__(self) -> None:
-        end = 0.0
-        for seg in self.segments:
-            if seg.start_s < end - 1e-9:
-                raise ValueError("schedule segments overlap or are out of order")
-            end = seg.start_s + seg.duration_s
-
-    @property
-    def total_duration_s(self) -> float:
-        last = self.segments[-1]
-        return last.start_s + last.duration_s
+        if not self.segments:
+            raise ValueError("schedule: has no segments")
+        end = 0
+        for i, seg in enumerate(self.segments):
+            if seg.start_ps < end:
+                raise ValueError(f"schedule[{i}]: start_ps must be >= {end}, got {seg.start_ps}")
+            end = seg.start_ps + seg.duration_ps
 
     @classmethod
     def _acquisitions(
-        cls, slots: Sequence[Tuple[float, str]], acquisition_s: float, rate_scales: Dict[str, float]
+        cls, bases: Sequence[str], slot_s: float, acquisition_s: float
     ) -> "MeasurementSchedule":
-        """One acquisition of ``acquisition_s`` per (start, basis) slot."""
-        return cls(
-            tuple(
-                ScheduleSegment(basis, start_s, acquisition_s, rate_scales.get(basis, 1.0))
-                for start_s, basis in slots
-            )
-        )
+        """One acquisition of ``acquisition_s`` at the start of each ``slot_s`` slot."""
+        slot_ps, duration_ps = round(slot_s * PS_PER_S), round(acquisition_s * PS_PER_S)
+        return cls(tuple(ScheduleSegment(b, k * slot_ps, duration_ps) for k, b in enumerate(bases)))
 
     @classmethod
-    def basis_scan(
-        cls, acquisition_s: float, bases: Sequence[str], rate_scales: Dict[str, float]
-    ) -> "MeasurementSchedule":
-        slots = [(i * acquisition_s, basis) for i, basis in enumerate(bases)]
-        return cls._acquisitions(slots, acquisition_s, rate_scales)
+    def basis_scan(cls, acquisition_s: float, bases: Sequence[str]) -> "MeasurementSchedule":
+        return cls._acquisitions(bases, acquisition_s, acquisition_s)
 
     @classmethod
     def stability(
-        cls,
-        total_hours: float,
-        switch_minutes: float,
-        acquisition_s: float,
-        rate_scales: Dict[str, float],
+        cls, total_hours: float, switch_minutes: float, acquisition_s: float
     ) -> "MeasurementSchedule":
         if total_hours <= 0 or switch_minutes <= 0:
             raise ValueError("total_hours and switch_minutes must be > 0")
-        n_slots = int(round(total_hours * 60.0 / switch_minutes))
-        if n_slots < 1:
-            raise ValueError("schedule yields no slots")
         if acquisition_s > switch_minutes * 60.0:
             raise ValueError("acquisition does not fit into one slot")
-        slots = [(k * switch_minutes * 60.0, "HV" if k % 2 == 0 else "DA") for k in range(n_slots)]
-        return cls._acquisitions(slots, acquisition_s, rate_scales)
+        n_slots = int(round(total_hours * 60.0 / switch_minutes))
+        bases = ["HV" if k % 2 == 0 else "DA" for k in range(n_slots)]
+        return cls._acquisitions(bases, switch_minutes * 60.0, acquisition_s)
 
 
 @dataclass
@@ -213,19 +200,14 @@ def _tally_to_result(tally: CoincidenceTally, basis: str, subtract: bool) -> Pai
 
 
 def analyze_segment(
-    alice_tags: np.ndarray,
-    bob_tags: np.ndarray,
-    *,
-    basis: str,
-    duration_s: float,
-    cfg: RunConfig,
+    alice_tags: np.ndarray, bob_tags: np.ndarray, segment: ScheduleSegment, cfg: RunConfig
 ) -> PairBasisResult:
     """Run the coincidence chain on one acquisition's two tag streams."""
     tally = tally_basis(
         alice_tags,
         bob_tags,
         window_ps=cfg.analysis.window_ps,
-        duration_s=duration_s,
+        duration_s=segment.duration_ps / PS_PER_S,
         hist_bin_ps=cfg.analysis.hist_bin_ps,
         hist_range_ps=cfg.analysis.hist_range_ps,
         accidental_offset_ps=int(
@@ -233,7 +215,7 @@ def analyze_segment(
         ),
         mode=cfg.analysis.window_mode,
     )
-    return _tally_to_result(tally, basis, cfg.analysis.subtract_accidentals)
+    return _tally_to_result(tally, segment.basis, cfg.analysis.subtract_accidentals)
 
 
 def simulate_segment(
@@ -244,16 +226,16 @@ def simulate_segment(
     angle_offset_deg: float,
 ):
     """One (pair, segment) acquisition; the seed mixes in the segment index."""
-    source = replace(cfg.source, pair_rate=cfg.source.pair_rate * segment.rate_scale)
+    scale = cfg.schedule.rate_scales.get(segment.basis, 1.0)
     return simulate_run(
-        source,
+        replace(cfg.source, pair_rate=cfg.source.pair_rate * scale),
         pair,
         cfg.link,
         _BASIS_SETTINGS[segment.basis],
-        segment.duration_s,
+        segment.duration_ps / PS_PER_S,
         seed=cfg.seed + 7919 * segment_index,
         angle_offset_deg=angle_offset_deg,
-        time_offset_ps=int(round(segment.start_s * PS_PER_S)),
+        time_offset_ps=segment.start_ps,
         mark_dark_tags=cfg.emit_ground_truth,
     )
 
@@ -270,9 +252,7 @@ def acquire(
     streams = simulate_segment(cfg, pair, segment, segment_index, angle_offset_deg).streams[
         pair.pair_id
     ]
-    return analyze_segment(
-        streams.alice, streams.bob, basis=segment.basis, duration_s=segment.duration_s, cfg=cfg
-    )
+    return analyze_segment(streams.alice, streams.bob, segment, cfg)
 
 
 def pair_report(
@@ -300,9 +280,7 @@ def pair_report(
 
 def scan_schedule(cfg: RunConfig) -> MeasurementSchedule:
     """One acquisition per configured basis, back to back."""
-    return MeasurementSchedule.basis_scan(
-        cfg.schedule.acquisition_s, cfg.schedule.bases, cfg.schedule.rate_scales
-    )
+    return MeasurementSchedule.basis_scan(cfg.schedule.acquisition_s, cfg.schedule.bases)
 
 
 def run_basis_scan(cfg: RunConfig, pair_ids: Optional[Sequence[int]] = None) -> KeyRateReport:
@@ -346,10 +324,10 @@ def run_stability(
     """
     pair = selected_pairs(cfg, None if pair_id is None else [pair_id])[0]
 
-    schedule = MeasurementSchedule.stability(
-        total_hours, switch_minutes, acquisition_s, cfg.schedule.rate_scales
-    )
-    slot_hours = np.array([seg.start_s / 3600.0 for seg in schedule.segments])
+    schedule = MeasurementSchedule.stability(total_hours, switch_minutes, acquisition_s)
+    n_slots = len(schedule.segments)
+    # from the slot starts in float seconds, not from their rounded start_ps
+    slot_hours = np.array([k * switch_minutes * 60.0 / 3600.0 for k in range(n_slots)])
     offsets = apply_polarization_drift(
         slot_hours, cfg.drift.rate_deg_per_hour, cfg.seed, cfg.drift.max_offset_deg
     )
@@ -359,7 +337,6 @@ def run_stability(
 
     # the slots run on the pool; pairing each with the latest result in the
     # other basis is a serial pass over them in slot order
-    n_slots = len(schedule.segments)
     with ThreadPoolExecutor(max_workers=worker_count(n_slots)) as pool:
         results = list(pool.map(work, range(n_slots)))
 

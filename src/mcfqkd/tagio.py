@@ -44,10 +44,10 @@ _RECORD_SIZE = TAG_DTYPE.itemsize
 
 
 class TagFormatError(ValueError):
-    """Malformed timetag file; ``offset`` locates the offending bytes."""
+    """Malformed timetag file; ``offset`` locates the offending bytes in ``path``."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
+    def __init__(self, path, message: str, offset: int):
+        super().__init__(f"{path}: {message} (offset {offset})")
         self.offset = offset
 
 
@@ -65,15 +65,16 @@ def _check_header(fh) -> tuple[int, int]:
     """``(channel_id, record count)`` of an open timetag file."""
     header = fh.read(_HEADER.size)
     if len(header) < _HEADER.size:
-        raise TagFormatError("file shorter than the 16-byte header", offset=0)
+        raise TagFormatError(fh.name, "file shorter than the 16-byte header", offset=0)
     magic, version, channel_id, _reserved = _HEADER.unpack(header)
     if magic != MAGIC:
-        raise TagFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+        raise TagFormatError(fh.name, f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
     if version != FORMAT_VERSION:
-        raise TagFormatError(f"unsupported format version {version}", offset=4)
+        raise TagFormatError(fh.name, f"unsupported format version {version}", offset=4)
     body = os.fstat(fh.fileno()).st_size - _HEADER.size
     if body % _RECORD_SIZE != 0:
         raise TagFormatError(
+            fh.name,
             f"record region of {body} bytes is not a multiple of {_RECORD_SIZE}",
             offset=_HEADER.size + body - body % _RECORD_SIZE,
         )
@@ -102,12 +103,12 @@ def read_timetags(path, start_ps: int = 0, end_ps: int | None = None) -> tuple[n
         hi = n if end_ps is None else bisect.bisect_left(range(n), max(start_ps, end_ps), key=at)
         if hi < n and at(n - 1) < max(start_ps, end_ps):
             offset = _HEADER.size + hi * _RECORD_SIZE
-            raise TagFormatError("times decrease after this record", offset)
+            raise TagFormatError(fh.name, "times decrease after this record", offset)
         fh.seek(_HEADER.size + lo * _RECORD_SIZE)
         # the records go straight into their array, the only copy in memory
         tags = np.empty(hi - lo, dtype=TAG_DTYPE)
         if fh.readinto(tags.view(np.uint8)) != tags.nbytes:
-            raise TagFormatError("file ended while its records were read", offset=fh.tell())
+            raise TagFormatError(fh.name, "file ended while its records were read", fh.tell())
     return tags, channel_id
 
 

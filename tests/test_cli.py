@@ -9,7 +9,7 @@ import pytest
 
 from mcfqkd.cli import LINKBUDGET_CSV_HEADER, main
 from mcfqkd.config import dump_config, preset_inner, selected_pairs, window_capture_fraction
-from mcfqkd.runner import analyze_segment, scan_schedule, simulate_segment
+from mcfqkd.runner import ScheduleSegment, analyze_segment, scan_schedule, simulate_segment
 from mcfqkd.tagio import read_timetags, write_timetags
 
 
@@ -115,7 +115,8 @@ class TestAnalyze:
         victim.write_bytes(bytes(raw))
         rc = main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")])
         assert rc != 0
-        assert "offset 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {victim}: bad magic b'JUNK'" in err and "(offset 0)" in err
 
     def test_missing_metadata_fails(self, tmp_path):
         empty = tmp_path / "nothing"
@@ -150,7 +151,7 @@ class TestAnalyze:
             sim_dir, tmp_path, capsys, lambda m: m.update(schedule=[])
         )
         assert rc == 2
-        assert f"error: {meta_path}: schedule: expected a non-empty list" in err
+        assert f"error: {meta_path}: schedule: has no segments" in err
 
     @pytest.mark.parametrize("key", ["basis", "start_ps", "duration_ps"])
     def test_schedule_entry_without_key_rejected(self, sim_dir, tmp_path, capsys, key):
@@ -158,29 +159,30 @@ class TestAnalyze:
             sim_dir, tmp_path, capsys, lambda m: m["schedule"][1].pop(key)
         )
         assert rc == 2
-        assert f"error: {meta_path}: schedule[1]: missing key {key!r}" in err
+        assert f"error: {meta_path}: schedule[1].{key}: missing key" in err
 
     @pytest.mark.parametrize(
         "idx, key, value, message",
         [
-            (0, "start_ps", "5", "start_ps and duration_ps must be integers"),
-            (0, "start_ps", True, "start_ps and duration_ps must be integers"),
-            (1, "duration_ps", 2.5e12, "start_ps and duration_ps must be integers"),
-            (0, "duration_ps", 0, "needs duration_ps > 0 and start_ps >= 0"),
-            (1, "duration_ps", -1, "needs duration_ps > 0 and start_ps >= 2000000000000"),
-            (0, "start_ps", -5, "needs duration_ps > 0 and start_ps >= 0"),
-            (1, "start_ps", 10**12, "needs duration_ps > 0 and start_ps >= 2000000000000"),
-            (1, "basis", "XY", "basis must be 'HV' or 'DA', got 'XY'"),
+            (0, "start_ps", "5", ".start_ps: expected an integer, got '5'"),
+            (0, "start_ps", True, ".start_ps: expected an integer, got True"),
+            (1, "duration_ps", 2.5e12, ".duration_ps: expected an integer, got 2500000000000.0"),
+            (0, "duration_ps", 0, ": duration_ps must be > 0, got 0"),
+            (1, "duration_ps", -1, ": duration_ps must be > 0, got -1"),
+            (0, "start_ps", -5, ": start_ps must be >= 0, got -5"),
+            (1, "start_ps", 10**12, ": start_ps must be >= 2000000000000, got 1000000000000"),
+            (1, "basis", "XY", ": basis must be 'HV' or 'DA', got 'XY'"),
+            (1, "basis", "HV", ".basis: 'HV' is measured twice"),
         ],
         ids=["str-start", "bool-start", "float-duration", "zero-duration", "negative-duration",
-             "negative-start", "overlap", "basis-XY"],
+             "negative-start", "overlap", "basis-XY", "duplicate-basis"],
     )
     def test_bad_schedule_value_rejected(self, sim_dir, tmp_path, capsys, idx, key, value, message):
         rc, err, meta_path = self._analyze_with_meta(
             sim_dir, tmp_path, capsys, lambda m: m["schedule"][idx].update({key: value})
         )
         assert rc == 2
-        assert f"error: {meta_path}: schedule[{idx}]: {message}" in err
+        assert f"error: {meta_path}: schedule[{idx}]{message}" in err
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -195,8 +197,23 @@ class TestAnalyze:
             ),
             (lambda m: m["files"].update(x=m["files"].pop("0")), "files.x: pair id is not a decimal"),
             (lambda m: m.update(files=[]), "files: expected an object"),
+            (lambda m: m.update(version=99), "version: expected 1, got 99"),
+            (lambda m: m.pop("version"), "missing key 'version'"),
+            (
+                lambda m: m["truth"]["per_pair"]["0"].update(ring=7),
+                "truth.per_pair.0.ring: expected 'inner' or 'outer', got 7",
+            ),
+            (
+                lambda m: m["truth"]["per_pair"]["0"]["true_coincidences"].update(HV="lots"),
+                "truth.per_pair.0.true_coincidences.HV: expected an integer, got 'lots'",
+            ),
+            (
+                lambda m: m["truth"]["per_pair"]["0"]["true_coincidences"].update(XY=5),
+                "truth.per_pair.0.true_coincidences: keys must be HV/DA, got ['DA', 'HV', 'XY']",
+            ),
         ],
-        ids=["no-bob", "string-entry", "int-bob", "no-ring", "no-true-coincidences", "id-x", "list"],
+        ids=["no-bob", "string-entry", "int-bob", "no-ring", "no-true-coincidences", "id-x", "list",
+             "version-99", "no-version", "ring-7", "count-string", "count-basis-XY"],
     )
     def test_bad_files_entry_rejected(self, sim_dir, tmp_path, capsys, edit, message):
         rc, err, meta_path = self._analyze_with_meta(sim_dir, tmp_path, capsys, edit)
@@ -239,7 +256,7 @@ class TestAnalyze:
         with pytest.warns(RuntimeWarning, match="durations differ"):
             rc = main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")])
         assert rc == 2
-        assert "times decrease after this record (offset 16)" in capsys.readouterr().err
+        assert f"error: {path}: times decrease after this record (offset 16)" in capsys.readouterr().err
 
     def test_mismatched_durations_warns(self, sim_dir, tmp_path):
         # drop the second half of Bob's stream for pair 0
@@ -405,9 +422,7 @@ class TestWorkingSet:
                 read_timetags(sim / f"pair0_{role}.mcqt", seg["start_ps"], end_ps)[0]
                 for role in ("alice", "bob")
             ]
-            analyze_segment(
-                *streams, basis=seg["basis"], duration_s=seg["duration_ps"] / 1e12, cfg=cfg
-            )
+            analyze_segment(*streams, ScheduleSegment(**seg), cfg)
 
         one = max(self.traced_peak(analyze_one, seg, end) for seg, end in zip(schedule, ends))
         peak = self.traced_peak(main, ["analyze", "--in", str(sim), "--out", str(tmp_path / "rep")])

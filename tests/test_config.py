@@ -3,11 +3,14 @@
 import json
 import math
 import re
+from typing import Tuple
 
 import pytest
 
 from mcfqkd.config import (
     ConfigError,
+    LayoutConfig,
+    coerce,
     dumps_config,
     loads_config,
     preset,
@@ -51,6 +54,20 @@ class TestParsing:
         bad = {"source": {"pair_rate": 1.0}, "analysis": {"window_ps": 0.5}}
         with pytest.raises(ConfigError, match="analysis.window_ps"):
             loads_config(json.dumps(bad))
+
+    def test_missing_required_key_reports_path(self):
+        with pytest.raises(ConfigError, match=r"^source: missing key$"):
+            loads_config("{}")
+        with pytest.raises(ConfigError, match=r"^source\.pair_rate: missing key$"):
+            loads_config(json.dumps({"source": {"visibility": 0.9}}))
+
+    def test_tuple_of_dataclasses(self):
+        parsed = coerce([{"pitch_um": 30.0}], Tuple[LayoutConfig, ...], "layouts")
+        assert parsed == (LayoutConfig(pitch_um=30.0),)
+        with pytest.raises(ConfigError, match=r"^layouts\[0\]\.pitch_um: expected a number"):
+            coerce([{"pitch_um": "wide"}], Tuple[LayoutConfig, ...], "layouts")
+        with pytest.raises(ConfigError, match="^layouts: expected a list"):
+            coerce({}, Tuple[LayoutConfig, ...], "layouts")
 
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):

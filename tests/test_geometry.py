@@ -8,7 +8,6 @@ from scipy.integrate import dblquad
 from mcfqkd.geometry import (
     RING_INNER,
     RING_OUTER,
-    CouplingResult,
     LayoutError,
     RingCalibration,
     build_layout,
@@ -110,9 +109,9 @@ class TestCouplingProbabilities:
     def test_narrow_annulus_on_inner_ring(self):
         layout = build_layout(35.0, 4.0)
         profile = emission_profile_from_temperature(82.5, annulus_width_um=3.0)
-        result = coupling_probabilities(profile, layout)
-        inner = [p.coupling_prob for p in result.pairs if p.ring == RING_INNER]
-        outer = [p.coupling_prob for p in result.pairs if p.ring == RING_OUTER]
+        pairs = coupling_probabilities(profile, layout)
+        inner = [p.coupling_prob for p in pairs if p.ring == RING_INNER]
+        outer = [p.coupling_prob for p in pairs if p.ring == RING_OUTER]
         coupled = sum(inner) + sum(outer)
         for prob in inner:
             assert prob == pytest.approx(coupled / 3, rel=1e-6)
@@ -121,9 +120,9 @@ class TestCouplingProbabilities:
     def test_annulus_on_outer_ring(self):
         layout = build_layout(35.0, 4.0)
         profile = emission_profile_from_temperature(82.0, annulus_width_um=8.0)
-        result = coupling_probabilities(profile, layout)
-        inner = [p.coupling_prob for p in result.pairs if p.ring == RING_INNER]
-        outer = [p.coupling_prob for p in result.pairs if p.ring == RING_OUTER]
+        pairs = coupling_probabilities(profile, layout)
+        inner = [p.coupling_prob for p in pairs if p.ring == RING_INNER]
+        outer = [p.coupling_prob for p in pairs if p.ring == RING_OUTER]
         # the two outer orbits sit symmetrically about the annulus: all six
         # pairs couple within a few percent of each other
         assert max(outer) / min(outer) < 1.15
@@ -132,9 +131,9 @@ class TestCouplingProbabilities:
     def test_same_orbit_couplings_identical(self):
         layout = build_layout()
         profile = emission_profile_from_temperature(82.2, annulus_width_um=10.0)
-        result = coupling_probabilities(profile, layout)
+        pairs = coupling_probabilities(profile, layout)
         by_radius = {}
-        for pair in result.pairs:
+        for pair in pairs:
             r = round(layout.core(pair.core_a).radius_from_center_um, 9)
             by_radius.setdefault(r, set()).add(pair.coupling_prob)
         for probs in by_radius.values():
@@ -144,17 +143,16 @@ class TestCouplingProbabilities:
         layout = build_layout()
         for width in (3.0, 8.0, 17.5):
             profile = emission_profile_from_temperature(82.25, annulus_width_um=width)
-            result = coupling_probabilities(profile, layout)
-            total = sum(p.coupling_prob for p in result.pairs)
+            total = sum(p.coupling_prob for p in coupling_probabilities(profile, layout))
+            # the remainder, 1 - total, is light on the center core or the cladding
             assert 0.0 < total < 1.0
-            assert total + result.uncoupled_fraction == pytest.approx(1.0, abs=1e-12)
 
     def test_quadrature_matches_adaptive_oracle(self):
         layout = build_layout(35.0, 4.0)
         for width in (2.0, 8.0, 17.5):
             profile = emission_profile_from_temperature(82.3, annulus_width_um=width)
-            result = coupling_probabilities(profile, layout)
-            for pair in (result.pairs[0], result.pairs[3], result.pairs[6]):
+            pairs = coupling_probabilities(profile, layout)
+            for pair in (pairs[0], pairs[3], pairs[6]):
                 d = layout.core(pair.core_a).radius_from_center_um
                 expected = 2.0 * overlap_oracle(
                     d, 4.0, profile.annulus_radius_um, profile.annulus_width_um
@@ -166,14 +164,14 @@ class TestCouplingProbabilities:
         outer_coupling = []
         for t in (82.5, 82.6, 82.8, 83.0):
             profile = emission_profile_from_temperature(t, annulus_width_um=8.0)
-            result = coupling_probabilities(profile, layout)
-            outer_coupling.append(sum(p.coupling_prob for p in result.pairs if p.ring == RING_OUTER))
+            pairs = coupling_probabilities(profile, layout)
+            outer_coupling.append(sum(p.coupling_prob for p in pairs if p.ring == RING_OUTER))
         for hi, lo in zip(outer_coupling, outer_coupling[1:]):
             assert lo <= hi + 1e-12
 
     def test_result_lookup(self):
         layout = build_layout()
         profile = emission_profile_from_temperature(82.5)
-        result = coupling_probabilities(profile, layout)
-        assert isinstance(result, CouplingResult)
-        assert {p.pair_id for p in result.pairs} == set(range(9))
+        pairs = coupling_probabilities(profile, layout)
+        assert isinstance(pairs, tuple)
+        assert {p.pair_id for p in pairs} == set(range(9))

@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mcfqkd import runner
 from mcfqkd.coincidence import count_coincidences, cross_correlation, find_peak_delay
 from mcfqkd.config import preset_inner, preset_stability, selected_pairs
+from mcfqkd.photonsim import PS_PER_S
 from mcfqkd.qkdmath import positive_qber_threshold
 from mcfqkd.runner import (
     MeasurementSchedule,
@@ -26,38 +28,61 @@ def quick_inner(acquisition_s=2.0, seed=42):
 
 
 class TestSchedules:
-    def test_basis_scan_layout(self):
-        sched = MeasurementSchedule.basis_scan(60.0, ["HV", "DA"], {"HV": 1.0, "DA": 0.99})
+    def test_basis_scan_layout(self, monkeypatch):
+        sched = MeasurementSchedule.basis_scan(60.0, ["HV", "DA"])
         assert len(sched.segments) == 2
         assert sched.segments[0].basis == "HV"
-        assert sched.segments[1].start_s == 60.0
-        assert sched.segments[1].rate_scale == 0.99
-        assert sched.total_duration_s == 120.0
+        assert sched.segments[1].start_ps == 60 * PS_PER_S
+        assert sched.segments[1].start_ps + sched.segments[1].duration_ps == 120 * PS_PER_S
+        # each segment is simulated at the pair rate scaled for its basis
+        cfg = quick_inner()
+        cfg.schedule.rate_scales = {"HV": 1.0, "DA": 0.99}
+        rates = []
+        monkeypatch.setattr(
+            runner, "simulate_run", lambda source, *args, **kwargs: rates.append(source.pair_rate)
+        )
+        for idx, segment in enumerate(sched.segments):
+            simulate_segment(cfg, selected_pairs(cfg)[0], segment, idx, 0.0)
+        assert rates == [cfg.source.pair_rate, cfg.source.pair_rate * 0.99]
 
     def test_stability_slot_count(self):
-        sched = MeasurementSchedule.stability(24.0, 30.0, 60.0, {})
+        sched = MeasurementSchedule.stability(24.0, 30.0, 60.0)
         assert len(sched.segments) == 48
         bases = [seg.basis for seg in sched.segments]
         assert bases[:4] == ["HV", "DA", "HV", "DA"]
 
     def test_overlapping_segments_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"schedule\[1\]: start_ps must be >= 60"):
             MeasurementSchedule(
                 (
-                    ScheduleSegment("HV", 0.0, 60.0),
-                    ScheduleSegment("DA", 30.0, 60.0),
+                    ScheduleSegment("HV", 0, 60 * PS_PER_S),
+                    ScheduleSegment("DA", 30 * PS_PER_S, 60 * PS_PER_S),
                 )
             )
 
+    def test_empty_schedule_rejected(self):
+        with pytest.raises(ValueError, match="schedule: has no segments"):
+            MeasurementSchedule(())
+        # a stability run shorter than half a slot has no slots
+        with pytest.raises(ValueError, match="schedule: has no segments"):
+            MeasurementSchedule.stability(0.2, 30.0, 60.0)
+
     def test_invalid_segment(self):
         with pytest.raises(ValueError):
-            ScheduleSegment("XY", 0.0, 60.0)
+            ScheduleSegment("XY", 0, 60 * PS_PER_S)
         with pytest.raises(ValueError):
-            ScheduleSegment("HV", 0.0, 0.0)
+            ScheduleSegment("HV", 0, 0)
 
     def test_acquisition_must_fit_slot(self):
         with pytest.raises(ValueError):
-            MeasurementSchedule.stability(1.0, 1.0, 120.0, {})
+            MeasurementSchedule.stability(1.0, 1.0, 120.0)
+
+    def test_slot_that_the_acquisition_fills_exactly(self):
+        # slot starts are whole multiples of the slot in ps, so an
+        # acquisition as long as its slot never overlaps the next one
+        sched = MeasurementSchedule.stability(24.0, 13.37, 13.37 * 60.0)
+        assert [seg.start_ps for seg in sched.segments[:2]] == [0, 802_200_000_000_000]
+        assert sched.segments[0].duration_ps == 802_200_000_000_000
 
 
 class TestRunBasisScan:
@@ -163,7 +188,7 @@ class TestRunStability:
         # worker; each must stay within 3x the bytes of its two tag streams
         cfg = preset_stability()
         pair = selected_pairs(cfg)[0]
-        segment = MeasurementSchedule.stability(1.0, 30.0, 60.0, cfg.schedule.rate_scales).segments[0]
+        segment = MeasurementSchedule.stability(1.0, 30.0, 60.0).segments[0]
         streams = simulate_segment(cfg, pair, segment, 0, 0.3).streams[pair.pair_id]
         stream_bytes = streams.alice.nbytes + streams.bob.nbytes
         assert stream_bytes > 8 * 2**20
@@ -210,8 +235,10 @@ class TestGoldenSegment:
     def test_segment_streams_and_match_indices(self):
         cfg = preset_inner(seed=42)
         pair = selected_pairs(cfg)[0]
-        # starts 86,000 s in, so every time is far above 2**53 ps
-        segment = ScheduleSegment("DA", 86_000.0, 2.0)
+        # starts 86,000 s in, so every time is far above 2**53 ps; the DA
+        # segment runs at the unscaled pair rate
+        cfg.schedule.rate_scales["DA"] = 1.0
+        segment = ScheduleSegment("DA", 86_000 * PS_PER_S, 2 * PS_PER_S)
         streams = simulate_segment(cfg, pair, segment, 3, 0.5).streams[pair.pair_id]
         assert hashlib.sha256(streams.alice.tobytes()).hexdigest() == self.ALICE_SHA256
         assert hashlib.sha256(streams.bob.tobytes()).hexdigest() == self.BOB_SHA256

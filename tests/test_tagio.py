@@ -129,7 +129,7 @@ class TestRangeRead:
         write_timetags(path, tags, CHANNEL_ALICE)
         with pytest.raises(TagFormatError) as err:
             read_timetags(path, 0, 30)
-        assert str(err.value) == "times decrease after this record (offset 16)"
+        assert str(err.value) == f"{path}: times decrease after this record (offset 16)"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.mcqt"
@@ -181,7 +181,7 @@ class TestCorruption:
         with pytest.raises(TagFormatError) as err:
             read_timetags(path)
         assert err.value.offset == 0
-        assert str(err.value) == "bad magic b'XXXX', expected b'MCQT' (offset 0)"
+        assert str(err.value) == f"{path}: bad magic b'XXXX', expected b'MCQT' (offset 0)"
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad.mcqt"
@@ -189,7 +189,7 @@ class TestCorruption:
         with pytest.raises(TagFormatError) as err:
             read_timetags(path)
         assert err.value.offset == 4
-        assert str(err.value) == "unsupported format version 99 (offset 4)"
+        assert str(err.value) == f"{path}: unsupported format version 99 (offset 4)"
 
     def test_truncated_records(self, tmp_path):
         path = tmp_path / "trunc.mcqt"
@@ -198,14 +198,14 @@ class TestCorruption:
         path.write_bytes(raw[:-5])
         with pytest.raises(TagFormatError) as err:
             read_timetags(path)
-        assert str(err.value) == "record region of 155 bytes is not a multiple of 16 (offset 160)"
+        assert str(err.value) == f"{path}: record region of 155 bytes is not a multiple of 16 (offset 160)"
 
     def test_too_short_for_header(self, tmp_path):
         path = tmp_path / "short.mcqt"
         path.write_bytes(b"MC")
         with pytest.raises(TagFormatError) as err:
             read_timetags(path)
-        assert str(err.value) == "file shorter than the 16-byte header (offset 0)"
+        assert str(err.value) == f"{path}: file shorter than the 16-byte header (offset 0)"
 
 
 def test_read_holds_one_copy_of_the_records(tmp_path):
