@@ -226,6 +226,9 @@ def _load_meta(in_dir: Path) -> Tuple[Dict, Tuple[ScheduleSegment, ...], RunConf
         counts = coerce(truth["true_coincidences"], Dict[str, int], f"{entry}.true_coincidences")
         if not counts.keys() <= {"HV", "DA"}:
             raise CliError(f"{entry}.true_coincidences: keys must be HV/DA, got {sorted(counts)}")
+        for seg in segments:
+            if seg.basis not in counts:
+                raise CliError(f"{entry}.true_coincidences: no count for basis {seg.basis!r}")
     try:
         return meta, segments, loads_config(json.dumps(meta["config"]))
     except ConfigError as exc:

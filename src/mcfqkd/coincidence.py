@@ -5,13 +5,13 @@ All operations work on sorted ``int64`` picosecond timestamp arrays and use
 integer arithmetic throughout, so results stay exact even for timestamps far
 beyond 2**53 (a day of picoseconds does not fit a double).
 
-Each pass over a pair of streams costs two binary searches of the full A
-stream into the B stream, one for the left and one for the right edge of
-every A tag's window: the histogram searches over +-range, and each match
-pass (the coincidence window and the accidental window) searches over its
-own window.  Everything else follows from those bounds.  ``tally_basis``
-converts and checks each stream once; the passes it runs accept the checked
-arrays without checking them again.
+One binary search of the A stream into the B stream finds, for every A tag,
+the first B tag at or after its lowest window start.  Every other window
+edge (the histogram's, the coincidence and the accidental window's) is
+walked to from there: one comparison per A tag, and a gallop over the B tags
+it steps over, which are the pairs the histogram bins anyway.  ``tally_basis``
+hands one search to all its passes (their private ``search`` argument) and
+checks each stream once; its passes accept the checked arrays as they are.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ WINDOW_MODES = ("full", "half")
 
 #: A tags per block of the histogram and matching passes, which bounds their
 #: temporary arrays whatever the stream length
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 
 
 class UnsortedStreamError(ValueError):
@@ -65,10 +65,6 @@ class CorrelationHistogram:
     bin_width_ps: int
     range_ps: int
     bins: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.bins.sum())
 
     def bin_centers(self) -> np.ndarray:
         edges = -self.range_ps + self.bin_width_ps * np.arange(len(self.bins))
@@ -123,6 +119,36 @@ def _as_times(stream, name: str) -> np.ndarray:
     return times
 
 
+class _Search:
+    """``index[i]``, the first B index at or after ``a[i] + base`` (kept in 4 bytes where B's
+    indices fit), from one binary search; ``first`` walks forward from it to other edges."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, base: int, reach: int = 0):
+        self.b, self.base, self.reach = b, base, reach
+        self.index = np.searchsorted(b, a + base).astype(np.int32 if b.size < 2**31 else np.int64)
+
+    def first(self, s: int, block: np.ndarray, t: int, start: Optional[np.ndarray] = None):
+        """First B index at or after ``block + t`` (``block`` is ``a`` from ``s``), walked
+        from ``start`` or ``index``; a ``t`` off ``[base, base + reach]`` is searched directly."""
+        keys = block + t
+        if start is None:
+            if not 0 <= t - self.base <= self.reach:
+                return np.searchsorted(self.b, keys)
+            start = self.index[s : s + keys.size].astype(np.int64)
+        b, n = self.b, self.b.size
+        # most tags step over one B tag at most; the few left gallop on
+        lo = np.minimum(start + (b.take(start, mode="clip") < keys), n)
+        todo = np.flatnonzero(b.take(lo, mode="clip") < keys)
+        width = np.ones_like(todo)
+        while todo.size:  # strides of 1, 2, 4, ... tags; past the key, from 1 again
+            p = lo[todo] + (width - 1)
+            past = (p < n) & (b.take(p, mode="clip") < keys[todo])
+            lo[todo[past]] = p[past] + 1
+            keep = past | (width > 1)
+            todo, width = todo[keep], np.where(past, 2 * width, 1)[keep]
+        return lo
+
+
 def _half_window(window_ps: int, mode: str) -> int:
     if mode not in WINDOW_MODES:
         raise ValueError(f"window mode must be one of {WINDOW_MODES}, got {mode!r}")
@@ -133,12 +159,14 @@ def _half_window(window_ps: int, mode: str) -> int:
     return window_ps // 2 if mode == "full" else window_ps
 
 
-def cross_correlation(stream_a, stream_b, bin_width_ps: int, range_ps: int) -> CorrelationHistogram:
+def cross_correlation(
+    stream_a, stream_b, bin_width_ps: int, range_ps: int, *, search: Optional[_Search] = None
+) -> CorrelationHistogram:
     """Delay histogram of all pairwise t_b - t_a within +-range_ps.
 
-    The candidate window of each A tag is located with two moving bounds on
-    the sorted B stream (vectorized two-pointer sweep), so the cost is
-    O(n log n) plus the number of in-range pairs, never the full n^2.
+    Each A tag's B range starts at its search bound at -range_ps, and its
+    upper edge is walked to from there, so the cost is one binary search
+    per A tag plus the number of in-range pairs, never the full n^2.
 
     Raises:
         UnsortedStreamError: if either stream is not time-ordered.
@@ -163,10 +191,11 @@ def cross_correlation(stream_a, stream_b, bin_width_ps: int, range_ps: int) -> C
 
     # the histogram adds up over blocks of A, so the pair list is built one
     # block at a time and never for the whole stream
+    search = search or _Search(a, b, -range_ps)
     for s in range(0, a.size, _BLOCK):
         block = a[s : s + _BLOCK]
-        lo = np.searchsorted(b, block - range_ps, side="left")
-        counts = np.searchsorted(b, block + range_ps, side="right") - lo
+        lo = search.first(s, block, -range_ps)
+        counts = search.first(s, block, range_ps + 1, start=lo) - lo
         # B index of each in-range pair: its rank in the pair list, shifted
         # per A tag from the start of that tag's run in the list to its ``lo``
         lo[1:] -= np.cumsum(counts[:-1])
@@ -200,6 +229,7 @@ def count_coincidences(
     window_ps: int,
     delay_ps: int = 0,
     mode: str = "full",
+    *, search: Optional[_Search] = None,
 ) -> np.ndarray:
     """Greedy one-to-one coincidence matching between two sorted streams.
 
@@ -218,14 +248,14 @@ def count_coincidences(
 
     if a.size == 0 or b.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    return _greedy_match(a, b, hw, delay_ps)
+    return _greedy_match(a, b, hw, delay_ps, search or _Search(a, b, delay_ps - hw))
 
 
-def _greedy_match(a: np.ndarray, b: np.ndarray, hw: int, delay: int) -> np.ndarray:
+def _greedy_match(a: np.ndarray, b: np.ndarray, hw: int, delay: int, search: _Search) -> np.ndarray:
     """Exact greedy matching, vectorized via candidate-interval segmentation.
 
-    Two binary searches give each A tag its candidate interval
-    ``[lo, hi)`` of B indices, the tags with ``|t_b - t_a - delay| <= hw``.
+    Walks from ``search`` give each A tag its candidate interval ``[lo, hi)``
+    of B indices, the tags with ``|t_b - t_a - delay| <= hw``.
     Tags with an empty interval can never match and are dropped; the rest
     are split into segments where consecutive intervals stop overlapping.
     Within a segment the intervals overlap in a chain, so their union is one
@@ -251,18 +281,18 @@ def _greedy_match(a: np.ndarray, b: np.ndarray, hw: int, delay: int) -> np.ndarr
                 end += int(cut[0])
                 break
             end = min(end + _BLOCK, a.size)
-        n_out = _match_block(a[start:end], start, b, hw, delay, out, n_out)
+        n_out = _match_block(a[start:end], start, search, hw, delay, out, n_out)
         start = end
     return out[:n_out]
 
 
 def _match_block(
-    a: np.ndarray, offset: int, b: np.ndarray, hw: int, delay: int, out: np.ndarray, n_out: int
+    a: np.ndarray, offset: int, search: _Search, hw: int, delay: int, out: np.ndarray, n_out: int
 ) -> int:
     """Match one block of A (its first tag at ``offset``) into ``out`` from
     row ``n_out``; returns the row after the last match."""
-    lo = np.searchsorted(b, a + (delay - hw), side="left")
-    hi = np.searchsorted(b, a + (delay + hw), side="right")
+    lo = search.first(offset, a, delay - hw)
+    hi = search.first(offset, a, delay + hw + 1, start=lo)
     keep = np.flatnonzero(hi > lo)
     if keep.size == 0:
         return n_out
@@ -285,7 +315,7 @@ def _match_block(
     for s in np.flatnonzero(~trivial):
         sa, sb = int(seg_start[s]), int(b_start[s])
         t_a = (a[keep[sa : seg_end[s]]] + delay).tolist()
-        t_b = b[sb : b_end[s]].tolist()
+        t_b = search.b[sb : b_end[s]].tolist()
         i = j = 0
         while i < len(t_a) and j < len(t_b):
             d = t_b[j] - t_a[i]
@@ -313,6 +343,7 @@ def estimate_accidentals(
     duration_s: float,
     delay_ps: int = 0,
     mode: str = "full",
+    *, search: Optional[_Search] = None,
 ) -> AccidentalEstimate:
     """Accidental coincidences measured in a window displaced from the peak.
 
@@ -334,7 +365,7 @@ def estimate_accidentals(
         raise ValueError("duration must be > 0")
     a = _as_times(stream_a, "stream_a")
     b = _as_times(stream_b, "stream_b")
-    matches = count_coincidences(a, b, window_ps, delay_ps=delay_ps + offset_ps, mode=mode)
+    matches = count_coincidences(a, b, window_ps, delay_ps + offset_ps, mode, search=search)
     width_s = window_ps * 1e-12 if mode == "full" else 2 * window_ps * 1e-12
     analytic = len(a) * len(b) * width_s / duration_s
     return AccidentalEstimate(count=len(matches), analytic=analytic, offset_ps=offset_ps)
@@ -364,8 +395,13 @@ def tally_basis(
         raise ValueError("duration must be > 0")
     t_a = _as_times(alice_tags["time_ps"], "alice_tags")
     t_b = _as_times(bob_tags["time_ps"], "bob_tags")
+    hw, edge = _half_window(window_ps, mode), int(hist_range_ps)
+    d, off = (-edge if delay_ps is None else int(round(delay_ps))), int(accidental_offset_ps or 0)
+    # one search at the lowest window start, the histogram's only if the delay is within +-range
+    base = min(d - hw + min(off, 0), -edge if abs(d) <= edge else d)
+    search = _Search(t_a, t_b, base, reach=2 * (edge + hw) + abs(off))
 
-    hist = cross_correlation(t_a, t_b, hist_bin_ps, hist_range_ps)
+    hist = cross_correlation(t_a, t_b, hist_bin_ps, hist_range_ps, search=search)
     if delay_ps is None:
         try:
             delay_ps = find_peak_delay(hist)
@@ -374,7 +410,7 @@ def tally_basis(
     # the delay every pass matches at is the one reported
     delay_ps = int(round(delay_ps))
 
-    pairs = count_coincidences(t_a, t_b, window_ps, delay_ps=delay_ps, mode=mode)
+    pairs = count_coincidences(t_a, t_b, window_ps, delay_ps, mode, search=search)
     # port combination of each match, 2 * (A reflected) + (B reflected); the
     # matches are freed before the accidental pass
     combo = 2 * (alice_tags["channel"][pairs[:, 0]] % 2) + bob_tags["channel"][pairs[:, 1]] % 2
@@ -385,7 +421,7 @@ def tally_basis(
     accidentals = None
     if accidental_offset_ps is not None:
         accidentals = estimate_accidentals(
-            t_a, t_b, window_ps, accidental_offset_ps, duration_s, delay_ps=delay_ps, mode=mode
+            t_a, t_b, window_ps, accidental_offset_ps, duration_s, delay_ps, mode, search=search
         )
     return CoincidenceTally(
         counts=counts,

@@ -211,9 +211,18 @@ class TestAnalyze:
                 lambda m: m["truth"]["per_pair"]["0"]["true_coincidences"].update(XY=5),
                 "truth.per_pair.0.true_coincidences: keys must be HV/DA, got ['DA', 'HV', 'XY']",
             ),
+            (
+                lambda m: m["truth"]["per_pair"]["0"]["true_coincidences"].pop("DA"),
+                "truth.per_pair.0.true_coincidences: no count for basis 'DA'",
+            ),
+            (
+                lambda m: m["truth"]["per_pair"]["2"].update(true_coincidences={}),
+                "truth.per_pair.2.true_coincidences: no count for basis 'HV'",
+            ),
         ],
         ids=["no-bob", "string-entry", "int-bob", "no-ring", "no-true-coincidences", "id-x", "list",
-             "version-99", "no-version", "ring-7", "count-string", "count-basis-XY"],
+             "version-99", "no-version", "ring-7", "count-string", "count-basis-XY", "no-count-DA",
+             "no-counts"],
     )
     def test_bad_files_entry_rejected(self, sim_dir, tmp_path, capsys, edit, message):
         rc, err, meta_path = self._analyze_with_meta(sim_dir, tmp_path, capsys, edit)
@@ -313,6 +322,16 @@ class TestStability:
         assert [r[2] for r in rows] == ["HV", "DA", "HV", "DA"]
         points = json.loads((out / "stability.json").read_text())
         assert len(points) == 4
+
+    @pytest.mark.parametrize("acquisition", ["0", "-1"])
+    def test_non_positive_acquisition_names_the_option(self, tmp_path, capsys, acquisition):
+        rc = main(
+            ["stability", "--preset", "stability", "--hours", "1", "--switch-min", "15",
+             "--acquisition-s", acquisition, "--out", str(tmp_path / "stab")]
+        )
+        assert rc == 2
+        assert "acquisition_s must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "stab").exists()
 
 
 class TestReproduce:

@@ -64,7 +64,7 @@ class TestCrossCorrelation:
         a = np.array([0, 100, 200])
         b = np.array([50, 150, 10_000])
         hist = cross_correlation(a, b, bin_width_ps=50, range_ps=500)
-        assert hist.total == 6  # all combinations of the first two b tags
+        assert hist.bins.sum() == 6  # all combinations of the first two b tags
 
     def test_rejects_unsorted(self):
         with pytest.raises(UnsortedStreamError):
@@ -408,3 +408,117 @@ class TestTallyBasisOracle:
                     offset=3000,
                     mode="full",
                 )
+
+
+class TestSharedSearch:
+    """``tally_basis`` runs one binary search of A into B and walks from it to
+    every other window bound.  Each pass must still give the oracles' index
+    arrays, whatever the block size, with no other search of A but the one a
+    window out of the walks' reach needs."""
+
+    KINDS = ["empty", "dense", "ties", "near-2**60"]
+
+    def _times(self, rng, kind, n, window):
+        if kind == "ties":
+            return np.sort(rng.integers(0, 12, n)) * int(rng.integers(1, window + 2))
+        span = window * int(rng.integers(1, 12)) if kind == "dense" else int(rng.integers(200, 40_000))
+        return (2**60 if kind == "near-2**60" else 0) + np.sort(rng.integers(0, span, n))
+
+    def _case(self, rng, kind, where):
+        window = int(rng.integers(1, 600))
+        hist_bin = int(rng.integers(1, 100))
+        hist_range = hist_bin * int(rng.integers(1, 40))
+        offset = int(rng.choice([-1, 1])) * 10 * window * int(rng.integers(1, 4))
+        if where == "none":
+            delay = None
+        elif where == "inside":
+            delay = int(rng.integers(-hist_range, hist_range + 1))
+        else:
+            delay = int(rng.choice([-1, 1])) * int(rng.integers(10**6, 10**9))
+        t_a = self._times(rng, kind, int(rng.integers(1, 120)), window)
+        t_b = self._times(rng, kind, int(rng.integers(1, 120)), window)
+        if delay is not None:
+            # partners at the delay, so far windows match too
+            t_b = np.sort(np.concatenate([t_b, t_a + delay + rng.integers(-window, window + 1, t_a.size)]))
+        if kind == "empty":
+            t_a, t_b = [(t_a[:0], t_b), (t_a, t_b[:0]), (t_a[:0], t_b[:0])][int(rng.integers(0, 3))]
+        alice = make_tags(t_a, rng.choice([0, 1], t_a.size))
+        bob = make_tags(t_b, rng.choice([2, 3], t_b.size))
+        mode = str(rng.choice(["full", "half"]))
+        return alice, bob, dict(
+            window_ps=window,
+            duration_s=1.0,
+            delay_ps=delay,
+            hist_bin_ps=hist_bin,
+            hist_range_ps=hist_range,
+            accidental_offset_ps=offset,
+            mode=mode,
+        )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 7])
+    def test_passes_match_the_oracles(self, monkeypatch, block, kind):
+        rng = np.random.default_rng(100 * block + self.KINDS.index(kind))
+        monkeypatch.setattr(coincidence, "_BLOCK", block)
+        match_passes, keys = [], [0]
+        count = coincidence.count_coincidences
+        search = np.searchsorted
+
+        def recorded(a, b, window_ps, delay_ps=0, mode="full", **kwargs):
+            pairs = count(a, b, window_ps, delay_ps, mode, **kwargs)
+            match_passes.append((delay_ps, pairs))
+            return pairs
+
+        def counted(b, v, *args, **kwargs):
+            keys[0] += np.size(v)
+            return search(b, v, *args, **kwargs)
+
+        monkeypatch.setattr(coincidence, "count_coincidences", recorded)
+        monkeypatch.setattr(coincidence.np, "searchsorted", counted)
+        for where in ("none", "inside", "far") * 3:
+            alice, bob, kw = self._case(rng, kind, where)
+            match_passes.clear()
+            keys[0] = 0
+            tally = tally_basis(alice, bob, **kw)
+            # one search per A tag; with a far delay the histogram's edge is
+            # out of the walks' reach and has a search of its own
+            searches = 2 if where == "far" and len(bob) else 1
+            assert keys[0] == searches * len(alice) <= 2 * len(alice)
+
+            t_a, t_b = alice["time_ps"], bob["time_ps"]
+            bins, delay, ports, accidentals = _tally_oracle(
+                alice, bob, kw["window_ps"], kw["delay_ps"], kw["hist_bin_ps"],
+                kw["hist_range_ps"], kw["accidental_offset_ps"], kw["mode"],
+            )
+            np.testing.assert_array_equal(tally.histogram.bins, bins)
+            assert tally.delay_ps == delay
+            counts = tally.counts
+            assert [counts.c_pp, counts.c_pm, counts.c_mp, counts.c_mm] == ports
+            assert tally.accidentals.count == accidentals
+            full = kw["window_ps"] if kw["mode"] == "full" else 2 * kw["window_ps"]
+            assert [d for d, _ in match_passes] == [delay, delay + kw["accidental_offset_ps"]]
+            for d, pairs in match_passes:
+                assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
+                assert pairs.tolist() == [list(p) for p in greedy_match_oracle(t_a, t_b, full, d)]
+
+    def test_a_burst_is_galloped_over(self, monkeypatch):
+        # 5,000 B tags at one instant within range of one A tag: a walk one
+        # tag at a time would take 5,000 rounds for each window across them
+        rng = np.random.default_rng(7)
+        t_a = np.sort(rng.integers(0, 10**9, 300))
+        t_b = np.sort(np.concatenate([rng.integers(0, 10**9, 300), np.full(5000, t_a[100] + 10)]))
+        alice, bob = make_tags(t_a, 0), make_tags(t_b, 2)
+        take, rounds = coincidence._CheckedTimes.take, [0]
+
+        def counted(stream, *args, **kwargs):
+            rounds[0] += 1
+            return take(stream, *args, **kwargs)
+
+        # every round of a walk looks up B tags with one ``take``
+        monkeypatch.setattr(coincidence._CheckedTimes, "take", counted)
+        tally = tally_basis(alice, bob, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
+        monkeypatch.undo()
+        assert rounds[0] < 1000
+        bins, delay, ports, accidentals = _tally_oracle(alice, bob, 300, None, 50, 5000, 6000, "full")
+        np.testing.assert_array_equal(tally.histogram.bins, bins)
+        assert (tally.delay_ps, tally.counts.c_pp, tally.accidentals.count) == (delay, ports[0], accidentals)
