@@ -8,19 +8,19 @@ Verbs:
 * ``stability``  - long-term alternating-basis protocol as CSV + JSON
 * ``reproduce``  - bundled reference scenarios (fig2 / fig3) as CSV + SVG
 
-Every command exits non-zero on any error and zero only on full success.
-``MCFQKD_THREADS`` caps the threads that run acquisitions in parallel (the
-pairs of a basis scan, ``simulate`` or ``analyze``, the slots of a stability
-run), one acquisition per thread at a time; results do not depend on it.
+Every command exits non-zero on any error and zero only on full success; a
+bad option value exits 2 naming the option.  ``simulate`` and ``analyze`` run
+their pairs on ``runner.parallel_map``, whose pool ``MCFQKD_THREADS`` caps;
+results do not depend on it.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -40,7 +40,6 @@ from .config import (
     preset_outer,
     preset_stability,
     selected_pairs,
-    worker_count,
 )
 from .linkbudget import (
     max_positive_length,
@@ -55,11 +54,13 @@ from .runner import (
     ScheduleSegment,
     analyze_segment,
     pair_report,
+    parallel_map,
     run_stability,
     scan_schedule,
     simulate_segment,
 )
-from .tagio import CHANNEL_ALICE, CHANNEL_BOB, last_tag_time, read_timetags, write_timetags
+from .tagio import CHANNEL_ALICE, CHANNEL_BOB, TagFormatError, last_tag_time, read_timetags
+from .tagio import write_timetags
 
 META_FILENAME = "ground_truth.json"
 
@@ -107,6 +108,7 @@ def _load_run_config(args) -> RunConfig:
         raise CliError("either --config or --preset is required")
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
+        cfg.validate()
     return cfg
 
 
@@ -169,8 +171,7 @@ def cmd_simulate(args) -> int:
             del sim, streams  # freed before the next segment is simulated
         return truth_entry
 
-    with ThreadPoolExecutor(max_workers=worker_count(len(pairs))) as pool:
-        meta["truth"] = {"per_pair": dict(zip(meta["files"], pool.map(work, pairs)))}
+    meta["truth"] = {"per_pair": dict(zip(meta["files"], parallel_map(work, pairs)))}
 
     _write_json(out_dir / META_FILENAME, meta)
     print(f"simulate: wrote {2 * len(pairs)} timetag files to {out_dir}")
@@ -263,8 +264,7 @@ def cmd_analyze(args) -> int:
         report = pair_report(int(pair_id), ring, per_basis, cfg.keyrate.ec_efficiency)
         return report, {basis: r.counts.total for basis, r in per_basis.items()}
 
-    with ThreadPoolExecutor(max_workers=worker_count(len(pair_ids))) as pool:
-        results = list(pool.map(work, pair_ids))
+    results = parallel_map(work, pair_ids)
     truth_compare = {
         pid: {"analyzed": counts, "ground_truth": truth[pid]["true_coincidences"]}
         for pid, (_, counts) in zip(pair_ids, results)
@@ -331,6 +331,13 @@ def _segment_ranges(in_dir: Path, files: Dict, pair_id: str, segments) -> List[T
         stacklevel=2,
     )
     cutoff = min(end_a, end_b) + 1
+    # the analysis never loads the longer stream's records past the cutoff; check their order
+    path = in_dir / files["alice" if end_a > end_b else "bob"]
+    tail = read_timetags(path, cutoff)[0]
+    down = np.flatnonzero(tail["time_ps"][1:] < tail["time_ps"][:-1])
+    if down.size:
+        offset = path.stat().st_size - (tail.size - int(down[0])) * tail.itemsize
+        raise TagFormatError(path, "times decrease after this record", offset)
     return [(start, min(end, cutoff)) for start, end in zip(starts, starts[1:] + [cutoff])]
 
 
@@ -352,14 +359,7 @@ def _sweep_rows(points) -> List[List[str]]:
 
 def cmd_linkbudget(args) -> int:
     cfg = _load_run_config(args)
-    if args.step_km <= 0:
-        raise CliError(f"--step-km must be > 0, got {args.step_km}")
     model = model_from_config(cfg)
-    if args.lmax_km < model.reference_length_km:
-        raise CliError(
-            f"--lmax-km {args.lmax_km} is below the reference length "
-            f"{model.reference_length_km} km"
-        )
     points = sweep_lengths(model, args.lmax_km, args.step_km)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -395,12 +395,7 @@ def _stability_rows(points) -> List[List]:
 
 def cmd_stability(args) -> int:
     cfg = _load_run_config(args)
-    points = run_stability(
-        cfg,
-        total_hours=args.hours,
-        switch_minutes=args.switch_min,
-        acquisition_s=args.acquisition_s,
-    )
+    points = run_stability(cfg, args.hours, args.switch_min, args.acquisition_s)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "stability.csv", STABILITY_CSV_HEADER, _stability_rows(points))
@@ -491,6 +486,17 @@ def _reproduce_fig3(out_dir: Path, hours: float) -> int:
 # -------------------------------------------------------------------- main
 
 
+def _positive(text: str) -> float:
+    """A finite number > 0, for argparse ``type=``; errors name the option."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcfqkd",
@@ -522,22 +528,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linkbudget", help="key rate versus fiber length")
     add_config_args(p)
-    p.add_argument("--lmax-km", type=float, default=250.0)
-    p.add_argument("--step-km", type=float, default=1.0)
+    p.add_argument("--lmax-km", type=_positive, default=250.0)
+    p.add_argument("--step-km", type=_positive, default=1.0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_linkbudget)
 
     p = sub.add_parser("stability", help="long-term alternating-basis run")
     add_config_args(p)
-    p.add_argument("--hours", type=float, default=24.0)
-    p.add_argument("--switch-min", type=float, default=30.0)
-    p.add_argument("--acquisition-s", type=float, default=60.0)
+    p.add_argument("--hours", type=_positive, default=24.0)
+    p.add_argument("--switch-min", type=_positive, default=30.0)
+    p.add_argument("--acquisition-s", type=_positive, default=60.0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("reproduce", help="bundled reference scenarios")
     p.add_argument("figure", choices=["fig2", "fig3"])
-    p.add_argument("--hours", type=float, default=24.0, help="fig3 duration")
+    p.add_argument("--hours", type=_positive, default=24.0, help="fig3 duration")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_reproduce)
     return parser

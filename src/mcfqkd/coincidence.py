@@ -10,8 +10,8 @@ the first B tag at or after its lowest window start.  Every other window
 edge (the histogram's, the coincidence and the accidental window's) is
 walked to from there: one comparison per A tag, and a gallop over the B tags
 it steps over, which are the pairs the histogram bins anyway.  ``tally_basis``
-hands one search to all its passes (their private ``search`` argument) and
-checks each stream once; its passes accept the checked arrays as they are.
+checks each stream once, into the one search that all its passes share (their
+private ``search`` argument); a pass called alone checks its own inputs.
 """
 from __future__ import annotations
 
@@ -91,20 +91,7 @@ class CoincidenceTally:
     histogram: Optional[CorrelationHistogram] = field(default=None, repr=False)
 
 
-class _CheckedTimes(np.ndarray):
-    """A time array that ``_as_times`` has converted and checked.
-
-    Only the array ``_as_times`` returns carries the mark: views of it and
-    results of arithmetic on it are of this class too, but unmarked, so they
-    are checked again like any other input.
-    """
-
-    checked = False
-
-
 def _as_times(stream, name: str) -> np.ndarray:
-    if type(stream) is _CheckedTimes and stream.checked:
-        return stream
     times = np.ascontiguousarray(stream, dtype=np.int64)
     if times.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
@@ -114,17 +101,16 @@ def _as_times(stream, name: str) -> np.ndarray:
             raise UnsortedStreamError(
                 f"{name} is not sorted by time at index {int(down.argmax()) + 1}"
             )
-    times = times.view(_CheckedTimes)
-    times.checked = True
     return times
 
 
 class _Search:
-    """``index[i]``, the first B index at or after ``a[i] + base`` (kept in 4 bytes where B's
-    indices fit), from one binary search; ``first`` walks forward from it to other edges."""
+    """Streams ``a``/``b`` (checked as ``names``) and ``index[i]``, the first B index at or
+    after ``a[i] + base`` (4 bytes each where B's indices fit); ``first`` walks on from it."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, base: int, reach: int = 0):
-        self.b, self.base, self.reach = b, base, reach
+    def __init__(self, a, b, base: int, reach: int = 0, names=("stream_a", "stream_b")):
+        a, b = _as_times(a, names[0]), _as_times(b, names[1])
+        self.a, self.b, self.base, self.reach = a, b, base, reach
         self.index = np.searchsorted(b, a + base).astype(np.int32 if b.size < 2**31 else np.int64)
 
     def first(self, s: int, block: np.ndarray, t: int, start: Optional[np.ndarray] = None):
@@ -181,8 +167,8 @@ def cross_correlation(
         raise ValueError("range must be >= bin width")
     if range_ps % bin_width_ps != 0:
         raise ValueError("range must be an integer multiple of the bin width")
-    a = _as_times(stream_a, "stream_a")
-    b = _as_times(stream_b, "stream_b")
+    search = search or _Search(stream_a, stream_b, -range_ps)
+    a, b = search.a, search.b
 
     n_bins = 2 * range_ps // bin_width_ps
     bins = np.zeros(n_bins, dtype=np.int64)
@@ -191,7 +177,6 @@ def cross_correlation(
 
     # the histogram adds up over blocks of A, so the pair list is built one
     # block at a time and never for the whole stream
-    search = search or _Search(a, b, -range_ps)
     for s in range(0, a.size, _BLOCK):
         block = a[s : s + _BLOCK]
         lo = search.first(s, block, -range_ps)
@@ -241,17 +226,16 @@ def count_coincidences(
     Raises:
         UnsortedStreamError: if either stream is not time-ordered.
     """
-    a = _as_times(stream_a, "stream_a")
-    b = _as_times(stream_b, "stream_b")
     hw = _half_window(window_ps, mode)
     delay_ps = int(round(delay_ps))
+    search = search or _Search(stream_a, stream_b, delay_ps - hw)
 
-    if a.size == 0 or b.size == 0:
+    if search.a.size == 0 or search.b.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    return _greedy_match(a, b, hw, delay_ps, search or _Search(a, b, delay_ps - hw))
+    return _greedy_match(search, hw, delay_ps)
 
 
-def _greedy_match(a: np.ndarray, b: np.ndarray, hw: int, delay: int, search: _Search) -> np.ndarray:
+def _greedy_match(search: _Search, hw: int, delay: int) -> np.ndarray:
     """Exact greedy matching, vectorized via candidate-interval segmentation.
 
     Walks from ``search`` give each A tag its candidate interval ``[lo, hi)``
@@ -271,7 +255,8 @@ def _greedy_match(a: np.ndarray, b: np.ndarray, hw: int, delay: int, search: _Se
     consecutive A windows are disjoint (``a[i] - a[i-1] > 2*hw``), so no
     segment spans two blocks and the matches come out as for one block.
     """
-    out = np.empty((min(a.size, b.size), 2), dtype=np.int64)
+    a = search.a
+    out = np.empty((min(a.size, search.b.size), 2), dtype=np.int64)
     n_out = start = 0
     while start < a.size:
         end = min(start + _BLOCK, a.size)
@@ -363,11 +348,11 @@ def estimate_accidentals(
         )
     if duration_s <= 0:
         raise ValueError("duration must be > 0")
-    a = _as_times(stream_a, "stream_a")
-    b = _as_times(stream_b, "stream_b")
-    matches = count_coincidences(a, b, window_ps, delay_ps + offset_ps, mode, search=search)
+    delay, hw = delay_ps + offset_ps, _half_window(window_ps, mode)
+    search = search or _Search(stream_a, stream_b, int(round(delay)) - hw)
+    matches = count_coincidences(search.a, search.b, window_ps, delay, mode, search=search)
     width_s = window_ps * 1e-12 if mode == "full" else 2 * window_ps * 1e-12
-    analytic = len(a) * len(b) * width_s / duration_s
+    analytic = search.a.size * search.b.size * width_s / duration_s
     return AccidentalEstimate(count=len(matches), analytic=analytic, offset_ps=offset_ps)
 
 
@@ -393,13 +378,13 @@ def tally_basis(
     """
     if duration_s <= 0:
         raise ValueError("duration must be > 0")
-    t_a = _as_times(alice_tags["time_ps"], "alice_tags")
-    t_b = _as_times(bob_tags["time_ps"], "bob_tags")
     hw, edge = _half_window(window_ps, mode), int(hist_range_ps)
     d, off = (-edge if delay_ps is None else int(round(delay_ps))), int(accidental_offset_ps or 0)
     # one search at the lowest window start, the histogram's only if the delay is within +-range
     base = min(d - hw + min(off, 0), -edge if abs(d) <= edge else d)
-    search = _Search(t_a, t_b, base, reach=2 * (edge + hw) + abs(off))
+    reach, names = 2 * (edge + hw) + abs(off), ("alice_tags", "bob_tags")
+    search = _Search(alice_tags["time_ps"], bob_tags["time_ps"], base, reach, names)
+    t_a, t_b = search.a, search.b
 
     hist = cross_correlation(t_a, t_b, hist_bin_ps, hist_range_ps, search=search)
     if delay_ps is None:

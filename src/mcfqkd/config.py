@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, get_args, get_origin, get_type_hints
+from typing import Any, Dict, List, Optional, Tuple, get_args, get_origin, get_type_hints
 
 from .geometry import (
     CorePair,
@@ -259,20 +259,14 @@ def geometry_from_config(cfg: RunConfig) -> Tuple[CorePair, ...]:
     return coupling_probabilities(profile, layout)
 
 
-def selected_pairs(cfg: RunConfig, pair_ids: Optional[Sequence[int]] = None):
-    """Core pairs measured by this run (explicit list or the whole ring),
-    optionally narrowed to ``pair_ids``, with their coupling probabilities."""
+def selected_pairs(cfg: RunConfig) -> Tuple[CorePair, ...]:
+    """Core pairs measured by this run (``cfg.pairs``, or else the whole
+    ring) in id order, with their coupling probabilities."""
     pairs = geometry_from_config(cfg)
-    if cfg.pairs is not None:
-        if not cfg.pairs:
-            raise ConfigError("pairs: empty pair set")
-        pairs = tuple(p for p in pairs if p.pair_id in cfg.pairs)
-    else:
-        pairs = tuple(p for p in pairs if p.ring == cfg.ring)
-    if pair_ids is not None:
-        pairs = tuple(p for p in pairs if p.pair_id in pair_ids)
+    ids = [p.pair_id for p in pairs if p.ring == cfg.ring] if cfg.pairs is None else cfg.pairs
+    pairs = tuple(p for p in pairs if p.pair_id in ids)
     if not pairs:
-        raise ValueError("empty pair set")
+        raise ConfigError("pairs: empty pair set")
     return pairs
 
 

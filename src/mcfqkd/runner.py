@@ -11,19 +11,18 @@ its key rate.  A schedule is a ``MeasurementSchedule`` of ``ScheduleSegment``
 (basis, start and duration in the integer picoseconds of the tag files);
 ``simulate`` writes it to ``ground_truth.json`` and ``analyze`` parses it back
 into the same type, whose checks are the only schedule checks.  Core pairs
-and stability slots are independent acquisitions, so the basis scan runs its
-pairs, and the stability run its slots, on one thread pool (capped by
-``MCFQKD_THREADS``, one acquisition in flight per worker); each acquisition
-derives its own random stream from the seed, pair and segment index, which
-keeps results identical whatever the thread count and however the pool
-schedules them.
+and stability slots are independent acquisitions, so every loop over them,
+here and in the CLI, runs on ``parallel_map``: one thread pool capped by
+``MCFQKD_THREADS``, with results in input order.  Each acquisition derives its
+own random stream from the seed, pair and segment index, so results do not
+depend on the thread count or on how the pool schedules them.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +47,7 @@ __all__ = [
     "KeyRateReport",
     "StabilityPoint",
     "scan_schedule",
+    "parallel_map",
     "acquire",
     "pair_report",
     "run_basis_scan",
@@ -57,6 +57,12 @@ __all__ = [
 ]
 
 _BASIS_SETTINGS = {"HV": AnalyzerSetting.hv(), "DA": AnalyzerSetting.da()}
+
+
+def parallel_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]`` on a pool of ``worker_count(len(items))`` threads."""
+    with ThreadPoolExecutor(max_workers=worker_count(len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -92,10 +98,6 @@ class MeasurementSchedule:
         """One acquisition of ``acquisition_s`` at the start of each ``slot_s`` slot."""
         slot_ps, duration_ps = round(slot_s * PS_PER_S), round(acquisition_s * PS_PER_S)
         return cls(tuple(ScheduleSegment(b, k * slot_ps, duration_ps) for k, b in enumerate(bases)))
-
-    @classmethod
-    def basis_scan(cls, acquisition_s: float, bases: Sequence[str]) -> "MeasurementSchedule":
-        return cls._acquisitions(bases, acquisition_s, acquisition_s)
 
     @classmethod
     def stability(
@@ -172,12 +174,7 @@ def _tally_to_result(tally: CoincidenceTally, basis: str, subtract: bool) -> Pai
     if subtract and tally.accidentals is not None and counts.total > 0:
         # remove the estimated accidentals evenly from the four combinations
         share = tally.accidentals.count // 4
-        counts = BasisCounts(
-            max(0, counts.c_pp - share),
-            max(0, counts.c_pm - share),
-            max(0, counts.c_mp - share),
-            max(0, counts.c_mm - share),
-        )
+        counts = BasisCounts(*(max(0, c - share) for c in astuple(counts)))
     try:
         visibility = visibility_from_counts(counts)
         qber = qber_from_visibility(visibility)
@@ -280,10 +277,11 @@ def pair_report(
 
 def scan_schedule(cfg: RunConfig) -> MeasurementSchedule:
     """One acquisition per configured basis, back to back."""
-    return MeasurementSchedule.basis_scan(cfg.schedule.acquisition_s, cfg.schedule.bases)
+    acquisition_s = cfg.schedule.acquisition_s
+    return MeasurementSchedule._acquisitions(cfg.schedule.bases, acquisition_s, acquisition_s)
 
 
-def run_basis_scan(cfg: RunConfig, pair_ids: Optional[Sequence[int]] = None) -> KeyRateReport:
+def run_basis_scan(cfg: RunConfig) -> KeyRateReport:
     """Measure every selected pair in both bases and aggregate the ring.
 
     Each pair is acquired for the configured time in the HV and DA bases,
@@ -291,7 +289,6 @@ def run_basis_scan(cfg: RunConfig, pair_ids: Optional[Sequence[int]] = None) -> 
     key-rate formula; the ring total sums the per-pair rates clamped at
     zero.
     """
-    pairs = selected_pairs(cfg, pair_ids)
     schedule = scan_schedule(cfg)
 
     def work(pair: CorePair) -> PairReport:
@@ -301,9 +298,7 @@ def run_basis_scan(cfg: RunConfig, pair_ids: Optional[Sequence[int]] = None) -> 
         }
         return pair_report(pair.pair_id, pair.ring, per_basis, cfg.keyrate.ec_efficiency)
 
-    with ThreadPoolExecutor(max_workers=worker_count(len(pairs))) as pool:
-        reports = list(pool.map(work, pairs))
-    reports.sort(key=lambda r: r.pair_id)
+    reports = parallel_map(work, selected_pairs(cfg))
     return KeyRateReport(ring=cfg.ring, ec_efficiency=cfg.keyrate.ec_efficiency, pairs=reports)
 
 
@@ -312,9 +307,8 @@ def run_stability(
     total_hours: float = 24.0,
     switch_minutes: float = 30.0,
     acquisition_s: float = 60.0,
-    pair_id: Optional[int] = None,
 ) -> List[StabilityPoint]:
-    """Long-term protocol: one acquisition per slot, alternating bases.
+    """Long-term protocol on the first selected pair: one acquisition per slot, alternating bases.
 
     Emits one (QBER, key rate) point per slot.  The key rate combines the
     current slot with the most recent acquisition of the other basis; the
@@ -322,7 +316,7 @@ def run_stability(
     been measured.  Polarization drift accumulates across the run as a
     reflected random walk sampled at each slot start.
     """
-    pair = selected_pairs(cfg, None if pair_id is None else [pair_id])[0]
+    pair = selected_pairs(cfg)[0]
 
     schedule = MeasurementSchedule.stability(total_hours, switch_minutes, acquisition_s)
     n_slots = len(schedule.segments)
@@ -337,8 +331,7 @@ def run_stability(
 
     # the slots run on the pool; pairing each with the latest result in the
     # other basis is a serial pass over them in slot order
-    with ThreadPoolExecutor(max_workers=worker_count(n_slots)) as pool:
-        results = list(pool.map(work, range(n_slots)))
+    results = parallel_map(work, range(n_slots))
 
     points: List[StabilityPoint] = []
     latest: Dict[str, PairBasisResult] = {}

@@ -9,6 +9,7 @@ import pytest
 
 from mcfqkd.cli import LINKBUDGET_CSV_HEADER, main
 from mcfqkd.config import dump_config, preset_inner, selected_pairs, window_capture_fraction
+from mcfqkd.photonsim import PS_PER_S
 from mcfqkd.runner import ScheduleSegment, analyze_segment, scan_schedule, simulate_segment
 from mcfqkd.tagio import read_timetags, write_timetags
 
@@ -267,6 +268,22 @@ class TestAnalyze:
         assert rc == 2
         assert f"error: {path}: times decrease after this record (offset 16)" in capsys.readouterr().err
 
+    def test_out_of_order_record_past_the_cutoff_rejected(self, sim_dir, tmp_path, capsys):
+        # Alice of pair 0 cut to a third, so the overlap cutoff ends every
+        # read before a Bob record near 3.2 s, which is set back to 0.5 s
+        alice, bob = sim_dir / "pair0_alice.mcqt", sim_dir / "pair0_bob.mcqt"
+        tags, channel = read_timetags(alice)
+        write_timetags(alice, tags[: len(tags) // 3], channel)
+        tags, channel = read_timetags(bob)
+        i = int(np.searchsorted(tags["time_ps"], 16 * PS_PER_S // 5))
+        tags["time_ps"][i] = PS_PER_S // 2
+        write_timetags(bob, tags, channel)
+        with pytest.warns(RuntimeWarning, match="durations differ"):
+            rc = main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        offset = 16 + 16 * (i - 1)
+        assert f"error: {bob}: times decrease after this record (offset {offset})" in capsys.readouterr().err
+
     def test_mismatched_durations_warns(self, sim_dir, tmp_path):
         # drop the second half of Bob's stream for pair 0
         from mcfqkd.tagio import read_timetags, write_timetags
@@ -293,12 +310,13 @@ class TestLinkBudget:
         assert float(rows[-1][0]) == 50.0
 
     def test_step_must_be_positive(self, tmp_path, capsys):
-        rc = main(
-            ["linkbudget", "--preset", "inner", "--lmax-km", "50", "--step-km", "0",
-             "--out", str(tmp_path / "x.csv")]
-        )
-        assert rc != 0
-        assert "step" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["linkbudget", "--preset", "inner", "--lmax-km", "50", "--step-km", "0",
+                 "--out", str(tmp_path / "x.csv")]
+            )
+        assert exc.value.code == 2
+        assert "argument --step-km: expected a finite number > 0" in capsys.readouterr().err
 
     def test_lmax_below_reference_rejected(self, tmp_path, capsys):
         rc = main(
@@ -325,12 +343,13 @@ class TestStability:
 
     @pytest.mark.parametrize("acquisition", ["0", "-1"])
     def test_non_positive_acquisition_names_the_option(self, tmp_path, capsys, acquisition):
-        rc = main(
-            ["stability", "--preset", "stability", "--hours", "1", "--switch-min", "15",
-             "--acquisition-s", acquisition, "--out", str(tmp_path / "stab")]
-        )
-        assert rc == 2
-        assert "acquisition_s must be > 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["stability", "--preset", "stability", "--hours", "1", "--switch-min", "15",
+                 "--acquisition-s", acquisition, "--out", str(tmp_path / "stab")]
+            )
+        assert exc.value.code == 2
+        assert "argument --acquisition-s: expected a finite number > 0" in capsys.readouterr().err
         assert not (tmp_path / "stab").exists()
 
 
@@ -368,6 +387,33 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            (["linkbudget", "--preset", "inner"], "--lmax-km"),
+            (["linkbudget", "--preset", "inner"], "--step-km"),
+            (["stability", "--preset", "stability"], "--hours"),
+            (["stability", "--preset", "stability"], "--switch-min"),
+            (["stability", "--preset", "stability"], "--acquisition-s"),
+            (["reproduce", "fig3"], "--hours"),
+        ],
+        ids=["lmax-km", "step-km", "stability-hours", "switch-min", "acquisition-s", "fig3-hours"],
+    )
+    def test_bad_number_names_the_option(self, tmp_path, capsys, command, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, option, value, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {option}: expected a finite number > 0, got '{value}'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_names_the_option(self, tmp_path, capsys):
+        rc = main(["simulate", "--preset", "inner", "--seed", "-1", "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        assert "error: seed: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
 
     def test_threads_env_respected(self, quick_config, tmp_path, monkeypatch):
         monkeypatch.setenv("MCFQKD_THREADS", "1")

@@ -508,17 +508,38 @@ class TestSharedSearch:
         t_a = np.sort(rng.integers(0, 10**9, 300))
         t_b = np.sort(np.concatenate([rng.integers(0, 10**9, 300), np.full(5000, t_a[100] + 10)]))
         alice, bob = make_tags(t_a, 0), make_tags(t_b, 2)
-        take, rounds = coincidence._CheckedTimes.take, [0]
+        rounds = [0]
 
-        def counted(stream, *args, **kwargs):
-            rounds[0] += 1
-            return take(stream, *args, **kwargs)
+        class CountedTakes(np.ndarray):
+            def take(self, *args, **kwargs):
+                rounds[0] += 1
+                return super().take(*args, **kwargs)
 
-        # every round of a walk looks up B tags with one ``take``
-        monkeypatch.setattr(coincidence._CheckedTimes, "take", counted)
+        # every round of a walk looks up B tags with one ``take`` on the
+        # search's checked B, here a view that counts them
+        def as_times(stream, name):
+            times = _as_times(stream, name)
+            return times.view(CountedTakes) if name == "bob_tags" else times
+
+        monkeypatch.setattr(coincidence, "_as_times", as_times)
         tally = tally_basis(alice, bob, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
         monkeypatch.undo()
         assert rounds[0] < 1000
         bins, delay, ports, accidentals = _tally_oracle(alice, bob, 300, None, 50, 5000, 6000, "full")
         np.testing.assert_array_equal(tally.histogram.bins, bins)
         assert (tally.delay_ps, tally.counts.c_pp, tally.accidentals.count) == (delay, ports[0], accidentals)
+
+    def test_each_stream_is_checked_once(self, monkeypatch):
+        # the passes take the checked arrays the shared search holds
+        rng = np.random.default_rng(5)
+        alice = make_tags(np.sort(rng.integers(0, 10**7, 500)), 0)
+        bob = make_tags(np.sort(rng.integers(0, 10**7, 500)), 2)
+        names = []
+
+        def as_times(stream, name):
+            names.append(name)
+            return _as_times(stream, name)
+
+        monkeypatch.setattr(coincidence, "_as_times", as_times)
+        tally_basis(alice, bob, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
+        assert names == ["alice_tags", "bob_tags"]

@@ -183,7 +183,8 @@ class TestFromReference:
 
         cfg = preset_inner()
         cfg.schedule.acquisition_s = 2.0
-        report = run_basis_scan(cfg, pair_ids=[0])
+        cfg.pairs = [0]
+        report = run_basis_scan(cfg)
         pair = report.pairs[0]
         model = LinkModel.from_reference(
             c_meas_hv=pair.hv.coincidence_rate_cps,

