@@ -1,7 +1,9 @@
 """Unit tests for the Monte Carlo photon-pair simulator."""
 
+import functools
 import hashlib
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -237,6 +239,97 @@ class TestGoldenRun:
         assert truth.photon_singles == {0: 1659, 1: 1710, 2: 1687, 3: 1696}
         assert truth.dark_counts == {0: 238, 1: 228, 2: 259, 3: 243}
         assert truth.crosstalk_out == 345
+
+
+class TestGoldenCorners:
+    """Byte-level pins of the simulator's corners: no crosstalk, no jitter,
+    no dark counts, dark counts only, and a dense source whose 2 ns jitter
+    reorders many photons.  Each case pins both streams and a SHA-256 of
+    ``repr(astuple(truth))``."""
+
+    CASES = {
+        "no-crosstalk": (
+            dict(pair_index=1, coupling=0.6, dark_rate_cps=2_000.0, jitter_sigma_ps=50.0),
+            200_000, 0.05, False, (3194, 3152),
+            "c68aa250c53e331baebde5287562079935565c0d2dda99f780a4514db9f75112",
+            "43017d00ed2ba1f2bbf7b57dedbb3e082c394782a854ee64af793a61e86e16d6",
+            "3887ba15ecb84fca095809794deaa3c9254b461a57966154576fd7f7447326ca",
+        ),
+        "no-jitter": (
+            dict(pair_index=2, coupling=0.6, dark_rate_cps=2_000.0, crosstalk_prob=0.01),
+            200_000, 0.05, True, (3219, 3176),
+            "a8b5c140d55c2ae4d42f87d2fc31db9fc1d159df5260d5adb1fb1d08cc60d2d2",
+            "ae3d2b836d6a8de40b4a28cb72af51bc0255ca5e1e9e51dee81b21e214833668",
+            "32a4f640d6eb9dbb4ca6da1b2592c51aa0404ab22f27ae99fb03138c7e5127bc",
+        ),
+        "no-darks": (
+            dict(pair_index=3, coupling=0.6, jitter_sigma_ps=50.0, crosstalk_prob=0.01),
+            200_000, 0.05, False, (3024, 3053),
+            "d7e40bdb4c3043ab9700d90781cd245fb41f0f60e3d8601d2a906e9db1523420",
+            "f1e9c292d5f38ac63e323708facba0a39a21823866ea1409fb9a08a67defcb21",
+            "f5b684092b0fcb4b346c4f858610c3b6c82ca9a381a41fd95e610d0f4cc7eeb9",
+        ),
+        "zero-coupling": (
+            dict(
+                pair_index=5, coupling=0.0, dark_rate_cps=20_000.0, jitter_sigma_ps=50.0,
+                crosstalk_prob=0.01,
+            ),
+            200_000, 0.05, True, (2007, 2086),
+            "235542802ee06d297db104271e1e1d2396b00e6d474e8cb9610c720166cd8cf3",
+            "7d3ae799b9fec5da899f245f3d01e2ef961e8f3da50b9c196fbc0a54c78bef3f",
+            "f354752f05f2605b599fcfcc42cf179bd13232be9834b02bd34f07dd673b5b19",
+        ),
+        "dense-2ns-jitter": (
+            dict(
+                pair_index=6, coupling=1.0, system_loss_db=1.0, dark_rate_cps=20_000.0,
+                jitter_sigma_ps=2_000.0, crosstalk_prob=0.01,
+            ),
+            5_000_000, 0.01, True, (40034, 40242),
+            "0eaa1888ba658a85e5307ce3aef537c2a847cd799c035428392f73a1fdca2ee5",
+            "b24212c739592eaf021d922cd3e79d9a8fa0a6cbee97c5df1c27afc904bb13d6",
+            "0ba67580a311bb63bad35f453011e47fa68d7cc37668b74785e2a0a8d47d975e",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_streams_and_truth(self, name):
+        link_kwargs, rate, duration, mark, sizes, alice_sha, bob_sha, truth_sha = self.CASES[name]
+        link_kwargs = {"system_loss_db": 3.0, **link_kwargs}
+        pair, link = make_channel(**link_kwargs)
+        run = functools.partial(
+            simulate_run, SourceParams(pair_rate=rate, visibility=0.9), pair, link,
+            AnalyzerSetting.da(), duration, seed=77, angle_offset_deg=4.0, mark_dark_tags=mark,
+        )
+        if pair.coupling_prob == 0.0:
+            with pytest.warns(RuntimeWarning, match="zero coupling"):
+                res = run()
+        else:
+            res = run()
+        streams, truth = res.streams[pair.pair_id], res.truth.pairs[pair.pair_id]
+        assert (len(streams.alice), len(streams.bob)) == sizes
+        assert hashlib.sha256(streams.alice.tobytes()).hexdigest() == alice_sha
+        assert hashlib.sha256(streams.bob.tobytes()).hexdigest() == bob_sha
+        assert hashlib.sha256(repr(astuple(truth)).encode()).hexdigest() == truth_sha
+
+
+def test_marked_tags_match_truth_per_channel():
+    # oracle: with dark tags marked, the stream's flag-0 and flag-1 tags per
+    # channel are the truth's photon singles and dark counts
+    pair, link = make_channel(
+        coupling=0.5, system_loss_db=2.0, dark_rate_cps=10_000.0, jitter_sigma_ps=300.0,
+        crosstalk_prob=0.02,
+    )
+    res = simulate_run(
+        SourceParams(pair_rate=400_000, visibility=0.9), pair, link, AnalyzerSetting.hv(), 0.05,
+        seed=3, mark_dark_tags=True,
+    )
+    truth = res.truth.pairs[pair.pair_id]
+    tags = np.concatenate([res.streams[pair.pair_id].alice, res.streams[pair.pair_id].bob])
+    assert set(np.unique(tags["flags"])) == {0, FLAG_DARK}
+    for ch in range(4):
+        on_ch = tags[tags["channel"] == ch]
+        assert int(np.sum(on_ch["flags"] == 0)) == truth.photon_singles[ch]
+        assert int(np.sum(on_ch["flags"] == FLAG_DARK)) == truth.dark_counts[ch]
 
 
 class TestLinkParams:
