@@ -346,8 +346,8 @@ def estimate_accidentals(
         raise ValueError(
             f"offset must be at least 10 windows ({10 * window_ps} ps), got {offset_ps}"
         )
-    if duration_s <= 0:
-        raise ValueError("duration must be > 0")
+    if not 0 < duration_s < np.inf:
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     delay, hw = delay_ps + offset_ps, _half_window(window_ps, mode)
     search = search or _Search(stream_a, stream_b, int(round(delay)) - hw)
     matches = count_coincidences(search.a, search.b, window_ps, delay, mode, search=search)
@@ -376,8 +376,8 @@ def tally_basis(
     cross-correlation histogram is used; a featureless histogram falls back
     to zero delay.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be > 0")
+    if not 0 < duration_s < np.inf:
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     hw, edge = _half_window(window_ps, mode), int(hist_range_ps)
     d, off = (-edge if delay_ps is None else int(round(delay_ps))), int(accidental_offset_ps or 0)
     # one search at the lowest window start, the histogram's only if the delay is within +-range

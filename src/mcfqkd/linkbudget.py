@@ -187,12 +187,12 @@ def keyrate_at_length(model: LinkModel, length_km: float) -> LengthPoint:
 
 def sweep_lengths(model: LinkModel, lmax_km: float, step_km: float) -> List[LengthPoint]:
     """Evaluate the model on the grid [0, lmax] with the given step."""
-    if step_km <= 0:
-        raise ValueError("step must be > 0")
-    if lmax_km < model.reference_length_km:
+    if not 0 < step_km < math.inf:
+        raise ValueError(f"step_km must be finite and > 0, got {step_km}")
+    if not model.reference_length_km <= lmax_km < math.inf:
         raise ValueError(
-            f"lmax {lmax_km} km is below the reference length "
-            f"{model.reference_length_km} km"
+            f"lmax_km must be finite and at least the reference length "
+            f"{model.reference_length_km} km, got {lmax_km}"
         )
     points = []
     n = int(math.floor(lmax_km / step_km + 1e-9))

@@ -12,6 +12,16 @@ a neighboring core is modeled as loss: the photon leaves its own stream and
 breaks its coincidence.  Every stream derives its randomness from (run seed,
 pair id), so runs are reproducible bit for bit and core pairs can be
 simulated in any order or in parallel.
+
+The draws fix the output bytes.  ``simulate_run`` makes them in this order,
+Alice's arm before Bob's in each pair of draws: ``poisson`` for the emission
+count; ``integers`` for the emission times (then sorted); two ``random`` for
+the survival of each emission; ``random`` for the outcome of each pair with
+both photons surviving; two ``uint8`` ``integers`` for the port of each
+photon without a partner; two ``normal`` for the jitter (none without it);
+two ``random`` for crosstalk; per detector 0-3, ``poisson`` for its dark
+counts and ``integers`` for their times.  Speed changes keep each draw's
+method, size, dtype and place, so the streams keep their bytes.
 """
 from __future__ import annotations
 
@@ -56,6 +66,9 @@ TAG_DTYPE = np.dtype(
 
 PS_PER_S = 1_000_000_000_000
 
+# second record word of each key code 2*channel + flag: channel | flag << 8
+_CODE_WORDS = np.array([c >> 1 | (c & 1) << 8 for c in range(8)], dtype=np.int64)
+
 # seed-sequence salt keeping the drift walk disjoint from the core-pair
 # streams, which use the bare pair id
 _DRIFT_SALT = 0x0D21F7
@@ -70,6 +83,8 @@ class SourceParams:
     temperature_c: float = 82.5
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.pair_rate):
+            raise ValueError(f"pair_rate must be finite, got {self.pair_rate}")
         if self.pair_rate <= 0:
             raise ValueError("pair_rate must be > 0")
         if not 0.0 <= self.visibility <= 1.0:
@@ -91,15 +106,16 @@ class LinkParams:
     propagation_delay_ps: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("fiber_length_km", "fiber_loss_db_per_km", "system_loss_db"):
+        for name in (
+            "fiber_length_km", "fiber_loss_db_per_km", "system_loss_db", "dark_rate_cps",
+            "jitter_sigma_ps",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValueError("detector_efficiency must be in (0, 1]")
-        if self.dark_rate_cps < 0:
-            raise ValueError("dark_rate_cps must be >= 0")
-        if self.jitter_sigma_ps < 0:
-            raise ValueError("jitter_sigma_ps must be >= 0")
         if not 0.0 <= self.crosstalk_prob < 1.0:
             raise ValueError("crosstalk_prob must be in [0, 1)")
 
@@ -175,10 +191,6 @@ def joint_outcome_probs(
     return (same, diff, diff, same)
 
 
-def _pair_rng(seed: int, pair_id: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, pair_id])))
-
-
 def simulate_run(
     source: SourceParams,
     pair: CorePair,
@@ -207,8 +219,8 @@ def simulate_run(
         time_offset_ps: added to all timestamps (schedule segment start).
         mark_dark_tags: set the dark-count flag bit on dark tags.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be > 0")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     duration_ps = max(1, int(round(duration_s * PS_PER_S)))
 
     if pair.coupling_prob == 0.0:
@@ -219,127 +231,112 @@ def simulate_run(
             stacklevel=2,
         )
 
-    probs = joint_outcome_probs(
-        setting.analyzer_angle_deg,
-        setting.analyzer_angle_deg + angle_offset_deg,
-        source.visibility,
-    )
-    cum_probs = np.cumsum(probs)
-    cum_probs[-1] = 1.0
+    theta = setting.analyzer_angle_deg
+    probs = joint_outcome_probs(theta, theta + angle_offset_deg, source.visibility)
+    # a pair's outcome (++, +-, -+, --) is the count of these at or below its draw
+    cum_probs = np.cumsum(probs)[:3]
 
     # each intermediate array is dropped once spent, so only the tag chunks
-    # of the streams are alive when they are assembled
-    rng = _pair_rng(seed, pair.pair_id)
+    # of the streams are alive when they are assembled; every list holds
+    # Alice's arm, then Bob's, the order of their draws
+    rng = np.random.default_rng([seed, pair.pair_id])  # PCG64 seeded by SeedSequence
     lam = source.pair_rate * pair.coupling_prob * duration_s
     n_emit = int(rng.poisson(lam)) if lam > 0 else 0
-
     t_emit = rng.integers(0, duration_ps, n_emit, dtype=np.int64)
     t_emit.sort()
-    surv_a = rng.random(n_emit) < link.transmission
-    surv_b = rng.random(n_emit) < link.transmission
+    survived = [rng.random(n_emit) < link.transmission for _ in range(2)]
 
     # which surviving photon of each arm has a surviving partner
-    both_in_a = surv_b[surv_a]
-    both_in_b = surv_a[surv_b]
-    n_both = int(both_in_a.sum())
-    outcome = np.searchsorted(cum_probs, rng.random(n_both), side="right")
-    outcome_counts = np.bincount(outcome, minlength=4)
+    paired = [survived[1][survived[0]], survived[0][survived[1]]]
+    n_both = int(np.count_nonzero(paired[0]))
+    above = np.less_equal.outer(cum_probs, rng.random(n_both))
+    # pairs with outcome >= 0, 1, 2, 3 and 4
+    n_ge = [n_both] + [int(np.count_nonzero(g)) for g in above] + [0]
+    outcome_counts = tuple(n_ge[k] - n_ge[k + 1] for k in range(4))
 
-    # channel of each surviving photon: transmitted port for +, reflected for -
-    a_ch = np.empty(both_in_a.size, dtype=np.uint8)
-    b_ch = np.empty(both_in_b.size, dtype=np.uint8)
-    a_ch[both_in_a] = np.where(outcome < 2, CH_ALICE_T, CH_ALICE_R)
-    b_ch[both_in_b] = np.where(outcome % 2 == 0, CH_BOB_T, CH_BOB_R)
-    del outcome
-    a_ch[~both_in_a] = rng.integers(CH_ALICE_T, CH_ALICE_R + 1, a_ch.size - n_both, dtype=np.uint8)
-    b_ch[~both_in_b] = rng.integers(CH_BOB_T, CH_BOB_R + 1, b_ch.size - n_both, dtype=np.uint8)
+    # channel of each surviving photon: transmitted port for +, reflected for
+    # -, so Alice's reflects for outcomes 2 and 3 and Bob's for the odd ones;
+    # a photon without a partner takes a random port
+    reflected = [above[1], above[0] ^ above[1] ^ above[2]]
+    channels = []
+    for both, refl, ch_t in zip(paired, reflected, (CH_ALICE_T, CH_BOB_T)):
+        ch = np.empty(both.size, dtype=np.uint8)
+        ch[both] = ch_t + refl.view(np.uint8)
+        ch[~both] = rng.integers(ch_t, ch_t + 2, ch.size - n_both, dtype=np.uint8)
+        channels.append(ch)
+    del above, reflected
 
-    def detect_times(survived: np.ndarray) -> np.ndarray:
-        t = t_emit[survived]
-        t += link.propagation_delay_ps
-        slack = 0
-        if link.jitter_sigma_ps > 0:
-            slack = int(math.ceil(6.0 * link.jitter_sigma_ps))
+    # detection times: the link's delay, then Gaussian jitter truncated at 6 sigma
+    t_emit += link.propagation_delay_ps
+    slack = int(math.ceil(6.0 * link.jitter_sigma_ps))
+    times = [t_emit[s] for s in survived]
+    del t_emit, survived
+    for t in times:
+        if slack:
             jitter = rng.normal(0.0, link.jitter_sigma_ps, t.size)
             np.clip(jitter, -slack, slack, out=jitter)
-            t += np.rint(jitter, out=jitter).astype(np.int64)
-        return np.clip(t, 0, duration_ps + slack, out=t)
+            # t += rint(jitter), with the int64 cast done in buffered blocks
+            np.add(t, np.rint(jitter, out=jitter), out=t, dtype=np.int64, casting="unsafe")
+            del jitter
+        np.clip(t, 0, duration_ps + slack, out=t)
 
-    t_a = detect_times(surv_a)
-    del surv_a
-    t_b = detect_times(surv_b)
-    del surv_b, t_emit
-
-    # crosstalk removes the photon from its own core
-    xtalk_a = rng.random(t_a.size) < link.crosstalk_prob
-    xtalk_b = rng.random(t_b.size) < link.crosstalk_prob
-    n_xtalk = int(xtalk_a.sum() + xtalk_b.sum())
-    keep_a = ~xtalk_a
-    keep_b = ~xtalk_b
-    # a coincidence survives only if neither photon was lost to crosstalk
-    true_coinc = int((keep_a[both_in_a] & keep_b[both_in_b]).sum())
-    # tag chunks of Alice's and Bob's stream
-    chunks = (
-        [(t_a[keep_a], a_ch[keep_a], np.zeros(int(keep_a.sum()), dtype=np.uint8))],
-        [(t_b[keep_b], b_ch[keep_b], np.zeros(int(keep_b.sum()), dtype=np.uint8))],
-    )
-    del t_a, t_b
+    # crosstalk removes the photon from its own core, and a coincidence
+    # survives only if neither photon was lost
+    kept = [rng.random(t.size) >= link.crosstalk_prob for t in times]
+    true_coinc = int(np.count_nonzero(kept[0][paired[0]] & kept[1][paired[1]]))
+    n_xtalk = sum(k.size - int(np.count_nonzero(k)) for k in kept)
+    # (times, codes) chunks of Alice's and Bob's stream; a tag's code is
+    # 2*channel + flag, see ``_assemble``
+    chunks = tuple([(t[k], 2 * ch[k])] for t, ch, k in zip(times, channels, kept))
+    del times, channels, kept, t, ch  # the loops' last arrays too
 
     # dark counts per detector; channels 0/1 are Alice's, 2/3 Bob's
+    photon_singles: Dict[int, int] = {}
     dark_counts: Dict[int, int] = {}
     for det in (CH_ALICE_T, CH_ALICE_R, CH_BOB_T, CH_BOB_R):
+        photon_singles[det] = int(np.count_nonzero(chunks[det // 2][0][1] == 2 * det))
         n_dark = int(rng.poisson(link.dark_rate_cps * duration_s))
         dark_counts[det] = n_dark
         d_times = rng.integers(0, duration_ps, n_dark, dtype=np.int64)
-        d_flags = np.full(n_dark, FLAG_DARK if mark_dark_tags else 0, dtype=np.uint8)
-        chunks[det // 2].append((d_times, np.full(n_dark, det, dtype=np.uint8), d_flags))
+        code = 2 * det + (FLAG_DARK if mark_dark_tags else 0)
+        chunks[det // 2].append((d_times, np.full(n_dark, code, dtype=np.uint8)))
 
-    photon_singles = {
-        CH_ALICE_T: int(np.sum((a_ch == CH_ALICE_T) & keep_a)),
-        CH_ALICE_R: int(np.sum((a_ch == CH_ALICE_R) & keep_a)),
-        CH_BOB_T: int(np.sum((b_ch == CH_BOB_T) & keep_b)),
-        CH_BOB_R: int(np.sum((b_ch == CH_BOB_R) & keep_b)),
-    }
     truth = PairTruth(
         pair_id=pair.pair_id,
         emitted=n_emit,
-        outcome_counts=tuple(int(v) for v in outcome_counts),
+        outcome_counts=outcome_counts,
         true_coincidences=true_coinc,
         photon_singles=photon_singles,
         dark_counts=dark_counts,
         crosstalk_out=n_xtalk,
     )
-    streams = PairStreams(
-        alice=_assemble(chunks[0], time_offset_ps), bob=_assemble(chunks[1], time_offset_ps)
-    )
+    streams = PairStreams(*(_assemble(c, time_offset_ps) for c in chunks))
     return SimulationResult(
         streams={pair.pair_id: streams}, truth=GroundTruth(pairs={pair.pair_id: truth})
     )
 
 
-def _assemble(
-    chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]], time_offset_ps: int
-) -> np.ndarray:
-    # one sort of (time, channel, flag) packed into one int64 key: channels
-    # are 0-3, flags 0 or FLAG_DARK (1) and times in [0, 2**60), and equal
-    # keys are equal records, so the order is that of a stable sort on (time,
-    # channel) with photon tags before dark ones; ``chunks`` is emptied
-    key = np.concatenate([c[0] for c in chunks])
+def _assemble(chunks: List[Tuple[np.ndarray, np.ndarray]], time_offset_ps: int) -> np.ndarray:
+    # one sort of the int64 key time*8 + 2*channel + flag (channels 0-3, flag
+    # 0 or FLAG_DARK, times in [0, 2**60)); equal keys are equal records, so
+    # any sort gives the same bytes, and the stable one (a timsort) is the
+    # fastest here: the photons are in time order but where jitter swaps two,
+    # and the few dark tags are merged in; ``chunks`` is emptied
+    key = np.concatenate([t for t, _ in chunks])
     key += time_offset_ps
     if key.size and (key.min() < 0 or key.max() >= 1 << 60):
         raise ValueError("tag times must lie in [0, 2**60) ps")
-    key <<= 2
-    key += np.concatenate([c[1] for c in chunks])
-    key <<= 1
-    key += np.concatenate([c[2] for c in chunks])
+    key <<= 3
+    key |= np.concatenate([code for _, code in chunks])
     chunks.clear()
-    key.sort()
-    tags = np.zeros(key.size, dtype=TAG_DTYPE)
-    tags["flags"] = key & 1
-    key >>= 1
-    tags["channel"] = key & 3
-    key >>= 2
-    tags["time_ps"] = key
+    key.sort(kind="stable")
+    tags = np.empty(key.size, dtype=TAG_DTYPE)
+    # each record as two little-endian int64 words: the time, then channel |
+    # flags << 8 with the reserved bytes zero
+    words = tags.view("<i8").reshape(-1, 2)
+    np.right_shift(key, 3, out=words[:, 0])
+    key &= 7
+    words[:, 1] = _CODE_WORDS.take(key, out=key, mode="clip")
     return tags
 
 
@@ -365,7 +362,7 @@ def apply_polarization_drift(
         return np.zeros(times.size)
     if max_offset_deg <= 0:
         raise ValueError("max_offset_deg must be > 0")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _DRIFT_SALT])))
+    rng = np.random.default_rng([seed, _DRIFT_SALT])
     dt = np.diff(np.concatenate(([0.0], times)))
     steps = rng.normal(0.0, 1.0, times.size) * drift_rate_deg_per_hour * np.sqrt(dt)
     walk = np.cumsum(steps)

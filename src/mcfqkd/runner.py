@@ -103,8 +103,11 @@ class MeasurementSchedule:
     def stability(
         cls, total_hours: float, switch_minutes: float, acquisition_s: float
     ) -> "MeasurementSchedule":
-        if total_hours <= 0 or switch_minutes <= 0 or acquisition_s <= 0:
-            raise ValueError("total_hours, switch_minutes and acquisition_s must be > 0")
+        for name, value in dict(
+            total_hours=total_hours, switch_minutes=switch_minutes, acquisition_s=acquisition_s
+        ).items():
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if acquisition_s > switch_minutes * 60.0:
             raise ValueError("acquisition does not fit into one slot")
         n_slots = int(round(total_hours * 60.0 / switch_minutes))

@@ -1,15 +1,24 @@
 """Unit tests for schedules, basis scans and the stability protocol."""
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from mcfqkd import runner
-from mcfqkd.coincidence import count_coincidences, cross_correlation, find_peak_delay
+from mcfqkd.coincidence import count_coincidences, cross_correlation, find_peak_delay, tally_basis
 from mcfqkd.config import preset_inner, preset_stability, selected_pairs
-from mcfqkd.photonsim import PS_PER_S
+from mcfqkd.linkbudget import model_from_config, sweep_lengths
+from mcfqkd.photonsim import (
+    PS_PER_S,
+    TAG_DTYPE,
+    AnalyzerSetting,
+    LinkParams,
+    SourceParams,
+    simulate_run,
+)
 from mcfqkd.qkdmath import positive_qber_threshold
 from mcfqkd.runner import (
     MeasurementSchedule,
@@ -246,3 +255,48 @@ class TestGoldenSegment:
         pairs = count_coincidences(t_a, t_b, cfg.analysis.window_ps, delay_ps=delay)
         assert pairs.dtype == np.int64 and pairs.shape == (8562, 2)
         assert hashlib.sha256(pairs.tobytes()).hexdigest() == self.PAIRS_SHA256
+
+
+def _simulate(duration_s):
+    cfg = preset_inner()
+    pair = selected_pairs(cfg)[0]
+    return simulate_run(cfg.source, pair, cfg.link, AnalyzerSetting.hv(), duration_s, seed=1)
+
+
+_NO_TAGS = np.zeros(0, dtype=TAG_DTYPE)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: MeasurementSchedule.stability(math.inf, 30.0, 60.0), "total_hours"),
+        (lambda: MeasurementSchedule.stability(math.nan, 30.0, 60.0), "total_hours"),
+        (lambda: MeasurementSchedule.stability(24.0, math.nan, 60.0), "switch_minutes"),
+        (lambda: MeasurementSchedule.stability(24.0, 30.0, math.nan), "acquisition_s"),
+        (lambda: run_stability(preset_stability(), total_hours=math.nan), "total_hours"),
+        (lambda: sweep_lengths(model_from_config(preset_inner()), math.inf, 0.01), "lmax_km"),
+        (lambda: sweep_lengths(model_from_config(preset_inner()), math.nan, 0.01), "lmax_km"),
+        (lambda: sweep_lengths(model_from_config(preset_inner()), 250.0, math.inf), "step_km"),
+        (lambda: sweep_lengths(model_from_config(preset_inner()), 250.0, math.nan), "step_km"),
+        (lambda: _simulate(math.nan), "duration_s"),
+        (lambda: _simulate(math.inf), "duration_s"),
+        (lambda: SourceParams(pair_rate=math.nan), "pair_rate"),
+        (lambda: SourceParams(pair_rate=math.inf), "pair_rate"),
+        (lambda: LinkParams(dark_rate_cps=math.nan), "dark_rate_cps"),
+        (lambda: LinkParams(jitter_sigma_ps=math.nan), "jitter_sigma_ps"),
+        (lambda: LinkParams(fiber_length_km=math.inf), "fiber_length_km"),
+        (lambda: tally_basis(_NO_TAGS, _NO_TAGS, window_ps=300, duration_s=math.nan), "duration_s"),
+    ],
+    ids=[
+        "stability-hours-inf", "stability-hours-nan", "stability-switch-nan",
+        "stability-acquisition-nan", "run_stability-hours-nan", "sweep-lmax-inf",
+        "sweep-lmax-nan", "sweep-step-inf", "sweep-step-nan", "simulate-duration-nan",
+        "simulate-duration-inf", "source-rate-nan", "source-rate-inf", "link-dark-nan",
+        "link-jitter-nan", "link-length-inf", "tally-duration-nan",
+    ],
+)
+def test_non_finite_argument_rejected_by_name(call, name):
+    # the library API names the argument up front instead of failing in an
+    # integer conversion or returning NaN figures
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call()
