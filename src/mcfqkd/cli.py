@@ -317,8 +317,10 @@ def _segment_ranges(in_dir: Path, files: Dict, pair_id: str, segments) -> List[T
     durations, so a truncated stream shows as a low rate, not a shifted one.
     """
     (end_a, ch_a), (end_b, ch_b) = (last_tag_time(in_dir / files[r]) for r in ("alice", "bob"))
-    if ch_a != CHANNEL_ALICE or ch_b != CHANNEL_BOB:
-        raise CliError(f"pair {pair_id}: file channel ids do not match their roles")
+    for role, channel, want in (("alice", ch_a, CHANNEL_ALICE), ("bob", ch_b, CHANNEL_BOB)):
+        if channel != want:
+            path = in_dir / files[role]
+            raise TagFormatError(path, f"channel id {channel} is not the {role} stream's {want}", 6)
     starts = [seg.start_ps for seg in segments]
     span = segments[-1].start_ps + segments[-1].duration_ps
     if end_a is None or end_b is None or abs(end_a - end_b) <= max(0.01 * span, 1e9):

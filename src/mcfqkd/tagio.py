@@ -4,9 +4,10 @@ Little-endian layout:
 
 * header, 16 bytes: magic ``MCQT``, format version ``u16`` (currently 1),
   channel id ``u16`` (0 = Alice stream, 1 = Bob stream), reserved ``u64``.
-* records, 16 bytes each: ``time_ps u64``, ``channel u8``, ``flags u8``
-  (bit 0 marks a ground-truth dark count when emission of ground truth was
-  enabled), six reserved zero bytes.
+* records, 16 bytes each: ``time_ps u64``, ``channel u8`` (``2 * channel id``
+  for the transmitted port, plus 1 for the reflected one), ``flags u8`` (bit 0
+  marks a ground-truth dark count when emission of ground truth was enabled;
+  no other bit is used), six reserved zero bytes.
 
 Fixed-width records let a reader fill one record array straight from the
 file, or only a time range's records, found by a binary search that reads one
@@ -91,7 +92,8 @@ def read_timetags(path, start_ps: int = 0, end_ps: int | None = None) -> tuple[n
 
     Raises:
         TagFormatError: on a bad magic number, unsupported version, a
-            truncated record region, or times out of order at the range end.
+            truncated record region, times out of order at the range end, or
+            a record whose channel, flags or reserved bytes the format forbids.
     """
     with open(path, "rb") as fh:
         channel_id, n = _check_header(fh)
@@ -109,6 +111,17 @@ def read_timetags(path, start_ps: int = 0, end_ps: int | None = None) -> tuple[n
         tags = np.empty(hi - lo, dtype=TAG_DTYPE)
         if fh.readinto(tags.view(np.uint8)) != tags.nbytes:
             raise TagFormatError(fh.name, "file ended while its records were read", fh.tell())
+    # a record's second word is its channel, flags and reserved bytes: one of the file's
+    # two channels, flag bit 0 at most and zeros, which one OR and one AND over all show
+    words, want = tags.view(np.int64)[1::2], 2 * channel_id
+    seen = np.bitwise_or.reduce(words) & ~0x101, np.bitwise_and.reduce(words) & want
+    if words.size and seen != (want, want):
+        i = int(np.flatnonzero((words & ~0x101) != want)[0])
+        ch, fl = int(tags["channel"][i]), int(tags["flags"][i])
+        what = "reserved bytes" if fl < 2 else f"flags {fl:#04x}"
+        what = what if ch >> 1 == channel_id else f"channel {ch}"
+        offset = _HEADER.size + (lo + i) * _RECORD_SIZE
+        raise TagFormatError(path, f"record {what} not valid for channel id {channel_id}", offset)
     return tags, channel_id
 
 

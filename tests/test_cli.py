@@ -284,6 +284,26 @@ class TestAnalyze:
         offset = 16 + 16 * (i - 1)
         assert f"error: {bob}: times decrease after this record (offset {offset})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["alice header is bob's", "bob channel 200", "bob flags 0x80"])
+    def test_tag_file_columns_checked(self, sim_dir, tmp_path, capsys, case):
+        # a header channel id must match the file's role, and each record its
+        # header's channels (Bob 2/3), flag bit 0 at most and zero reserved bytes
+        alice, bob = sim_dir / "pair0_alice.mcqt", sim_dir / "pair0_bob.mcqt"
+        if case == "alice header is bob's":
+            raw = bytearray(alice.read_bytes())
+            raw[6:8] = (1).to_bytes(2, "little")
+            alice.write_bytes(bytes(raw))
+            want = f"error: {alice}: channel id 1 is not the alice stream's 0 (offset 6)"
+        else:
+            tags, channel = read_timetags(bob)
+            column, value = case.split()[1:]
+            i = len(tags) // 2
+            tags[column][i] = int(value, 0)
+            write_timetags(bob, tags, channel)
+            want = f"error: {bob}: record {column} {value} not valid for channel id 1 (offset {16 + 16 * i})"
+        assert main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")]) == 2
+        assert want in capsys.readouterr().err
+
     def test_mismatched_durations_warns(self, sim_dir, tmp_path):
         # drop the second half of Bob's stream for pair 0
         from mcfqkd.tagio import read_timetags, write_timetags

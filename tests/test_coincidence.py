@@ -543,3 +543,36 @@ class TestSharedSearch:
         monkeypatch.setattr(coincidence, "_as_times", as_times)
         tally_basis(alice, bob, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
         assert names == ["alice_tags", "bob_tags"]
+
+
+class TestCallBudget:
+    """Each pass makes a fixed number of numpy calls per block of A, and two
+    threads analyzing at once hand the GIL back and forth at every call, so
+    the blocks stay few and large: a 500k-tag acquisition takes 4 blocks per
+    pass and two walks per block (blocks of 2**14 tags took 16 per pass and
+    96 walks)."""
+
+    def test_a_500k_tag_acquisition(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        t_a = np.sort(rng.integers(0, 60 * 10**12, 250_000))
+        t_b = np.sort(t_a + rng.integers(-100, 101, t_a.size))
+        alice = make_tags(t_a, rng.choice([0, 1], t_a.size))
+        bob = make_tags(t_b, rng.choice([2, 3], t_b.size))
+        blocks, walks = [], [0]
+        windows, walk = coincidence._Search.windows, coincidence._Search._walk
+
+        def counted_windows(self, bounds, *args):
+            blocks.append(len(bounds))
+            return windows(self, bounds, *args)
+
+        def counted_walk(self, *args):
+            walks[0] += 1
+            return walk(self, *args)
+
+        monkeypatch.setattr(coincidence._Search, "windows", counted_windows)
+        monkeypatch.setattr(coincidence._Search, "_walk", counted_walk)
+        tally = tally_basis(alice, bob, window_ps=300, duration_s=60.0, accidental_offset_ps=6000)
+        # the histogram, coincidence and accidental passes
+        assert blocks == [4, 4, 4]
+        assert walks[0] == 2 * sum(blocks) == 24
+        assert tally.counts.total > 0.99 * t_a.size

@@ -18,11 +18,12 @@ from mcfqkd.tagio import (
 )
 
 
-def sample_tags(n=100, seed=0):
+def sample_tags(n=100, seed=0, channel_id=CHANNEL_ALICE):
+    """Records of a ``channel_id`` file: its two channels, flag bit 0 at random."""
     rng = np.random.default_rng(seed)
     tags = np.zeros(n, dtype=TAG_DTYPE)
     tags["time_ps"] = np.sort(rng.integers(0, 10**15, n))
-    tags["channel"] = rng.integers(0, 4, n)
+    tags["channel"] = 2 * channel_id + rng.integers(0, 2, n)
     tags["flags"] = rng.integers(0, 2, n)
     return tags
 
@@ -37,7 +38,7 @@ class TestRoundTrip:
         assert back.tobytes() == tags.tobytes()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
-        tags = sample_tags(1000, seed=3)
+        tags = sample_tags(1000, seed=3, channel_id=CHANNEL_BOB)
         p1, p2 = tmp_path / "a.mcqt", tmp_path / "b.mcqt"
         write_timetags(p1, tags, CHANNEL_BOB)
         write_timetags(p2, tags, CHANNEL_BOB)
@@ -52,7 +53,7 @@ class TestRoundTrip:
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "h.mcqt"
-        write_timetags(path, sample_tags(1), CHANNEL_BOB)
+        write_timetags(path, sample_tags(1, channel_id=CHANNEL_BOB), CHANNEL_BOB)
         raw = path.read_bytes()
         assert raw[:4] == MAGIC
         assert int.from_bytes(raw[4:6], "little") == FORMAT_VERSION
@@ -73,7 +74,7 @@ class TestRangeRead:
     def path(self, tmp_path):
         tags = np.zeros(len(self.TIMES), dtype=TAG_DTYPE)
         tags["time_ps"] = self.TIMES
-        tags["channel"] = np.arange(len(self.TIMES)) % 2
+        tags["channel"] = 2 * CHANNEL_BOB + np.arange(len(self.TIMES)) % 2
         path = tmp_path / "runs.mcqt"
         write_timetags(path, tags, CHANNEL_BOB)
         return path
@@ -159,7 +160,7 @@ class TestRangeRead:
 
 class TestAppend:
     def test_appended_parts_equal_one_write(self, tmp_path):
-        tags = sample_tags(1000, seed=5)
+        tags = sample_tags(1000, seed=5, channel_id=CHANNEL_BOB)
         parts = [tags[:300], tags[300:300], tags[300:]]
         whole, pieces = tmp_path / "whole.mcqt", tmp_path / "pieces.mcqt"
         write_timetags(whole, tags, CHANNEL_BOB)
@@ -200,6 +201,35 @@ class TestCorruption:
             read_timetags(path)
         assert str(err.value) == f"{path}: record region of 155 bytes is not a multiple of 16 (offset 160)"
 
+    @pytest.mark.parametrize(
+        "channel_id, column, value, message",
+        [
+            (CHANNEL_BOB, "channel", 200, "record channel 200"),
+            (CHANNEL_BOB, "channel", 0, "record channel 0"),
+            (CHANNEL_BOB, "channel", 1, "record channel 1"),
+            (CHANNEL_ALICE, "channel", 2, "record channel 2"),
+            (CHANNEL_ALICE, "flags", 0x80, "record flags 0x80"),
+            (CHANNEL_BOB, "flags", 0x02, "record flags 0x02"),
+            (CHANNEL_ALICE, "reserved", b"\0\0\0\0\0\x01", "record reserved bytes"),
+            (CHANNEL_BOB, "reserved", b"\x80\0\0\0\0\0", "record reserved bytes"),
+        ],
+    )
+    def test_record_columns_outside_the_format(self, tmp_path, channel_id, column, value, message):
+        # a record may only hold its file's two channels, flag bit 0 and zero
+        # reserved bytes; the first one that does not is named by its offset
+        tags = sample_tags(50, seed=9, channel_id=channel_id)
+        tags[column][[17, 30]] = value
+        path = tmp_path / "cols.mcqt"
+        write_timetags(path, tags, channel_id)
+        offset = 16 + 17 * 16
+        for start_ps in (0, int(tags["time_ps"][10])):
+            with pytest.raises(TagFormatError) as err:
+                read_timetags(path, start_ps)
+            assert err.value.offset == offset
+            assert str(err.value) == f"{path}: {message} not valid for channel id {channel_id} (offset {offset})"
+        # ranges without the bad records read as before
+        assert read_timetags(path, 0, int(tags["time_ps"][17]))[0].tobytes() == tags[:17].tobytes()
+
     def test_too_short_for_header(self, tmp_path):
         path = tmp_path / "short.mcqt"
         path.write_bytes(b"MC")
@@ -209,7 +239,7 @@ class TestCorruption:
 
 
 def test_read_holds_one_copy_of_the_records(tmp_path):
-    tags = sample_tags(200_000)
+    tags = sample_tags(200_000, channel_id=CHANNEL_BOB)
     path = tmp_path / "big.mcqt"
     write_timetags(path, tags, CHANNEL_BOB)
     tracemalloc.start()
