@@ -20,6 +20,7 @@ after, so two threads wait on each other at short calls, not at long ones.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,8 +47,9 @@ __all__ = [
 WINDOW_MODES = ("full", "half")
 
 #: A tags per block of the passes: a block's scratch, four ``int64`` per tag
-#: (2 MiB), is reused by every block, whatever the stream length
-_BLOCK = 1 << 16
+#: (2 MiB), is reused by every block, whatever the stream length, and each
+#: thread keeps its own (``_THREAD.scratch``) from one acquisition to the next
+_BLOCK, _THREAD = 1 << 16, threading.local()
 
 
 class UnsortedStreamError(ValueError):
@@ -116,7 +118,6 @@ class _Search:
     def __init__(self, a, b, base: int, reach: int = 0, names=("stream_a", "stream_b")):
         a, b = _as_times(a, names[0]), _as_times(b, names[1])
         self.a, self.b, self.base, self.reach = a, b, base, reach
-        self.scratch = np.empty((4, 0), dtype=np.int64)
         self.index = np.empty(a.size, dtype=np.int32 if b.size < 2**31 else np.int64)
         for s in range(0, a.size, _BLOCK):
             self.index[s : s + _BLOCK] = np.searchsorted(b, a[s : s + _BLOCK] + base)
@@ -135,14 +136,15 @@ class _Search:
 
     def windows(self, bounds: list, t_lo: int, t_hi: int):
         """Per block ``(s, e)``: ``s``, ``e`` and the first B indices ``lo``/``hi`` at or after
-        ``a[s:e] + t_lo``/``t_hi``, in ``scratch`` (reused by every block); ``lo`` walked from
-        ``index`` (searched for a ``t_lo`` off ``[base, base + reach]``), ``hi`` from ``lo``."""
+        ``a[s:e] + t_lo``/``t_hi``, in the thread's scratch (so one pass at a time per thread);
+        ``lo`` walked from ``index`` (searched for a ``t_lo`` off ``[base, base + reach]``),
+        ``hi`` from ``lo``."""
         m = max((e - s for s, e in bounds), default=0)
-        if self.scratch.shape[1] < m:
-            self.scratch = np.empty((4, m + m // 8), dtype=np.int64)
-        near = 0 <= t_lo - self.base <= self.reach
+        if getattr(_THREAD, "scratch", None) is None or _THREAD.scratch.shape[1] < m:
+            _THREAD.scratch = np.empty((4, m + m // 8), dtype=np.int64)
+        scratch, near = _THREAD.scratch, 0 <= t_lo - self.base <= self.reach
         for s, e in bounds if self.b.size else []:
-            keys, lo, hi, tmp = self.scratch[:, : e - s]
+            keys, lo, hi, tmp = scratch[:, : e - s]
             np.add(self.a[s:e], t_lo, out=keys)
             lo[:] = self.index[s:e] if near else np.searchsorted(self.b, keys)
             if near and t_lo != self.base:

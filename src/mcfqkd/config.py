@@ -124,8 +124,8 @@ class RunConfig:
     emit_ground_truth: bool = True
 
     def validate(self) -> None:
-        if self.seed < 0:
-            raise ConfigError("seed: must be >= 0")
+        if not 0 <= self.seed < 2**32:  # one uint32 entropy word, see ``photonsim``
+            raise ConfigError(f"seed: must be >= 0 and < 2**32, got {self.seed}")
         if self.ring not in ("inner", "outer"):
             raise ConfigError(f"ring: must be 'inner' or 'outer', got {self.ring!r}")
         if self.pairs is not None:

@@ -2,26 +2,30 @@
 
 One call simulates one acquisition of one core pair: both photons cross the
 same link and are analyzed at the same plate setting, with an optional drift
-offset on Bob's analyzer.  Pair emission at the crystal is a Poisson process
-thinned three ways: into the core pair (coupling probability), through the
-link's transmission, and past the detector efficiency.  The thinning is
-applied analytically before any event is materialized, which is
-distribution-identical to simulating every crystal emission but keeps the
-event count proportional to what the detectors actually see.  Crosstalk into
-a neighboring core is modeled as loss: the photon leaves its own stream and
-breaks its coincidence.  Every stream derives its randomness from (run seed,
-pair id), so runs are reproducible bit for bit and core pairs can be
-simulated in any order or in parallel.
+offset on Bob's analyzer.  Pair emission into the core pair is a Poisson
+process of rate lambda, and each photon reaches its own detector with
+probability p = transmission x (1 - crosstalk): crosstalk into a neighboring
+core is a loss that breaks the photon's coincidence.  Split by which photons
+are detected, the pairs form independent Poisson processes: both detected
+(lambda p^2), only Alice's and only Bob's (lambda p(1-p) each).  Only their
+counts and times are drawn, so the cost follows the detections, not the
+emissions, with the same distribution as thinning every emission.
 
-The draws fix the output bytes.  ``simulate_run`` makes them in this order,
-Alice's arm before Bob's in each pair of draws: ``poisson`` for the emission
-count; ``integers`` for the emission times (then sorted); two ``random`` for
-the survival of each emission; ``random`` for the outcome of each pair with
-both photons surviving; two ``uint8`` ``integers`` for the port of each
-photon without a partner; two ``normal`` for the jitter (none without it);
-two ``random`` for crosstalk; per detector 0-3, ``poisson`` for its dark
-counts and ``integers`` for their times.  Speed changes keep each draw's
-method, size, dtype and place, so the streams keep their bytes.
+Each stream is a PCG64 seeded by ``SeedSequence([seed, purpose,
+segment_index, pair_id])``, ``PURPOSE_TAGS`` for the tag streams and
+``PURPOSE_DRIFT`` for the drift walk.  ``SeedSequence`` splits an int beyond
+32 bits into words and pads a short list with zeros, so the list has a fixed
+length and each entry must be one ``uint32`` word: then no two tuples share a
+stream, and acquisitions run in any order or in parallel, bit for bit.
+
+The draws fix the output bytes.  ``simulate_run`` makes them in this order:
+``poisson`` for the pairs detected by both, only Alice, only Bob and neither;
+``integers`` for Alice's photon times, the both-detected pairs' first, and
+for Bob's lone photons' times; ``random`` for each both-detected pair's
+outcome; per arm, Alice's first, ``uint8`` ``integers`` for each lone
+photon's port and ``normal`` for the jitter (none without it); per detector
+0-3, ``poisson`` for its dark counts and ``integers`` for their times.  Speed
+changes keep each draw's method, size, dtype and place.
 """
 from __future__ import annotations
 
@@ -69,9 +73,16 @@ PS_PER_S = 1_000_000_000_000
 # second record word of each key code 2*channel + flag: channel | flag << 8
 _CODE_WORDS = np.array([c >> 1 | (c & 1) << 8 for c in range(8)], dtype=np.int64)
 
-# seed-sequence salt keeping the drift walk disjoint from the core-pair
-# streams, which use the bare pair id
-_DRIFT_SALT = 0x0D21F7
+#: purpose tags, the second entropy word of the tag streams and the drift walk
+PURPOSE_TAGS, PURPOSE_DRIFT = 1, 2
+
+
+def _stream_rng(seed: int, purpose: int, segment_index: int, pair_id: int) -> np.random.Generator:
+    """PCG64 seeded by ``SeedSequence([seed, purpose, segment_index, pair_id])``."""
+    for name, value in dict(seed=seed, segment_index=segment_index, pair_id=pair_id).items():
+        if not 0 <= value < 2**32:  # one uint32 word each, see the module docstring
+            raise ValueError(f"{name} must be in [0, 2**32), got {value}")
+    return np.random.default_rng([seed, purpose, segment_index, pair_id])
 
 
 @dataclass(frozen=True)
@@ -160,7 +171,6 @@ class PairTruth:
     true_coincidences: int
     photon_singles: Dict[int, int]
     dark_counts: Dict[int, int]
-    crosstalk_out: int
 
 
 @dataclass
@@ -199,6 +209,7 @@ def simulate_run(
     duration_s: float,
     seed: int,
     *,
+    segment_index: int = 0,
     angle_offset_deg: float = 0.0,
     time_offset_ps: int = 0,
     mark_dark_tags: bool = False,
@@ -206,14 +217,14 @@ def simulate_run(
     """Simulate one acquisition of one core pair and return its two streams.
 
     Emissions couple into the pair with its coupling probability; each
-    photon independently survives the link's transmission, receives Gaussian
-    timing jitter (truncated at 6 sigma) and is lost to crosstalk with the
-    link's ``crosstalk_prob``, which breaks its coincidence.  Dark counts are
-    added per detector as independent Poisson processes.  Streams come back
-    sorted by time with a ground-truth record of what was generated, both
-    keyed by the pair id.
+    photon independently survives the link's transmission and crosstalk (a
+    loss), and a detected one gets Gaussian jitter truncated at 6 sigma.  Dark
+    counts are added per detector as independent Poisson processes.  Streams
+    come back sorted by time with a ground-truth record of what was generated,
+    both keyed by the pair id.
 
     Args:
+        seed, segment_index: select the random stream, with the pair id.
         setting: plate setting of both analyzers.
         angle_offset_deg: polarization drift added to Bob's analyzer angle.
         time_offset_ps: added to all timestamps (schedule segment start).
@@ -222,6 +233,7 @@ def simulate_run(
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     duration_ps = max(1, int(round(duration_s * PS_PER_S)))
+    rng = _stream_rng(seed, PURPOSE_TAGS, segment_index, pair.pair_id)
 
     if pair.coupling_prob == 0.0:
         warnings.warn(
@@ -236,42 +248,36 @@ def simulate_run(
     # a pair's outcome (++, +-, -+, --) is the count of these at or below its draw
     cum_probs = np.cumsum(probs)[:3]
 
-    # each intermediate array is dropped once spent, so only the tag chunks
-    # of the streams are alive when they are assembled; every list holds
-    # Alice's arm, then Bob's, the order of their draws
-    rng = np.random.default_rng([seed, pair.pair_id])  # PCG64 seeded by SeedSequence
+    # pairs with both photons detected, only Alice's, only Bob's and neither
     lam = source.pair_rate * pair.coupling_prob * duration_s
-    n_emit = int(rng.poisson(lam)) if lam > 0 else 0
-    t_emit = rng.integers(0, duration_ps, n_emit, dtype=np.int64)
-    t_emit.sort()
-    survived = [rng.random(n_emit) < link.transmission for _ in range(2)]
+    p = link.transmission * (1.0 - link.crosstalk_prob)
+    means = (p * p, p * (1.0 - p), (1.0 - p) * p, (1.0 - p) ** 2)
+    n_both, n_a, n_b, n_none = (int(rng.poisson(lam * m)) for m in means)
 
-    # which surviving photon of each arm has a surviving partner
-    paired = [survived[1][survived[0]], survived[0][survived[1]]]
-    n_both = int(np.count_nonzero(paired[0]))
+    # each arm's photon times in one array, the both-detected pairs' first,
+    # each part sorted, so the jittered photons are nearly in time order; the
+    # link's delay is in the drawn range, [delay, delay + duration)
+    lo, hi = link.propagation_delay_ps, link.propagation_delay_ps + duration_ps
+    times = [rng.integers(lo, hi, n_both + n_a, dtype=np.int64), np.empty(n_both + n_b, np.int64)]
+    times[0][:n_both].sort()
+    times[1][:n_both] = times[0][:n_both]
+    times[1][n_both:] = rng.integers(lo, hi, n_b, dtype=np.int64)
     above = np.less_equal.outer(cum_probs, rng.random(n_both))
     # pairs with outcome >= 0, 1, 2, 3 and 4
     n_ge = [n_both] + [int(np.count_nonzero(g)) for g in above] + [0]
     outcome_counts = tuple(n_ge[k] - n_ge[k + 1] for k in range(4))
 
-    # channel of each surviving photon: transmitted port for +, reflected for
-    # -, so Alice's reflects for outcomes 2 and 3 and Bob's for the odd ones;
-    # a photon without a partner takes a random port
+    # per arm, Alice's first: each tag's code, 2*channel + flag (see ``_assemble``),
+    # with the transmitted port for a pair's +, the reflected one for -, so Alice's
+    # reflects for outcomes 2 and 3 and Bob's for the odd ones, and a random port for
+    # a lone photon; then Gaussian jitter truncated at 6 sigma
     reflected = [above[1], above[0] ^ above[1] ^ above[2]]
-    channels = []
-    for both, refl, ch_t in zip(paired, reflected, (CH_ALICE_T, CH_BOB_T)):
-        ch = np.empty(both.size, dtype=np.uint8)
-        ch[both] = ch_t + refl.view(np.uint8)
-        ch[~both] = rng.integers(ch_t, ch_t + 2, ch.size - n_both, dtype=np.uint8)
-        channels.append(ch)
-    del above, reflected
-
-    # detection times: the link's delay, then Gaussian jitter truncated at 6 sigma
-    t_emit += link.propagation_delay_ps
     slack = int(math.ceil(6.0 * link.jitter_sigma_ps))
-    times = [t_emit[s] for s in survived]
-    del t_emit, survived
-    for t in times:
+    chunks = ([], [])  # (times, codes) chunks of Alice's and Bob's stream
+    for t, refl, ch_t, chunk in zip(times, reflected, (CH_ALICE_T, CH_BOB_T), chunks):
+        t[n_both:].sort()
+        lone = rng.integers(ch_t, ch_t + 2, t.size - n_both, dtype=np.uint8)
+        chunk.append((t, 2 * np.concatenate([ch_t + refl.view(np.uint8), lone])))
         if slack:
             jitter = rng.normal(0.0, link.jitter_sigma_ps, t.size)
             np.clip(jitter, -slack, slack, out=jitter)
@@ -279,36 +285,24 @@ def simulate_run(
             np.add(t, np.rint(jitter, out=jitter), out=t, dtype=np.int64, casting="unsafe")
             del jitter
         np.clip(t, 0, duration_ps + slack, out=t)
-
-    # crosstalk removes the photon from its own core, and a coincidence
-    # survives only if neither photon was lost
-    kept = [rng.random(t.size) >= link.crosstalk_prob for t in times]
-    true_coinc = int(np.count_nonzero(kept[0][paired[0]] & kept[1][paired[1]]))
-    n_xtalk = sum(k.size - int(np.count_nonzero(k)) for k in kept)
-    # (times, codes) chunks of Alice's and Bob's stream; a tag's code is
-    # 2*channel + flag, see ``_assemble``
-    chunks = tuple([(t[k], 2 * ch[k])] for t, ch, k in zip(times, channels, kept))
-    del times, channels, kept, t, ch  # the loops' last arrays too
+    del times, above, reflected, t, refl, lone  # the loop's last arrays too
 
     # dark counts per detector; channels 0/1 are Alice's, 2/3 Bob's
-    photon_singles: Dict[int, int] = {}
-    dark_counts: Dict[int, int] = {}
+    photon_singles, dark_counts = {}, {}
     for det in (CH_ALICE_T, CH_ALICE_R, CH_BOB_T, CH_BOB_R):
         photon_singles[det] = int(np.count_nonzero(chunks[det // 2][0][1] == 2 * det))
-        n_dark = int(rng.poisson(link.dark_rate_cps * duration_s))
-        dark_counts[det] = n_dark
+        dark_counts[det] = n_dark = int(rng.poisson(link.dark_rate_cps * duration_s))
         d_times = rng.integers(0, duration_ps, n_dark, dtype=np.int64)
         code = 2 * det + (FLAG_DARK if mark_dark_tags else 0)
         chunks[det // 2].append((d_times, np.full(n_dark, code, dtype=np.uint8)))
 
     truth = PairTruth(
         pair_id=pair.pair_id,
-        emitted=n_emit,
+        emitted=n_both + n_a + n_b + n_none,
         outcome_counts=outcome_counts,
-        true_coincidences=true_coinc,
+        true_coincidences=n_both,
         photon_singles=photon_singles,
         dark_counts=dark_counts,
-        crosstalk_out=n_xtalk,
     )
     streams = PairStreams(*(_assemble(c, time_offset_ps) for c in chunks))
     return SimulationResult(
@@ -362,7 +356,7 @@ def apply_polarization_drift(
         return np.zeros(times.size)
     if max_offset_deg <= 0:
         raise ValueError("max_offset_deg must be > 0")
-    rng = np.random.default_rng([seed, _DRIFT_SALT])
+    rng = _stream_rng(seed, PURPOSE_DRIFT, 0, 0)
     dt = np.diff(np.concatenate(([0.0], times)))
     steps = rng.normal(0.0, 1.0, times.size) * drift_rate_deg_per_hour * np.sqrt(dt)
     walk = np.cumsum(steps)

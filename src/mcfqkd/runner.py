@@ -225,7 +225,7 @@ def simulate_segment(
     segment_index: int,
     angle_offset_deg: float,
 ):
-    """One (pair, segment) acquisition; the seed mixes in the segment index."""
+    """One (pair, segment) acquisition, on the stream of (seed, segment index, pair id)."""
     scale = cfg.schedule.rate_scales.get(segment.basis, 1.0)
     return simulate_run(
         replace(cfg.source, pair_rate=cfg.source.pair_rate * scale),
@@ -233,7 +233,8 @@ def simulate_segment(
         cfg.link,
         _BASIS_SETTINGS[segment.basis],
         segment.duration_ps / PS_PER_S,
-        seed=cfg.seed + 7919 * segment_index,
+        seed=cfg.seed,
+        segment_index=segment_index,
         angle_offset_deg=angle_offset_deg,
         time_offset_ps=segment.start_ps,
         mark_dark_tags=cfg.emit_ground_truth,

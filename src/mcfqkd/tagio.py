@@ -67,11 +67,13 @@ def _check_header(fh) -> tuple[int, int]:
     header = fh.read(_HEADER.size)
     if len(header) < _HEADER.size:
         raise TagFormatError(fh.name, "file shorter than the 16-byte header", offset=0)
-    magic, version, channel_id, _reserved = _HEADER.unpack(header)
+    magic, version, channel_id, reserved = _HEADER.unpack(header)
     if magic != MAGIC:
         raise TagFormatError(fh.name, f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
     if version != FORMAT_VERSION:
         raise TagFormatError(fh.name, f"unsupported format version {version}", offset=4)
+    if reserved:
+        raise TagFormatError(fh.name, f"non-zero reserved header field {reserved:#x}", offset=8)
     body = os.fstat(fh.fileno()).st_size - _HEADER.size
     if body % _RECORD_SIZE != 0:
         raise TagFormatError(
@@ -91,7 +93,7 @@ def read_timetags(path, start_ps: int = 0, end_ps: int | None = None) -> tuple[n
     """``(tags, channel_id)`` of the time-ordered records with ``start_ps <= time_ps < end_ps``.
 
     Raises:
-        TagFormatError: on a bad magic number, unsupported version, a
+        TagFormatError: on a bad magic, version or reserved header field, a
             truncated record region, times out of order at the range end, or
             a record whose channel, flags or reserved bytes the format forbids.
     """

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -435,6 +436,13 @@ class TestEntryPoint:
         assert "error: seed: must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("seed", ["4294967296", "4294967301"])
+    def test_seed_beyond_uint32_names_the_option(self, tmp_path, capsys, seed):
+        rc = main(["simulate", "--preset", "inner", "--seed", seed, "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        assert f"error: seed: must be >= 0 and < 2**32, got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
     def test_threads_env_respected(self, quick_config, tmp_path, monkeypatch):
         monkeypatch.setenv("MCFQKD_THREADS", "1")
         out = tmp_path / "sim"
@@ -509,7 +517,14 @@ class TestWorkingSet:
             ]
             analyze_segment(*streams, ScheduleSegment(**seg), cfg)
 
-        one = max(self.traced_peak(analyze_one, seg, end) for seg, end in zip(schedule, ends))
+        def on_new_thread(*args):
+            # as on the CLI's pool: a thread's first acquisition makes the
+            # coincidence passes' block scratch, which the thread then keeps
+            worker = threading.Thread(target=analyze_one, args=args)
+            worker.start()
+            worker.join()
+
+        one = max(self.traced_peak(on_new_thread, seg, end) for seg, end in zip(schedule, ends))
         peak = self.traced_peak(main, ["analyze", "--in", str(sim), "--out", str(tmp_path / "rep")])
         assert peak < one + self.file_bytes(sim) / 4
 
@@ -518,22 +533,24 @@ class TestGoldenRoundTrip:
     """Byte-level pins of the CLI's outputs for fixed seeds: the simulate
     tag files and ground-truth metadata (including its config dump), the
     analyze reports, and a short stability run.  Captured before the
-    acquisition pipeline and the config types were consolidated."""
+    acquisition pipeline and the config types were consolidated, and the
+    tag-file pins re-captured (all but fig2's) when the simulator moved to
+    Poisson-split detection counts and fixed-length seed tuples."""
 
     SIMULATE_SHA256 = {
-        "ground_truth.json": "8ca40942c3613bd3cca7e6c76cc3deb4a35b7c0ab68b0ced75ef079e7b1237ee",
-        "pair0_alice.mcqt": "22cd086229788d0942619be246571fca214f86a51858190f906e6e99d2d77141",
-        "pair0_bob.mcqt": "3fb7d94d568a7aa135483a450aa75d9a51aebc90cf50d705b76b458feed54102",
-        "pair1_alice.mcqt": "045d6b63944e157b279036447a2eeb69386320154c1df2d92414fe247aafe7ea",
-        "pair1_bob.mcqt": "4a3adc05f9405364f766cdbcf770baca59d3eccaedf41a23618e14b611211439",
-        "pair2_alice.mcqt": "2a007f04a09ea6c22e9a64c49530291bfd9a536e91a45bc2e46e5f957d628cd4",
-        "pair2_bob.mcqt": "e05aca6c3c2ec98684ca9aff4fd057fc7fd0a84e2fc544cee46019419c3ceaf5",
+        "ground_truth.json": "2d57d93e3be9188128f3d1e3c66ba346e18030ec1b5383dd861d99105878159a",
+        "pair0_alice.mcqt": "e9db6a29acb20004a9a1c86dbaf2dec77f2d83ec6d886b9faf3c916a4cc784d1",
+        "pair0_bob.mcqt": "bf923ea8f7df74ca26697c35ced109ff72c9e34b00739dd1957e8f39e5040e73",
+        "pair1_alice.mcqt": "4c79bc6f3d114e4eee58bfb913bb04e33101c8181bca0f958de4ecf4fc92abec",
+        "pair1_bob.mcqt": "2c7cf777a357bb5a3885c29d92b1b713289e753c4ec2e2fd329aac67dc8d9b06",
+        "pair2_alice.mcqt": "ca0cba146b26dcca9f3598ab66b529d66f8bee93589804414df88c1e0ff0e68b",
+        "pair2_bob.mcqt": "8ac68ba15f0fd3441bdf35cc465219d79944dfb7871ef72e5eeab39e9513ce58",
     }
     ANALYZE_SHA256 = {
-        "report.json": "40c168d493c169e26ccd637cc148ed9b5621842987d9de477c12773c04f3c3ec",
-        "report.csv": "c92a76746e9064e0b974008e8480b677ce7eb59c3a2a8386e6a4d6db52310141",
+        "report.json": "8fa9225b05304d1133432f475bd3aad3efc5686a6cfb3fe888bfb346bedc5819",
+        "report.csv": "4803d8cd881138e2ea700ac0b1a90252a7b08cfcbd3005184f4c024ec8125dee",
     }
-    STABILITY_CSV_SHA256 = "a6cfedbf826509b56066f7a8316f921d0e0d8a7166d1987f427c6f445135f66e"
+    STABILITY_CSV_SHA256 = "fc553d6e4d1c3f259bdbb77db4b5660c436c4fbb1d682325523be45479254bcb"
     # captured before the link model's per-arm fields were merged
     FIG2_SHA256 = {
         "fig2_inner.csv": "c2806a073d66731277612c5c03974d1a8ea34a97168f321f23d4e24012e3b926",

@@ -81,6 +81,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match="seed"):
             loads_config(json.dumps({**MINIMAL, "seed": -1}))
 
+    @pytest.mark.parametrize("seed", [2**32, 2**32 + 5, 2**64])
+    def test_seed_beyond_one_uint32_word_rejected(self, seed):
+        # the seed is one 32-bit entropy word of every stream's SeedSequence,
+        # which would split 2**32 + 5 into the words of another seed's stream
+        with pytest.raises(ConfigError, match=rf"^seed: must be >= 0 and < 2\*\*32, got {seed}$"):
+            loads_config(json.dumps({**MINIMAL, "seed": seed}))
+        assert loads_config(json.dumps({**MINIMAL, "seed": 2**32 - 1})).seed == 2**32 - 1
+
     def test_file_round_trip(self, tmp_path):
         from mcfqkd.config import dump_config, load_config
 

@@ -2,23 +2,27 @@
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from mcfqkd.coincidence import tally_basis
+from mcfqkd.coincidence import count_coincidences, tally_basis
 from mcfqkd.geometry import build_layout
 from mcfqkd.photonsim import (
     CH_ALICE_R,
     CH_ALICE_T,
     FLAG_DARK,
+    PURPOSE_DRIFT,
+    PURPOSE_TAGS,
     AnalyzerSetting,
     LinkParams,
     SourceParams,
     apply_polarization_drift,
     joint_outcome_probs,
+    _stream_rng,
     simulate_run,
 )
 from mcfqkd.qkdmath import visibility_from_counts
@@ -190,11 +194,13 @@ class TestSimulateRun:
         pair = __import__("dataclasses").replace(LAYOUT.pairs[0], coupling_prob=0.5)
         res = simulate_run(source, pair, link, AnalyzerSetting.hv(), 0.2, seed=29)
         truth = res.truth.pairs[0]
-        assert truth.crosstalk_out > 0
-        # lost photons leave both streams and break their coincidences
+        # lost photons leave both streams and break their coincidences: a
+        # photon without its partner is in one stream only
         streams = res.streams[0]
         assert len(streams.alice) + len(streams.bob) == sum(truth.photon_singles.values())
-        assert truth.true_coincidences < sum(truth.outcome_counts)
+        assert truth.true_coincidences == sum(truth.outcome_counts)
+        assert len(streams.alice) > truth.true_coincidences
+        assert len(streams.bob) > truth.true_coincidences
 
     def test_time_offset_shifts_streams(self):
         source = SourceParams(pair_rate=50_000, visibility=0.9)
@@ -210,13 +216,137 @@ class TestSimulateRun:
         )
 
 
+class TestPoissonSplit:
+    """The three detected-pair counts are independent Poisson variables of
+    means lambda p^2, lambda p(1-p) and lambda (1-p)p, with p the link's
+    transmission times (1 - crosstalk).  Each check sums over SEEDS and
+    allows 4 sigma of the sum's Poisson (or binomial) spread; a seed alone
+    must fall within 5 sigma."""
+
+    SEEDS = range(8)
+    RATE, COUPLING, DURATION = 400_000, 0.5, 0.05
+
+    def runs(self, setting=AnalyzerSetting.hv(), angle=0.0, **link_kwargs):
+        pair, link = make_channel(coupling=self.COUPLING, **link_kwargs)
+        source = SourceParams(pair_rate=self.RATE, visibility=0.9)
+        lam = self.RATE * self.COUPLING * self.DURATION
+        p = link.transmission * (1.0 - link.crosstalk_prob)
+        results = [
+            simulate_run(source, pair, link, setting, self.DURATION, seed=s, angle_offset_deg=angle)
+            for s in self.SEEDS
+        ]
+        return [(r.streams[pair.pair_id], r.truth.pairs[pair.pair_id]) for r in results], lam, p
+
+    @staticmethod
+    def assert_poisson(counts, mean):
+        for n in counts:
+            assert abs(n - mean) < 5 * math.sqrt(mean), (n, mean)
+        assert abs(sum(counts) - len(counts) * mean) < 4 * math.sqrt(len(counts) * mean)
+
+    def test_counts_against_poisson_means(self):
+        runs, lam, p = self.runs(system_loss_db=3.0, crosstalk_prob=0.02)
+        both = [t.true_coincidences for _, t in runs]
+        only_a = [t.photon_singles[0] + t.photon_singles[1] - t.true_coincidences for _, t in runs]
+        only_b = [t.photon_singles[2] + t.photon_singles[3] - t.true_coincidences for _, t in runs]
+        self.assert_poisson(both, lam * p * p)
+        self.assert_poisson(only_a, lam * p * (1 - p))
+        self.assert_poisson(only_b, lam * (1 - p) * p)
+        self.assert_poisson([t.emitted for _, t in runs], lam)
+        for _, t in runs:
+            assert sum(t.outcome_counts) == t.true_coincidences
+
+    def test_singles_per_channel(self):
+        dark = 2_000.0
+        runs, lam, p = self.runs(system_loss_db=3.0, crosstalk_prob=0.02, dark_rate_cps=dark)
+        tags = np.concatenate([np.concatenate([st.alice, st.bob]) for st, _ in runs])
+        for ch in range(4):
+            # each port sees half of an arm's photons, whatever the outcome probabilities
+            photons = [t.photon_singles[ch] for _, t in runs]
+            self.assert_poisson(photons, lam * p / 2)
+            self.assert_poisson([t.dark_counts[ch] for _, t in runs], dark * self.DURATION)
+            n, mean = int(np.count_nonzero(tags["channel"] == ch)), lam * p / 2 + dark * self.DURATION
+            assert abs(n - len(runs) * mean) < 4 * math.sqrt(len(runs) * mean)
+
+    def test_outcome_frequencies(self):
+        runs, _, _ = self.runs(AnalyzerSetting.da(), 10.0, system_loss_db=1.0, crosstalk_prob=0.02)
+        probs = joint_outcome_probs(45.0, 55.0, 0.9)
+        counts = np.sum([t.outcome_counts for _, t in runs], axis=0)
+        n = int(counts.sum())
+        for got, prob in zip(counts, probs):
+            assert abs(got - n * prob) < 4 * math.sqrt(n * prob * (1 - prob)), (counts, probs)
+
+    def test_crosstalk_heavy_link(self):
+        # crosstalk is a loss: with no other loss each arm keeps p = 0.7 of its
+        # photons, and a pair survives with p^2
+        runs, lam, p = self.runs(crosstalk_prob=0.3)
+        assert p == pytest.approx(0.7)
+        self.assert_poisson([len(st.alice) for st, _ in runs], lam * p)
+        self.assert_poisson([len(st.bob) for st, _ in runs], lam * p)
+        self.assert_poisson([t.true_coincidences for _, t in runs], lam * p * p)
+        # without jitter, delay or darks each both-detected pair shows as two
+        # tags of equal time, and no other tags coincide
+        for st, t in runs:
+            t_a, t_b = (s["time_ps"].astype(np.int64) for s in (st.alice, st.bob))
+            assert len(count_coincidences(t_a, t_b, window_ps=1)) == t.true_coincidences
+
+
+class TestStreamSeeds:
+    """Every stream is seeded by the fixed-length tuple (seed, purpose,
+    segment index, pair id), each entry one uint32 word."""
+
+    def test_no_two_tuples_share_a_stream(self):
+        starts = {}
+        for entropy in itertools.product(
+            (0, 1, 42, 7919, 7961, 2**32 - 1), (PURPOSE_TAGS, PURPOSE_DRIFT), range(4), range(9)
+        ):
+            starts[_stream_rng(*entropy).bit_generator.random_raw(4).tobytes()] = entropy
+        assert len(starts) == 6 * 2 * 4 * 9
+
+    def test_segments_do_not_alias_seeds(self):
+        # seed + 7919 * segment used to give seed 42 segment 1 the stream of
+        # seed 7961 segment 0
+        source = SourceParams(pair_rate=50_000, visibility=0.9)
+        pair, link = make_channel(dark_rate_cps=100.0, jitter_sigma_ps=50.0)
+        runs = [
+            simulate_run(source, pair, link, AnalyzerSetting.hv(), 0.05, seed=s, segment_index=k)
+            for s, k in ((42, 1), (7961, 0), (42, 0))
+        ]
+        times = [r.streams[pair.pair_id].alice["time_ps"] for r in runs]
+        for i, j in itertools.combinations(range(3), 2):
+            assert times[i].size != times[j].size or not np.array_equal(times[i], times[j])
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: _stream_rng(2**32, PURPOSE_TAGS, 0, 0), "seed"),
+            (lambda: _stream_rng(-1, PURPOSE_TAGS, 0, 0), "seed"),
+            (lambda: _stream_rng(0, PURPOSE_TAGS, 2**32, 0), "segment_index"),
+            (
+                lambda: simulate_run(
+                    SourceParams(pair_rate=1_000), *make_channel(), AnalyzerSetting.hv(), 0.01,
+                    seed=2**32 + 5,
+                ),
+                "seed",
+            ),
+            (lambda: apply_polarization_drift([1.0], 2.0, seed=2**32), "seed"),
+        ],
+        ids=["seed-2**32", "seed-negative", "segment-2**32", "simulate_run-seed", "drift-seed"],
+    )
+    def test_entry_beyond_one_word_rejected(self, call, name):
+        # SeedSequence would split 2**32 + 5 into the words [5, 1], the
+        # stream of another tuple
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 2\*\*32\)"):
+            call()
+
+
 class TestGoldenRun:
     """Byte-level pin of one acquisition on a link no preset uses: a
     propagation delay, heavy crosstalk, 80 ps jitter, a 5 kcps dark rate and
-    non-zero drift and time offsets."""
+    non-zero drift and time offsets.  Re-captured when the simulator moved
+    to Poisson-split detection counts and fixed-length seed tuples."""
 
-    ALICE_SHA256 = "e203d6ad060926f80c426adaadb13f132e36adb129d49be7d091d97078673d38"
-    BOB_SHA256 = "87e8e8acd1dd0f0010789343d8ee279d7200dd4efa39bbcc54890cf3b60bf4ab"
+    ALICE_SHA256 = "a5a35b709d27a3ac18bda8cd13f19f3b980ddca1a386aff543558256c28a0242"
+    BOB_SHA256 = "385c0d4a7c29b0560c68d65170c78044f4668faffdb9b10bafe5b63f9ac0b9a7"
 
     def test_streams_and_truth(self):
         ch = make_channel(
@@ -229,65 +359,65 @@ class TestGoldenRun:
             seed=2024, angle_offset_deg=7.5, time_offset_ps=3 * 10**12, mark_dark_tags=False,
         )
         streams = res.streams[4]
-        assert (len(streams.alice), len(streams.bob)) == (3835, 3885)
+        assert (len(streams.alice), len(streams.bob)) == (3974, 3936)
         assert hashlib.sha256(streams.alice.tobytes()).hexdigest() == self.ALICE_SHA256
         assert hashlib.sha256(streams.bob.tobytes()).hexdigest() == self.BOB_SHA256
         truth = res.truth.pairs[4]
-        assert truth.emitted == 7556
-        assert truth.outcome_counts == (769, 54, 51, 801)
-        assert truth.true_coincidences == 1500
-        assert truth.photon_singles == {0: 1659, 1: 1710, 2: 1687, 3: 1696}
-        assert truth.dark_counts == {0: 238, 1: 228, 2: 259, 3: 243}
-        assert truth.crosstalk_out == 345
+        assert truth.emitted == 7634
+        assert truth.outcome_counts == (744, 51, 48, 747)
+        assert truth.true_coincidences == 1590
+        assert truth.photon_singles == {0: 1714, 1: 1731, 2: 1703, 3: 1758}
+        assert truth.dark_counts == {0: 258, 1: 271, 2: 236, 3: 239}
 
 
 class TestGoldenCorners:
     """Byte-level pins of the simulator's corners: no crosstalk, no jitter,
     no dark counts, dark counts only, and a dense source whose 2 ns jitter
     reorders many photons.  Each case pins both streams and a SHA-256 of
-    ``repr(astuple(truth))``."""
+    ``repr(astuple(truth))``.  Re-captured when the simulator moved to
+    Poisson-split detection counts and fixed-length seed tuples."""
 
     CASES = {
         "no-crosstalk": (
             dict(pair_index=1, coupling=0.6, dark_rate_cps=2_000.0, jitter_sigma_ps=50.0),
-            200_000, 0.05, False, (3194, 3152),
-            "c68aa250c53e331baebde5287562079935565c0d2dda99f780a4514db9f75112",
-            "43017d00ed2ba1f2bbf7b57dedbb3e082c394782a854ee64af793a61e86e16d6",
-            "3887ba15ecb84fca095809794deaa3c9254b461a57966154576fd7f7447326ca",
+            200_000, 0.05, False, (3124, 3173),
+            "54b70701bb802f3e240ee95fff47454829d4ed057bb4b10e27ac781e837b2c8d",
+            "30e59789945ad6f6bd06b81f40f3cd6bcbc8453ff62f62e170f7dcfaa4298ffa",
+            "cf392e9ec7849146936fe9661ef163a4803e7932b1ad2428b0e97233242a61fc",
         ),
         "no-jitter": (
             dict(pair_index=2, coupling=0.6, dark_rate_cps=2_000.0, crosstalk_prob=0.01),
-            200_000, 0.05, True, (3219, 3176),
-            "a8b5c140d55c2ae4d42f87d2fc31db9fc1d159df5260d5adb1fb1d08cc60d2d2",
-            "ae3d2b836d6a8de40b4a28cb72af51bc0255ca5e1e9e51dee81b21e214833668",
-            "32a4f640d6eb9dbb4ca6da1b2592c51aa0404ab22f27ae99fb03138c7e5127bc",
+            200_000, 0.05, True, (3160, 3228),
+            "468704090b5dffb046faab5e23b78bc9d690866b0f4c638068b8f9353fc0382f",
+            "49f756a22abbcfb6d4ed9392deaf3d41341488e44af5c14b884e333359c931f8",
+            "935be494e5691d38c12aa30999998710774e0c4bfb6f81856883189138c51f15",
         ),
         "no-darks": (
             dict(pair_index=3, coupling=0.6, jitter_sigma_ps=50.0, crosstalk_prob=0.01),
-            200_000, 0.05, False, (3024, 3053),
-            "d7e40bdb4c3043ab9700d90781cd245fb41f0f60e3d8601d2a906e9db1523420",
-            "f1e9c292d5f38ac63e323708facba0a39a21823866ea1409fb9a08a67defcb21",
-            "f5b684092b0fcb4b346c4f858610c3b6c82ca9a381a41fd95e610d0f4cc7eeb9",
+            200_000, 0.05, False, (2984, 2993),
+            "81eed59f8f141ce74b36cfb2a37aa311b2529f856e03db3f6d83485fadef3b41",
+            "3a3761bf9a41b721ebdfbdb25112ece28fe92e34cb9a55f32cca72a33a6a8fda",
+            "7339701aa8a7aa7629ac35bf8835c6b03fc21fe9d6fc4430b736e54950c1033c",
         ),
         "zero-coupling": (
             dict(
                 pair_index=5, coupling=0.0, dark_rate_cps=20_000.0, jitter_sigma_ps=50.0,
                 crosstalk_prob=0.01,
             ),
-            200_000, 0.05, True, (2007, 2086),
-            "235542802ee06d297db104271e1e1d2396b00e6d474e8cb9610c720166cd8cf3",
-            "7d3ae799b9fec5da899f245f3d01e2ef961e8f3da50b9c196fbc0a54c78bef3f",
-            "f354752f05f2605b599fcfcc42cf179bd13232be9834b02bd34f07dd673b5b19",
+            200_000, 0.05, True, (1947, 2038),
+            "c85b39e6f2112cffd7d0078f2772d3f86f4df4cf3eb9bdb60165822ce8f59300",
+            "0903e4d8339a74655f5a2201b06c4084c32f40a8509bdc3b9a1688098f56ad37",
+            "a76f87c3674296e4e5c68e967041eeecb5ee4a27f79769bd6600a3a6564b2540",
         ),
         "dense-2ns-jitter": (
             dict(
                 pair_index=6, coupling=1.0, system_loss_db=1.0, dark_rate_cps=20_000.0,
                 jitter_sigma_ps=2_000.0, crosstalk_prob=0.01,
             ),
-            5_000_000, 0.01, True, (40034, 40242),
-            "0eaa1888ba658a85e5307ce3aef537c2a847cd799c035428392f73a1fdca2ee5",
-            "b24212c739592eaf021d922cd3e79d9a8fa0a6cbee97c5df1c27afc904bb13d6",
-            "0ba67580a311bb63bad35f453011e47fa68d7cc37668b74785e2a0a8d47d975e",
+            5_000_000, 0.01, True, (39953, 39890),
+            "283eb6367360c2b2513be185b5da647a268f79bb0731916fea80a5f726717f66",
+            "59453a49188fc20e644e9f572cc233ff4fca3c61357326befc2404c31c87446c",
+            "da53a661c2e46c18d2a3c0567510d915362c1e0e899c04a74c3326f29aada8a3",
         ),
     }
 

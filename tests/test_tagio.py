@@ -192,6 +192,19 @@ class TestCorruption:
         assert err.value.offset == 4
         assert str(err.value) == f"{path}: unsupported format version 99 (offset 4)"
 
+    @pytest.mark.parametrize("reserved", [1, 0x100, 2**63])
+    @pytest.mark.parametrize("reader", [read_timetags, last_tag_time], ids=["read", "last"])
+    def test_nonzero_reserved_header_field(self, tmp_path, reader, reserved):
+        path = tmp_path / "bad.mcqt"
+        write_timetags(path, sample_tags(10), CHANNEL_ALICE)
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = reserved.to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TagFormatError) as err:
+            reader(path)
+        assert err.value.offset == 8
+        assert str(err.value) == f"{path}: non-zero reserved header field {reserved:#x} (offset 8)"
+
     def test_truncated_records(self, tmp_path):
         path = tmp_path / "trunc.mcqt"
         write_timetags(path, sample_tags(10), CHANNEL_ALICE)
