@@ -41,11 +41,6 @@ __all__ = [
     "tally_basis",
 ]
 
-#: Interpretations of the coincidence window width. "full" treats the window
-#: as the total width (|dt| <= w/2); "half" treats it as the half width
-#: (|dt| <= w).
-WINDOW_MODES = ("full", "half")
-
 #: A tags per block of the passes: a block's scratch, four ``int64`` per tag
 #: (2 MiB), is reused by every block, whatever the stream length, and each
 #: thread keeps its own (``_THREAD.scratch``) from one acquisition to the next
@@ -170,14 +165,12 @@ class _Search:
         return lo
 
 
-def _half_window(window_ps: int, mode: str) -> int:
-    if mode not in WINDOW_MODES:
-        raise ValueError(f"window mode must be one of {WINDOW_MODES}, got {mode!r}")
+def _half_window(window_ps: int) -> int:
     window_ps = int(window_ps)
     if window_ps <= 0:
         raise ValueError(f"window must be > 0 ps, got {window_ps}")
     # integer half width: |dt| <= w/2 on integer dt equals |dt| <= floor(w/2)
-    return window_ps // 2 if mode == "full" else window_ps
+    return window_ps // 2
 
 
 def cross_correlation(
@@ -246,7 +239,6 @@ def count_coincidences(
     stream_b,
     window_ps: int,
     delay_ps: int = 0,
-    mode: str = "full",
     *, search: Optional[_Search] = None,
 ) -> np.ndarray:
     """Greedy one-to-one coincidence matching between two sorted streams.
@@ -269,7 +261,7 @@ def count_coincidences(
     Raises:
         UnsortedStreamError: if either stream is not time-ordered.
     """
-    hw = _half_window(window_ps, mode)
+    hw = _half_window(window_ps)
     delay_ps = int(round(delay_ps))
     search = search or _Search(stream_a, stream_b, delay_ps - hw)
     a, b = search.a, search.b
@@ -329,7 +321,6 @@ def estimate_accidentals(
     offset_ps: int,
     duration_s: float,
     delay_ps: int = 0,
-    mode: str = "full",
     *, search: Optional[_Search] = None,
 ) -> AccidentalEstimate:
     """Accidental coincidences measured in a window displaced from the peak.
@@ -350,11 +341,10 @@ def estimate_accidentals(
         )
     if not 0 < duration_s < np.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
-    delay, hw = delay_ps + offset_ps, _half_window(window_ps, mode)
+    delay, hw = delay_ps + offset_ps, _half_window(window_ps)
     search = search or _Search(stream_a, stream_b, int(round(delay)) - hw)
-    matches = count_coincidences(search.a, search.b, window_ps, delay, mode, search=search)
-    width_s = window_ps * 1e-12 if mode == "full" else 2 * window_ps * 1e-12
-    analytic = search.a.size * search.b.size * width_s / duration_s
+    matches = count_coincidences(search.a, search.b, window_ps, delay, search=search)
+    analytic = search.a.size * search.b.size * (window_ps * 1e-12) / duration_s
     return AccidentalEstimate(count=len(matches), analytic=analytic, offset_ps=offset_ps)
 
 
@@ -368,7 +358,6 @@ def tally_basis(
     hist_bin_ps: int = 50,
     hist_range_ps: int = 5000,
     accidental_offset_ps: Optional[int] = None,
-    mode: str = "full",
 ) -> CoincidenceTally:
     """Analyze one acquisition: align, match, and classify by detector port.
 
@@ -380,7 +369,7 @@ def tally_basis(
     """
     if not 0 < duration_s < np.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
-    hw, edge = _half_window(window_ps, mode), int(hist_range_ps)
+    hw, edge = _half_window(window_ps), int(hist_range_ps)
     d, off = (-edge if delay_ps is None else int(round(delay_ps))), int(accidental_offset_ps or 0)
     # one search at the lowest window start, the histogram's only if the delay is within +-range
     base = min(d - hw + min(off, 0), -edge if abs(d) <= edge else d)
@@ -397,7 +386,7 @@ def tally_basis(
     # the delay every pass matches at is the one reported
     delay_ps = int(round(delay_ps))
 
-    pairs = count_coincidences(t_a, t_b, window_ps, delay_ps, mode, search=search)
+    pairs = count_coincidences(t_a, t_b, window_ps, delay_ps, search=search)
     # reflected (odd) ports of each match's A and B tag, counted by port combination
     ra = alice_tags["channel"][pairs[:, 0]] & 1
     rb = bob_tags["channel"][pairs[:, 1]] & 1
@@ -408,7 +397,7 @@ def tally_basis(
     accidentals = None
     if accidental_offset_ps is not None:
         accidentals = estimate_accidentals(
-            t_a, t_b, window_ps, accidental_offset_ps, duration_s, delay_ps, mode, search=search
+            t_a, t_b, window_ps, accidental_offset_ps, duration_s, delay_ps, search=search
         )
     return CoincidenceTally(
         counts=counts,

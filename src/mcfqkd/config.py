@@ -89,11 +89,12 @@ class DriftConfig:
 @dataclass
 class AnalysisConfig:
     window_ps: int = 300
+    # "full" (``window_ps`` is the total width) is the only mode; the key
+    # stays because the benchmark harness reads it in traced runs
     window_mode: str = "full"
     hist_bin_ps: int = 50
     hist_range_ps: int = 5000
     accidental_offset_windows: float = 20.0
-    subtract_accidentals: bool = False
 
 
 @dataclass
@@ -121,7 +122,6 @@ class RunConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     keyrate: KeyRateConfig = field(default_factory=KeyRateConfig)
     linkbudget: LinkBudgetConfig = field(default_factory=LinkBudgetConfig)
-    emit_ground_truth: bool = True
 
     def validate(self) -> None:
         if not 0 <= self.seed < 2**32:  # one uint32 entropy word, see ``photonsim``
@@ -146,15 +146,19 @@ class RunConfig:
                 raise ConfigError(f"schedule.rate_scales.{basis}: must be > 0")
         if self.schedule.acquisition_s <= 0:
             raise ConfigError("schedule.acquisition_s: must be > 0")
-        if self.analysis.window_mode not in ("full", "half"):
-            raise ConfigError("analysis.window_mode: must be 'full' or 'half'")
-        if self.analysis.window_ps <= 0:
+        a = self.analysis
+        if a.window_mode != "full":
+            raise ConfigError(f"analysis.window_mode: must be 'full', got {a.window_mode!r}")
+        if a.window_ps <= 0:
             raise ConfigError("analysis.window_ps: must be > 0")
-        if self.analysis.hist_bin_ps <= 0:
+        if a.hist_bin_ps <= 0:
             raise ConfigError("analysis.hist_bin_ps: must be > 0")
-        if self.analysis.hist_range_ps <= 0:
-            raise ConfigError("analysis.hist_range_ps: must be > 0")
-        if self.analysis.accidental_offset_windows < 10:
+        if a.hist_range_ps < a.hist_bin_ps or a.hist_range_ps % a.hist_bin_ps:
+            raise ConfigError(
+                f"analysis.hist_range_ps: must be a positive multiple of hist_bin_ps "
+                f"({a.hist_bin_ps}), got {a.hist_range_ps}"
+            )
+        if a.accidental_offset_windows < 10:
             raise ConfigError("analysis.accidental_offset_windows: must be >= 10")
         if self.keyrate.ec_efficiency < 0:
             raise ConfigError("keyrate.ec_efficiency: must be >= 0")
@@ -274,12 +278,15 @@ def window_capture_fraction(window_ps: float, jitter_sigma_ps: float, mode: str 
     """Fraction of true coincidences whose time difference fits the window.
 
     Both detections jitter independently with the given sigma, so the
-    difference is Gaussian with sigma * sqrt(2).
+    difference is Gaussian with sigma * sqrt(2).  ``mode`` must be "full",
+    the only window mode; the argument stays because the benchmark harness
+    passes ``analysis.window_mode``.
     """
+    if mode != "full":
+        raise ValueError(f"window mode must be 'full', got {mode!r}")
     if jitter_sigma_ps <= 0:
         return 1.0
-    half = window_ps / 2.0 if mode == "full" else float(window_ps)
-    return math.erf(half / (2.0 * jitter_sigma_ps))
+    return math.erf(window_ps / 2.0 / (2.0 * jitter_sigma_ps))
 
 
 def _calibrated_config(
@@ -304,7 +311,7 @@ def _calibrated_config(
     coupling_sum = sum(p.coupling_prob for p in ring_pairs)
     link, analysis = cfg.link, cfg.analysis
     t_arm = link.transmission
-    eta_w = window_capture_fraction(analysis.window_ps, link.jitter_sigma_ps, analysis.window_mode)
+    eta_w = window_capture_fraction(analysis.window_ps, link.jitter_sigma_ps)
     keep = (1.0 - link.crosstalk_prob) ** 2
     detected_per_emission = coupling_sum * t_arm * t_arm * eta_w * keep
     pair_rate = len(ring_pairs) * target_hv_cps / detected_per_emission

@@ -215,9 +215,7 @@ def model_from_config(cfg) -> LinkModel:
     from .config import selected_pairs, window_capture_fraction
 
     pairs = selected_pairs(cfg)
-    eta = window_capture_fraction(
-        cfg.analysis.window_ps, cfg.link.jitter_sigma_ps, cfg.analysis.window_mode
-    )
+    eta = window_capture_fraction(cfg.analysis.window_ps, cfg.link.jitter_sigma_ps)
     keep = (1.0 - cfg.link.crosstalk_prob) ** 2
     mean_coupling = sum(p.coupling_prob for p in pairs) / len(pairs)
     c_hv = cfg.source.pair_rate * mean_coupling * cfg.link.transmission**2 * eta * keep
@@ -234,9 +232,7 @@ def model_from_config(cfg) -> LinkModel:
         window_ps=cfg.analysis.window_ps,
         pairs_in_ring=len(pairs),
         reference_length_km=cfg.linkbudget.reference_length_km,
-        fiber_loss_db_per_km=cfg.link.fiber_loss_db_per_km
-        if cfg.link.fiber_loss_db_per_km > 0
-        else 0.2,
+        fiber_loss_db_per_km=cfg.link.fiber_loss_db_per_km,
         ec_efficiency=cfg.keyrate.ec_efficiency,
     )
 

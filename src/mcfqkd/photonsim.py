@@ -60,7 +60,7 @@ __all__ = [
 
 CH_ALICE_T, CH_ALICE_R, CH_BOB_T, CH_BOB_R = 0, 1, 2, 3
 
-#: flags bit 0 marks a dark count when ground-truth emission is enabled
+#: flags bit 0 marks a dark count (``simulate_run(mark_dark_tags=True)``)
 FLAG_DARK = 0x01
 
 #: in-memory record layout, identical to the 16-byte on-disk record
@@ -114,7 +114,6 @@ class LinkParams:
     dark_rate_cps: float = 100.0
     jitter_sigma_ps: float = 50.0
     crosstalk_prob: float = 1e-4
-    propagation_delay_ps: int = 0
 
     def __post_init__(self) -> None:
         for name in (
@@ -254,14 +253,13 @@ def simulate_run(
     means = (p * p, p * (1.0 - p), (1.0 - p) * p, (1.0 - p) ** 2)
     n_both, n_a, n_b, n_none = (int(rng.poisson(lam * m)) for m in means)
 
-    # each arm's photon times in one array, the both-detected pairs' first,
-    # each part sorted, so the jittered photons are nearly in time order; the
-    # link's delay is in the drawn range, [delay, delay + duration)
-    lo, hi = link.propagation_delay_ps, link.propagation_delay_ps + duration_ps
-    times = [rng.integers(lo, hi, n_both + n_a, dtype=np.int64), np.empty(n_both + n_b, np.int64)]
+    # each arm's photon times in [0, duration) in one array, the both-detected
+    # pairs' first, each part sorted, so the jittered photons are nearly in
+    # time order; both arms cross the same link, so no delay separates them
+    times = [rng.integers(0, duration_ps, n_both + n_a, np.int64), np.empty(n_both + n_b, np.int64)]
     times[0][:n_both].sort()
     times[1][:n_both] = times[0][:n_both]
-    times[1][n_both:] = rng.integers(lo, hi, n_b, dtype=np.int64)
+    times[1][n_both:] = rng.integers(0, duration_ps, n_b, np.int64)
     above = np.less_equal.outer(cum_probs, rng.random(n_both))
     # pairs with outcome >= 0, 1, 2, 3 and 4
     n_ge = [n_both] + [int(np.count_nonzero(g)) for g in above] + [0]

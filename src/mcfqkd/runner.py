@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -172,12 +172,8 @@ class StabilityPoint:
     drift_offset_deg: float
 
 
-def _tally_to_result(tally: CoincidenceTally, basis: str, subtract: bool) -> PairBasisResult:
+def _tally_to_result(tally: CoincidenceTally, basis: str) -> PairBasisResult:
     counts = tally.counts
-    if subtract and tally.accidentals is not None and counts.total > 0:
-        # remove the estimated accidentals evenly from the four combinations
-        share = tally.accidentals.count // 4
-        counts = BasisCounts(*(max(0, c - share) for c in astuple(counts)))
     try:
         visibility = visibility_from_counts(counts)
         qber = qber_from_visibility(visibility)
@@ -213,9 +209,8 @@ def analyze_segment(
         accidental_offset_ps=int(
             round(cfg.analysis.accidental_offset_windows * cfg.analysis.window_ps)
         ),
-        mode=cfg.analysis.window_mode,
     )
-    return _tally_to_result(tally, segment.basis, cfg.analysis.subtract_accidentals)
+    return _tally_to_result(tally, segment.basis)
 
 
 def simulate_segment(
@@ -237,7 +232,7 @@ def simulate_segment(
         segment_index=segment_index,
         angle_offset_deg=angle_offset_deg,
         time_offset_ps=segment.start_ps,
-        mark_dark_tags=cfg.emit_ground_truth,
+        mark_dark_tags=True,
     )
 
 

@@ -72,6 +72,23 @@ class TestSimulate:
     def test_missing_config_fails(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "x")]) != 0
 
+    @pytest.mark.parametrize(
+        "args",
+        [["simulate"], ["stability", "--hours", "1", "--switch-min", "15", "--acquisition-s", "2"]],
+        ids=["simulate", "stability"],
+    )
+    def test_bad_histogram_grid_names_the_field(self, tmp_path, capsys, args):
+        # a 5000 ps range is not a multiple of 30 ps bins: refused when the
+        # config loads, not later inside the cross-correlation
+        cfg = preset_inner()
+        cfg.analysis.hist_bin_ps = 30
+        path, out = tmp_path / "bad.json", tmp_path / "out"
+        dump_config(cfg, path)
+        assert main([*args, "--config", str(path), "--out", str(out)]) == 2
+        message = "must be a positive multiple of hist_bin_ps (30), got 5000"
+        assert f"error: analysis.hist_range_ps: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyze:
     @pytest.fixture
@@ -243,6 +260,35 @@ class TestAnalyze:
         )
         assert rc == 2
         assert "truth.per_pair: no entry for pair 0" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda c: c["analysis"].update(subtract_accidentals=False),
+                "analysis.subtract_accidentals: unknown key",
+            ),
+            (lambda c: c.update(emit_ground_truth=True), "emit_ground_truth: unknown key"),
+            (lambda c: c["link"].update(propagation_delay_ps=0), "link.propagation_delay_ps: unknown key"),
+            (
+                lambda c: c["analysis"].update(window_mode="half"),
+                "analysis.window_mode: must be 'full', got 'half'",
+            ),
+            (
+                lambda c: c["analysis"].update(hist_bin_ps=30),
+                "analysis.hist_range_ps: must be a positive multiple of hist_bin_ps (30), got 5000",
+            ),
+        ],
+        ids=["subtract_accidentals", "emit_ground_truth", "propagation_delay_ps", "window_mode-half",
+             "hist-bin-30"],
+    )
+    def test_bad_config_section_rejected(self, sim_dir, tmp_path, capsys, edit, message):
+        # a ground_truth.json whose config sets a deleted option or a bad grid
+        rc, err, meta_path = self._analyze_with_meta(
+            sim_dir, tmp_path, capsys, lambda m: edit(m["config"])
+        )
+        assert rc == 2
+        assert f"error: {meta_path}: config: {message}" in err
 
     def test_empty_streams_zero_report(self, sim_dir, tmp_path):
         # truncate one pair's files to headers only: zero-count report, no crash
@@ -535,10 +581,13 @@ class TestGoldenRoundTrip:
     analyze reports, and a short stability run.  Captured before the
     acquisition pipeline and the config types were consolidated, and the
     tag-file pins re-captured (all but fig2's) when the simulator moved to
-    Poisson-split detection counts and fixed-length seed tuples."""
+    Poisson-split detection counts and fixed-length seed tuples.  The
+    ground-truth pin was re-captured again when its config section lost
+    ``analysis.subtract_accidentals``, ``link.propagation_delay_ps`` and
+    ``emit_ground_truth``; every other byte of it stayed the same."""
 
     SIMULATE_SHA256 = {
-        "ground_truth.json": "2d57d93e3be9188128f3d1e3c66ba346e18030ec1b5383dd861d99105878159a",
+        "ground_truth.json": "6a1f165a8cb1e242a40abcf3ec2cb2b1c8107fbb3e66f79da78e27c97eb6ce56",
         "pair0_alice.mcqt": "e9db6a29acb20004a9a1c86dbaf2dec77f2d83ec6d886b9faf3c916a4cc784d1",
         "pair0_bob.mcqt": "bf923ea8f7df74ca26697c35ced109ff72c9e34b00739dd1957e8f39e5040e73",
         "pair1_alice.mcqt": "4c79bc6f3d114e4eee58bfb913bb04e33101c8181bca0f958de4ecf4fc92abec",

@@ -140,11 +140,6 @@ class TestCountCoincidences:
         with pytest.raises(UnsortedStreamError, match="at index 1"):
             count_coincidences(checked[::-1], checked, 100)
 
-    def test_half_window_mode(self):
-        # full mode: |dt| <= 150; half mode: |dt| <= 300
-        assert len(count_coincidences([0], [200], 300, mode="full")) == 0
-        assert len(count_coincidences([0], [200], 300, mode="half")) == 1
-
     def test_matches_bruteforce_randomized(self):
         rng = np.random.default_rng(3)
         for _ in range(120):
@@ -304,17 +299,16 @@ def _peak_delay_oracle(bins, bin_width, hist_range):
     return round(centers[best])
 
 
-def _tally_oracle(alice, bob, window, delay, hist_bin, hist_range, offset, mode):
+def _tally_oracle(alice, bob, window, delay, hist_bin, hist_range, offset):
     t_a = alice["time_ps"].astype(np.int64)
     t_b = bob["time_ps"].astype(np.int64)
     bins = histogram_oracle(t_a, t_b, hist_bin, hist_range)
     if delay is None:
         delay = _peak_delay_oracle(bins.tolist(), hist_bin, hist_range)
-    full = window if mode == "full" else 2 * window
     ports = [0, 0, 0, 0]
-    for i, j in greedy_match_oracle(t_a, t_b, full, delay):
+    for i, j in greedy_match_oracle(t_a, t_b, window, delay):
         ports[2 * (alice["channel"][i] % 2) + bob["channel"][j] % 2] += 1
-    accidentals = len(greedy_match_oracle(t_a, t_b, full, delay + offset))
+    accidentals = len(greedy_match_oracle(t_a, t_b, window, delay + offset))
     return bins, delay, ports, accidentals
 
 
@@ -326,7 +320,7 @@ class TestTallyBasisOracle:
         times = base + np.sort(rng.integers(0, span, n))
         return make_tags(times, rng.choice(channels, n))
 
-    def _check(self, alice, bob, *, window, delay, hist_bin, hist_range, offset, mode):
+    def _check(self, alice, bob, *, window, delay, hist_bin, hist_range, offset):
         tally = tally_basis(
             alice,
             bob,
@@ -336,10 +330,9 @@ class TestTallyBasisOracle:
             hist_bin_ps=hist_bin,
             hist_range_ps=hist_range,
             accidental_offset_ps=offset,
-            mode=mode,
         )
         bins, want_delay, ports, accidentals = _tally_oracle(
-            alice, bob, window, delay, hist_bin, hist_range, offset, mode
+            alice, bob, window, delay, hist_bin, hist_range, offset
         )
         np.testing.assert_array_equal(tally.histogram.bins, bins)
         assert tally.delay_ps == want_delay
@@ -360,7 +353,9 @@ class TestTallyBasisOracle:
             # explicit delays reach well outside +-hist_range
             delay = int(rng.integers(-3 * hist_range, 3 * hist_range + 1)) if explicit else None
             offset = int(rng.choice([-1, 1])) * 10 * window * int(rng.integers(1, 4))
-            mode = str(rng.choice(["full", "half"]))
+            # half the cases double their window (up to 1,198 ps) and its offset
+            scale = int(rng.choice([1, 2]))
+            window, offset = scale * window, scale * offset
             alice = self._random_tags(rng, int(rng.integers(0, 250)), span, base, [0, 1])
             bob = self._random_tags(rng, int(rng.integers(0, 250)), span, base, [2, 3])
             self._check(
@@ -371,7 +366,6 @@ class TestTallyBasisOracle:
                 hist_bin=hist_bin,
                 hist_range=hist_range,
                 offset=offset,
-                mode=mode,
             )
 
     def test_correlated_streams_with_contested_segments(self):
@@ -389,7 +383,6 @@ class TestTallyBasisOracle:
                 hist_bin=50,
                 hist_range=5000,
                 offset=3000,
-                mode="full",
             )
 
     def test_empty_streams(self):
@@ -406,7 +399,6 @@ class TestTallyBasisOracle:
                     hist_bin=50,
                     hist_range=5000,
                     offset=3000,
-                    mode="full",
                 )
 
 
@@ -444,15 +436,15 @@ class TestSharedSearch:
             t_a, t_b = [(t_a[:0], t_b), (t_a, t_b[:0]), (t_a[:0], t_b[:0])][int(rng.integers(0, 3))]
         alice = make_tags(t_a, rng.choice([0, 1], t_a.size))
         bob = make_tags(t_b, rng.choice([2, 3], t_b.size))
-        mode = str(rng.choice(["full", "half"]))
+        # half the cases double their window (up to 1,198 ps) and its offset
+        scale = int(rng.choice([1, 2]))
         return alice, bob, dict(
-            window_ps=window,
+            window_ps=scale * window,
             duration_s=1.0,
             delay_ps=delay,
             hist_bin_ps=hist_bin,
             hist_range_ps=hist_range,
-            accidental_offset_ps=offset,
-            mode=mode,
+            accidental_offset_ps=scale * offset,
         )
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -464,8 +456,8 @@ class TestSharedSearch:
         count = coincidence.count_coincidences
         search = np.searchsorted
 
-        def recorded(a, b, window_ps, delay_ps=0, mode="full", **kwargs):
-            pairs = count(a, b, window_ps, delay_ps, mode, **kwargs)
+        def recorded(a, b, window_ps, delay_ps=0, **kwargs):
+            pairs = count(a, b, window_ps, delay_ps, **kwargs)
             match_passes.append((delay_ps, pairs))
             return pairs
 
@@ -488,18 +480,17 @@ class TestSharedSearch:
             t_a, t_b = alice["time_ps"], bob["time_ps"]
             bins, delay, ports, accidentals = _tally_oracle(
                 alice, bob, kw["window_ps"], kw["delay_ps"], kw["hist_bin_ps"],
-                kw["hist_range_ps"], kw["accidental_offset_ps"], kw["mode"],
+                kw["hist_range_ps"], kw["accidental_offset_ps"],
             )
             np.testing.assert_array_equal(tally.histogram.bins, bins)
             assert tally.delay_ps == delay
             counts = tally.counts
             assert [counts.c_pp, counts.c_pm, counts.c_mp, counts.c_mm] == ports
             assert tally.accidentals.count == accidentals
-            full = kw["window_ps"] if kw["mode"] == "full" else 2 * kw["window_ps"]
             assert [d for d, _ in match_passes] == [delay, delay + kw["accidental_offset_ps"]]
             for d, pairs in match_passes:
                 assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
-                assert pairs.tolist() == [list(p) for p in greedy_match_oracle(t_a, t_b, full, d)]
+                assert pairs.tolist() == [list(p) for p in greedy_match_oracle(t_a, t_b, kw["window_ps"], d)]
 
     def test_a_burst_is_galloped_over(self, monkeypatch):
         # 5,000 B tags at one instant within range of one A tag: a walk one
@@ -525,7 +516,7 @@ class TestSharedSearch:
         tally = tally_basis(alice, bob, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
         monkeypatch.undo()
         assert rounds[0] < 1000
-        bins, delay, ports, accidentals = _tally_oracle(alice, bob, 300, None, 50, 5000, 6000, "full")
+        bins, delay, ports, accidentals = _tally_oracle(alice, bob, 300, None, 50, 5000, 6000)
         np.testing.assert_array_equal(tally.histogram.bins, bins)
         assert (tally.delay_ps, tally.counts.c_pp, tally.accidentals.count) == (delay, ports[0], accidentals)
 

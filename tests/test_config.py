@@ -189,9 +189,41 @@ def _with(section, key, value):
         (_with("schedule", "rate_scales", {"HV": 1.0, "XY": 1.0}), "schedule.rate_scales.XY"),
         (_with("schedule", "rate_scales", {"HV": 1.0, "DA": 0.0}), "schedule.rate_scales.DA"),
         (_with("keyrate", "ec_efficiency", 10**400), "keyrate.ec_efficiency"),
+        # the histogram grid: +-range in whole bins, at least one
+        (_with("analysis", "hist_bin_ps", 30), "analysis.hist_range_ps: must be a positive multiple"),
+        (_with("analysis", "hist_range_ps", 25), "analysis.hist_range_ps: must be a positive multiple"),
+        (_with("analysis", "hist_range_ps", 5025), "analysis.hist_range_ps: must be a positive multiple"),
     ],
 )
 def test_invalid_values_rejected_with_field_path(data, path):
     # NaN and Infinity are what Python's JSON parser accepts for them
     with pytest.raises(ConfigError, match=re.escape(path)):
         loads_config(json.dumps(data))
+
+
+def _with_top(key, value):
+    return {**json.loads(dumps_config(preset_inner())), key: value}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_with("analysis", "subtract_accidentals", False), "analysis.subtract_accidentals: unknown key"),
+        (_with_top("emit_ground_truth", True), "emit_ground_truth: unknown key"),
+        (_with("link", "propagation_delay_ps", 0), "link.propagation_delay_ps: unknown key"),
+        (_with("analysis", "window_mode", "half"), "analysis.window_mode: must be 'full', got 'half'"),
+    ],
+    ids=["subtract_accidentals", "emit_ground_truth", "propagation_delay_ps", "window_mode-half"],
+)
+def test_deleted_options_rejected_with_field_path(data, message):
+    # the accidental subtraction, the dark-flag switch, the link delay and the
+    # half-width window are gone; a config that still sets one is refused
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        loads_config(json.dumps(data))
+
+
+def test_window_capture_fraction_has_one_mode():
+    assert window_capture_fraction(300, 50.0, "full") == window_capture_fraction(300, 50.0)
+    assert window_capture_fraction(300, 50.0) == pytest.approx(math.erf(1.5))
+    with pytest.raises(ValueError, match="window mode must be 'full', got 'half'"):
+        window_capture_fraction(300, 50.0, "half")

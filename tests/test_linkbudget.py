@@ -1,6 +1,7 @@
 """Unit tests for the key-rate-versus-length extrapolation."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -137,6 +138,17 @@ class TestCalibratedModels:
         inner = max_positive_length(model_from_config(preset_inner()))
         outer = max_positive_length(model_from_config(preset_outer()))
         assert inner < outer
+
+    def test_zero_fiber_loss_is_honoured(self):
+        # a lossless fiber: no rate depends on the length, so the key rate is
+        # flat and never crosses zero
+        cfg = preset_inner()
+        cfg.link = replace(cfg.link, fiber_loss_db_per_km=0.0)
+        model = model_from_config(cfg)
+        assert model.fiber_loss_db_per_km == 0.0
+        rates = {keyrate_at_length(model, km).skr_pair_bits_s for km in (0.0, 0.411, 50.0, 250.0, 1e4)}
+        assert len(rates) == 1 and rates.pop() > 0
+        assert max_positive_length(model) == math.inf
 
 
 class TestFromReference:

@@ -340,19 +340,20 @@ class TestStreamSeeds:
 
 
 class TestGoldenRun:
-    """Byte-level pin of one acquisition on a link no preset uses: a
-    propagation delay, heavy crosstalk, 80 ps jitter, a 5 kcps dark rate and
-    non-zero drift and time offsets.  Re-captured when the simulator moved
-    to Poisson-split detection counts and fixed-length seed tuples."""
+    """Byte-level pin of one acquisition on a link no preset uses: heavy
+    crosstalk, 80 ps jitter, a 5 kcps dark rate and non-zero drift and time
+    offsets.  Re-captured when the simulator moved to Poisson-split detection
+    counts and fixed-length seed tuples, and again when the link's 12,345 ps
+    propagation delay was deleted: every photon tag moved by -12,345 ps, every
+    dark tag stayed, and the sizes and truth are unchanged."""
 
-    ALICE_SHA256 = "a5a35b709d27a3ac18bda8cd13f19f3b980ddca1a386aff543558256c28a0242"
-    BOB_SHA256 = "385c0d4a7c29b0560c68d65170c78044f4668faffdb9b10bafe5b63f9ac0b9a7"
+    ALICE_SHA256 = "5bca5dc6ae6199ead414bd8f89089715b1f0d0654a212d11f09419d3a5698a30"
+    BOB_SHA256 = "c59ecdc65ce153223f45205586093ab415993f338b5823b809866085b66e7eb5"
 
     def test_streams_and_truth(self):
         ch = make_channel(
             4, 0.5, fiber_length_km=1.5, system_loss_db=2.0, detector_efficiency=0.8,
             dark_rate_cps=5_000.0, jitter_sigma_ps=80.0, crosstalk_prob=0.05,
-            propagation_delay_ps=12_345,
         )
         res = simulate_run(
             SourceParams(pair_rate=300_000, visibility=0.9), *ch, AnalyzerSetting.da(), 0.05,
