@@ -89,8 +89,8 @@ class CoincidenceTally:
     counts: BasisCounts
     duration_s: float
     delay_ps: int
-    accidentals: Optional[AccidentalEstimate] = None
-    histogram: Optional[CorrelationHistogram] = field(default=None, repr=False)
+    accidentals: AccidentalEstimate
+    histogram: CorrelationHistogram = field(repr=False)
 
 
 def _as_times(stream, name: str) -> np.ndarray:
@@ -110,9 +110,9 @@ class _Search:
     """Streams ``a``/``b`` (checked as ``names``) and ``index[i]``, the first B index at or
     after ``a[i] + base`` (4 bytes each where B's indices fit); ``windows`` walks on from it."""
 
-    def __init__(self, a, b, base: int, reach: int = 0, names=("stream_a", "stream_b")):
+    def __init__(self, a, b, base: int, names=("stream_a", "stream_b")):
         a, b = _as_times(a, names[0]), _as_times(b, names[1])
-        self.a, self.b, self.base, self.reach = a, b, base, reach
+        self.a, self.b, self.base = a, b, base
         self.index = np.empty(a.size, dtype=np.int32 if b.size < 2**31 else np.int64)
         for s in range(0, a.size, _BLOCK):
             self.index[s : s + _BLOCK] = np.searchsorted(b, a[s : s + _BLOCK] + base)
@@ -132,18 +132,15 @@ class _Search:
     def windows(self, bounds: list, t_lo: int, t_hi: int):
         """Per block ``(s, e)``: ``s``, ``e`` and the first B indices ``lo``/``hi`` at or after
         ``a[s:e] + t_lo``/``t_hi``, in the thread's scratch (so one pass at a time per thread);
-        ``lo`` walked from ``index`` (searched for a ``t_lo`` off ``[base, base + reach]``),
-        ``hi`` from ``lo``."""
+        ``lo`` walked on from ``index``, so ``base <= t_lo`` must hold, ``hi`` from ``lo``."""
         m = max((e - s for s, e in bounds), default=0)
         if getattr(_THREAD, "scratch", None) is None or _THREAD.scratch.shape[1] < m:
             _THREAD.scratch = np.empty((4, m + m // 8), dtype=np.int64)
-        scratch, near = _THREAD.scratch, 0 <= t_lo - self.base <= self.reach
         for s, e in bounds if self.b.size else []:
-            keys, lo, hi, tmp = scratch[:, : e - s]
-            np.add(self.a[s:e], t_lo, out=keys)
-            lo[:] = self.index[s:e] if near else np.searchsorted(self.b, keys)
-            if near and t_lo != self.base:
-                self._walk(lo, keys, tmp)
+            keys, lo, hi, tmp = _THREAD.scratch[:, : e - s]
+            lo[:] = self.index[s:e]
+            if t_lo != self.base:
+                self._walk(lo, np.add(self.a[s:e], t_lo, out=keys), tmp)
             hi[:] = lo
             yield s, e, lo, self._walk(hi, np.add(self.a[s:e], t_hi, out=keys), tmp)
 
@@ -354,37 +351,30 @@ def tally_basis(
     *,
     window_ps: int,
     duration_s: float,
-    delay_ps: Optional[int] = None,
+    accidental_offset_ps: int,
     hist_bin_ps: int = 50,
     hist_range_ps: int = 5000,
-    accidental_offset_ps: Optional[int] = None,
 ) -> CoincidenceTally:
-    """Analyze one acquisition: align, match, and classify by detector port.
+    """Analyze one acquisition: align, match, classify by detector port and
+    count the accidentals in the window ``accidental_offset_ps`` off the peak.
 
     ``alice_tags`` and ``bob_tags`` are structured timetag arrays (see
     ``mcfqkd.photonsim.TAG_DTYPE``); transmitted ports are even channels,
-    reflected ports odd.  When ``delay_ps`` is None the peak of the
-    cross-correlation histogram is used; a featureless histogram falls back
-    to zero delay.
+    reflected ports odd.  The delay is the peak of the cross-correlation
+    histogram, or zero when the histogram is empty.
     """
     if not 0 < duration_s < np.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
-    hw, edge = _half_window(window_ps), int(hist_range_ps)
-    d, off = (-edge if delay_ps is None else int(round(delay_ps))), int(accidental_offset_ps or 0)
-    # one search at the lowest window start, the histogram's only if the delay is within +-range
-    base = min(d - hw + min(off, 0), -edge if abs(d) <= edge else d)
-    reach, names = 2 * (edge + hw) + abs(off), ("alice_tags", "bob_tags")
-    search = _Search(alice_tags["time_ps"], bob_tags["time_ps"], base, reach, names)
+    # the peak lies within +-range, so one search at the lowest window start serves every pass
+    base = -int(hist_range_ps) - _half_window(window_ps) + min(int(accidental_offset_ps), 0)
+    search = _Search(alice_tags["time_ps"], bob_tags["time_ps"], base, ("alice_tags", "bob_tags"))
     t_a, t_b = search.a, search.b
 
     hist = cross_correlation(t_a, t_b, hist_bin_ps, hist_range_ps, search=search)
-    if delay_ps is None:
-        try:
-            delay_ps = find_peak_delay(hist)
-        except NoPeakError:
-            delay_ps = 0
-    # the delay every pass matches at is the one reported
-    delay_ps = int(round(delay_ps))
+    try:
+        delay_ps = int(round(find_peak_delay(hist)))
+    except NoPeakError:
+        delay_ps = 0
 
     pairs = count_coincidences(t_a, t_b, window_ps, delay_ps, search=search)
     # reflected (odd) ports of each match's A and B tag, counted by port combination
@@ -394,15 +384,7 @@ def tally_basis(
     counts = BasisCounts(len(pairs) - ma - mb + mm, mb - mm, ma - mm, mm)
     del pairs, ra, rb  # freed before the accidental pass
 
-    accidentals = None
-    if accidental_offset_ps is not None:
-        accidentals = estimate_accidentals(
-            t_a, t_b, window_ps, accidental_offset_ps, duration_s, delay_ps, search=search
-        )
-    return CoincidenceTally(
-        counts=counts,
-        duration_s=duration_s,
-        delay_ps=delay_ps,
-        accidentals=accidentals,
-        histogram=hist,
+    accidentals = estimate_accidentals(
+        t_a, t_b, window_ps, accidental_offset_ps, duration_s, delay_ps, search=search
     )
+    return CoincidenceTally(counts, duration_s, delay_ps, accidentals, hist)

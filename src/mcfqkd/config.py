@@ -129,9 +129,13 @@ class RunConfig:
         if self.ring not in ("inner", "outer"):
             raise ConfigError(f"ring: must be 'inner' or 'outer', got {self.ring!r}")
         if self.pairs is not None:
-            bad = [p for p in self.pairs if not 0 <= p <= 8]
+            # pairs 0-2 are on the inner ring, 3-8 on the outer (``geometry.build_layout``)
+            on_ring = range(3) if self.ring == "inner" else range(3, 9)
+            bad = [p for p in self.pairs if p not in on_ring]
             if bad:
-                raise ConfigError(f"pairs: unknown pair ids {bad}")
+                raise ConfigError(f"pairs: ids {bad} are not on the {self.ring} ring")
+            if len(set(self.pairs)) != len(self.pairs):
+                raise ConfigError(f"pairs: duplicate pair id in {self.pairs}")
         for basis in self.schedule.bases:
             if basis not in ("HV", "DA"):
                 raise ConfigError(f"schedule.bases: unknown basis {basis!r}")
@@ -146,6 +150,10 @@ class RunConfig:
                 raise ConfigError(f"schedule.rate_scales.{basis}: must be > 0")
         if self.schedule.acquisition_s <= 0:
             raise ConfigError("schedule.acquisition_s: must be > 0")
+        if self.drift.rate_deg_per_hour < 0:
+            raise ConfigError("drift.rate_deg_per_hour: must be >= 0")
+        if self.drift.max_offset_deg <= 0:
+            raise ConfigError("drift.max_offset_deg: must be > 0")
         a = self.analysis
         if a.window_mode != "full":
             raise ConfigError(f"analysis.window_mode: must be 'full', got {a.window_mode!r}")
@@ -242,7 +250,10 @@ def loads_config(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_config(fh.read())
+        try:
+            return loads_config(fh.read())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def dumps_config(cfg: RunConfig) -> str:

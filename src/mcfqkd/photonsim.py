@@ -60,7 +60,7 @@ __all__ = [
 
 CH_ALICE_T, CH_ALICE_R, CH_BOB_T, CH_BOB_R = 0, 1, 2, 3
 
-#: flags bit 0 marks a dark count (``simulate_run(mark_dark_tags=True)``)
+#: flags bit 0 marks a dark count; ``simulate_run`` sets it on every dark tag
 FLAG_DARK = 0x01
 
 #: in-memory record layout, identical to the 16-byte on-disk record
@@ -211,23 +211,21 @@ def simulate_run(
     segment_index: int = 0,
     angle_offset_deg: float = 0.0,
     time_offset_ps: int = 0,
-    mark_dark_tags: bool = False,
 ) -> SimulationResult:
     """Simulate one acquisition of one core pair and return its two streams.
 
     Emissions couple into the pair with its coupling probability; each
     photon independently survives the link's transmission and crosstalk (a
     loss), and a detected one gets Gaussian jitter truncated at 6 sigma.  Dark
-    counts are added per detector as independent Poisson processes.  Streams
-    come back sorted by time with a ground-truth record of what was generated,
-    both keyed by the pair id.
+    counts are added per detector as independent Poisson processes, each tag
+    flagged ``FLAG_DARK``.  Streams come back sorted by time with a
+    ground-truth record of what was generated, both keyed by the pair id.
 
     Args:
         seed, segment_index: select the random stream, with the pair id.
         setting: plate setting of both analyzers.
         angle_offset_deg: polarization drift added to Bob's analyzer angle.
         time_offset_ps: added to all timestamps (schedule segment start).
-        mark_dark_tags: set the dark-count flag bit on dark tags.
     """
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
@@ -291,8 +289,7 @@ def simulate_run(
         photon_singles[det] = int(np.count_nonzero(chunks[det // 2][0][1] == 2 * det))
         dark_counts[det] = n_dark = int(rng.poisson(link.dark_rate_cps * duration_s))
         d_times = rng.integers(0, duration_ps, n_dark, dtype=np.int64)
-        code = 2 * det + (FLAG_DARK if mark_dark_tags else 0)
-        chunks[det // 2].append((d_times, np.full(n_dark, code, dtype=np.uint8)))
+        chunks[det // 2].append((d_times, np.full(n_dark, 2 * det + FLAG_DARK, dtype=np.uint8)))
 
     truth = PairTruth(
         pair_id=pair.pair_id,

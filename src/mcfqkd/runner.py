@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coincidence import CoincidenceTally, tally_basis
+from .coincidence import tally_basis
 from .config import RunConfig, selected_pairs, worker_count
 from .geometry import CorePair
 from .photonsim import PS_PER_S, AnalyzerSetting, apply_polarization_drift, simulate_run
@@ -124,8 +124,8 @@ class PairBasisResult:
     visibility: Optional[float]
     qber: Optional[float]
     delay_ps: int
-    accidental_count: int = 0
-    accidental_rate_analytic: float = 0.0
+    accidental_count: int
+    accidental_rate_analytic: float
 
 
 @dataclass
@@ -172,45 +172,37 @@ class StabilityPoint:
     drift_offset_deg: float
 
 
-def _tally_to_result(tally: CoincidenceTally, basis: str) -> PairBasisResult:
+def analyze_segment(
+    alice_tags: np.ndarray, bob_tags: np.ndarray, segment: ScheduleSegment, cfg: RunConfig
+) -> PairBasisResult:
+    """Run the coincidence chain on one acquisition's two tag streams."""
+    a = cfg.analysis
+    tally = tally_basis(
+        alice_tags,
+        bob_tags,
+        window_ps=a.window_ps,
+        duration_s=segment.duration_ps / PS_PER_S,
+        accidental_offset_ps=int(round(a.accidental_offset_windows * a.window_ps)),
+        hist_bin_ps=a.hist_bin_ps,
+        hist_range_ps=a.hist_range_ps,
+    )
     counts = tally.counts
     try:
         visibility = visibility_from_counts(counts)
         qber = qber_from_visibility(visibility)
     except UndefinedVisibilityError:
-        visibility = None
-        qber = None
+        visibility = qber = None
     return PairBasisResult(
-        basis=basis,
+        basis=segment.basis,
         counts=counts,
         duration_s=tally.duration_s,
         coincidence_rate_cps=counts.total / tally.duration_s,
         visibility=visibility,
         qber=qber,
         delay_ps=tally.delay_ps,
-        accidental_count=tally.accidentals.count if tally.accidentals else 0,
-        accidental_rate_analytic=(
-            tally.accidentals.analytic if tally.accidentals else 0.0
-        ),
+        accidental_count=tally.accidentals.count,
+        accidental_rate_analytic=tally.accidentals.analytic,
     )
-
-
-def analyze_segment(
-    alice_tags: np.ndarray, bob_tags: np.ndarray, segment: ScheduleSegment, cfg: RunConfig
-) -> PairBasisResult:
-    """Run the coincidence chain on one acquisition's two tag streams."""
-    tally = tally_basis(
-        alice_tags,
-        bob_tags,
-        window_ps=cfg.analysis.window_ps,
-        duration_s=segment.duration_ps / PS_PER_S,
-        hist_bin_ps=cfg.analysis.hist_bin_ps,
-        hist_range_ps=cfg.analysis.hist_range_ps,
-        accidental_offset_ps=int(
-            round(cfg.analysis.accidental_offset_windows * cfg.analysis.window_ps)
-        ),
-    )
-    return _tally_to_result(tally, segment.basis)
 
 
 def simulate_segment(
@@ -232,7 +224,6 @@ def simulate_segment(
         segment_index=segment_index,
         angle_offset_deg=angle_offset_deg,
         time_offset_ps=segment.start_ps,
-        mark_dark_tags=True,
     )
 
 

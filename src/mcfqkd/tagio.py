@@ -6,8 +6,8 @@ Little-endian layout:
   channel id ``u16`` (0 = Alice stream, 1 = Bob stream), reserved ``u64``.
 * records, 16 bytes each: ``time_ps u64``, ``channel u8`` (``2 * channel id``
   for the transmitted port, plus 1 for the reflected one), ``flags u8`` (bit 0
-  marks a ground-truth dark count, which the runner always flags; no other
-  bit is used), six reserved zero bytes.
+  marks a ground-truth dark count, which the simulator always sets; no
+  other bit is used), six reserved zero bytes.
 
 Fixed-width records let a reader fill one record array straight from the
 file, or only a time range's records, found by a binary search that reads one

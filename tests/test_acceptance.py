@@ -205,7 +205,7 @@ def test_criterion_5_quantum_correlation_statistics():
                 res.streams[0].bob,
                 window_ps=300,
                 duration_s=1.0,
-                delay_ps=0,
+                accidental_offset_ps=6000,
             )
             n = tally.counts.total
             assert n == res.truth.pairs[0].true_coincidences  # lossless, noiseless
@@ -231,7 +231,7 @@ def test_criterion_5_quantum_correlation_statistics():
                 res.streams[0].bob,
                 window_ps=300,
                 duration_s=1.0,
-                delay_ps=0,
+                accidental_offset_ps=6000,
             )
             v = visibility_from_counts(tally.counts)
             assert abs(v - 0.94) <= 0.01

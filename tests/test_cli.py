@@ -86,7 +86,14 @@ class TestSimulate:
         dump_config(cfg, path)
         assert main([*args, "--config", str(path), "--out", str(out)]) == 2
         message = "must be a positive multiple of hist_bin_ps (30), got 5000"
-        assert f"error: analysis.hist_range_ps: {message}" in capsys.readouterr().err
+        assert f"error: {path}: analysis.hist_range_ps: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_json_names_the_file(self, tmp_path, capsys):
+        path, out = tmp_path / "bad.json", tmp_path / "out"
+        path.write_text('{"seed": 42,}')
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert f"error: {path}: invalid JSON: Expecting property name" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -170,6 +170,10 @@ def _with(section, key, value):
     return data
 
 
+def _with_top(key, value, **more):
+    return {**json.loads(dumps_config(preset_inner())), key: value, **more}
+
+
 @pytest.mark.parametrize(
     "data, path",
     [
@@ -193,16 +197,19 @@ def _with(section, key, value):
         (_with("analysis", "hist_bin_ps", 30), "analysis.hist_range_ps: must be a positive multiple"),
         (_with("analysis", "hist_range_ps", 25), "analysis.hist_range_ps: must be a positive multiple"),
         (_with("analysis", "hist_range_ps", 5025), "analysis.hist_range_ps: must be a positive multiple"),
+        # drift and pair selections, refused before a run rather than during one
+        (_with("drift", "rate_deg_per_hour", -1.0), "drift.rate_deg_per_hour: must be >= 0"),
+        (_with("drift", "max_offset_deg", 0.0), "drift.max_offset_deg: must be > 0"),
+        (_with("drift", "max_offset_deg", -3.0), "drift.max_offset_deg: must be > 0"),
+        (_with_top("pairs", [0, 0]), "pairs: duplicate pair id in [0, 0]"),
+        (_with_top("pairs", [3]), "pairs: ids [3] are not on the inner ring"),
+        (_with_top("pairs", [3, 0], ring="outer"), "pairs: ids [0] are not on the outer ring"),
     ],
 )
 def test_invalid_values_rejected_with_field_path(data, path):
     # NaN and Infinity are what Python's JSON parser accepts for them
     with pytest.raises(ConfigError, match=re.escape(path)):
         loads_config(json.dumps(data))
-
-
-def _with_top(key, value):
-    return {**json.loads(dumps_config(preset_inner())), key: value}
 
 
 @pytest.mark.parametrize(

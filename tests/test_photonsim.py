@@ -151,7 +151,9 @@ class TestSimulateRun:
         for setting in (AnalyzerSetting.hv(), AnalyzerSetting.da()):
             res = simulate_run(source, *ch, setting, 1.0, seed=13)
             streams = res.streams[0]
-            tally = tally_basis(streams.alice, streams.bob, window_ps=300, duration_s=1.0)
+            tally = tally_basis(
+                streams.alice, streams.bob, window_ps=300, duration_s=1.0, accidental_offset_ps=6000
+            )
             v = visibility_from_counts(tally.counts)
             sigma = math.sqrt((1 - 0.94**2) / tally.counts.total)
             assert abs(v - 0.94) < 4 * sigma
@@ -163,22 +165,14 @@ class TestSimulateRun:
         lam = 80_000 * 0.5 * 0.25
         assert abs(sum(p.emitted for p in truth.pairs.values()) - lam) < 5 * math.sqrt(lam)
 
-    def test_dark_flags_only_when_enabled(self):
+    def test_dark_tags_always_flagged(self):
         source = SourceParams(pair_rate=1_000, visibility=0.9)
         ch = make_channel(dark_rate_cps=5_000.0)
-        marked = simulate_run(
-            source, *ch, AnalyzerSetting.hv(), 0.2, seed=5,
-            mark_dark_tags=True,
-        )
-        plain = simulate_run(
-            source, *ch, AnalyzerSetting.hv(), 0.2, seed=5,
-            mark_dark_tags=False,
-        )
-        n_marked = int((marked.streams[0].alice["flags"] & FLAG_DARK).sum())
+        res = simulate_run(source, *ch, AnalyzerSetting.hv(), 0.2, seed=5)
+        n_marked = int((res.streams[0].alice["flags"] & FLAG_DARK).sum())
         assert n_marked == sum(
-            marked.truth.pairs[0].dark_counts[ch_id] for ch_id in (CH_ALICE_T, CH_ALICE_R)
-        )
-        assert int((plain.streams[0].alice["flags"] & FLAG_DARK).sum()) == 0
+            res.truth.pairs[0].dark_counts[ch_id] for ch_id in (CH_ALICE_T, CH_ALICE_R)
+        ) > 0
 
     def test_zero_coupling_warns(self):
         source = SourceParams(pair_rate=1_000, visibility=0.9)
@@ -345,10 +339,12 @@ class TestGoldenRun:
     offsets.  Re-captured when the simulator moved to Poisson-split detection
     counts and fixed-length seed tuples, and again when the link's 12,345 ps
     propagation delay was deleted: every photon tag moved by -12,345 ps, every
-    dark tag stayed, and the sizes and truth are unchanged."""
+    dark tag stayed, and the sizes and truth are unchanged.  Re-captured again
+    when dark tags came to be flagged always: the hashes are the former run's
+    with its dark tags flagged."""
 
-    ALICE_SHA256 = "5bca5dc6ae6199ead414bd8f89089715b1f0d0654a212d11f09419d3a5698a30"
-    BOB_SHA256 = "c59ecdc65ce153223f45205586093ab415993f338b5823b809866085b66e7eb5"
+    ALICE_SHA256 = "749d29273ab14a901c6f22b0f91a220679c7c908953d92399295a29e24995a53"
+    BOB_SHA256 = "ba3722c5eaf84a764c1a8d1860cb39db90f5753700996920eb25cf010747c681"
 
     def test_streams_and_truth(self):
         ch = make_channel(
@@ -357,7 +353,7 @@ class TestGoldenRun:
         )
         res = simulate_run(
             SourceParams(pair_rate=300_000, visibility=0.9), *ch, AnalyzerSetting.da(), 0.05,
-            seed=2024, angle_offset_deg=7.5, time_offset_ps=3 * 10**12, mark_dark_tags=False,
+            seed=2024, angle_offset_deg=7.5, time_offset_ps=3 * 10**12,
         )
         streams = res.streams[4]
         assert (len(streams.alice), len(streams.bob)) == (3974, 3936)
@@ -376,26 +372,28 @@ class TestGoldenCorners:
     no dark counts, dark counts only, and a dense source whose 2 ns jitter
     reorders many photons.  Each case pins both streams and a SHA-256 of
     ``repr(astuple(truth))``.  Re-captured when the simulator moved to
-    Poisson-split detection counts and fixed-length seed tuples."""
+    Poisson-split detection counts and fixed-length seed tuples; the streams
+    of "no-crosstalk", the one case that left its dark tags unflagged, again
+    when dark tags came to be flagged always."""
 
     CASES = {
         "no-crosstalk": (
             dict(pair_index=1, coupling=0.6, dark_rate_cps=2_000.0, jitter_sigma_ps=50.0),
-            200_000, 0.05, False, (3124, 3173),
-            "54b70701bb802f3e240ee95fff47454829d4ed057bb4b10e27ac781e837b2c8d",
-            "30e59789945ad6f6bd06b81f40f3cd6bcbc8453ff62f62e170f7dcfaa4298ffa",
+            200_000, 0.05, (3124, 3173),
+            "27dc9cf312c3cf0d5ed6573ce69aaf5f9fc86c3681e7da6d82f953f02af31a0e",
+            "923ab6e32d1d0d062330cbd00cedd5282435ebb4dd292b23868b2df61e5af197",
             "cf392e9ec7849146936fe9661ef163a4803e7932b1ad2428b0e97233242a61fc",
         ),
         "no-jitter": (
             dict(pair_index=2, coupling=0.6, dark_rate_cps=2_000.0, crosstalk_prob=0.01),
-            200_000, 0.05, True, (3160, 3228),
+            200_000, 0.05, (3160, 3228),
             "468704090b5dffb046faab5e23b78bc9d690866b0f4c638068b8f9353fc0382f",
             "49f756a22abbcfb6d4ed9392deaf3d41341488e44af5c14b884e333359c931f8",
             "935be494e5691d38c12aa30999998710774e0c4bfb6f81856883189138c51f15",
         ),
         "no-darks": (
             dict(pair_index=3, coupling=0.6, jitter_sigma_ps=50.0, crosstalk_prob=0.01),
-            200_000, 0.05, False, (2984, 2993),
+            200_000, 0.05, (2984, 2993),
             "81eed59f8f141ce74b36cfb2a37aa311b2529f856e03db3f6d83485fadef3b41",
             "3a3761bf9a41b721ebdfbdb25112ece28fe92e34cb9a55f32cca72a33a6a8fda",
             "7339701aa8a7aa7629ac35bf8835c6b03fc21fe9d6fc4430b736e54950c1033c",
@@ -405,7 +403,7 @@ class TestGoldenCorners:
                 pair_index=5, coupling=0.0, dark_rate_cps=20_000.0, jitter_sigma_ps=50.0,
                 crosstalk_prob=0.01,
             ),
-            200_000, 0.05, True, (1947, 2038),
+            200_000, 0.05, (1947, 2038),
             "c85b39e6f2112cffd7d0078f2772d3f86f4df4cf3eb9bdb60165822ce8f59300",
             "0903e4d8339a74655f5a2201b06c4084c32f40a8509bdc3b9a1688098f56ad37",
             "a76f87c3674296e4e5c68e967041eeecb5ee4a27f79769bd6600a3a6564b2540",
@@ -415,7 +413,7 @@ class TestGoldenCorners:
                 pair_index=6, coupling=1.0, system_loss_db=1.0, dark_rate_cps=20_000.0,
                 jitter_sigma_ps=2_000.0, crosstalk_prob=0.01,
             ),
-            5_000_000, 0.01, True, (39953, 39890),
+            5_000_000, 0.01, (39953, 39890),
             "283eb6367360c2b2513be185b5da647a268f79bb0731916fea80a5f726717f66",
             "59453a49188fc20e644e9f572cc233ff4fca3c61357326befc2404c31c87446c",
             "da53a661c2e46c18d2a3c0567510d915362c1e0e899c04a74c3326f29aada8a3",
@@ -424,12 +422,12 @@ class TestGoldenCorners:
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_streams_and_truth(self, name):
-        link_kwargs, rate, duration, mark, sizes, alice_sha, bob_sha, truth_sha = self.CASES[name]
+        link_kwargs, rate, duration, sizes, alice_sha, bob_sha, truth_sha = self.CASES[name]
         link_kwargs = {"system_loss_db": 3.0, **link_kwargs}
         pair, link = make_channel(**link_kwargs)
         run = functools.partial(
             simulate_run, SourceParams(pair_rate=rate, visibility=0.9), pair, link,
-            AnalyzerSetting.da(), duration, seed=77, angle_offset_deg=4.0, mark_dark_tags=mark,
+            AnalyzerSetting.da(), duration, seed=77, angle_offset_deg=4.0,
         )
         if pair.coupling_prob == 0.0:
             with pytest.warns(RuntimeWarning, match="zero coupling"):
@@ -444,15 +442,15 @@ class TestGoldenCorners:
 
 
 def test_marked_tags_match_truth_per_channel():
-    # oracle: with dark tags marked, the stream's flag-0 and flag-1 tags per
-    # channel are the truth's photon singles and dark counts
+    # oracle: the stream's flag-0 and flag-1 tags per channel are the truth's
+    # photon singles and dark counts
     pair, link = make_channel(
         coupling=0.5, system_loss_db=2.0, dark_rate_cps=10_000.0, jitter_sigma_ps=300.0,
         crosstalk_prob=0.02,
     )
     res = simulate_run(
         SourceParams(pair_rate=400_000, visibility=0.9), pair, link, AnalyzerSetting.hv(), 0.05,
-        seed=3, mark_dark_tags=True,
+        seed=3,
     )
     truth = res.truth.pairs[pair.pair_id]
     tags = np.concatenate([res.streams[pair.pair_id].alice, res.streams[pair.pair_id].bob])

@@ -287,7 +287,9 @@ _NO_TAGS = np.zeros(0, dtype=TAG_DTYPE)
         (lambda: LinkParams(dark_rate_cps=math.nan), "dark_rate_cps"),
         (lambda: LinkParams(jitter_sigma_ps=math.nan), "jitter_sigma_ps"),
         (lambda: LinkParams(fiber_length_km=math.inf), "fiber_length_km"),
-        (lambda: tally_basis(_NO_TAGS, _NO_TAGS, window_ps=300, duration_s=math.nan), "duration_s"),
+        (lambda: tally_basis(
+            _NO_TAGS, _NO_TAGS, window_ps=300, duration_s=math.nan, accidental_offset_ps=6000
+        ), "duration_s"),
     ],
     ids=[
         "stability-hours-inf", "stability-hours-nan", "stability-switch-nan",
