@@ -5,12 +5,14 @@ All operations work on sorted ``int64`` picosecond timestamp arrays and use
 integer arithmetic throughout, so results stay exact even for timestamps far
 beyond 2**53 (a day of picoseconds does not fit a double).
 
-One binary search of the A stream into the B stream finds, for every A tag,
-the first B tag at or after its lowest window start; every other window edge
-is walked to from there, one gather and comparison per A tag over the one B
-tag most have in a window, and a gallop over the few left.  ``tally_basis``
-checks each stream once, into the one search all its passes share (their
-private ``search`` argument); a pass called alone checks its own inputs.
+One search of the A stream into the B stream finds, for every A tag, the
+first B tag at or after its lowest window start: per block of A, a merge of
+the block's keys with the B tags they span.  Every other window edge is
+walked to from there, one gather and comparison per A tag over the one B tag
+most have in a window, and a gallop over the few left.  ``tally_basis``
+takes two ``photonsim.Stream``, checked where they were made, and builds
+the one search all its passes share (their private ``search`` argument); a
+pass called alone checks its own inputs.
 
 Cost: a pass walks A in blocks of ``_BLOCK`` tags at about 20 numpy function
 and method calls a block (operators besides): a 506k-tag tally takes 24
@@ -20,12 +22,14 @@ after, so two threads wait on each other at short calls, not at long ones.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .photonsim import Stream, UnsortedStreamError
 from .qkdmath import BasisCounts
 
 __all__ = [
@@ -45,10 +49,6 @@ __all__ = [
 #: (2 MiB), is reused by every block, whatever the stream length, and each
 #: thread keeps its own (``_THREAD.scratch``) from one acquisition to the next
 _BLOCK, _THREAD = 1 << 16, threading.local()
-
-
-class UnsortedStreamError(ValueError):
-    """A timetag stream was not sorted in non-decreasing time order."""
 
 
 class NoPeakError(ValueError):
@@ -107,15 +107,32 @@ def _as_times(stream, name: str) -> np.ndarray:
 
 
 class _Search:
-    """Streams ``a``/``b`` (checked as ``names``) and ``index[i]``, the first B index at or
-    after ``a[i] + base`` (4 bytes each where B's indices fit); ``windows`` walks on from it."""
+    """Times ``a``/``b`` of two streams (a ``Stream``'s, or arrays checked as ``names``) and
+    ``index[i]``, the first B index at or after ``a[i] + base`` (4 bytes each where B's indices
+    fit); ``windows`` walks on from it."""
 
     def __init__(self, a, b, base: int, names=("stream_a", "stream_b")):
-        a, b = _as_times(a, names[0]), _as_times(b, names[1])
+        a, b = (
+            s.times if isinstance(s, Stream) else _as_times(s, n) for s, n in zip((a, b), names)
+        )
         self.a, self.b, self.base = a, b, base
         self.index = np.empty(a.size, dtype=np.int32 if b.size < 2**31 else np.int64)
         for s in range(0, a.size, _BLOCK):
-            self.index[s : s + _BLOCK] = np.searchsorted(b, a[s : s + _BLOCK] + base)
+            keys = a[s : s + _BLOCK] + base
+            lo, hi = np.searchsorted(b, keys[[0, -1]]).tolist()
+            x0 = int(keys[0])
+            if int(keys[-1]) - x0 >= 1 << 62:  # too wide a block for the shifted keys
+                self.index[s : s + keys.size] = np.searchsorted(b, keys)
+                continue
+            # the keys and the B tags from the first key to the last as 2*(key - x0) and
+            # 2*(t - x0) + 1, sorted (a merge of two runs): each B tag below a key comes
+            # before it, so the key's position less its rank counts them
+            merged = np.concatenate([keys - x0, b[lo:hi] - x0])
+            merged <<= 1
+            merged[keys.size :] |= 1
+            merged.sort(kind="stable")
+            pos = np.flatnonzero(np.bitwise_and(merged, 1, out=merged) == 0)
+            self.index[s : s + keys.size] = pos - np.arange(-lo, keys.size - lo)
 
     def blocks(self, hw: Optional[int] = None) -> list:
         """Bounds ``(s, e)`` of blocks of about ``_BLOCK`` A tags; with ``hw`` each ends where two
@@ -330,6 +347,8 @@ def estimate_accidentals(
         ValueError: if the offset is closer than 10 windows or the duration
             is not positive.
     """
+    if not math.isfinite(offset_ps):
+        raise ValueError(f"offset_ps must be finite, got {offset_ps}")
     window_ps = int(window_ps)
     offset_ps = int(offset_ps)
     if abs(offset_ps) < 10 * window_ps:
@@ -346,8 +365,8 @@ def estimate_accidentals(
 
 
 def tally_basis(
-    alice_tags: np.ndarray,
-    bob_tags: np.ndarray,
+    alice: Stream,
+    bob: Stream,
     *,
     window_ps: int,
     duration_s: float,
@@ -358,16 +377,18 @@ def tally_basis(
     """Analyze one acquisition: align, match, classify by detector port and
     count the accidentals in the window ``accidental_offset_ps`` off the peak.
 
-    ``alice_tags`` and ``bob_tags`` are structured timetag arrays (see
-    ``mcfqkd.photonsim.TAG_DTYPE``); transmitted ports are even channels,
-    reflected ports odd.  The delay is the peak of the cross-correlation
-    histogram, or zero when the histogram is empty.
+    ``alice`` and ``bob`` are the two arms' streams, each checked where it was
+    made; transmitted ports are even channels, reflected ports odd.  The
+    delay is the peak of the cross-correlation histogram, or zero when the
+    histogram is empty.
     """
     if not 0 < duration_s < np.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
+    if not math.isfinite(accidental_offset_ps):
+        raise ValueError(f"accidental_offset_ps must be finite, got {accidental_offset_ps}")
     # the peak lies within +-range, so one search at the lowest window start serves every pass
     base = -int(hist_range_ps) - _half_window(window_ps) + min(int(accidental_offset_ps), 0)
-    search = _Search(alice_tags["time_ps"], bob_tags["time_ps"], base, ("alice_tags", "bob_tags"))
+    search = _Search(alice, bob, base)
     t_a, t_b = search.a, search.b
 
     hist = cross_correlation(t_a, t_b, hist_bin_ps, hist_range_ps, search=search)
@@ -377,9 +398,10 @@ def tally_basis(
         delay_ps = 0
 
     pairs = count_coincidences(t_a, t_b, window_ps, delay_ps, search=search)
-    # reflected (odd) ports of each match's A and B tag, counted by port combination
-    ra = alice_tags["channel"][pairs[:, 0]] & 1
-    rb = bob_tags["channel"][pairs[:, 1]] & 1
+    # reflected (odd) ports of each match's A and B tag, counted by port combination;
+    # a code is 2*channel + flag
+    ra = alice.codes[pairs[:, 0]] >> 1 & 1
+    rb = bob.codes[pairs[:, 1]] >> 1 & 1
     mm, ma, mb = (int(np.count_nonzero(r)) for r in (ra & rb, ra, rb))
     counts = BasisCounts(len(pairs) - ma - mb + mm, mb - mm, ma - mm, mm)
     del pairs, ra, rb  # freed before the accidental pass

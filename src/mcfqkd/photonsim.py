@@ -23,9 +23,14 @@ The draws fix the output bytes.  ``simulate_run`` makes them in this order:
 ``integers`` for Alice's photon times, the both-detected pairs' first, and
 for Bob's lone photons' times; ``random`` for each both-detected pair's
 outcome; per arm, Alice's first, ``uint8`` ``integers`` for each lone
-photon's port and ``normal`` for the jitter (none without it); per detector
-0-3, ``poisson`` for its dark counts and ``integers`` for their times.  Speed
-changes keep each draw's method, size, dtype and place.
+photon's port and the jitter (none without it), ``standard_normal`` in chunks
+of ``_CHUNK`` scaled by sigma, which gives the values of one ``normal(0, sigma,
+n)`` draw; per detector 0-3, ``poisson`` for its dark counts and ``integers``
+for their times.  Speed changes keep each draw's values and place.
+
+Each arm comes back as a ``Stream``: sorted ``int64`` times and ``uint8`` codes
+``2 * channel + flag``, checked once where it is made.  Only ``tagio`` turns a
+stream into the 16-byte records of a file, and a file's records into one.
 """
 from __future__ import annotations
 
@@ -45,7 +50,8 @@ __all__ = [
     "CH_BOB_R",
     "FLAG_DARK",
     "PS_PER_S",
-    "TAG_DTYPE",
+    "Stream",
+    "UnsortedStreamError",
     "SourceParams",
     "LinkParams",
     "AnalyzerSetting",
@@ -63,15 +69,10 @@ CH_ALICE_T, CH_ALICE_R, CH_BOB_T, CH_BOB_R = 0, 1, 2, 3
 #: flags bit 0 marks a dark count; ``simulate_run`` sets it on every dark tag
 FLAG_DARK = 0x01
 
-#: in-memory record layout, identical to the 16-byte on-disk record
-TAG_DTYPE = np.dtype(
-    [("time_ps", "<u8"), ("channel", "u1"), ("flags", "u1"), ("reserved", "V6")]
-)
-
 PS_PER_S = 1_000_000_000_000
 
-# second record word of each key code 2*channel + flag: channel | flag << 8
-_CODE_WORDS = np.array([c >> 1 | (c & 1) << 8 for c in range(8)], dtype=np.int64)
+#: jitter values per standard normal draw: a chunk's buffer (512 KiB) is reused by the next
+_CHUNK = 1 << 16
 
 #: purpose tags, the second entropy word of the tag streams and the drift walk
 PURPOSE_TAGS, PURPOSE_DRIFT = 1, 2
@@ -156,10 +157,45 @@ class AnalyzerSetting:
         return cls(22.5)
 
 
+class UnsortedStreamError(ValueError):
+    """A timetag stream was not sorted in non-decreasing time order."""
+
+
+@dataclass(frozen=True, eq=False)
+class Stream:
+    """One arm's tags in time order: ``times`` in ps (``int64``) and ``codes``, each
+    ``2 * channel + flag`` (``uint8``), on Alice's channels 0/1 for ``channel_id`` 0 or
+    Bob's 2/3 for 1 (a tag file's channel id).  Checked here, where it is made."""
+
+    times: np.ndarray
+    codes: np.ndarray
+    channel_id: int
+
+    def __post_init__(self) -> None:
+        t, c, ch = self.times, self.codes, self.channel_id
+        if not (np.ndim(t) == 1 and getattr(t, "dtype", None) == np.int64 and ch in (0, 1)):
+            raise ValueError(f"need one-dimensional int64 times and channel id 0 or 1, got {ch}")
+        if getattr(c, "dtype", None) != np.uint8 or c.shape != t.shape:
+            raise ValueError("codes must be a uint8 array as long as the times")
+        down = t[1:] < t[:-1]
+        if down.any():
+            raise UnsortedStreamError(f"times are not sorted at index {int(down.argmax()) + 1}")
+        if c.size and not 4 * ch <= c.min() <= c.max() < 4 * ch + 4:  # not 2*channel + flag
+            i = int(np.flatnonzero(c >> 2 != ch)[0])
+            raise ValueError(f"code {c[i]} at index {i} is not valid for channel id {ch}")
+
+    def __len__(self) -> int:
+        return self.times.size
+
+    @property
+    def nbytes(self) -> int:
+        return self.times.nbytes + self.codes.nbytes
+
+
 @dataclass
 class PairStreams:
-    alice: np.ndarray  # TAG_DTYPE, channels 0/1
-    bob: np.ndarray  # TAG_DTYPE, channels 2/3
+    alice: Stream  # channels 0/1
+    bob: Stream  # channels 2/3
 
 
 @dataclass
@@ -230,6 +266,11 @@ def simulate_run(
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     duration_ps = max(1, int(round(duration_s * PS_PER_S)))
+    # every tag time lies in [offset, offset + duration + slack) and packs into a key of
+    # ``_assemble`` below 2**63: time*8 + code
+    slack = int(math.ceil(6.0 * link.jitter_sigma_ps))
+    if time_offset_ps < 0 or time_offset_ps + duration_ps + slack > 1 << 60:
+        raise ValueError("tag times must lie in [0, 2**60) ps")
     rng = _stream_rng(seed, PURPOSE_TAGS, segment_index, pair.pair_id)
 
     if pair.coupling_prob == 0.0:
@@ -268,20 +309,27 @@ def simulate_run(
     # reflects for outcomes 2 and 3 and Bob's for the odd ones, and a random port for
     # a lone photon; then Gaussian jitter truncated at 6 sigma
     reflected = [above[1], above[0] ^ above[1] ^ above[2]]
-    slack = int(math.ceil(6.0 * link.jitter_sigma_ps))
     chunks = ([], [])  # (times, codes) chunks of Alice's and Bob's stream
-    for t, refl, ch_t, chunk in zip(times, reflected, (CH_ALICE_T, CH_BOB_T), chunks):
+    for chunk, ch_t in zip(chunks, (CH_ALICE_T, CH_BOB_T)):
+        t, refl = times.pop(0), reflected.pop(0)
         t[n_both:].sort()
         lone = rng.integers(ch_t, ch_t + 2, t.size - n_both, dtype=np.uint8)
         chunk.append((t, 2 * np.concatenate([ch_t + refl.view(np.uint8), lone])))
         if slack:
-            jitter = rng.normal(0.0, link.jitter_sigma_ps, t.size)
-            np.clip(jitter, -slack, slack, out=jitter)
-            # t += rint(jitter), with the int64 cast done in buffered blocks
-            np.add(t, np.rint(jitter, out=jitter), out=t, dtype=np.int64, casting="unsafe")
-            del jitter
-        np.clip(t, 0, duration_ps + slack, out=t)
-    del times, above, reflected, t, refl, lone  # the loop's last arrays too
+            # t += rint(clip(sigma * z)) chunk by chunk; only the times below slack in
+            # each sorted part can fall below 0, and only they are clipped there
+            parts = ((0, n_both), (n_both, None))
+            low = [(k, k + np.searchsorted(t[k:j], slack)) for k, j in parts]
+            buf = np.empty(min(t.size, _CHUNK))
+            for s in range(0, t.size, _CHUNK):
+                z = rng.standard_normal(out=buf[: t.size - s])
+                z *= link.jitter_sigma_ps
+                np.rint(np.clip(z, -slack, slack, out=z), out=z)
+                part = t[s : s + z.size]
+                np.add(part, z, out=part, dtype=np.int64, casting="unsafe")
+            for k, j in low:
+                np.maximum(t[k:j], 0, out=t[k:j])
+    del above, t, refl, lone  # the loop's last arrays too
 
     # dark counts per detector; channels 0/1 are Alice's, 2/3 Bob's
     photon_singles, dark_counts = {}, {}
@@ -299,34 +347,33 @@ def simulate_run(
         photon_singles=photon_singles,
         dark_counts=dark_counts,
     )
-    streams = PairStreams(*(_assemble(c, time_offset_ps) for c in chunks))
+    streams = PairStreams(*(_assemble(c, time_offset_ps, k) for k, c in enumerate(chunks)))
     return SimulationResult(
         streams={pair.pair_id: streams}, truth=GroundTruth(pairs={pair.pair_id: truth})
     )
 
 
-def _assemble(chunks: List[Tuple[np.ndarray, np.ndarray]], time_offset_ps: int) -> np.ndarray:
+def _assemble(
+    chunks: List[Tuple[np.ndarray, np.ndarray]], time_offset_ps: int, channel_id: int
+) -> Stream:
     # one sort of the int64 key time*8 + 2*channel + flag (channels 0-3, flag
-    # 0 or FLAG_DARK, times in [0, 2**60)); equal keys are equal records, so
-    # any sort gives the same bytes, and the stable one (a timsort) is the
-    # fastest here: the photons are in time order but where jitter swaps two,
-    # and the few dark tags are merged in; ``chunks`` is emptied
-    key = np.concatenate([t for t, _ in chunks])
-    key += time_offset_ps
-    if key.size and (key.min() < 0 or key.max() >= 1 << 60):
-        raise ValueError("tag times must lie in [0, 2**60) ps")
-    key <<= 3
-    key |= np.concatenate([code for _, code in chunks])
-    chunks.clear()
+    # 0 or FLAG_DARK); equal keys are equal tags, so any sort gives the same
+    # stream, and the stable one (a timsort) is the fastest here: the photons
+    # are in time order but where jitter swaps two, and the few dark tags are
+    # merged in; each chunk is taken from ``chunks`` and freed once in the key
+    key, end = np.empty(sum(t.size for t, _ in chunks), dtype=np.int64), 0
+    while chunks:
+        t, code = chunks.pop(0)
+        part = np.add(t, time_offset_ps, out=key[end : end + t.size])
+        part <<= 3
+        part |= code
+        end += t.size
     key.sort(kind="stable")
-    tags = np.empty(key.size, dtype=TAG_DTYPE)
-    # each record as two little-endian int64 words: the time, then channel |
-    # flags << 8 with the reserved bytes zero
-    words = tags.view("<i8").reshape(-1, 2)
-    np.right_shift(key, 3, out=words[:, 0])
-    key &= 7
-    words[:, 1] = _CODE_WORDS.take(key, out=key, mode="clip")
-    return tags
+    # split in place: the codes out of the key's low bits, then the times
+    codes = np.empty(key.size, dtype=np.uint8)
+    np.bitwise_and(key, 7, out=codes, casting="unsafe")
+    key >>= 3
+    return Stream(key, codes, channel_id)
 
 
 def apply_polarization_drift(

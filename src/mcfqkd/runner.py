@@ -29,7 +29,7 @@ import numpy as np
 from .coincidence import tally_basis
 from .config import RunConfig, selected_pairs, worker_count
 from .geometry import CorePair
-from .photonsim import PS_PER_S, AnalyzerSetting, apply_polarization_drift, simulate_run
+from .photonsim import PS_PER_S, AnalyzerSetting, Stream, apply_polarization_drift, simulate_run
 from .qkdmath import (
     BasisCounts,
     KeyRateInputs,
@@ -173,13 +173,13 @@ class StabilityPoint:
 
 
 def analyze_segment(
-    alice_tags: np.ndarray, bob_tags: np.ndarray, segment: ScheduleSegment, cfg: RunConfig
+    alice: Stream, bob: Stream, segment: ScheduleSegment, cfg: RunConfig
 ) -> PairBasisResult:
     """Run the coincidence chain on one acquisition's two tag streams."""
     a = cfg.analysis
     tally = tally_basis(
-        alice_tags,
-        bob_tags,
+        alice,
+        bob,
         window_ps=a.window_ps,
         duration_s=segment.duration_ps / PS_PER_S,
         accidental_offset_ps=int(round(a.accidental_offset_windows * a.window_ps)),

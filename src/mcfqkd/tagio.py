@@ -9,9 +9,13 @@ Little-endian layout:
   marks a ground-truth dark count, which the simulator always sets; no
   other bit is used), six reserved zero bytes.
 
-Fixed-width records let a reader fill one record array straight from the
-file, or only a time range's records, found by a binary search that reads one
-record time per step.  Appended parts equal one write of their concatenation.
+Records exist only here: ``write_timetags`` writes a ``photonsim.Stream``
+(times and codes ``2 * channel + flags``) as records, and ``read_timetags``
+reads a time range's records into one, found by a binary search that reads
+one record time per step.  Both pass a chunk of ``_CHUNK`` records at a time
+through one buffer; a read checks each chunk's columns and then the times'
+order, and names the first bad record's offset.  Appended parts equal one
+write of their concatenation.
 """
 from __future__ import annotations
 
@@ -22,13 +26,14 @@ import struct
 
 import numpy as np
 
-from .photonsim import TAG_DTYPE
+from .photonsim import Stream, UnsortedStreamError
 
 __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
     "CHANNEL_ALICE",
     "CHANNEL_BOB",
+    "TAG_DTYPE",
     "TagFormatError",
     "write_timetags",
     "read_timetags",
@@ -40,8 +45,17 @@ FORMAT_VERSION = 1
 CHANNEL_ALICE = 0
 CHANNEL_BOB = 1
 
+#: one record: the time, the channel, the flags and six reserved zero bytes
+TAG_DTYPE = np.dtype(
+    [("time_ps", "<u8"), ("channel", "u1"), ("flags", "u1"), ("reserved", "V6")]
+)
+
 _HEADER = struct.Struct("<4sHHQ")
 _RECORD_SIZE = TAG_DTYPE.itemsize
+#: records per chunk of a read or a write: their buffer is 128 KiB
+_CHUNK = 1 << 13
+# second record word of each code 2*channel + flag: channel | flag << 8
+_CODE_WORDS = np.array([c >> 1 | (c & 1) << 8 for c in range(8)], dtype=np.int64)
 
 
 class TagFormatError(ValueError):
@@ -52,14 +66,20 @@ class TagFormatError(ValueError):
         self.offset = offset
 
 
-def write_timetags(path, tags: np.ndarray, channel_id: int, *, append: bool = False) -> None:
-    """Write one timetag stream (``TAG_DTYPE``); ``append`` adds to its file."""
-    if tags.dtype != TAG_DTYPE:
-        raise ValueError(f"tags must have dtype {TAG_DTYPE}, got {tags.dtype}")
+def write_timetags(path, tags: Stream, channel_id: int, *, append: bool = False) -> None:
+    """Write the stream ``tags`` of ``channel_id`` as records; ``append`` adds them to its file."""
+    if not isinstance(tags, Stream) or tags.channel_id != channel_id:
+        raise ValueError(f"tags must be a Stream of channel id {channel_id}")
+    # each record as two little-endian int64 words: the time, then channel | flags << 8
+    words = np.zeros((min(len(tags), _CHUNK), 2), dtype="<i8")
     with open(path, "ab" if append else "wb") as fh:
         if not append:
             fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, channel_id, 0))
-        fh.write(np.ascontiguousarray(tags).view(np.uint8))
+        for s in range(0, len(tags), _CHUNK):
+            chunk = words[: len(tags) - s]
+            chunk[:, 0] = tags.times[s : s + len(chunk)]
+            chunk[:, 1] = _CODE_WORDS.take(tags.codes[s : s + len(chunk)])
+            fh.write(chunk)
 
 
 def _check_header(fh) -> tuple[int, int]:
@@ -72,6 +92,8 @@ def _check_header(fh) -> tuple[int, int]:
         raise TagFormatError(fh.name, f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
     if version != FORMAT_VERSION:
         raise TagFormatError(fh.name, f"unsupported format version {version}", offset=4)
+    if channel_id not in (CHANNEL_ALICE, CHANNEL_BOB):
+        raise TagFormatError(fh.name, f"channel id {channel_id} is neither 0 nor 1", offset=6)
     if reserved:
         raise TagFormatError(fh.name, f"non-zero reserved header field {reserved:#x}", offset=8)
     body = os.fstat(fh.fileno()).st_size - _HEADER.size
@@ -89,13 +111,13 @@ def _time_at(fh, index: int) -> int:
     return int.from_bytes(fh.read(8), "little")
 
 
-def read_timetags(path, start_ps: int = 0, end_ps: int | None = None) -> tuple[np.ndarray, int]:
-    """``(tags, channel_id)`` of the time-ordered records with ``start_ps <= time_ps < end_ps``.
+def read_timetags(path, start_ps: int = 0, end_ps: int | None = None) -> tuple[Stream, int]:
+    """``(stream, channel_id)`` of the time-ordered records with ``start_ps <= time_ps < end_ps``.
 
     Raises:
-        TagFormatError: on a bad magic, version or reserved header field, a
-            truncated record region, times out of order at the range end, or
-            a record whose channel, flags or reserved bytes the format forbids.
+        TagFormatError: on a bad magic, version, channel id or reserved header
+            field, a truncated record region, times out of order, or a record
+            whose channel, flags or reserved bytes the format forbids.
     """
     with open(path, "rb") as fh:
         channel_id, n = _check_header(fh)
@@ -109,22 +131,31 @@ def read_timetags(path, start_ps: int = 0, end_ps: int | None = None) -> tuple[n
             offset = _HEADER.size + hi * _RECORD_SIZE
             raise TagFormatError(fh.name, "times decrease after this record", offset)
         fh.seek(_HEADER.size + lo * _RECORD_SIZE)
-        # the records go straight into their array, the only copy in memory
-        tags = np.empty(hi - lo, dtype=TAG_DTYPE)
-        if fh.readinto(tags.view(np.uint8)) != tags.nbytes:
-            raise TagFormatError(fh.name, "file ended while its records were read", fh.tell())
-    # a record's second word is its channel, flags and reserved bytes: one of the file's
-    # two channels, flag bit 0 at most and zeros, which one OR and one AND over all show
-    words, want = tags.view(np.int64)[1::2], 2 * channel_id
-    seen = np.bitwise_or.reduce(words) & ~0x101, np.bitwise_and.reduce(words) & want
-    if words.size and seen != (want, want):
-        i = int(np.flatnonzero((words & ~0x101) != want)[0])
-        ch, fl = int(tags["channel"][i]), int(tags["flags"][i])
-        what = "reserved bytes" if fl < 2 else f"flags {fl:#04x}"
-        what = what if ch >> 1 == channel_id else f"channel {ch}"
-        offset = _HEADER.size + (lo + i) * _RECORD_SIZE
-        raise TagFormatError(path, f"record {what} not valid for channel id {channel_id}", offset)
-    return tags, channel_id
+        times, codes = np.empty(hi - lo, dtype=np.int64), np.empty(hi - lo, dtype=np.uint8)
+        buf = np.empty(min(hi - lo, _CHUNK), dtype=TAG_DTYPE)
+        for s in range(0, hi - lo, _CHUNK):
+            rec = buf[: hi - lo - s]
+            if fh.readinto(rec) != rec.nbytes:
+                raise TagFormatError(fh.name, "file ended while its records were read", fh.tell())
+            # a record's second word is its channel, flags and reserved bytes: one of the
+            # file's two channels, flag bit 0 at most and zeros, which one OR and one AND show
+            words, want = rec.view(np.int64)[1::2], 2 * channel_id
+            seen = np.bitwise_or.reduce(words) & ~0x101, np.bitwise_and.reduce(words) & want
+            if seen != (want, want):
+                i = int(np.flatnonzero((words & ~0x101) != want)[0])
+                ch, fl = int(rec["channel"][i]), int(rec["flags"][i])
+                what = "reserved bytes" if fl < 2 else f"flags {fl:#04x}"
+                what = what if ch >> 1 == channel_id else f"channel {ch}"
+                what = f"record {what} not valid for channel id {channel_id}"
+                raise TagFormatError(path, what, _HEADER.size + (lo + s + i) * _RECORD_SIZE)
+            times[s : s + rec.size] = rec["time_ps"]
+            np.left_shift(rec["channel"], 1, out=codes[s : s + rec.size])
+            codes[s : s + rec.size] |= rec["flags"]
+    try:
+        return Stream(times, codes, channel_id), channel_id
+    except UnsortedStreamError:  # named by the record before the first one out of order
+        offset = _HEADER.size + (lo + int(np.flatnonzero(times[1:] < times[:-1])[0])) * _RECORD_SIZE
+        raise TagFormatError(path, "times decrease after this record", offset) from None
 
 
 def last_tag_time(path) -> tuple[int | None, int]:

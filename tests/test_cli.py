@@ -12,7 +12,7 @@ from mcfqkd.cli import LINKBUDGET_CSV_HEADER, main
 from mcfqkd.config import dump_config, preset_inner, selected_pairs, window_capture_fraction
 from mcfqkd.photonsim import PS_PER_S
 from mcfqkd.runner import ScheduleSegment, analyze_segment, scan_schedule, simulate_segment
-from mcfqkd.tagio import read_timetags, write_timetags
+from mcfqkd.tagio import TAG_DTYPE, read_timetags
 
 
 @pytest.fixture
@@ -22,6 +22,13 @@ def quick_config(tmp_path):
     path = tmp_path / "run.json"
     dump_config(cfg, path)
     return path
+
+
+def edit_records(path, edit):
+    """Rewrite the tag file ``path`` with the records (``TAG_DTYPE``) that ``edit``
+    returns for its records, which it may leave out of the format."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:16] + edit(np.frombuffer(raw, dtype=TAG_DTYPE, offset=16).copy()).tobytes())
 
 
 def read_csv(path):
@@ -314,9 +321,7 @@ class TestAnalyze:
         # Alice's halves swapped: her last record now ends the first segment,
         # so the overlap cutoff ends her reads there, before the file's end
         path = sim_dir / "pair0_alice.mcqt"
-        tags, channel = read_timetags(path)
-        half = len(tags) // 2
-        write_timetags(path, np.concatenate([tags[half:], tags[:half]]), channel)
+        edit_records(path, lambda tags: np.concatenate([tags[len(tags) // 2 :], tags[: len(tags) // 2]]))
         with pytest.warns(RuntimeWarning, match="durations differ"):
             rc = main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")])
         assert rc == 2
@@ -326,17 +331,28 @@ class TestAnalyze:
         # Alice of pair 0 cut to a third, so the overlap cutoff ends every
         # read before a Bob record near 3.2 s, which is set back to 0.5 s
         alice, bob = sim_dir / "pair0_alice.mcqt", sim_dir / "pair0_bob.mcqt"
-        tags, channel = read_timetags(alice)
-        write_timetags(alice, tags[: len(tags) // 3], channel)
-        tags, channel = read_timetags(bob)
-        i = int(np.searchsorted(tags["time_ps"], 16 * PS_PER_S // 5))
-        tags["time_ps"][i] = PS_PER_S // 2
-        write_timetags(bob, tags, channel)
+        edit_records(alice, lambda tags: tags[: len(tags) // 3])
+        i = int(np.searchsorted(read_timetags(bob)[0].times, 16 * PS_PER_S // 5))
+
+        def set_back(tags):
+            tags["time_ps"][i] = PS_PER_S // 2
+            return tags
+
+        edit_records(bob, set_back)
         with pytest.warns(RuntimeWarning, match="durations differ"):
             rc = main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")])
         assert rc == 2
         offset = 16 + 16 * (i - 1)
         assert f"error: {bob}: times decrease after this record (offset {offset})" in capsys.readouterr().err
+
+    def test_swapped_records_name_the_file_and_offset(self, sim_dir, tmp_path, capsys):
+        # records 1000 and 1001 of Alice's first segment swapped: the read of
+        # the segment names the record after which the times decrease
+        path = sim_dir / "pair0_alice.mcqt"
+        edit_records(path, lambda tags: tags[np.r_[:1000, 1001, 1000, 1002 : len(tags)]])
+        assert main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")]) == 2
+        want = f"error: {path}: times decrease after this record (offset {16 + 16 * 1000})"
+        assert want in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["alice header is bob's", "bob channel 200", "bob flags 0x80"])
     def test_tag_file_columns_checked(self, sim_dir, tmp_path, capsys, case):
@@ -349,22 +365,21 @@ class TestAnalyze:
             alice.write_bytes(bytes(raw))
             want = f"error: {alice}: channel id 1 is not the alice stream's 0 (offset 6)"
         else:
-            tags, channel = read_timetags(bob)
             column, value = case.split()[1:]
-            i = len(tags) // 2
-            tags[column][i] = int(value, 0)
-            write_timetags(bob, tags, channel)
+            i = len(read_timetags(bob)[0]) // 2
+
+            def set_column(tags):
+                tags[column][i] = int(value, 0)
+                return tags
+
+            edit_records(bob, set_column)
             want = f"error: {bob}: record {column} {value} not valid for channel id 1 (offset {16 + 16 * i})"
         assert main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")]) == 2
         assert want in capsys.readouterr().err
 
     def test_mismatched_durations_warns(self, sim_dir, tmp_path):
-        # drop the second half of Bob's stream for pair 0
-        from mcfqkd.tagio import read_timetags, write_timetags
-
-        path = sim_dir / "pair0_bob.mcqt"
-        tags, channel = read_timetags(path)
-        write_timetags(path, tags[: len(tags) // 3], channel)
+        # drop all but the first third of Bob's stream for pair 0
+        edit_records(sim_dir / "pair0_bob.mcqt", lambda tags: tags[: len(tags) // 3])
         with pytest.warns(RuntimeWarning, match="durations differ"):
             assert main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")]) == 0
 

@@ -1,5 +1,6 @@
 """Unit tests for the coincidence engine against brute-force oracles."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,15 +18,15 @@ from mcfqkd.coincidence import (
 )
 from mcfqkd import coincidence
 from mcfqkd.coincidence import _as_times
-from mcfqkd.photonsim import TAG_DTYPE
+from mcfqkd.photonsim import Stream
 from oracles import greedy_match_oracle, histogram_oracle
 
 
 def make_tags(times, channels):
-    tags = np.zeros(len(times), dtype=TAG_DTYPE)
-    tags["time_ps"] = times
-    tags["channel"] = channels
-    return tags
+    """The stream of unflagged tags at ``times`` on ``channels``, Alice's 0/1 or Bob's 2/3."""
+    times = np.array(times, dtype=np.int64)
+    channels = np.broadcast_to(np.asarray(channels, dtype=np.uint8), times.shape)
+    return Stream(times, 2 * channels, int(channels.max(initial=0)) >> 1)
 
 
 class TestCrossCorrelation:
@@ -129,13 +130,13 @@ class TestCountCoincidences:
             count_coincidences([1, 2], [1, 5, 3, 2], 100)
         with pytest.raises(UnsortedStreamError, match=r"^stream_a is not sorted by time at index 1$"):
             cross_correlation([10, 5], [1, 2], 10, 100)
-        alice = make_tags([0, 300, 200], [0, 0, 0])
-        with pytest.raises(UnsortedStreamError, match=r"^alice_tags is not sorted by time at index 2$"):
-            tally_basis(alice, alice[:0], window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
+        # the streams ``tally_basis`` takes are checked where they are made
+        with pytest.raises(UnsortedStreamError, match=r"^times are not sorted at index 2$"):
+            make_tags([0, 300, 200], [0, 0, 0])
 
     def test_checked_stream_views_are_checked_again(self):
         alice = make_tags([0, 100, 200], [0, 0, 0])
-        checked = _as_times(alice["time_ps"], "stream_a")
+        checked = _as_times(alice.times, "stream_a")
         assert _as_times(checked, "stream_a") is checked
         with pytest.raises(UnsortedStreamError, match="at index 1"):
             count_coincidences(checked[::-1], checked, 100)
@@ -176,6 +177,18 @@ class TestCountCoincidences:
         b = np.array([base + 149, base + 1151], dtype=np.int64)
         pairs = count_coincidences(a, b, 300)
         assert pairs.tolist() == [[0, 0]]  # 151 > 150 excluded, 149 included
+
+    def test_a_block_spanning_2_62_ps(self):
+        # the search merges each block's keys with B shifted left by one bit
+        # from the block's first key; a block spanning 2**62 ps or more, where
+        # the shift would overflow, takes one binary search per key instead
+        a = np.array([0, 10, 2**62 + 10**6, 2**62 + 2 * 10**6])
+        b = np.array([20, 300, 2**62 + 10**6 + 25, 2**62 + 2 * 10**6 - 40])
+        hist = cross_correlation(a, b, 50, 500)
+        np.testing.assert_array_equal(hist.bins, histogram_oracle(a, b, 50, 500))
+        assert hist.bins.sum() == 6
+        # the greedy oracle's 2*|dt| overflows here: the matches worked by hand
+        assert count_coincidences(a, b, 300).tolist() == [[0, 0], [2, 2], [3, 3]]
 
 
 class TestBlockedPasses:
@@ -252,6 +265,30 @@ class TestEstimateAccidentals:
             estimate_accidentals([1], [2], window_ps=300, offset_ps=2000, duration_s=1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (
+            lambda v: tally_basis(
+                make_tags([], []), make_tags([], []), window_ps=300, duration_s=1.0,
+                accidental_offset_ps=v,
+            ),
+            "accidental_offset_ps",
+        ),
+        (
+            lambda v: estimate_accidentals([1], [2], window_ps=300, offset_ps=v, duration_s=1.0),
+            "offset_ps",
+        ),
+    ],
+    ids=["tally_basis", "estimate_accidentals"],
+)
+def test_non_finite_offset_rejected_by_name(call, name, value):
+    # named up front, not left to an integer conversion that names nothing
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+        call(value)
+
+
 class TestTallyBasis:
     def test_classifies_ports(self):
         # two TT pairs, one TR pair, one RT pair, plus an unmatched bob tag
@@ -275,7 +312,7 @@ class TestTallyBasis:
         assert tally.counts.total == 5000
 
     def test_empty_streams_zero_report(self):
-        empty = np.zeros(0, dtype=TAG_DTYPE)
+        empty = make_tags([], [])
         tally = tally_basis(empty, empty, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
         assert tally.counts.total == 0
         assert tally.delay_ps == 0
@@ -293,13 +330,12 @@ def _peak_delay_oracle(bins, bin_width, hist_range):
 
 
 def _tally_oracle(alice, bob, window, hist_bin, hist_range, offset):
-    t_a = alice["time_ps"].astype(np.int64)
-    t_b = bob["time_ps"].astype(np.int64)
+    t_a, t_b = alice.times, bob.times
     bins = histogram_oracle(t_a, t_b, hist_bin, hist_range)
     delay = _peak_delay_oracle(bins.tolist(), hist_bin, hist_range)
     ports = [0, 0, 0, 0]
     for i, j in greedy_match_oracle(t_a, t_b, window, delay):
-        ports[2 * (alice["channel"][i] % 2) + bob["channel"][j] % 2] += 1
+        ports[2 * (alice.codes[i] >> 1 & 1) + (bob.codes[j] >> 1 & 1)] += 1
     accidentals = len(greedy_match_oracle(t_a, t_b, window, delay + offset))
     return bins, delay, ports, accidentals
 
@@ -369,15 +405,16 @@ class TestTallyBasisOracle:
     def test_empty_streams(self):
         rng = np.random.default_rng(23)
         some = self._random_tags(rng, 40, 10_000, 2**54, [0, 1])
-        empty = some[:0]
+        empty = make_tags([], [])
         for alice, bob in ((empty, empty), (some, empty), (empty, some)):
             self._check(alice, bob, window=300, hist_bin=50, hist_range=5000, offset=3000)
 
 
 class TestSharedSearch:
-    """``tally_basis`` runs one binary search of A into B and walks from it to
-    every other window bound.  Each pass must still give the oracles' index
-    arrays, whatever the block size, with no other search of A."""
+    """``tally_basis`` runs one search of A into B, a merge per block of A
+    after two binary searches for the B tags the block spans, and walks from
+    it to every other window bound.  Each pass must still give the oracles'
+    index arrays, whatever the block size, with no other search of A."""
 
     KINDS = ["empty", "dense", "ties", "near-2**60"]
 
@@ -437,9 +474,9 @@ class TestSharedSearch:
             match_passes.clear()
             keys[0] = 0
             tally = tally_basis(alice, bob, **kw)
-            assert keys[0] == len(alice)  # one search per A tag
+            assert keys[0] == 2 * -(-len(alice) // block)  # two keys per block of A
 
-            t_a, t_b = alice["time_ps"], bob["time_ps"]
+            t_a, t_b = alice.times, bob.times
             bins, delay, ports, accidentals = _tally_oracle(
                 alice, bob, kw["window_ps"], kw["hist_bin_ps"], kw["hist_range_ps"],
                 kw["accidental_offset_ps"],
@@ -454,7 +491,7 @@ class TestSharedSearch:
                 assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
                 assert pairs.tolist() == [list(p) for p in greedy_match_oracle(t_a, t_b, kw["window_ps"], d)]
 
-    def test_a_burst_is_galloped_over(self, monkeypatch):
+    def test_a_burst_is_galloped_over(self):
         # 5,000 B tags at one instant within range of one A tag: a walk one
         # tag at a time would take 5,000 rounds for each window across them
         rng = np.random.default_rng(7)
@@ -469,33 +506,35 @@ class TestSharedSearch:
                 return super().take(*args, **kwargs)
 
         # every round of a walk looks up B tags with one ``take`` on the
-        # search's checked B, here a view that counts them
-        def as_times(stream, name):
-            times = _as_times(stream, name)
-            return times.view(CountedTakes) if name == "bob_tags" else times
-
-        monkeypatch.setattr(coincidence, "_as_times", as_times)
-        tally = tally_basis(alice, bob, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
-        monkeypatch.undo()
-        assert rounds[0] < 1000
+        # search's B times, here a view that counts them
+        counted = Stream(bob.times.view(CountedTakes), bob.codes, bob.channel_id)
+        tally = tally_basis(alice, counted, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
+        assert 0 < rounds[0] < 1000
         bins, delay, ports, accidentals = _tally_oracle(alice, bob, 300, 50, 5000, 6000)
         np.testing.assert_array_equal(tally.histogram.bins, bins)
         assert (tally.delay_ps, tally.counts.c_pp, tally.accidentals.count) == (delay, ports[0], accidentals)
 
     def test_each_stream_is_checked_once(self, monkeypatch):
-        # the passes take the checked arrays the shared search holds
+        # each stream is checked where it is made, and the passes take the
+        # times the shared search holds without checking them again
         rng = np.random.default_rng(5)
-        alice = make_tags(np.sort(rng.integers(0, 10**7, 500)), 0)
-        bob = make_tags(np.sort(rng.integers(0, 10**7, 500)), 2)
-        names = []
+        checks = []
+        post_init = Stream.__post_init__
+
+        def checked(stream):
+            checks.append(stream.channel_id)
+            post_init(stream)
 
         def as_times(stream, name):
-            names.append(name)
+            checks.append(name)
             return _as_times(stream, name)
 
+        monkeypatch.setattr(Stream, "__post_init__", checked)
         monkeypatch.setattr(coincidence, "_as_times", as_times)
+        alice = make_tags(np.sort(rng.integers(0, 10**7, 500)), 0)
+        bob = make_tags(np.sort(rng.integers(0, 10**7, 500)), 2)
         tally_basis(alice, bob, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
-        assert names == ["alice_tags", "bob_tags"]
+        assert checks == [0, 1]
 
 
 class TestCallBudget:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mcfqkd.coincidence import count_coincidences, tally_basis
+from mcfqkd import photonsim
 from mcfqkd.geometry import build_layout
 from mcfqkd.photonsim import (
     CH_ALICE_R,
@@ -20,15 +21,25 @@ from mcfqkd.photonsim import (
     AnalyzerSetting,
     LinkParams,
     SourceParams,
+    Stream,
+    UnsortedStreamError,
     apply_polarization_drift,
     joint_outcome_probs,
     _stream_rng,
     simulate_run,
 )
 from mcfqkd.qkdmath import visibility_from_counts
+from mcfqkd.tagio import write_timetags
 from oracles import born_rule_probs
 
 LAYOUT = build_layout()
+
+
+def record_sha256(stream, tmp_path):
+    """SHA-256 of the records ``tagio`` writes for ``stream``: its file past the header."""
+    path = tmp_path / f"channel{stream.channel_id}.mcqt"
+    write_timetags(path, stream, stream.channel_id)
+    return hashlib.sha256(path.read_bytes()[16:]).hexdigest()
 
 
 def make_channel(pair_index=0, coupling=1.0, **link_kwargs):
@@ -91,8 +102,9 @@ class TestSimulateRun:
         ]
         a0 = runs[0].streams[0]
         a1 = runs[1].streams[0]
-        assert a0.alice.tobytes() == a1.alice.tobytes()
-        assert a0.bob.tobytes() == a1.bob.tobytes()
+        for s0, s1 in ((a0.alice, a1.alice), (a0.bob, a1.bob)):
+            assert s0.times.tobytes() == s1.times.tobytes()
+            assert s0.codes.tobytes() == s1.codes.tobytes()
 
     def test_streams_sorted_and_bounded(self):
         source = SourceParams(pair_rate=100_000, visibility=0.9)
@@ -100,7 +112,7 @@ class TestSimulateRun:
         res = simulate_run(source, *ch, AnalyzerSetting.hv(), 0.2, seed=3, angle_offset_deg=45.0)
         bound = 0.2e12 + 6 * 80
         for tags in (res.streams[0].alice, res.streams[0].bob):
-            times = tags["time_ps"].astype(np.int64)
+            times = tags.times
             assert np.all(np.diff(times) >= 0)
             assert times.min() >= 0
             assert times.max() <= bound
@@ -119,7 +131,7 @@ class TestSimulateRun:
             source, *ch, AnalyzerSetting.hv(), 0.01, seed=5,
             time_offset_ps=2**60 - 10**11,
         )
-        assert int(res.streams[0].alice["time_ps"].max()) < 2**60
+        assert int(res.streams[0].alice.times.max()) < 2**60
 
     def test_singles_rate_poisson_consistency(self):
         # expected singles per arm: rate * coupling * transmission * T + dark * T
@@ -169,7 +181,7 @@ class TestSimulateRun:
         source = SourceParams(pair_rate=1_000, visibility=0.9)
         ch = make_channel(dark_rate_cps=5_000.0)
         res = simulate_run(source, *ch, AnalyzerSetting.hv(), 0.2, seed=5)
-        n_marked = int((res.streams[0].alice["flags"] & FLAG_DARK).sum())
+        n_marked = int(np.count_nonzero(res.streams[0].alice.codes & FLAG_DARK))
         assert n_marked == sum(
             res.truth.pairs[0].dark_counts[ch_id] for ch_id in (CH_ALICE_T, CH_ALICE_R)
         ) > 0
@@ -205,8 +217,7 @@ class TestSimulateRun:
             time_offset_ps=10**9,
         )
         np.testing.assert_array_equal(
-            base.streams[0].alice["time_ps"].astype(np.int64) + 10**9,
-            shifted.streams[0].alice["time_ps"].astype(np.int64),
+            base.streams[0].alice.times + 10**9, shifted.streams[0].alice.times
         )
 
 
@@ -252,13 +263,13 @@ class TestPoissonSplit:
     def test_singles_per_channel(self):
         dark = 2_000.0
         runs, lam, p = self.runs(system_loss_db=3.0, crosstalk_prob=0.02, dark_rate_cps=dark)
-        tags = np.concatenate([np.concatenate([st.alice, st.bob]) for st, _ in runs])
+        channels = np.concatenate([np.concatenate([st.alice.codes, st.bob.codes]) >> 1 for st, _ in runs])
         for ch in range(4):
             # each port sees half of an arm's photons, whatever the outcome probabilities
             photons = [t.photon_singles[ch] for _, t in runs]
             self.assert_poisson(photons, lam * p / 2)
             self.assert_poisson([t.dark_counts[ch] for _, t in runs], dark * self.DURATION)
-            n, mean = int(np.count_nonzero(tags["channel"] == ch)), lam * p / 2 + dark * self.DURATION
+            n, mean = int(np.count_nonzero(channels == ch)), lam * p / 2 + dark * self.DURATION
             assert abs(n - len(runs) * mean) < 4 * math.sqrt(len(runs) * mean)
 
     def test_outcome_frequencies(self):
@@ -280,7 +291,7 @@ class TestPoissonSplit:
         # without jitter, delay or darks each both-detected pair shows as two
         # tags of equal time, and no other tags coincide
         for st, t in runs:
-            t_a, t_b = (s["time_ps"].astype(np.int64) for s in (st.alice, st.bob))
+            t_a, t_b = st.alice.times, st.bob.times
             assert len(count_coincidences(t_a, t_b, window_ps=1)) == t.true_coincidences
 
 
@@ -305,7 +316,7 @@ class TestStreamSeeds:
             simulate_run(source, pair, link, AnalyzerSetting.hv(), 0.05, seed=s, segment_index=k)
             for s, k in ((42, 1), (7961, 0), (42, 0))
         ]
-        times = [r.streams[pair.pair_id].alice["time_ps"] for r in runs]
+        times = [r.streams[pair.pair_id].alice.times for r in runs]
         for i, j in itertools.combinations(range(3), 2):
             assert times[i].size != times[j].size or not np.array_equal(times[i], times[j])
 
@@ -346,7 +357,7 @@ class TestGoldenRun:
     ALICE_SHA256 = "749d29273ab14a901c6f22b0f91a220679c7c908953d92399295a29e24995a53"
     BOB_SHA256 = "ba3722c5eaf84a764c1a8d1860cb39db90f5753700996920eb25cf010747c681"
 
-    def test_streams_and_truth(self):
+    def test_streams_and_truth(self, tmp_path):
         ch = make_channel(
             4, 0.5, fiber_length_km=1.5, system_loss_db=2.0, detector_efficiency=0.8,
             dark_rate_cps=5_000.0, jitter_sigma_ps=80.0, crosstalk_prob=0.05,
@@ -357,8 +368,8 @@ class TestGoldenRun:
         )
         streams = res.streams[4]
         assert (len(streams.alice), len(streams.bob)) == (3974, 3936)
-        assert hashlib.sha256(streams.alice.tobytes()).hexdigest() == self.ALICE_SHA256
-        assert hashlib.sha256(streams.bob.tobytes()).hexdigest() == self.BOB_SHA256
+        assert record_sha256(streams.alice, tmp_path) == self.ALICE_SHA256
+        assert record_sha256(streams.bob, tmp_path) == self.BOB_SHA256
         truth = res.truth.pairs[4]
         assert truth.emitted == 7634
         assert truth.outcome_counts == (744, 51, 48, 747)
@@ -421,7 +432,7 @@ class TestGoldenCorners:
     }
 
     @pytest.mark.parametrize("name", list(CASES))
-    def test_streams_and_truth(self, name):
+    def test_streams_and_truth(self, name, tmp_path):
         link_kwargs, rate, duration, sizes, alice_sha, bob_sha, truth_sha = self.CASES[name]
         link_kwargs = {"system_loss_db": 3.0, **link_kwargs}
         pair, link = make_channel(**link_kwargs)
@@ -436,8 +447,8 @@ class TestGoldenCorners:
             res = run()
         streams, truth = res.streams[pair.pair_id], res.truth.pairs[pair.pair_id]
         assert (len(streams.alice), len(streams.bob)) == sizes
-        assert hashlib.sha256(streams.alice.tobytes()).hexdigest() == alice_sha
-        assert hashlib.sha256(streams.bob.tobytes()).hexdigest() == bob_sha
+        assert record_sha256(streams.alice, tmp_path) == alice_sha
+        assert record_sha256(streams.bob, tmp_path) == bob_sha
         assert hashlib.sha256(repr(astuple(truth)).encode()).hexdigest() == truth_sha
 
 
@@ -453,12 +464,58 @@ def test_marked_tags_match_truth_per_channel():
         seed=3,
     )
     truth = res.truth.pairs[pair.pair_id]
-    tags = np.concatenate([res.streams[pair.pair_id].alice, res.streams[pair.pair_id].bob])
-    assert set(np.unique(tags["flags"])) == {0, FLAG_DARK}
+    codes = np.concatenate([res.streams[pair.pair_id].alice.codes, res.streams[pair.pair_id].bob.codes])
+    assert set(np.unique(codes & 1)) == {0, FLAG_DARK}
     for ch in range(4):
-        on_ch = tags[tags["channel"] == ch]
-        assert int(np.sum(on_ch["flags"] == 0)) == truth.photon_singles[ch]
-        assert int(np.sum(on_ch["flags"] == FLAG_DARK)) == truth.dark_counts[ch]
+        assert int(np.sum(codes == 2 * ch)) == truth.photon_singles[ch]
+        assert int(np.sum(codes == 2 * ch + FLAG_DARK)) == truth.dark_counts[ch]
+
+
+class TestStream:
+    """A stream is checked where it is made: one-dimensional ``int64`` times
+    in order, and one ``uint8`` code per time on its arm's channels."""
+
+    def test_valid_stream(self):
+        stream = Stream(np.array([1, 1, 5], dtype=np.int64), np.array([4, 7, 5], dtype=np.uint8), 1)
+        assert len(stream) == 3 and stream.nbytes == 27
+
+    @pytest.mark.parametrize(
+        "times, codes, channel_id, error, message",
+        [
+            ([0, 5, 3], [0, 1, 2], 0, UnsortedStreamError, "times are not sorted at index 2"),
+            ([1, 2], [0, 4], 0, ValueError, "code 4 at index 1 is not valid for channel id 0"),
+            ([1, 2], [5, 8], 1, ValueError, "code 8 at index 1 is not valid for channel id 1"),
+            ([1, 2], [3, 4], 1, ValueError, "code 3 at index 0 is not valid for channel id 1"),
+            ([1, 2], [0], 0, ValueError, "codes must be a uint8 array as long as the times"),
+            ([1.0, 2.0], [0, 0], 0, ValueError, "need one-dimensional int64 times and channel id 0 or 1, got 0"),
+            ([[1, 2]], [[0, 0]], 0, ValueError, "need one-dimensional int64 times and channel id 0 or 1, got 0"),
+            ([1, 2], [0, 0], 2, ValueError, "need one-dimensional int64 times and channel id 0 or 1, got 2"),
+        ],
+        ids=[
+            "unsorted", "bob-code-on-alice", "code-past-bob", "alice-code-on-bob", "short-codes",
+            "float-times", "2-d", "channel-id-2",
+        ],
+    )
+    def test_bad_stream_rejected(self, times, codes, channel_id, error, message):
+        times = np.array(times, dtype=np.float64 if isinstance(times[0], float) else np.int64)
+        with pytest.raises(error, match=rf"^{message}$"):
+            Stream(times, np.array(codes, dtype=np.uint8), channel_id)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_chunked_jitter_equals_one_normal_draw(seed):
+    # ``simulate_run`` draws its jitter as standard normal chunks scaled by
+    # sigma: the values of one normal(0, sigma, n) draw, 0.0 + sigma*z, up to
+    # the sign of zero, with the generator left where that draw leaves it
+    n, sigma, chunk = 3 * photonsim._CHUNK + 17, 80.0, photonsim._CHUNK
+    one, chunked = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = one.normal(0.0, sigma, n)
+    buf = np.empty(chunk)
+    for s in range(0, n, chunk):
+        z = chunked.standard_normal(out=buf[: min(chunk, n - s)])
+        z *= sigma
+        assert z.tobytes() == want[s : s + z.size].tobytes()
+    assert one.bit_generator.state == chunked.bit_generator.state
 
 
 class TestLinkParams:

@@ -13,10 +13,10 @@ from mcfqkd.config import preset_inner, preset_stability, selected_pairs
 from mcfqkd.linkbudget import model_from_config, sweep_lengths
 from mcfqkd.photonsim import (
     PS_PER_S,
-    TAG_DTYPE,
     AnalyzerSetting,
     LinkParams,
     SourceParams,
+    Stream,
     simulate_run,
 )
 from mcfqkd.qkdmath import positive_qber_threshold
@@ -29,6 +29,14 @@ from mcfqkd.runner import (
     scan_schedule,
     simulate_segment,
 )
+from mcfqkd.tagio import write_timetags
+
+
+def record_sha256(stream, tmp_path):
+    """SHA-256 of the records ``tagio`` writes for ``stream``: its file past the header."""
+    path = tmp_path / f"channel{stream.channel_id}.mcqt"
+    write_timetags(path, stream, stream.channel_id)
+    return hashlib.sha256(path.read_bytes()[16:]).hexdigest()
 
 
 def quick_inner(acquisition_s=2.0, seed=42):
@@ -192,12 +200,13 @@ class TestRunStability:
     def test_acquisition_working_set_is_bounded(self):
         # the stability slots run on the pair pool, one acquisition per
         # worker; each must stay within 3x the bytes of its two tag streams
+        # as 16-byte records
         cfg = preset_stability()
         pair = selected_pairs(cfg)[0]
         segment = MeasurementSchedule.stability(1.0, 30.0, 60.0).segments[0]
         streams = simulate_segment(cfg, pair, segment, 0, 0.3).streams[pair.pair_id]
-        stream_bytes = streams.alice.nbytes + streams.bob.nbytes
-        assert stream_bytes > 8 * 2**20
+        n_tags = len(streams.alice) + len(streams.bob)
+        assert n_tags > 2**19  # 8 MiB of records
         del streams
         tracemalloc.start()
         try:
@@ -205,7 +214,7 @@ class TestRunStability:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * stream_bytes
+        assert peak <= 3 * 16 * n_tags
 
 
 class TestElevenPercentThreshold:
@@ -240,7 +249,7 @@ class TestGoldenSegment:
     BOB_SHA256 = "33586bec4b35160a1452cbd0ef324fd7a1ed85c1abffbd1d3d3dcf8119d0f129"
     PAIRS_SHA256 = "7862ca3dffa4fd22161344729731882ca5482fbefa6130b22d7b96f97a2a5dce"
 
-    def test_segment_streams_and_match_indices(self):
+    def test_segment_streams_and_match_indices(self, tmp_path):
         cfg = preset_inner(seed=42)
         pair = selected_pairs(cfg)[0]
         # starts 86,000 s in, so every time is far above 2**53 ps; the DA
@@ -248,11 +257,10 @@ class TestGoldenSegment:
         cfg.schedule.rate_scales["DA"] = 1.0
         segment = ScheduleSegment("DA", 86_000 * PS_PER_S, 2 * PS_PER_S)
         streams = simulate_segment(cfg, pair, segment, 3, 0.5).streams[pair.pair_id]
-        assert hashlib.sha256(streams.alice.tobytes()).hexdigest() == self.ALICE_SHA256
-        assert hashlib.sha256(streams.bob.tobytes()).hexdigest() == self.BOB_SHA256
+        assert record_sha256(streams.alice, tmp_path) == self.ALICE_SHA256
+        assert record_sha256(streams.bob, tmp_path) == self.BOB_SHA256
 
-        t_a = streams.alice["time_ps"].astype(np.int64)
-        t_b = streams.bob["time_ps"].astype(np.int64)
+        t_a, t_b = streams.alice.times, streams.bob.times
         delay = round(find_peak_delay(cross_correlation(t_a, t_b, 50, 5000)))
         pairs = count_coincidences(t_a, t_b, cfg.analysis.window_ps, delay_ps=delay)
         assert pairs.dtype == np.int64 and pairs.shape == (8430, 2)
@@ -265,7 +273,7 @@ def _simulate(duration_s):
     return simulate_run(cfg.source, pair, cfg.link, AnalyzerSetting.hv(), duration_s, seed=1)
 
 
-_NO_TAGS = np.zeros(0, dtype=TAG_DTYPE)
+_NO_TAGS = Stream(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8), 0)
 
 
 @pytest.mark.parametrize(
