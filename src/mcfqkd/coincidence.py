@@ -5,20 +5,18 @@ All operations work on sorted ``int64`` picosecond timestamp arrays and use
 integer arithmetic throughout, so results stay exact even for timestamps far
 beyond 2**53 (a day of picoseconds does not fit a double).
 
-One search of the A stream into the B stream finds, for every A tag, the
-first B tag at or after its lowest window start: per block of A, a merge of
-the block's keys with the B tags they span.  Every other window edge is
-walked to from there, one gather and comparison per A tag over the one B tag
-most have in a window, and a gallop over the few left.  ``tally_basis``
-takes two ``photonsim.Stream``, checked where they were made, and builds
-the one search all its passes share (their private ``search`` argument); a
-pass called alone checks its own inputs.
+One search of A into B spans every window of its passes: per block of A, a
+merge finds each tag's first B tag in the span and one gather the few tags
+with more than one there.  A pass takes every other tag's window bounds from
+the delay to its first B tag and walks only the few.  ``tally_basis`` builds
+the search its passes share from two ``photonsim.Stream``, checked where they
+were made; a pass called alone checks its inputs and searches its own window.
 
-Cost: a pass walks A in blocks of ``_BLOCK`` tags at about 20 numpy function
-and method calls a block (operators besides): a 506k-tag tally takes 24
-blocks, 48 walks and about 460 calls, where blocks of 2**14 took 186 walks
-and 2,234 calls.  Each call releases the GIL for its loop and takes it back
-after, so two threads wait on each other at short calls, not at long ones.
+Cost: a 506k-tag tally takes 8 blocks of ``_BLOCK`` tags, 24 walks of a few
+tags each and about 440 numpy calls, operators besides (48 walks of whole
+blocks and 520 calls when each pass walked to both its window edges).  Each
+call releases the GIL for its loop and takes it back after, so two threads
+wait on each other at short calls, not at long ones.
 """
 from __future__ import annotations
 
@@ -45,8 +43,8 @@ __all__ = [
     "tally_basis",
 ]
 
-#: A tags per block of the passes: a block's scratch, four ``int64`` per tag
-#: (2 MiB), is reused by every block, whatever the stream length, and each
+#: A tags per block of the passes: a block's scratch, three ``int64`` per tag
+#: (1.5 MiB), is reused by every block, whatever the stream length, and each
 #: thread keeps its own (``_THREAD.scratch``) from one acquisition to the next
 _BLOCK, _THREAD = 1 << 16, threading.local()
 
@@ -107,15 +105,17 @@ def _as_times(stream, name: str) -> np.ndarray:
 
 
 class _Search:
-    """Times ``a``/``b`` of two streams (a ``Stream``'s, or arrays checked as ``names``) and
+    """Times ``a``/``b`` of two streams (a ``Stream``'s, or arrays checked as ``names``),
     ``index[i]``, the first B index at or after ``a[i] + base`` (4 bytes each where B's indices
-    fit); ``windows`` walks on from it."""
+    fit), ``bounds`` of blocks of about ``_BLOCK`` A tags that end where two A windows of half
+    width ``hw`` are disjoint, and, if B has tags, ``multi``: per block, its tags (less its
+    start) with more than one B tag in ``[a[i] + base, a[i] + top)``, every pass's span."""
 
-    def __init__(self, a, b, base: int, names=("stream_a", "stream_b")):
+    def __init__(self, a, b, base: int, top: int, hw: int, names=("stream_a", "stream_b")):
         a, b = (
             s.times if isinstance(s, Stream) else _as_times(s, n) for s, n in zip((a, b), names)
         )
-        self.a, self.b, self.base = a, b, base
+        self.a, self.b, self.bounds, self.multi, e = a, b, [], [], 0
         self.index = np.empty(a.size, dtype=np.int32 if b.size < 2**31 else np.int64)
         for s in range(0, a.size, _BLOCK):
             keys = a[s : s + _BLOCK] + base
@@ -133,43 +133,40 @@ class _Search:
             merged.sort(kind="stable")
             pos = np.flatnonzero(np.bitwise_and(merged, 1, out=merged) == 0)
             self.index[s : s + keys.size] = pos - np.arange(-lo, keys.size - lo)
-
-    def blocks(self, hw: Optional[int] = None) -> list:
-        """Bounds ``(s, e)`` of blocks of about ``_BLOCK`` A tags; with ``hw`` each ends where two
-        A windows are disjoint (``a[e] - a[e-1] > 2*hw``), so no matching segment spans two."""
-        a, ends = self.a, [0]
-        while ends[-1] < a.size:
-            e = min(ends[-1] + _BLOCK, a.size)
-            while hw is not None and e < a.size and a[e] - a[e - 1] <= 2 * hw:
+        while e < a.size:
+            s, e = e, min(e + _BLOCK, a.size)
+            while e < a.size and a[e] - a[e - 1] <= 2 * hw:
                 gap = np.flatnonzero(np.diff(a[e - 1 : e + _BLOCK]) > 2 * hw)
                 e = e + int(gap[0]) if gap.size else min(e + _BLOCK, a.size)
-            ends.append(e)
-        return list(zip(ends, ends[1:]))
+            if b.size:  # a tag's span holds more than one B tag if it holds the one after ``index``
+                nxt, far, tmp = _scratch(e - s)[:, : e - s]
+                np.add(self.index[s:e], 1, out=nxt)
+                m = np.flatnonzero(b.take(nxt, mode="clip", out=tmp) < np.add(a[s:e], top, out=far))
+                self.multi.append(m[nxt[m] < b.size])
+            self.bounds.append((s, e))
 
-    def windows(self, bounds: list, t_lo: int, t_hi: int):
-        """Per block ``(s, e)``: ``s``, ``e`` and the first B indices ``lo``/``hi`` at or after
-        ``a[s:e] + t_lo``/``t_hi``, in the thread's scratch (so one pass at a time per thread);
-        ``lo`` walked on from ``index``, so ``base <= t_lo`` must hold, ``hi`` from ``lo``."""
-        m = max((e - s for s, e in bounds), default=0)
-        if getattr(_THREAD, "scratch", None) is None or _THREAD.scratch.shape[1] < m:
-            _THREAD.scratch = np.empty((4, m + m // 8), dtype=np.int64)
-        for s, e in bounds if self.b.size else []:
-            keys, lo, hi, tmp = _THREAD.scratch[:, : e - s]
+    def windows(self, t_lo: int, t_hi: int):
+        """Per block where B has tags: ``s``, ``e``, ``lo``/``hi``, the first B indices at or after
+        ``a[s:e] + t_lo``/``t_hi`` (``len(b) + 1`` past the last B tag), ``d``, the delays to B
+        tag ``index``, and its ``multi``, ``m``; all but ``m`` in the thread's scratch (one pass
+        at a time per thread).  With ``base <= t_lo <= t_hi <= top``, only the tags ``m`` walk."""
+        a, b, edges = self.a, self.b, np.array([t_lo, t_hi])
+        for (s, e), m in zip(self.bounds, self.multi):
+            d, lo, hi = _scratch(e - s)[:, : e - s]
             lo[:] = self.index[s:e]
-            if t_lo != self.base:
-                self._walk(lo, np.add(self.a[s:e], t_lo, out=keys), tmp)
-            hi[:] = lo
-            yield s, e, lo, self._walk(hi, np.add(self.a[s:e], t_hi, out=keys), tmp)
+            # past the last B tag, ``d`` is the last one's delay, below the window
+            np.subtract(b.take(lo, mode="clip", out=d), a[s:e], out=d)
+            np.add(lo, d < t_hi, out=hi)
+            lo += d < t_lo
+            if m.size:  # one walk to both bounds of each tag of ``m``
+                ends = self._walk(np.repeat(lo[m], 2), (a[s:e][m, None] + edges).ravel())
+                lo[m], hi[m] = ends[::2], ends[1::2]
+            yield s, e, lo, hi, d, m
 
-    def _walk(self, lo: np.ndarray, keys: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-        """Walk ``lo``, non-decreasing B indices, in place on to the first at or after ``keys``."""
+    def _walk(self, lo: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Walk ``lo``, B indices, in place on to the first at or after ``keys``."""
         b, n = self.b, self.b.size
-        # one gather and comparison steps over the one B tag most tags have; the few left gallop
-        lo += b.take(lo, mode="clip", out=tmp) < keys
-        if lo[-1] > n:
-            np.minimum(lo, n, out=lo)
-        todo = np.flatnonzero(b.take(lo, mode="clip", out=tmp) < keys)
-        width = np.ones_like(todo)
+        todo, width = np.arange(lo.size), np.ones(lo.size, dtype=np.int64)
         while todo.size:  # strides of 1, 2, 4, ... tags; past the key, from 1 again
             p = lo[todo] + (width - 1)
             past = (p < n) & (b.take(p, mode="clip") < keys[todo])
@@ -177,6 +174,12 @@ class _Search:
             keep = past | (width > 1)
             todo, width = todo[keep], np.where(past, 2 * width, 1)[keep]
         return lo
+
+
+def _scratch(m: int) -> np.ndarray:
+    if getattr(_THREAD, "scratch", None) is None or _THREAD.scratch.shape[1] < m:
+        _THREAD.scratch = np.empty((3, m + m // 8), dtype=np.int64)
+    return _THREAD.scratch
 
 
 def _half_window(window_ps: int) -> int:
@@ -192,8 +195,7 @@ def cross_correlation(
 ) -> CorrelationHistogram:
     """Delay histogram of all pairwise t_b - t_a within +-range_ps.
 
-    Each A tag's B range starts at its search bound at -range_ps, and its
-    upper edge is walked to from there, so the cost is one binary search
+    Each A tag's B range is read off its search, so the cost is one search
     per A tag plus the number of in-range pairs, never the full n^2.
 
     Raises:
@@ -209,24 +211,23 @@ def cross_correlation(
         raise ValueError("range must be >= bin width")
     if range_ps % bin_width_ps != 0:
         raise ValueError("range must be an integer multiple of the bin width")
-    search = search or _Search(stream_a, stream_b, -range_ps)
+    search = search or _Search(stream_a, stream_b, -range_ps, range_ps + 1, 0)
     a, b = search.a, search.b
 
     n_bins = 2 * range_ps // bin_width_ps
-    # the first pair of each tag is binned at once (a tag without one goes to a
-    # dropped bin past the last), and the few further pairs from a list of them
+    # each tag's first pair is binned from ``d`` (a tag without one, or of ``m``, goes
+    # to a dropped bin past the last), and the pairs of the tags ``m`` from a list
     bins = np.zeros(n_bins + 1, dtype=np.int64)
-    for s, e, lo, hi in search.windows(search.blocks(), -range_ps, range_ps + 1):
-        shifted = a[s:e] - range_ps
-        first = np.minimum((b.take(lo, mode="clip") - shifted) // bin_width_ps, n_bins - 1)
-        bins += np.bincount(np.where(hi > lo, first, n_bins), minlength=n_bins + 1)
-        more = np.flatnonzero(hi - lo > 1)
-        counts = hi[more] - lo[more] - 1
+    for s, e, lo, hi, d, m in search.windows(-range_ps, range_ps + 1):
+        first = np.where(hi > lo, np.minimum((d + range_ps) // bin_width_ps, n_bins - 1), n_bins)
+        first[m] = n_bins
+        counts = hi[m] - lo[m]
         ends = np.cumsum(counts)
-        # B index of each further pair: its rank in the list, shifted per A tag
-        # from the start of that tag's run in the list to its ``lo + 1``
-        flat = np.arange(counts.sum()) + np.repeat(lo[more] + 1 - ends + counts, counts)
-        delays = b.take(flat) - np.repeat(shifted[more], counts)
+        # B index of each listed pair: its rank in the list, shifted per A tag
+        # from the start of that tag's run in the list to its ``lo``
+        flat = np.arange(counts.sum()) + np.repeat(lo[m] - ends + counts, counts)
+        delays = b.take(flat) - np.repeat(a[s:e][m] - range_ps, counts)
+        bins += np.bincount(first, minlength=n_bins + 1)
         bins += np.bincount(np.minimum(delays // bin_width_ps, n_bins - 1), minlength=n_bins + 1)
     return CorrelationHistogram(bin_width_ps, range_ps, bins[:n_bins])
 
@@ -262,25 +263,25 @@ def count_coincidences(
     once, earlier candidates winning.  Returns the matched index pairs as an
     (n, 2) array; ``len(result)`` is the coincidence count.
 
-    Walks give each A tag its candidate interval ``[lo, hi)`` of B indices.
+    The search gives each A tag its candidate interval ``[lo, hi)`` of B indices.
     Tags with an empty one can never match and are dropped; the rest are
     split into segments where consecutive intervals stop overlapping.  Within
     a segment the intervals overlap in a chain, so its B side is one run,
     ``[lo of its first tag, hi of its last)``, and segments are independent
     under the greedy rule: a segment of one A tag matches its first
     candidate, and only longer ones take the scalar two-pointer walk.  The
-    blocks of A (``search.blocks(hw)``) end where two consecutive A windows
-    are disjoint, so no segment spans two blocks.
+    search's blocks of A end where two consecutive A windows are disjoint,
+    so no segment spans two blocks.
 
     Raises:
         UnsortedStreamError: if either stream is not time-ordered.
     """
     hw = _half_window(window_ps)
     delay_ps = int(round(delay_ps))
-    search = search or _Search(stream_a, stream_b, delay_ps - hw)
+    search = search or _Search(stream_a, stream_b, delay_ps - hw, delay_ps + hw + 1, hw)
     a, b = search.a, search.b
     out, n_out = np.empty((min(a.size, b.size), 2), dtype=np.int64), 0
-    for s, e, lo, hi in search.windows(search.blocks(hw), delay_ps - hw, delay_ps + hw + 1):
+    for s, e, lo, hi, _, _ in search.windows(delay_ps - hw, delay_ps + hw + 1):
         n_out = _match_block(a[s:e], s, lo, hi, b, hw, delay_ps, out, n_out)
     return out[:n_out]
 
@@ -357,10 +358,8 @@ def estimate_accidentals(
         )
     if not 0 < duration_s < np.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
-    delay, hw = delay_ps + offset_ps, _half_window(window_ps)
-    search = search or _Search(stream_a, stream_b, int(round(delay)) - hw)
-    matches = count_coincidences(search.a, search.b, window_ps, delay, search=search)
-    analytic = search.a.size * search.b.size * (window_ps * 1e-12) / duration_s
+    matches = count_coincidences(stream_a, stream_b, window_ps, delay_ps + offset_ps, search=search)
+    analytic = len(stream_a) * len(stream_b) * (window_ps * 1e-12) / duration_s
     return AccidentalEstimate(count=len(matches), analytic=analytic, offset_ps=offset_ps)
 
 
@@ -386,18 +385,17 @@ def tally_basis(
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     if not math.isfinite(accidental_offset_ps):
         raise ValueError(f"accidental_offset_ps must be finite, got {accidental_offset_ps}")
-    # the peak lies within +-range, so one search at the lowest window start serves every pass
-    base = -int(hist_range_ps) - _half_window(window_ps) + min(int(accidental_offset_ps), 0)
-    search = _Search(alice, bob, base)
-    t_a, t_b = search.a, search.b
+    # the peak lies within +-range, so one search spanning every window serves every pass
+    hw, reach, offset = _half_window(window_ps), int(hist_range_ps), int(accidental_offset_ps)
+    search = _Search(alice, bob, -reach - hw + min(offset, 0), reach + hw + max(offset, 0) + 1, hw)
 
-    hist = cross_correlation(t_a, t_b, hist_bin_ps, hist_range_ps, search=search)
+    hist = cross_correlation(alice, bob, hist_bin_ps, hist_range_ps, search=search)
     try:
         delay_ps = int(round(find_peak_delay(hist)))
     except NoPeakError:
         delay_ps = 0
 
-    pairs = count_coincidences(t_a, t_b, window_ps, delay_ps, search=search)
+    pairs = count_coincidences(alice, bob, window_ps, delay_ps, search=search)
     # reflected (odd) ports of each match's A and B tag, counted by port combination;
     # a code is 2*channel + flag
     ra = alice.codes[pairs[:, 0]] >> 1 & 1
@@ -407,6 +405,6 @@ def tally_basis(
     del pairs, ra, rb  # freed before the accidental pass
 
     accidentals = estimate_accidentals(
-        t_a, t_b, window_ps, accidental_offset_ps, duration_s, delay_ps, search=search
+        alice, bob, window_ps, accidental_offset_ps, duration_s, delay_ps, search=search
     )
     return CoincidenceTally(counts, duration_s, delay_ps, accidentals, hist)

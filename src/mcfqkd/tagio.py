@@ -12,10 +12,10 @@ Little-endian layout:
 Records exist only here: ``write_timetags`` writes a ``photonsim.Stream``
 (times and codes ``2 * channel + flags``) as records, and ``read_timetags``
 reads a time range's records into one, found by a binary search that reads
-one record time per step.  Both pass a chunk of ``_CHUNK`` records at a time
-through one buffer; a read checks each chunk's columns and then the times'
-order, and names the first bad record's offset.  Appended parts equal one
-write of their concatenation.
+one record time per step.  Both pass an eighth of the records, and at least
+``_CHUNK``, at a time through one buffer; a read checks each chunk's columns
+and then the times' order, and names the first bad record's offset.
+Appended parts equal one write of their concatenation.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ TAG_DTYPE = np.dtype(
 
 _HEADER = struct.Struct("<4sHHQ")
 _RECORD_SIZE = TAG_DTYPE.itemsize
-#: records per chunk of a read or a write: their buffer is 128 KiB
+#: least records per chunk of a read or a write (128 KiB); a longer range moves an eighth
 _CHUNK = 1 << 13
 # second record word of each code 2*channel + flag: channel | flag << 8
 _CODE_WORDS = np.array([c >> 1 | (c & 1) << 8 for c in range(8)], dtype=np.int64)
@@ -71,11 +71,12 @@ def write_timetags(path, tags: Stream, channel_id: int, *, append: bool = False)
     if not isinstance(tags, Stream) or tags.channel_id != channel_id:
         raise ValueError(f"tags must be a Stream of channel id {channel_id}")
     # each record as two little-endian int64 words: the time, then channel | flags << 8
-    words = np.zeros((min(len(tags), _CHUNK), 2), dtype="<i8")
+    step = max(_CHUNK, len(tags) // 8)
+    words = np.zeros((min(len(tags), step), 2), dtype="<i8")
     with open(path, "ab" if append else "wb") as fh:
         if not append:
             fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, channel_id, 0))
-        for s in range(0, len(tags), _CHUNK):
+        for s in range(0, len(tags), step):
             chunk = words[: len(tags) - s]
             chunk[:, 0] = tags.times[s : s + len(chunk)]
             chunk[:, 1] = _CODE_WORDS.take(tags.codes[s : s + len(chunk)])
@@ -132,8 +133,9 @@ def read_timetags(path, start_ps: int = 0, end_ps: int | None = None) -> tuple[S
             raise TagFormatError(fh.name, "times decrease after this record", offset)
         fh.seek(_HEADER.size + lo * _RECORD_SIZE)
         times, codes = np.empty(hi - lo, dtype=np.int64), np.empty(hi - lo, dtype=np.uint8)
-        buf = np.empty(min(hi - lo, _CHUNK), dtype=TAG_DTYPE)
-        for s in range(0, hi - lo, _CHUNK):
+        step = max(_CHUNK, (hi - lo) // 8)
+        buf = np.empty(min(hi - lo, step), dtype=TAG_DTYPE)
+        for s in range(0, hi - lo, step):
             rec = buf[: hi - lo - s]
             if fh.readinto(rec) != rec.nbytes:
                 raise TagFormatError(fh.name, "file ended while its records were read", fh.tell())

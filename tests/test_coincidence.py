@@ -537,12 +537,105 @@ class TestSharedSearch:
         assert checks == [0, 1]
 
 
+class TestOneWalkBounds:
+    """A pass takes each A tag's window bounds from the delay to the first B
+    tag in its search's span, and walks only the tags with more than one B
+    tag there.  B tags on and just past every window edge and the span's own
+    edges, several per A tag, must give the oracles' histogram, index arrays
+    and accidental count, in the tally and in each pass called alone."""
+
+    WINDOW, HW, RANGE = 300, 150, 1000
+    # (bin width, B tag of the peak, delay): a peak inside the range, and peaks
+    # in its first and last 1 ps bins, whose centres round to -+RANGE, so that
+    # the windows reach the tally's span edges
+    PEAKS = [(50, 225, 225), (1, 999, 1000), (1, -1000, -1000)]
+
+    def _streams(self, rng, peak, delay, offset):
+        d, hw, r = delay, self.HW, self.RANGE
+        far = r + hw + abs(offset)  # the tally's span reaches this far on the offset's side
+        edges = [d - hw, d + hw, d - hw - 1, d + hw + 1, -r, r, -r - 1, r + 1]
+        edges += [d + offset - hw, d + offset + hw, d + offset - hw - 1, d + offset + hw + 1]
+        edges += [d + offset, far * np.sign(offset), (far + 1) * np.sign(offset), -r - hw, r + hw]
+        a, b = [], []
+        for k in range(80):
+            t = 10**6 * (k + 1)
+            # a few A tags 100 ps apart, whose spans and windows overlap
+            near = t + 100 * np.arange(int(rng.integers(1, 4)))
+            a += near.tolist()
+            b += [int(x + o) for x in near for o in rng.choice(edges, int(rng.integers(0, 5)))]
+        # a peak that outweighs every edge, and A tags past the last B tag
+        at = 10**8 + 10**6 * np.arange(60)
+        a += at.tolist() + (10**9 + 1000 * np.arange(5)).tolist()
+        b += (at + peak).tolist()
+        return np.sort(np.array(a, dtype=np.int64)), np.sort(np.array(b, dtype=np.int64))
+
+    @pytest.mark.parametrize("offset", [3000, -4500])
+    @pytest.mark.parametrize("bin_width, peak, delay", PEAKS, ids=["inside", "last-bin", "first-bin"])
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 16])
+    def test_edges_match_the_oracles(self, monkeypatch, block, bin_width, peak, delay, offset):
+        rng = np.random.default_rng([block, bin_width, abs(peak), abs(offset), offset < 0])
+        monkeypatch.setattr(coincidence, "_BLOCK", block)
+        t_a, t_b = self._streams(rng, peak, delay, offset)
+        # A tags past the last B tag, and many with more than one B tag in the tally's span
+        reach = self.RANGE + self.HW
+        base, top = -reach + min(offset, 0), reach + max(offset, 0) + 1
+        span = np.searchsorted(t_b, t_a + top) - np.searchsorted(t_b, t_a + base)
+        assert t_a[-1] > t_b[-1] and np.count_nonzero(span > 1) > 50
+        alice, bob = make_tags(t_a, 0), make_tags(t_b, 2)
+        # the search lists exactly those tags, per block
+        search = coincidence._Search(alice, bob, base, top, self.HW)
+        listed = [m + s for (s, _), m in zip(search.bounds, search.multi)]
+        assert np.concatenate(listed).tolist() == np.flatnonzero(span > 1).tolist()
+        passes = []
+        count = coincidence.count_coincidences
+
+        def recorded(a, b, window_ps, delay_ps=0, **kwargs):
+            passes.append(count(a, b, window_ps, delay_ps, **kwargs))
+            return passes[-1]
+
+        monkeypatch.setattr(coincidence, "count_coincidences", recorded)
+        tally = tally_basis(
+            alice, bob, window_ps=self.WINDOW, duration_s=1.0, accidental_offset_ps=offset,
+            hist_bin_ps=bin_width, hist_range_ps=self.RANGE,
+        )
+        bins = histogram_oracle(t_a, t_b, bin_width, self.RANGE)
+        assert tally.delay_ps == delay
+        np.testing.assert_array_equal(tally.histogram.bins, bins)
+        want = [greedy_match_oracle(t_a, t_b, self.WINDOW, delay + o) for o in (0, offset)]
+        assert [p.tolist() for p in passes] == [[list(p) for p in w] for w in want]
+        assert tally.counts.total == len(want[0])
+        assert tally.accidentals.count == len(want[1])
+
+        # each pass alone, over a span of its own window only
+        np.testing.assert_array_equal(cross_correlation(t_a, t_b, bin_width, self.RANGE).bins, bins)
+        for at, pairs in zip((delay, delay + offset), want):
+            assert count(t_a, t_b, self.WINDOW, at).tolist() == [list(p) for p in pairs]
+        alone = estimate_accidentals(t_a, t_b, self.WINDOW, offset, 1.0, delay)
+        assert alone.count == len(want[1])
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    def test_empty_a_or_b(self, monkeypatch, block):
+        monkeypatch.setattr(coincidence, "_BLOCK", block)
+        some, none = np.arange(0, 10**5, 97, dtype=np.int64), np.empty(0, dtype=np.int64)
+        for t_a, t_b in ((some, none), (none, some), (none, none)):
+            tally = tally_basis(
+                make_tags(t_a, 0), make_tags(t_b, 2), window_ps=300, duration_s=1.0,
+                accidental_offset_ps=-3000,
+            )
+            assert not tally.histogram.bins.any() and tally.histogram.bins.size == 200
+            assert (tally.delay_ps, tally.counts.total, tally.accidentals.count) == (0, 0, 0)
+            assert not cross_correlation(t_a, t_b, 50, 5000).bins.any()
+            assert count_coincidences(t_a, t_b, 300, 25).shape == (0, 2)
+            assert estimate_accidentals(t_a, t_b, 300, 3000, 1.0).count == 0
+
+
 class TestCallBudget:
     """Each pass makes a fixed number of numpy calls per block of A, and two
     threads analyzing at once hand the GIL back and forth at every call, so
     the blocks stay few and large: a 500k-tag acquisition takes 4 blocks per
-    pass and two walks per block (blocks of 2**14 tags took 16 per pass and
-    96 walks)."""
+    pass.  A pass walks only in a block with a tag that has more than one B
+    tag in the search's span, once for all of them, and the search not at
+    all."""
 
     def test_a_500k_tag_acquisition(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -550,12 +643,13 @@ class TestCallBudget:
         t_b = np.sort(t_a + rng.integers(-100, 101, t_a.size))
         alice = make_tags(t_a, rng.choice([0, 1], t_a.size))
         bob = make_tags(t_b, rng.choice([2, 3], t_b.size))
-        blocks, walks = [], [0]
+        blocks, fixups, walks = [], [0], [0]
         windows, walk = coincidence._Search.windows, coincidence._Search._walk
 
-        def counted_windows(self, bounds, *args):
-            blocks.append(len(bounds))
-            return windows(self, bounds, *args)
+        def counted_windows(self, *args):
+            blocks.append(len(self.bounds))
+            fixups[0] += sum(m.size > 0 for m in self.multi)
+            return windows(self, *args)
 
         def counted_walk(self, *args):
             walks[0] += 1
@@ -566,5 +660,7 @@ class TestCallBudget:
         tally = tally_basis(alice, bob, window_ps=300, duration_s=60.0, accidental_offset_ps=6000)
         # the histogram, coincidence and accidental passes
         assert blocks == [4, 4, 4]
-        assert walks[0] == 2 * sum(blocks) == 24
+        # 13 of the 250,000 A tags have two B tags in the span, in every block
+        assert fixups[0] == sum(blocks) == 12
+        assert walks[0] == fixups[0] == 12
         assert tally.counts.total > 0.99 * t_a.size

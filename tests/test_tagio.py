@@ -304,14 +304,15 @@ def test_read_holds_one_copy_of_the_records(tmp_path):
 
 
 class TestChunks:
-    """Reads and writes go through a buffer of ``_CHUNK`` records: a range
-    of any length reads back the same times and codes, and a stream writes
-    the same bytes whole, appended in parts, or rewritten from a read."""
+    """Reads and writes go through a buffer of ``_CHUNK`` records, or of an
+    eighth of a longer range's: a range of any length reads back the same
+    times and codes, and a stream writes the same bytes whole, appended in
+    parts, or rewritten from a read."""
 
     C = tagio._CHUNK
 
     @pytest.mark.parametrize("append", [False, True], ids=["whole", "appended"])
-    @pytest.mark.parametrize("size", [0, 1, C - 1, C, C + 1, 2 * C + 1])
+    @pytest.mark.parametrize("size", [0, 1, C - 1, C, C + 1, 2 * C + 1, 8 * C + 9, 17 * C])
     def test_range_round_trips(self, tmp_path, size, append):
         # ``size`` records between ten before and ten after, at distinct times
         tags = sample_tags(size + 20, seed=size, channel_id=CHANNEL_BOB)
