@@ -9,9 +9,9 @@ One search of A into B spans every window of its passes: per block of A, a
 merge finds each tag's first B tag in the span, one gather keeps its delay
 and a second finds the few tags with more than one B tag there.  A pass
 compares every other tag's delay with its window and walks only the few.
-``tally_basis`` builds the search its passes share from two
-``photonsim.Stream``, checked where they were made; a pass called alone
-checks its inputs and searches its own window.
+Every pass takes two ``photonsim.Stream``, checked where they were made.
+``tally_basis`` builds the search its passes share; a pass called alone
+searches its own window.
 
 Cost: a 506k-tag tally takes 8 blocks of ``_BLOCK`` tags, two gathers of B
 per A tag, both in the search, 1 MiB of delays, 24 walks of a few tags each
@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .photonsim import Stream, UnsortedStreamError
+from .photonsim import Stream
 from .qkdmath import BasisCounts
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "AccidentalEstimate",
     "CoincidenceTally",
     "NoPeakError",
-    "UnsortedStreamError",
     "cross_correlation",
     "find_peak_delay",
     "count_coincidences",
@@ -72,11 +71,11 @@ class CorrelationHistogram:
 
 @dataclass(frozen=True)
 class AccidentalEstimate:
-    """Offset-window accidental estimate plus its analytic prediction."""
+    """Coincidences counted in the offset window, and ``analytic``, their expected
+    count ``S_a * S_b * window * duration`` over the whole acquisition (not a rate)."""
 
     count: int
     analytic: float
-    offset_ps: int
 
 
 @dataclass
@@ -90,32 +89,17 @@ class CoincidenceTally:
     histogram: CorrelationHistogram = field(repr=False)
 
 
-def _as_times(stream, name: str) -> np.ndarray:
-    times = np.ascontiguousarray(stream, dtype=np.int64)
-    if times.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if times.size > 1:
-        down = times[1:] < times[:-1]
-        if down.any():
-            raise UnsortedStreamError(
-                f"{name} is not sorted by time at index {int(down.argmax()) + 1}"
-            )
-    return times
-
-
 class _Search:
-    """Times ``a``/``b`` of two streams (a ``Stream``'s, or arrays checked as ``names``),
-    ``index[i]``, the first B index at or after ``a[i] + base`` (4 bytes each where B's indices
-    fit), and ``bounds`` of blocks of about ``_BLOCK`` A tags that end where two A windows of
-    half width ``hw`` are disjoint.  If B has tags: ``delay[i]``, that B tag's delay less
-    ``base``, clipped to ``[-1, top - base]`` where it is past the last B tag or the span
-    ``[a[i] + base, a[i] + top)`` (2 bytes each below ``2**15 - 1`` ps of span), and ``multi``,
-    per block, its tags (less its start) with more than one B tag in the span."""
+    """Times ``a``/``b`` of two streams, ``index[i]``, the first B index at or after
+    ``a[i] + base`` (4 bytes each where B's indices fit), and ``bounds`` of blocks of about
+    ``_BLOCK`` A tags that end where two A windows of half width ``hw`` are disjoint.  If B has
+    tags: ``delay[i]``, that B tag's delay less ``base``, clipped to ``[-1, top - base]`` where
+    it is past the last B tag or the span ``[a[i] + base, a[i] + top)`` (2 bytes each below
+    ``2**15 - 1`` ps of span), and ``multi``, per block, its tags (less its start) with more
+    than one B tag in the span."""
 
-    def __init__(self, a, b, base: int, top: int, hw: int, names=("stream_a", "stream_b")):
-        a, b = (
-            s.times if isinstance(s, Stream) else _as_times(s, n) for s, n in zip((a, b), names)
-        )
+    def __init__(self, alice: Stream, bob: Stream, base: int, top: int, hw: int):
+        a, b = alice.times, bob.times
         self.a, self.b, self.base, self.bounds, self.multi, e = a, b, base, [], [], 0
         self.index = np.empty(a.size, dtype=np.int32 if b.size < 2**31 else np.int64)
         w = top - base
@@ -189,7 +173,8 @@ def _half_window(window_ps: int) -> int:
 
 
 def cross_correlation(
-    stream_a, stream_b, bin_width_ps: int, range_ps: int, *, search: Optional[_Search] = None
+    stream_a: Stream, stream_b: Stream, bin_width_ps: int, range_ps: int,
+    *, search: Optional[_Search] = None,
 ) -> CorrelationHistogram:
     """Delay histogram of all pairwise t_b - t_a within +-range_ps.
 
@@ -197,7 +182,6 @@ def cross_correlation(
     per A tag plus the number of in-range pairs, never the full n^2.
 
     Raises:
-        UnsortedStreamError: if either stream is not time-ordered.
         ValueError: on a non-positive bin width or a range that is not a
             multiple of the bin width.
     """
@@ -249,8 +233,8 @@ def find_peak_delay(hist: CorrelationHistogram) -> float:
 
 
 def count_coincidences(
-    stream_a,
-    stream_b,
+    stream_a: Stream,
+    stream_b: Stream,
     window_ps: int,
     delay_ps: int = 0,
     *, search: Optional[_Search] = None,
@@ -273,9 +257,6 @@ def count_coincidences(
     candidate, and only longer ones take the scalar two-pointer walk.  The
     search's blocks of A end where two consecutive A windows are disjoint,
     so no segment spans two blocks.
-
-    Raises:
-        UnsortedStreamError: if either stream is not time-ordered.
     """
     hw = _half_window(window_ps)
     delay_ps = int(round(delay_ps))
@@ -339,8 +320,8 @@ def _match_block(a, offset: int, keep, lo, last, b, hw: int, delay: int, out, n_
 
 
 def estimate_accidentals(
-    stream_a,
-    stream_b,
+    stream_a: Stream,
+    stream_b: Stream,
     window_ps: int,
     offset_ps: int,
     duration_s: float,
@@ -350,8 +331,9 @@ def estimate_accidentals(
     """Accidental coincidences measured in a window displaced from the peak.
 
     Counts coincidences at ``delay + offset``, far enough from the true peak
-    that only uncorrelated pairs contribute, and reports the analytic
-    expectation ``S_a * S_b * window * duration`` alongside.
+    that only uncorrelated pairs contribute, and reports alongside the analytic
+    expectation ``S_a * S_b * window * duration``: a count over the whole
+    acquisition, like the measured one, not a rate.
 
     Raises:
         ValueError: if the offset is closer than 10 windows or the duration
@@ -369,7 +351,7 @@ def estimate_accidentals(
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     matches = count_coincidences(stream_a, stream_b, window_ps, delay_ps + offset_ps, search=search)
     analytic = len(stream_a) * len(stream_b) * (window_ps * 1e-12) / duration_s
-    return AccidentalEstimate(count=len(matches), analytic=analytic, offset_ps=offset_ps)
+    return AccidentalEstimate(count=len(matches), analytic=analytic)
 
 
 def tally_basis(

@@ -129,6 +129,8 @@ class RunConfig:
         if self.ring not in ("inner", "outer"):
             raise ConfigError(f"ring: must be 'inner' or 'outer', got {self.ring!r}")
         if self.pairs is not None:
+            if not self.pairs:
+                raise ConfigError("pairs: must not be empty")
             # pairs 0-2 are on the inner ring, 3-8 on the outer (``geometry.build_layout``)
             on_ring = range(3) if self.ring == "inner" else range(3, 9)
             bad = [p for p in self.pairs if p not in on_ring]

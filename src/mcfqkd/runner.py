@@ -117,6 +117,10 @@ class MeasurementSchedule:
 
 @dataclass
 class PairBasisResult:
+    """One pair's acquisition at one basis.  ``accidental_rate_analytic`` is, despite
+    its name, the expected accidental count ``S_a * S_b * window * duration`` over the
+    whole acquisition (0.4 for 60 s of an inner pair), not a rate in cps."""
+
     basis: str
     counts: BasisCounts
     duration_s: float

@@ -41,6 +41,7 @@ from mcfqkd.qkdmath import (
 )
 from mcfqkd.runner import run_basis_scan, run_stability
 from mcfqkd.coincidence import tally_basis
+from test_coincidence import arms
 from oracles import (
     entropy_oracle,
     greedy_match_oracle,
@@ -162,13 +163,14 @@ def test_criterion_4_coincidence_engine_equivalence():
             window = int(rng.integers(1, 5001))
             delay = int(rng.integers(-2000, 2001))
 
-            got = count_coincidences(a, b, window, delay_ps=delay).tolist()
+            alice, bob = arms(a, b)
+            got = count_coincidences(alice, bob, window, delay_ps=delay).tolist()
             expected = [list(p) for p in greedy_match_oracle(a, b, window, delay)]
             assert got == expected, f"instance {i}"
 
             bin_width = int(rng.integers(1, 200))
             hist_range = bin_width * int(rng.integers(1, 50))
-            hist = cross_correlation(a, b, bin_width, hist_range)
+            hist = cross_correlation(alice, bob, bin_width, hist_range)
             np.testing.assert_array_equal(
                 hist.bins, histogram_oracle(a, b, bin_width, hist_range)
             )

@@ -66,8 +66,10 @@ class TestSimulate:
         path = tmp_path / "bad.json"
         dump_config(cfg, path)
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
-        assert rc != 0
-        assert "empty pair set" in capsys.readouterr().err
+        assert rc == 2
+        # refused when the file loads, with its path, before the output directory is made
+        assert capsys.readouterr().err == f"error: {path}: pairs: must not be empty\n"
+        assert not (tmp_path / "x").exists()
 
     def test_schema_violation_reports_path(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -204,6 +204,7 @@ def _with_top(key, value, **more):
         (_with_top("pairs", [0, 0]), "pairs: duplicate pair id in [0, 0]"),
         (_with_top("pairs", [3]), "pairs: ids [3] are not on the inner ring"),
         (_with_top("pairs", [3, 0], ring="outer"), "pairs: ids [0] are not on the outer ring"),
+        (_with_top("pairs", []), "pairs: must not be empty"),
     ],
 )
 def test_invalid_values_rejected_with_field_path(data, path):

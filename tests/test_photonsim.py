@@ -291,8 +291,7 @@ class TestPoissonSplit:
         # without jitter, delay or darks each both-detected pair shows as two
         # tags of equal time, and no other tags coincide
         for st, t in runs:
-            t_a, t_b = st.alice.times, st.bob.times
-            assert len(count_coincidences(t_a, t_b, window_ps=1)) == t.true_coincidences
+            assert len(count_coincidences(st.alice, st.bob, window_ps=1)) == t.true_coincidences
 
 
 class TestStreamSeeds:

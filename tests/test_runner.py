@@ -260,9 +260,8 @@ class TestGoldenSegment:
         assert record_sha256(streams.alice, tmp_path) == self.ALICE_SHA256
         assert record_sha256(streams.bob, tmp_path) == self.BOB_SHA256
 
-        t_a, t_b = streams.alice.times, streams.bob.times
-        delay = round(find_peak_delay(cross_correlation(t_a, t_b, 50, 5000)))
-        pairs = count_coincidences(t_a, t_b, cfg.analysis.window_ps, delay_ps=delay)
+        delay = round(find_peak_delay(cross_correlation(streams.alice, streams.bob, 50, 5000)))
+        pairs = count_coincidences(streams.alice, streams.bob, cfg.analysis.window_ps, delay_ps=delay)
         assert pairs.dtype == np.int64 and pairs.shape == (8430, 2)
         assert hashlib.sha256(pairs.tobytes()).hexdigest() == self.PAIRS_SHA256
 
