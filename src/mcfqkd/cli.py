@@ -41,21 +41,19 @@ from .config import (
     preset_stability,
     selected_pairs,
 )
+from .geometry import CorePair
 from .linkbudget import (
     max_positive_length,
     model_from_config,
     sweep_lengths,
 )
-from .photonsim import PS_PER_S
+from .photonsim import PS_PER_S, Stream
 from .runner import (
-    KeyRateReport,
     MeasurementSchedule,
-    PairReport,
     ScheduleSegment,
-    analyze_segment,
-    pair_report,
     parallel_map,
     run_stability,
+    scan,
     scan_schedule,
     simulate_segment,
 )
@@ -161,14 +159,12 @@ def cmd_simulate(args) -> int:
             "true_coincidences": {},
         }
         for idx, segment in enumerate(schedule.segments):
-            sim = simulate_segment(cfg, pair, segment, idx, 0.0)
-            streams = sim.streams[pair.pair_id]
-            write_timetags(out_dir / names["alice"], streams.alice, CHANNEL_ALICE, append=idx > 0)
-            write_timetags(out_dir / names["bob"], streams.bob, CHANNEL_BOB, append=idx > 0)
-            pt = sim.truth.pairs[pair.pair_id]
-            truth_entry["emitted"] += pt.emitted
-            truth_entry["true_coincidences"][segment.basis] = pt.true_coincidences
-            del sim, streams  # freed before the next segment is simulated
+            alice, bob, truth = simulate_segment(cfg, pair, segment, idx, 0.0)
+            write_timetags(out_dir / names["alice"], alice, append=idx > 0)
+            write_timetags(out_dir / names["bob"], bob, append=idx > 0)
+            truth_entry["emitted"] += truth.emitted
+            truth_entry["true_coincidences"][segment.basis] = truth.true_coincidences
+            del alice, bob  # freed before the next segment is simulated
         return truth_entry
 
     meta["truth"] = {"per_pair": dict(zip(meta["files"], parallel_map(work, pairs)))}
@@ -239,6 +235,10 @@ def _load_meta(in_dir: Path) -> Tuple[Dict, Tuple[ScheduleSegment, ...], RunConf
 def cmd_analyze(args) -> int:
     in_dir = Path(getattr(args, "in_dir"))
     meta, segments, cfg = _load_meta(in_dir)
+    pairs = selected_pairs(cfg)
+    ids, want = sorted(meta["files"], key=int), [str(p.pair_id) for p in pairs]
+    if ids != want:
+        raise CliError(f"{in_dir / META_FILENAME}: files: pairs {ids}, config.pairs {want}")
     if getattr(args, "window_ps", None) is not None:
         cfg.analysis.window_ps = args.window_ps
         cfg.validate()
@@ -246,33 +246,20 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    truth = meta["truth"]["per_pair"]
-    pair_ids = sorted(meta["files"], key=int)
-    ranges = {pid: _segment_ranges(in_dir, meta["files"][pid], pid, segments) for pid in pair_ids}
+    ranges = {pid: _segment_ranges(in_dir, meta["files"][pid], pid, segments) for pid in want}
 
-    def work(pair_id: str) -> Tuple[PairReport, Dict[str, int]]:
-        files = meta["files"][pair_id]
-        per_basis = {
-            seg.basis: analyze_segment(
-                *(read_timetags(in_dir / files[role], start, end)[0] for role in ("alice", "bob")),
-                seg,
-                cfg,
-            )
-            for seg, (start, end) in zip(segments, ranges[pair_id])
-        }
-        ring = truth[pair_id]["ring"]
-        report = pair_report(int(pair_id), ring, per_basis, cfg.keyrate.ec_efficiency)
-        return report, {basis: r.counts.total for basis, r in per_basis.items()}
+    def stored(pair: CorePair, k: int, segment: ScheduleSegment) -> List[Stream]:
+        names, (start, end) = meta["files"][str(pair.pair_id)], ranges[str(pair.pair_id)][k]
+        return [read_timetags(in_dir / names[role], start, end)[0] for role in ("alice", "bob")]
 
-    results = parallel_map(work, pair_ids)
+    report = scan(cfg, pairs, segments, stored)
     truth_compare = {
-        pid: {"analyzed": counts, "ground_truth": truth[pid]["true_coincidences"]}
-        for pid, (_, counts) in zip(pair_ids, results)
+        pid: {
+            "analyzed": {s.basis: getattr(p, s.basis.lower()).counts.total for s in segments},
+            "ground_truth": meta["truth"]["per_pair"][pid]["true_coincidences"],
+        }
+        for pid, p in zip(want, report.pairs)
     }
-
-    report = KeyRateReport(
-        ring=cfg.ring, ec_efficiency=cfg.keyrate.ec_efficiency, pairs=[r for r, _ in results]
-    )
     payload = {
         "ring": report.ring,
         "ec_efficiency": report.ec_efficiency,

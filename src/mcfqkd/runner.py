@@ -4,10 +4,12 @@ The runner turns a configuration into simulated acquisitions, feeds each one
 through the coincidence analysis, and aggregates per-pair visibilities,
 QBERs and key rates into ring-level reports.  Every run is built from the
 same pieces: ``config.selected_pairs`` picks the measured core pairs,
-``acquire`` simulates and analyzes one (pair, segment) acquisition, which is
-one ``simulate_run`` call with the configured link on both arms and one
-analyzer setting, and ``pair_report`` turns a pair's per-basis results into
-its key rate.  A schedule is a ``MeasurementSchedule`` of ``ScheduleSegment``
+``simulate_segment`` simulates one (pair, segment) acquisition, which is one
+``simulate_run`` call with the configured link on both arms and one analyzer
+setting, ``analyze_segment`` analyzes its two streams, and ``pair_report``
+turns a pair's per-basis results into its key rate; ``scan`` is the loop of
+both over a ring, on streams that the basis scan simulates or ``analyze``
+reads.  A schedule is a ``MeasurementSchedule`` of ``ScheduleSegment``
 (basis, start and duration in the integer picoseconds of the tag files);
 ``simulate`` writes it to ``ground_truth.json`` and ``analyze`` parses it back
 into the same type, whose checks are the only schedule checks.  Core pairs
@@ -29,7 +31,8 @@ import numpy as np
 from .coincidence import tally_basis
 from .config import RunConfig, selected_pairs, worker_count
 from .geometry import CorePair
-from .photonsim import PS_PER_S, AnalyzerSetting, Stream, apply_polarization_drift, simulate_run
+from .photonsim import PS_PER_S, AnalyzerSetting, PairTruth, Stream, simulate_run
+from .photonsim import apply_polarization_drift
 from .qkdmath import (
     BasisCounts,
     KeyRateInputs,
@@ -48,8 +51,8 @@ __all__ = [
     "StabilityPoint",
     "scan_schedule",
     "parallel_map",
-    "acquire",
     "pair_report",
+    "scan",
     "run_basis_scan",
     "simulate_segment",
     "run_stability",
@@ -111,6 +114,8 @@ class MeasurementSchedule:
         if acquisition_s > switch_minutes * 60.0:
             raise ValueError("acquisition does not fit into one slot")
         n_slots = int(round(total_hours * 60.0 / switch_minutes))
+        if n_slots == 0:
+            raise ValueError(f"no slot: total_hours {total_hours}, switch_minutes {switch_minutes}")
         bases = ["HV" if k % 2 == 0 else "DA" for k in range(n_slots)]
         return cls._acquisitions(bases, switch_minutes * 60.0, acquisition_s)
 
@@ -215,10 +220,10 @@ def simulate_segment(
     segment: ScheduleSegment,
     segment_index: int,
     angle_offset_deg: float,
-):
-    """One (pair, segment) acquisition, on the stream of (seed, segment index, pair id)."""
+) -> Tuple[Stream, Stream, PairTruth]:
+    """One (pair, segment) acquisition's Alice and Bob streams and its ground truth."""
     scale = cfg.schedule.rate_scales.get(segment.basis, 1.0)
-    return simulate_run(
+    sim = simulate_run(
         replace(cfg.source, pair_rate=cfg.source.pair_rate * scale),
         pair,
         cfg.link,
@@ -229,21 +234,8 @@ def simulate_segment(
         angle_offset_deg=angle_offset_deg,
         time_offset_ps=segment.start_ps,
     )
-
-
-def acquire(
-    cfg: RunConfig,
-    pair: CorePair,
-    segment: ScheduleSegment,
-    segment_index: int,
-    angle_offset_deg: float,
-) -> PairBasisResult:
-    """Simulate and analyze one (pair, segment) acquisition; its tag streams
-    are freed on return, so a segment loop holds one acquisition at a time."""
-    streams = simulate_segment(cfg, pair, segment, segment_index, angle_offset_deg).streams[
-        pair.pair_id
-    ]
-    return analyze_segment(streams.alice, streams.bob, segment, cfg)
+    streams = sim.streams[pair.pair_id]
+    return streams.alice, streams.bob, sim.truth.pairs[pair.pair_id]
 
 
 def pair_report(
@@ -275,6 +267,21 @@ def scan_schedule(cfg: RunConfig) -> MeasurementSchedule:
     return MeasurementSchedule._acquisitions(cfg.schedule.bases, acquisition_s, acquisition_s)
 
 
+def scan(cfg: RunConfig, pairs: Sequence[CorePair], segments, streams: Callable) -> KeyRateReport:
+    """The ring report of ``pairs`` analyzed per segment on the (Alice, Bob) streams
+    of ``streams(pair, k, segments[k])``, one acquisition at a time per worker."""
+
+    def work(pair: CorePair) -> PairReport:
+        per_basis = {
+            seg.basis: analyze_segment(*streams(pair, k, seg), seg, cfg)
+            for k, seg in enumerate(segments)
+        }
+        return pair_report(pair.pair_id, pair.ring, per_basis, cfg.keyrate.ec_efficiency)
+
+    reports = parallel_map(work, pairs)
+    return KeyRateReport(ring=cfg.ring, ec_efficiency=cfg.keyrate.ec_efficiency, pairs=reports)
+
+
 def run_basis_scan(cfg: RunConfig) -> KeyRateReport:
     """Measure every selected pair in both bases and aggregate the ring.
 
@@ -283,17 +290,11 @@ def run_basis_scan(cfg: RunConfig) -> KeyRateReport:
     key-rate formula; the ring total sums the per-pair rates clamped at
     zero.
     """
-    schedule = scan_schedule(cfg)
 
-    def work(pair: CorePair) -> PairReport:
-        per_basis = {
-            segment.basis: acquire(cfg, pair, segment, idx, 0.0)
-            for idx, segment in enumerate(schedule.segments)
-        }
-        return pair_report(pair.pair_id, pair.ring, per_basis, cfg.keyrate.ec_efficiency)
+    def simulated(pair: CorePair, k: int, segment: ScheduleSegment) -> Tuple[Stream, Stream]:
+        return simulate_segment(cfg, pair, segment, k, 0.0)[:2]
 
-    reports = parallel_map(work, selected_pairs(cfg))
-    return KeyRateReport(ring=cfg.ring, ec_efficiency=cfg.keyrate.ec_efficiency, pairs=reports)
+    return scan(cfg, selected_pairs(cfg), scan_schedule(cfg).segments, simulated)
 
 
 def run_stability(
@@ -321,7 +322,8 @@ def run_stability(
     )
 
     def work(k: int) -> PairBasisResult:
-        return acquire(cfg, pair, schedule.segments[k], k, float(offsets[k]))
+        alice, bob, _ = simulate_segment(cfg, pair, schedule.segments[k], k, float(offsets[k]))
+        return analyze_segment(alice, bob, schedule.segments[k], cfg)
 
     # the slots run on the pool; pairing each with the latest result in the
     # other basis is a serial pass over them in slot order

@@ -9,13 +9,13 @@ Little-endian layout:
   marks a ground-truth dark count, which the simulator always sets; no
   other bit is used), six reserved zero bytes.
 
-Records exist only here: ``write_timetags`` writes a ``photonsim.Stream``
-(times and codes ``2 * channel + flags``) as records, and ``read_timetags``
-reads a time range's records into one, found by a binary search that reads
-one record time per step.  Both pass an eighth of the records, and at least
-``_CHUNK``, at a time through one buffer; a read checks each chunk's columns
-and then the times' order, and names the first bad record's offset.
-Appended parts equal one write of their concatenation.
+Records exist only here: ``write_timetags(path, stream)`` writes a
+``photonsim.Stream`` (times and codes ``2 * channel + flags``) under its
+channel id, and ``read_timetags`` reads a time range's records into one, found
+by a binary search that reads one record time per step.  Both pass an eighth
+of the records, and at least ``_CHUNK``, at a time through one buffer; a read
+checks each chunk's columns and then the times' order, and names the first bad
+record's offset.  Appended parts equal one write of their concatenation.
 """
 from __future__ import annotations
 
@@ -66,16 +66,16 @@ class TagFormatError(ValueError):
         self.offset = offset
 
 
-def write_timetags(path, tags: Stream, channel_id: int, *, append: bool = False) -> None:
-    """Write the stream ``tags`` of ``channel_id`` as records; ``append`` adds them to its file."""
-    if not isinstance(tags, Stream) or tags.channel_id != channel_id:
-        raise ValueError(f"tags must be a Stream of channel id {channel_id}")
+def write_timetags(path, tags: Stream, *, append: bool = False) -> None:
+    """Write the stream ``tags`` as records of its channel id; ``append`` adds them to its file."""
+    if not isinstance(tags, Stream):
+        raise ValueError(f"tags must be a Stream, got {type(tags).__name__}")
     # each record as two little-endian int64 words: the time, then channel | flags << 8
     step = max(_CHUNK, len(tags) // 8)
     words = np.zeros((min(len(tags), step), 2), dtype="<i8")
     with open(path, "ab" if append else "wb") as fh:
         if not append:
-            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, channel_id, 0))
+            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, tags.channel_id, 0))
         for s in range(0, len(tags), step):
             chunk = words[: len(tags) - s]
             chunk[:, 0] = tags.times[s : s + len(chunk)]

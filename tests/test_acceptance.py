@@ -318,9 +318,9 @@ def test_criterion_9_determinism_and_formats(tmp_path):
         # timetag round-trip is bit-exact
         from mcfqkd.tagio import read_timetags, write_timetags
 
-        tags, channel = read_timetags(out1 / "pair0_alice.mcqt")
+        tags, _ = read_timetags(out1 / "pair0_alice.mcqt")
         copy_path = tmp_path / "copy.mcqt"
-        write_timetags(copy_path, tags, channel)
+        write_timetags(copy_path, tags)
         assert copy_path.read_bytes() == (out1 / "pair0_alice.mcqt").read_bytes()
 
         # full default pipeline: simulate + analyze the inner ring at the

@@ -4,14 +4,21 @@ import hashlib
 import json
 import threading
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from mcfqkd.cli import LINKBUDGET_CSV_HEADER, main
-from mcfqkd.config import dump_config, preset_inner, selected_pairs, window_capture_fraction
+from mcfqkd.config import dump_config, preset, preset_inner, selected_pairs, window_capture_fraction
 from mcfqkd.photonsim import PS_PER_S
-from mcfqkd.runner import ScheduleSegment, analyze_segment, scan_schedule, simulate_segment
+from mcfqkd.runner import (
+    ScheduleSegment,
+    analyze_segment,
+    run_basis_scan,
+    scan_schedule,
+    simulate_segment,
+)
 from mcfqkd.tagio import TAG_DTYPE, read_timetags
 
 
@@ -306,6 +313,21 @@ class TestAnalyze:
         assert rc == 2
         assert f"error: {meta_path}: config: {message}" in err
 
+    @pytest.mark.parametrize(
+        "edit, ids",
+        [
+            (lambda m: m["files"].pop("2"), "pairs ['0', '1'], config.pairs ['0', '1', '2']"),
+            (lambda m: m["config"].update(pairs=[0, 2]), "pairs ['0', '1', '2'], config.pairs ['0', '2']"),
+        ],
+        ids=["file-missing", "config-subset"],
+    )
+    def test_files_other_than_the_config_pairs_rejected(self, sim_dir, tmp_path, capsys, edit, ids):
+        # analyze measures the pairs of the config, which files must list exactly
+        rc, err, meta_path = self._analyze_with_meta(sim_dir, tmp_path, capsys, edit)
+        assert rc == 2
+        assert err == f"error: {meta_path}: files: {ids}\n"
+        assert not (tmp_path / "rep").exists()
+
     def test_empty_streams_zero_report(self, sim_dir, tmp_path):
         # truncate one pair's files to headers only: zero-count report, no crash
         for name in ("pair0_alice.mcqt", "pair0_bob.mcqt"):
@@ -386,6 +408,21 @@ class TestAnalyze:
             assert main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")]) == 0
 
 
+@pytest.mark.parametrize("name", ["inner", "outer"])
+def test_analyze_agrees_with_the_basis_scan(name, tmp_path):
+    # the CLI round trip and the library scan of one config give the same pairs
+    cfg = preset(name)
+    cfg.schedule.acquisition_s = 5.0
+    path, sim, rep = tmp_path / "run.json", tmp_path / "sim", tmp_path / "rep"
+    dump_config(cfg, path)
+    assert main(["simulate", "--config", str(path), "--out", str(sim)]) == 0
+    assert main(["analyze", "--in", str(sim), "--out", str(rep)]) == 0
+    report = json.loads((rep / "report.json").read_text())
+    scan = run_basis_scan(cfg)
+    assert report["pairs"] == [asdict(p) for p in scan.pairs]
+    assert report["total_bits_s"] == scan.total_bits_s
+
+
 class TestLinkBudget:
     def test_exact_csv_header(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -431,6 +468,14 @@ class TestStability:
         assert [r[2] for r in rows] == ["HV", "DA", "HV", "DA"]
         points = json.loads((out / "stability.json").read_text())
         assert len(points) == 4
+
+    def test_run_without_slots_names_its_options(self, tmp_path, capsys):
+        # 0.2 h is less than half of one 30 min slot
+        out = tmp_path / "stab"
+        argv = ["stability", "--preset", "stability", "--hours", "0.2", "--switch-min", "30"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: no slot: total_hours 0.2, switch_minutes 30.0\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("acquisition", ["0", "-1"])
     def test_non_positive_acquisition_names_the_option(self, tmp_path, capsys, acquisition):

@@ -38,7 +38,7 @@ LAYOUT = build_layout()
 def record_sha256(stream, tmp_path):
     """SHA-256 of the records ``tagio`` writes for ``stream``: its file past the header."""
     path = tmp_path / f"channel{stream.channel_id}.mcqt"
-    write_timetags(path, stream, stream.channel_id)
+    write_timetags(path, stream)
     return hashlib.sha256(path.read_bytes()[16:]).hexdigest()
 
 

@@ -23,7 +23,7 @@ from mcfqkd.qkdmath import positive_qber_threshold
 from mcfqkd.runner import (
     MeasurementSchedule,
     ScheduleSegment,
-    acquire,
+    analyze_segment,
     run_basis_scan,
     run_stability,
     scan_schedule,
@@ -35,7 +35,7 @@ from mcfqkd.tagio import write_timetags
 def record_sha256(stream, tmp_path):
     """SHA-256 of the records ``tagio`` writes for ``stream``: its file past the header."""
     path = tmp_path / f"channel{stream.channel_id}.mcqt"
-    write_timetags(path, stream, stream.channel_id)
+    write_timetags(path, stream)
     return hashlib.sha256(path.read_bytes()[16:]).hexdigest()
 
 
@@ -55,11 +55,14 @@ class TestSchedules:
         # each segment is simulated at the pair rate scaled for its basis
         cfg = quick_inner()
         cfg.schedule.rate_scales = {"HV": 1.0, "DA": 0.99}
-        rates = []
-        monkeypatch.setattr(
-            runner, "simulate_run", lambda source, *args, **kwargs: rates.append(source.pair_rate)
-        )
-        for idx, segment in enumerate(sched.segments):
+        rates, simulate = [], runner.simulate_run
+
+        def recording(source, *args, **kwargs):
+            rates.append(source.pair_rate)
+            return simulate(source, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "simulate_run", recording)
+        for idx, segment in enumerate(scan_schedule(cfg).segments):
             simulate_segment(cfg, selected_pairs(cfg)[0], segment, idx, 0.0)
         assert rates == [cfg.source.pair_rate, cfg.source.pair_rate * 0.99]
 
@@ -82,7 +85,7 @@ class TestSchedules:
         with pytest.raises(ValueError, match="schedule: has no segments"):
             MeasurementSchedule(())
         # a stability run shorter than half a slot has no slots
-        with pytest.raises(ValueError, match="schedule: has no segments"):
+        with pytest.raises(ValueError, match=r"^no slot: total_hours 0\.2, switch_minutes 30\.0$"):
             MeasurementSchedule.stability(0.2, 30.0, 60.0)
 
     def test_invalid_segment(self):
@@ -204,13 +207,13 @@ class TestRunStability:
         cfg = preset_stability()
         pair = selected_pairs(cfg)[0]
         segment = MeasurementSchedule.stability(1.0, 30.0, 60.0).segments[0]
-        streams = simulate_segment(cfg, pair, segment, 0, 0.3).streams[pair.pair_id]
-        n_tags = len(streams.alice) + len(streams.bob)
+        alice, bob, _ = simulate_segment(cfg, pair, segment, 0, 0.3)
+        n_tags = len(alice) + len(bob)
         assert n_tags > 2**19  # 8 MiB of records
-        del streams
+        del alice, bob
         tracemalloc.start()
         try:
-            acquire(cfg, pair, segment, 0, 0.3)
+            analyze_segment(*simulate_segment(cfg, pair, segment, 0, 0.3)[:2], segment, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -256,12 +259,12 @@ class TestGoldenSegment:
         # segment runs at the unscaled pair rate
         cfg.schedule.rate_scales["DA"] = 1.0
         segment = ScheduleSegment("DA", 86_000 * PS_PER_S, 2 * PS_PER_S)
-        streams = simulate_segment(cfg, pair, segment, 3, 0.5).streams[pair.pair_id]
-        assert record_sha256(streams.alice, tmp_path) == self.ALICE_SHA256
-        assert record_sha256(streams.bob, tmp_path) == self.BOB_SHA256
+        alice, bob, _ = simulate_segment(cfg, pair, segment, 3, 0.5)
+        assert record_sha256(alice, tmp_path) == self.ALICE_SHA256
+        assert record_sha256(bob, tmp_path) == self.BOB_SHA256
 
-        delay = round(find_peak_delay(cross_correlation(streams.alice, streams.bob, 50, 5000)))
-        pairs = count_coincidences(streams.alice, streams.bob, cfg.analysis.window_ps, delay_ps=delay)
+        delay = round(find_peak_delay(cross_correlation(alice, bob, 50, 5000)))
+        pairs = count_coincidences(alice, bob, cfg.analysis.window_ps, delay_ps=delay)
         assert pairs.dtype == np.int64 and pairs.shape == (8430, 2)
         assert hashlib.sha256(pairs.tobytes()).hexdigest() == self.PAIRS_SHA256
 

@@ -58,7 +58,7 @@ class TestRoundTrip:
     def test_bit_exact_roundtrip(self, tmp_path):
         tags = sample_tags(5000)
         path = tmp_path / "stream.mcqt"
-        write_timetags(path, stream_of(tags, CHANNEL_ALICE), CHANNEL_ALICE)
+        write_timetags(path, stream_of(tags, CHANNEL_ALICE))
         assert path.read_bytes() == header(CHANNEL_ALICE) + tags.tobytes()
         back, channel = read_timetags(path)
         assert channel == CHANNEL_ALICE
@@ -67,20 +67,20 @@ class TestRoundTrip:
     def test_rewrite_is_byte_identical(self, tmp_path):
         tags = sample_tags(1000, seed=3, channel_id=CHANNEL_BOB)
         p1, p2 = tmp_path / "a.mcqt", tmp_path / "b.mcqt"
-        write_timetags(p1, stream_of(tags, CHANNEL_BOB), CHANNEL_BOB)
-        write_timetags(p2, read_timetags(p1)[0], CHANNEL_BOB)
+        write_timetags(p1, stream_of(tags, CHANNEL_BOB))
+        write_timetags(p2, read_timetags(p1)[0])
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_stream(self, tmp_path):
         path = tmp_path / "empty.mcqt"
-        write_timetags(path, stream_of(sample_tags(0), CHANNEL_ALICE), CHANNEL_ALICE)
+        write_timetags(path, stream_of(sample_tags(0), CHANNEL_ALICE))
         back, channel = read_timetags(path)
         assert len(back) == 0
         assert path.stat().st_size == 16
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "h.mcqt"
-        write_timetags(path, stream_of(sample_tags(1, channel_id=CHANNEL_BOB), CHANNEL_BOB), CHANNEL_BOB)
+        write_timetags(path, stream_of(sample_tags(1, channel_id=CHANNEL_BOB), CHANNEL_BOB))
         raw = path.read_bytes()
         assert raw[:4] == MAGIC
         assert int.from_bytes(raw[4:6], "little") == FORMAT_VERSION
@@ -89,10 +89,7 @@ class TestRoundTrip:
 
     def test_wrong_dtype_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_timetags(tmp_path / "x.mcqt", np.zeros(3, dtype=np.int64), 0)
-        # a stream goes only to a file of its own channel id
-        with pytest.raises(ValueError, match="^tags must be a Stream of channel id 1$"):
-            write_timetags(tmp_path / "x.mcqt", stream_of(sample_tags(3), CHANNEL_ALICE), CHANNEL_BOB)
+            write_timetags(tmp_path / "x.mcqt", np.zeros(3, dtype=np.int64))
 
 
 class TestRangeRead:
@@ -170,7 +167,7 @@ class TestRangeRead:
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.mcqt"
-        write_timetags(path, stream_of(sample_tags(0), CHANNEL_BOB), CHANNEL_BOB)
+        write_timetags(path, stream_of(sample_tags(0), CHANNEL_BOB))
         tags, channel = read_timetags(path, 5, 10)
         assert len(tags) == 0 and channel == CHANNEL_BOB
         assert last_tag_time(path) == (None, CHANNEL_BOB)
@@ -200,15 +197,15 @@ class TestAppend:
         tags = sample_tags(1000, seed=5, channel_id=CHANNEL_BOB)
         parts = [tags[:300], tags[300:300], tags[300:]]
         whole, pieces = tmp_path / "whole.mcqt", tmp_path / "pieces.mcqt"
-        write_timetags(whole, stream_of(tags, CHANNEL_BOB), CHANNEL_BOB)
+        write_timetags(whole, stream_of(tags, CHANNEL_BOB))
         for k, part in enumerate(parts):
-            write_timetags(pieces, stream_of(part, CHANNEL_BOB), CHANNEL_BOB, append=k > 0)
+            write_timetags(pieces, stream_of(part, CHANNEL_BOB), append=k > 0)
         assert pieces.read_bytes() == whole.read_bytes()
 
     def test_plain_write_replaces_the_file(self, tmp_path):
         path = tmp_path / "s.mcqt"
-        write_timetags(path, stream_of(sample_tags(50), CHANNEL_ALICE), CHANNEL_ALICE)
-        write_timetags(path, stream_of(sample_tags(7), CHANNEL_ALICE), CHANNEL_ALICE)
+        write_timetags(path, stream_of(sample_tags(50), CHANNEL_ALICE))
+        write_timetags(path, stream_of(sample_tags(7), CHANNEL_ALICE))
         assert path.stat().st_size == 16 + 7 * 16
 
 
@@ -321,14 +318,14 @@ class TestChunks:
         if append:
             cuts = [0, 10, 10 + size // 2, 10 + size, tags.size]
             for k, (s, e) in enumerate(zip(cuts, cuts[1:])):
-                write_timetags(path, stream_of(tags[s:e], CHANNEL_BOB), CHANNEL_BOB, append=k > 0)
+                write_timetags(path, stream_of(tags[s:e], CHANNEL_BOB), append=k > 0)
         else:
-            write_timetags(path, stream, CHANNEL_BOB)
+            write_timetags(path, stream)
         assert path.read_bytes() == header(CHANNEL_BOB) + tags.tobytes()
         part, _ = read_timetags(path, int(tags["time_ps"][10]), int(tags["time_ps"][10 + size]))
         assert_stream_is(part, tags[10 : 10 + size])
         again = tmp_path / "again.mcqt"
-        write_timetags(again, part, CHANNEL_BOB)
+        write_timetags(again, part)
         assert again.read_bytes() == header(CHANNEL_BOB) + tags[10 : 10 + size].tobytes()
 
     @pytest.mark.parametrize(
