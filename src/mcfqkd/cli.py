@@ -9,9 +9,12 @@ Verbs:
 * ``reproduce``  - bundled reference scenarios (fig2 / fig3) as CSV + SVG
 
 Every command exits non-zero on any error and zero only on full success; a
-bad option value exits 2 naming the option.  ``simulate`` and ``analyze`` run
-their pairs on ``runner.parallel_map``, whose pool ``MCFQKD_THREADS`` caps;
-results do not depend on it.
+bad option value exits 2 naming the option.  Every verb but ``simulate``,
+which appends to its tag files as it goes, makes its output directory only
+after its results are computed, so a failure leaves none.  ``simulate`` and
+``analyze`` run their pairs on ``runner.parallel_map``, whose pool
+``MCFQKD_THREADS`` caps; results do not depend on it.  Each CSV table is one
+column map written by ``_write_csv``.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import argparse
 import csv
 import json
 import math
+import operator
 import sys
 import warnings
 from dataclasses import asdict
@@ -62,35 +66,39 @@ from .tagio import write_timetags
 
 META_FILENAME = "ground_truth.json"
 
+#: each CSV table: its columns in order, each with the attribute (dotted for
+#: a nested one) of the row's item that fills it
+LINKBUDGET_COLUMNS = {
+    "length_km": "length_km",
+    "coin_rate": "coin_rate_cps",
+    "qber": "qber",
+    "skr_pair_bits_s": "skr_pair_bits_s",
+    "skr_ring_bits_s": "skr_ring_bits_s",
+}
+STABILITY_COLUMNS = {
+    name: name
+    for name in (
+        "slot", "time_hours", "basis", "coincidence_rate_cps", "visibility", "qber",
+        "skr_bits_s", "skr_clamped_bits_s", "drift_offset_deg",
+    )
+}
+REPORT_COLUMNS = {
+    "pair_id": "pair_id",
+    "ring": "ring",
+    "c_hv_cps": "hv.coincidence_rate_cps",
+    "c_da_cps": "da.coincidence_rate_cps",
+    "visibility_hv": "hv.visibility",
+    "visibility_da": "da.visibility",
+    "qber_hv": "hv.qber",
+    "qber_da": "da.qber",
+    "accidentals_hv": "hv.accidental_count",
+    "accidentals_da": "da.accidental_count",
+    "skr_bits_s": "skr_bits_s",
+    "skr_clamped_bits_s": "skr_clamped_bits_s",
+}
+
 #: exact public contract for the linkbudget sweep CSV
-LINKBUDGET_CSV_HEADER = ["length_km", "coin_rate", "qber", "skr_pair_bits_s", "skr_ring_bits_s"]
-
-STABILITY_CSV_HEADER = [
-    "slot",
-    "time_hours",
-    "basis",
-    "coincidence_rate_cps",
-    "visibility",
-    "qber",
-    "skr_bits_s",
-    "skr_clamped_bits_s",
-    "drift_offset_deg",
-]
-
-REPORT_CSV_HEADER = [
-    "pair_id",
-    "ring",
-    "c_hv_cps",
-    "c_da_cps",
-    "visibility_hv",
-    "visibility_da",
-    "qber_hv",
-    "qber_da",
-    "accidentals_hv",
-    "accidentals_da",
-    "skr_bits_s",
-    "skr_clamped_bits_s",
-]
+LINKBUDGET_CSV_HEADER = list(LINKBUDGET_COLUMNS)
 
 
 class CliError(Exception):
@@ -114,17 +122,18 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: List[str], rows: List[List]) -> None:
+def _write_csv(path: Path, columns: Dict[str, str], items) -> None:
+    """The header of ``columns``, then one row per item: a float cell is its
+    ``repr``, ``None`` an empty cell, and anything else is written as it is."""
+    cells = operator.attrgetter(*columns.values())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+        writer.writerow(columns)
+        for item in items:
+            writer.writerow(
+                "" if v is None else repr(float(v)) if isinstance(v, float) else v
+                for v in cells(item)
+            )
 
 
 # ---------------------------------------------------------------- simulate
@@ -243,9 +252,6 @@ def cmd_analyze(args) -> int:
         cfg.analysis.window_ps = args.window_ps
         cfg.validate()
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     ranges = {pid: _segment_ranges(in_dir, meta["files"][pid], pid, segments) for pid in want}
 
     def stored(pair: CorePair, k: int, segment: ScheduleSegment) -> List[Stream]:
@@ -268,28 +274,10 @@ def cmd_analyze(args) -> int:
         "pairs": [asdict(p) for p in report.pairs],
         "truth_comparison": truth_compare,
     }
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", payload)
-    _write_csv(
-        out_dir / "report.csv",
-        REPORT_CSV_HEADER,
-        [
-            [
-                p.pair_id,
-                p.ring,
-                _fmt(p.hv.coincidence_rate_cps),
-                _fmt(p.da.coincidence_rate_cps),
-                _fmt(p.hv.visibility),
-                _fmt(p.da.visibility),
-                _fmt(p.hv.qber),
-                _fmt(p.da.qber),
-                p.hv.accidental_count,
-                p.da.accidental_count,
-                _fmt(p.skr_bits_s),
-                _fmt(p.skr_clamped_bits_s),
-            ]
-            for p in report.pairs
-        ],
-    )
+    _write_csv(out_dir / "report.csv", REPORT_COLUMNS, report.pairs)
     print(
         f"analyze: {len(report.pairs)} pairs, total {report.total_bits_s:.1f} bits/s, "
         f"mean QBER {report.mean_qber:.4f}"
@@ -328,26 +316,13 @@ def _segment_ranges(in_dir: Path, files: Dict, pair_id: str, segments) -> List[T
 # -------------------------------------------------------------- linkbudget
 
 
-def _sweep_rows(points) -> List[List[str]]:
-    return [
-        [
-            _fmt(pt.length_km),
-            _fmt(pt.coin_rate_cps),
-            _fmt(pt.qber),
-            _fmt(pt.skr_pair_bits_s),
-            _fmt(pt.skr_ring_bits_s),
-        ]
-        for pt in points
-    ]
-
-
 def cmd_linkbudget(args) -> int:
     cfg = _load_run_config(args)
     model = model_from_config(cfg)
     points = sweep_lengths(model, args.lmax_km, args.step_km)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, LINKBUDGET_CSV_HEADER, _sweep_rows(points))
+    _write_csv(out, LINKBUDGET_COLUMNS, points)
     try:
         reach = max_positive_length(model)
         reach_text = f"{reach:.1f} km"
@@ -360,29 +335,12 @@ def cmd_linkbudget(args) -> int:
 # --------------------------------------------------------------- stability
 
 
-def _stability_rows(points) -> List[List]:
-    return [
-        [
-            p.slot,
-            _fmt(p.time_hours),
-            p.basis,
-            _fmt(p.coincidence_rate_cps),
-            _fmt(p.visibility),
-            _fmt(p.qber),
-            _fmt(p.skr_bits_s),
-            _fmt(p.skr_clamped_bits_s),
-            _fmt(p.drift_offset_deg),
-        ]
-        for p in points
-    ]
-
-
 def cmd_stability(args) -> int:
     cfg = _load_run_config(args)
     points = run_stability(cfg, args.hours, args.switch_min, args.acquisition_s)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "stability.csv", STABILITY_CSV_HEADER, _stability_rows(points))
+    _write_csv(out_dir / "stability.csv", STABILITY_COLUMNS, points)
     _write_json(out_dir / "stability.json", [asdict(p) for p in points])
     qbers = [p.qber for p in points if p.qber is not None]
     print(
@@ -398,7 +356,6 @@ def cmd_stability(args) -> int:
 
 def cmd_reproduce(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.figure == "fig2":
         return _reproduce_fig2(out_dir)
     return _reproduce_fig3(out_dir, args.hours)
@@ -410,9 +367,10 @@ def _reproduce_fig2(out_dir: Path) -> int:
     curves = {}
     for name, cfg in (("inner", preset_inner()), ("outer", preset_outer())):
         model = model_from_config(cfg)
-        points = sweep_lengths(model, 250.0, 1.0)
-        _write_csv(out_dir / f"fig2_{name}.csv", LINKBUDGET_CSV_HEADER, _sweep_rows(points))
-        curves[name] = (model, points)
+        curves[name] = (model, sweep_lengths(model, 250.0, 1.0))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (_, points) in curves.items():
+        _write_csv(out_dir / f"fig2_{name}.csv", LINKBUDGET_COLUMNS, points)
 
     series = [
         Series(
@@ -447,7 +405,8 @@ def _reproduce_fig3(out_dir: Path, hours: float) -> int:
 
     cfg = preset_stability()
     points = run_stability(cfg, total_hours=hours, switch_minutes=30.0, acquisition_s=60.0)
-    _write_csv(out_dir / "fig3.csv", STABILITY_CSV_HEADER, _stability_rows(points))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "fig3.csv", STABILITY_COLUMNS, points)
     times = [p.time_hours for p in points]
     line_chart(
         out_dir / "fig3_qber.svg",

@@ -112,7 +112,10 @@ class MeasurementSchedule:
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if acquisition_s > switch_minutes * 60.0:
-            raise ValueError("acquisition does not fit into one slot")
+            raise ValueError(
+                f"acquisition_s {acquisition_s} does not fit into one slot"
+                f" of switch_minutes {switch_minutes}"
+            )
         n_slots = int(round(total_hours * 60.0 / switch_minutes))
         if n_slots == 0:
             raise ValueError(f"no slot: total_hours {total_hours}, switch_minutes {switch_minutes}")

@@ -159,6 +159,7 @@ class TestAnalyze:
         assert rc != 0
         err = capsys.readouterr().err
         assert f"error: {victim}: bad magic b'JUNK'" in err and "(offset 0)" in err
+        assert not (tmp_path / "rep").exists()
 
     def test_missing_metadata_fails(self, tmp_path):
         empty = tmp_path / "nothing"
@@ -477,6 +478,14 @@ class TestStability:
         assert capsys.readouterr().err == "error: no slot: total_hours 0.2, switch_minutes 30.0\n"
         assert not out.exists()
 
+    def test_acquisition_longer_than_a_slot_names_its_options(self, tmp_path, capsys):
+        out = tmp_path / "stab"
+        argv = ["stability", "--preset", "stability", "--hours", "1", "--switch-min", "1"]
+        assert main([*argv, "--acquisition-s", "120", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: acquisition_s 120.0 does not fit into one slot of switch_minutes 1.0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("acquisition", ["0", "-1"])
     def test_non_positive_acquisition_names_the_option(self, tmp_path, capsys, acquisition):
         with pytest.raises(SystemExit) as exc:
@@ -512,6 +521,12 @@ class TestReproduce:
         assert len(rows) == 3
         assert (out / "fig3_qber.svg").exists()
         assert (out / "fig3_keyrate.svg").exists()
+
+    def test_fig3_without_slots_makes_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "f3"
+        assert main(["reproduce", "fig3", "--hours", "0.2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: no slot: total_hours 0.2, switch_minutes 30.0\n"
+        assert not out.exists()
 
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -669,6 +684,8 @@ class TestGoldenRoundTrip:
         "report.csv": "4803d8cd881138e2ea700ac0b1a90252a7b08cfcbd3005184f4c024ec8125dee",
     }
     STABILITY_CSV_SHA256 = "fc553d6e4d1c3f259bdbb77db4b5660c436c4fbb1d682325523be45479254bcb"
+    # captured before the CLI's tables were declared as column maps
+    FIG3_CSV_SHA256 = "032c0924d3163514c03ee0d5475488a40f90ba0e856514aabd19aef410cb940b"
     # captured before the link model's per-arm fields were merged
     FIG2_SHA256 = {
         "fig2_inner.csv": "c2806a073d66731277612c5c03974d1a8ea34a97168f321f23d4e24012e3b926",
@@ -701,3 +718,8 @@ class TestGoldenRoundTrip:
         out = tmp_path / "fig2"
         assert main(["reproduce", "fig2", "--out", str(out)]) == 0
         assert self.digests(out, self.FIG2_SHA256) == self.FIG2_SHA256
+
+    def test_reproduce_fig3(self, tmp_path):
+        out = tmp_path / "fig3"
+        assert main(["reproduce", "fig3", "--hours", "1", "--out", str(out)]) == 0
+        assert self.digests(out, ["fig3.csv"]) == {"fig3.csv": self.FIG3_CSV_SHA256}
