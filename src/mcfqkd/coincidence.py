@@ -8,16 +8,16 @@ beyond 2**53 (a day of picoseconds does not fit a double).
 One search of A into B spans every window of its passes: per block of A, a
 merge finds each tag's first B tag in the span, one gather keeps its delay
 and a second finds the few tags with more than one B tag there.  A pass
-compares every other tag's delay with its window and walks only the few.
+compares every other tag's delay with its window and searches B for the few.
 Every pass takes two ``photonsim.Stream``, checked where they were made.
 ``tally_basis`` builds the search its passes share; a pass called alone
 searches its own window.
 
 Cost: a 506k-tag tally takes 8 blocks of ``_BLOCK`` tags, two gathers of B
-per A tag, both in the search, 1 MiB of delays, 24 walks of a few tags each
-and about 570 numpy calls, operators besides.  Each call releases the GIL
-for its loop and takes it back after, so two threads wait on each other at
-short calls, not at long ones.
+per A tag, both in the search, 1 MiB of delays, 24 binary searches for 74
+tags and about 320 numpy function and method calls, operators besides.  Each
+call releases the GIL for its loop and takes it back after, so two threads
+wait on each other at short calls, not at long ones.
 """
 from __future__ import annotations
 
@@ -139,29 +139,13 @@ class _Search:
         has a delay in ``[t_lo, t_hi)`` (``base <= t_lo <= t_hi <= top``), the one B tag in its
         window unless the tag is in the block's ``multi``, ``m``, and ``lo``/``hi``, the first B
         indices at or after ``a[s:e][m] + t_lo``/``t_hi``."""
-        a, index, edges = self.a, self.index, np.array([t_lo, t_hi])
+        a, edges = self.a, np.array([t_lo, t_hi])
         for (s, e), m in zip(self.bounds, self.multi):
             d, lo, hi = self.delay[s:e], m, m
             sel = (d >= t_lo - self.base) & (d < t_hi - self.base)
-            if m.size:  # one walk to both bounds of each tag of ``m``
-                ends = self._walk(np.repeat(index[s:e][m], 2), (a[s:e][m, None] + edges).ravel())
-                lo, hi = ends[::2], ends[1::2]
+            if m.size:  # one binary search for both bounds of each tag of ``m``
+                lo, hi = np.searchsorted(self.b, a[s:e][m, None] + edges).T
             yield s, e, sel, m, lo, hi
-
-    def _walk(self, lo: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Walk ``lo``, B indices, in place on to the first at or after ``keys``."""
-        b, n = self.b, self.b.size
-        # most keys lie within a few B tags: one look at the next four first
-        ahead = lo[:, None] + np.arange(4)
-        lo += np.sum((ahead < n) & (b.take(ahead, mode="clip") < keys[:, None]), axis=1)
-        todo, width = np.flatnonzero(lo - ahead[:, 0] == 4), 1
-        while todo.size:  # strides of 1, 2, 4, ... tags; past the key, from 1 again
-            p = lo[todo] + (width - 1)
-            past = (p < n) & (b.take(p, mode="clip") < keys[todo])
-            lo[todo[past]] = p[past] + 1
-            keep = past | (width > 1)
-            todo, width = todo[keep], np.where(past, 2 * width, 1)[keep]
-        return lo
 
 
 def _half_window(window_ps: int) -> int:
@@ -248,7 +232,7 @@ def count_coincidences(
 
     The search gives each A tag its candidates: the one B tag in its window,
     read off its kept delay, or, for the few with more than one B tag in the
-    search's span, the interval ``[lo, hi)`` of B indices their walk finds.
+    search's span, the interval ``[lo, hi)`` of B indices a binary search finds.
     Tags with none can never match and are dropped; the rest are split into
     segments where consecutive intervals stop overlapping.  Within
     a segment the intervals overlap in a chain, so its B side is one run,
@@ -264,15 +248,12 @@ def count_coincidences(
     a, b = search.a, search.b
     out, n_out = np.empty((min(a.size, b.size), 2), dtype=np.int64), 0
     for s, e, sel, m, lo, hi in search.windows(delay_ps - hw, delay_ps + hw + 1):
-        # a tag of ``m`` is kept where its walk found B tags, with their bounds
+        # a tag of ``m`` is kept where its search found B tags, with their bounds
         sel[m] = found = hi > lo
         keep = np.flatnonzero(sel)
         first = last = search.index[s:e].take(keep)
         if found.any():
-            m, last = m[found], first.copy()
-            # the place of each tag of ``m`` in ``keep``: the kept tags before it
-            runs = np.add.reduceat(sel, m)
-            at = np.cumsum(runs) - runs + np.count_nonzero(sel[: m[0]])
+            last, at = first.copy(), np.searchsorted(keep, m[found])
             first[at], last[at] = lo[found], hi[found] - 1
         n_out = _match_block(a[s:e], s, keep, first, last, b, hw, delay_ps, out, n_out)
     return out[:n_out]

@@ -198,10 +198,6 @@ def coerce(value: Any, hint: Any, path: str) -> Any:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return value
-    if hint is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
-        return value
     if hint is str:
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")

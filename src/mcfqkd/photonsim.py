@@ -50,6 +50,7 @@ __all__ = [
     "CH_BOB_R",
     "FLAG_DARK",
     "PS_PER_S",
+    "TIME_LIMIT_PS",
     "Stream",
     "UnsortedStreamError",
     "SourceParams",
@@ -70,6 +71,8 @@ CH_ALICE_T, CH_ALICE_R, CH_BOB_T, CH_BOB_R = 0, 1, 2, 3
 FLAG_DARK = 0x01
 
 PS_PER_S = 1_000_000_000_000
+#: no tag time reaches it: ``simulate_run`` makes none, and ``tagio`` reads none
+TIME_LIMIT_PS = 1 << 60
 
 #: jitter values per standard normal draw: a chunk's buffer (512 KiB) is reused by the next
 _CHUNK = 1 << 16
@@ -269,7 +272,7 @@ def simulate_run(
     # every tag time lies in [offset, offset + duration + slack) and packs into a key of
     # ``_assemble`` below 2**63: time*8 + code
     slack = int(math.ceil(6.0 * link.jitter_sigma_ps))
-    if time_offset_ps < 0 or time_offset_ps + duration_ps + slack > 1 << 60:
+    if time_offset_ps < 0 or time_offset_ps + duration_ps + slack > TIME_LIMIT_PS:
         raise ValueError("tag times must lie in [0, 2**60) ps")
     rng = _stream_rng(seed, PURPOSE_TAGS, segment_index, pair.pair_id)
 

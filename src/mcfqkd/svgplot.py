@@ -33,10 +33,6 @@ class Marker:
     color: str = "#202020"
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
-
-
 def _nice_ticks(lo: float, hi: float, n: int = 6) -> List[float]:
     if hi <= lo:
         hi = lo + 1.0

@@ -402,6 +402,24 @@ class TestAnalyze:
         assert main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")]) == 2
         assert want in capsys.readouterr().err
 
+    @pytest.mark.parametrize("time", [2**60, 2**63 + 5], ids=["2**60", "2**63+5"])
+    @pytest.mark.parametrize("where", ["middle", "last"])
+    def test_time_from_2_60_ps_rejected(self, sim_dir, tmp_path, capsys, where, time):
+        # a Bob record at or past the 2**60 ps bound on tag times, which a read would
+        # otherwise take as a negative time, a time out of order or a long stream
+        bob = sim_dir / "pair0_bob.mcqt"
+        n = len(read_timetags(bob)[0])
+        i = n // 2 if where == "middle" else n - 1
+
+        def set_time(tags):
+            tags["time_ps"][i] = time
+            return tags
+
+        edit_records(bob, set_time)
+        assert main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")]) == 2
+        want = f"error: {bob}: time {time} ps not below 2**60 (offset {16 + 16 * i})"
+        assert want in capsys.readouterr().err
+
     def test_mismatched_durations_warns(self, sim_dir, tmp_path):
         # drop all but the first third of Bob's stream for pair 0
         edit_records(sim_dir / "pair0_bob.mcqt", lambda tags: tags[: len(tags) // 3])

@@ -402,9 +402,10 @@ class TestTallyBasisOracle:
 
 class TestSharedSearch:
     """``tally_basis`` runs one search of A into B, a merge per block of A
-    after two binary searches for the B tags the block spans, and walks from
-    it to every other window bound.  Each pass must still give the oracles'
-    index arrays, whatever the block size, with no other search of A."""
+    after two binary searches for the B tags the block spans; each pass then
+    searches B only for the window bounds of the few tags with more than one
+    B tag in the span.  Each pass must still give the oracles' index arrays,
+    whatever the block size, with no other search of A."""
 
     KINDS = ["empty", "dense", "ties", "near-2**60"]
 
@@ -444,7 +445,7 @@ class TestSharedSearch:
     def test_passes_match_the_oracles(self, monkeypatch, block, kind):
         rng = np.random.default_rng(100 * block + self.KINDS.index(kind))
         monkeypatch.setattr(coincidence, "_BLOCK", block)
-        match_passes, keys, searches = [], [0], []
+        match_passes, keys, searches = [], [], []
         count = coincidence.count_coincidences
         search = np.searchsorted
 
@@ -459,7 +460,7 @@ class TestSharedSearch:
             return pairs
 
         def counted(b, v, *args, **kwargs):
-            keys[0] += np.size(v)
+            keys.append((b, np.size(v)))
             return search(b, v, *args, **kwargs)
 
         monkeypatch.setattr(coincidence, "count_coincidences", recorded)
@@ -469,10 +470,16 @@ class TestSharedSearch:
             alice, bob, kw = self._case(rng, kind, where)
             match_passes.clear()
             searches.clear()
-            keys[0] = 0
+            keys.clear()
             tally = tally_basis(alice, bob, **kw)
-            # one search, two keys per block of A
-            assert len(searches) == 1 and keys[0] == 2 * len(searches[0].bounds)
+            # one search: into B, one call of two keys per block of A, and in each of
+            # the three passes one call per block with tags with more than one B tag
+            # in the span, two keys per such tag
+            assert len(searches) == 1
+            found, into_b = searches[0], [n for b, n in keys if b is searches[0].b]
+            multi = [m.size for m in found.multi]
+            assert len(into_b) == len(found.bounds) + 3 * np.count_nonzero(multi)
+            assert sum(into_b) == 2 * len(found.bounds) + 3 * 2 * sum(multi)
 
             t_a, t_b = alice.times, bob.times
             bins, delay, ports, accidentals = _tally_oracle(
@@ -491,7 +498,8 @@ class TestSharedSearch:
 
     def test_a_burst_is_galloped_over(self):
         # 5,000 B tags at one instant within range of one A tag: a walk one
-        # tag at a time would take 5,000 rounds for each window across them
+        # tag at a time would take 5,000 rounds for each window across them,
+        # and a binary search takes none
         rng = np.random.default_rng(7)
         t_a = np.sort(rng.integers(0, 10**9, 300))
         t_b = np.sort(np.concatenate([rng.integers(0, 10**9, 300), np.full(5000, t_a[100] + 10)]))
@@ -503,8 +511,8 @@ class TestSharedSearch:
                 rounds[0] += 1
                 return super().take(*args, **kwargs)
 
-        # every round of a walk looks up B tags with one ``take`` on the
-        # search's B times, here a view that counts them
+        # each gather of B tags is one ``take`` on the search's B times, here
+        # a view that counts them
         counted = Stream(bob.times.view(CountedTakes), bob.codes, bob.channel_id)
         tally = tally_basis(alice, counted, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
         assert 0 < rounds[0] < 1000
@@ -512,30 +520,22 @@ class TestSharedSearch:
         np.testing.assert_array_equal(tally.histogram.bins, bins)
         assert (tally.delay_ps, tally.counts.c_pp, tally.accidentals.count) == (delay, ports[0], accidentals)
 
-    def test_two_b_gathers_per_a_tag(self, monkeypatch):
+    def test_two_b_gathers_per_a_tag(self):
         # the search gathers two B tags per A tag, the first in its span and
-        # the next; the passes gather only in their walks and in the
-        # histogram's list of the few tags with more than one B tag in the span
+        # the next; the passes gather only in the histogram's list of the few
+        # tags with more than one B tag in the span
         rng = np.random.default_rng(9)
         t_a = np.sort(rng.integers(0, 10**11, 20_000))
         partners = t_a + rng.integers(-100, 101, t_a.size)
         t_b = np.sort(np.concatenate([partners, rng.integers(0, 10**11, 10_000)]))
         alice, bob = make_tags(t_a, rng.choice([0, 1], t_a.size)), make_tags(t_b, 2)
-        gathered, walked = [0], [0]
-        walk = coincidence._Search._walk
+        gathered = [0]
 
         class CountedTakes(np.ndarray):
             def take(self, indices, *args, **kwargs):
                 gathered[0] += np.size(indices)
                 return super().take(indices, *args, **kwargs)
 
-        def counted_walk(self, lo, keys):
-            before = gathered[0]
-            ends = walk(self, lo, keys)
-            walked[0] += gathered[0] - before
-            return ends
-
-        monkeypatch.setattr(coincidence._Search, "_walk", counted_walk)
         counted = Stream(bob.times.view(CountedTakes), bob.codes, bob.channel_id)
         kw = dict(window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
         tally = tally_basis(alice, counted, **kw)
@@ -543,8 +543,8 @@ class TestSharedSearch:
         base, top = -5000 - 150, 5000 + 150 + 6000 + 1
         span = np.searchsorted(t_b, t_a + top) - np.searchsorted(t_b, t_a + base)
         listed = int(span[span > 1].sum())
-        assert 0 < listed and walked[0] + listed < t_a.size // 4
-        assert gathered[0] <= 2 * t_a.size + walked[0] + listed
+        assert 0 < listed < t_a.size // 4
+        assert gathered[0] <= 2 * t_a.size + listed
         plain = tally_basis(alice, bob, **kw)
         np.testing.assert_array_equal(tally.histogram.bins, plain.histogram.bins)
         assert (tally.delay_ps, tally.counts, tally.accidentals) == (
@@ -571,10 +571,10 @@ class TestSharedSearch:
 
 class TestOneWalkBounds:
     """A pass takes each A tag's window bounds from the delay to the first B
-    tag in its search's span, and walks only the tags with more than one B
-    tag there.  B tags on and just past every window edge and the span's own
-    edges, several per A tag, must give the oracles' histogram, index arrays
-    and accidental count, in the tally and in each pass called alone."""
+    tag in its search's span, and searches B only for the tags with more than
+    one B tag there.  B tags on and just past every window edge and the span's
+    own edges, several per A tag, must give the oracles' histogram, index
+    arrays and accidental count, in the tally and in each pass called alone."""
 
     WINDOW, HW, RANGE = 300, 150, 1000
     # (bin width, B tag of the peak, delay): a peak inside the range, and peaks
@@ -742,9 +742,9 @@ class TestCallBudget:
     """Each pass makes a fixed number of numpy calls per block of A, and two
     threads analyzing at once hand the GIL back and forth at every call, so
     the blocks stay few and large: a 500k-tag acquisition takes 4 blocks per
-    pass.  A pass walks only in a block with a tag that has more than one B
-    tag in the search's span, once for all of them, and the search not at
-    all."""
+    pass.  Besides the search's one per block, a pass searches B only in a
+    block with a tag that has more than one B tag in the search's span, once
+    for all of them."""
 
     def test_a_500k_tag_acquisition(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -752,24 +752,25 @@ class TestCallBudget:
         t_b = np.sort(t_a + rng.integers(-100, 101, t_a.size))
         alice = make_tags(t_a, rng.choice([0, 1], t_a.size))
         bob = make_tags(t_b, rng.choice([2, 3], t_b.size))
-        blocks, fixups, walks = [], [0], [0]
-        windows, walk = coincidence._Search.windows, coincidence._Search._walk
+        blocks, fixups, searches = [], [0], [0]
+        windows, search = coincidence._Search.windows, np.searchsorted
 
         def counted_windows(self, *args):
             blocks.append(len(self.bounds))
             fixups[0] += sum(m.size > 0 for m in self.multi)
             return windows(self, *args)
 
-        def counted_walk(self, *args):
-            walks[0] += 1
-            return walk(self, *args)
+        def counted_search(b, *args, **kwargs):
+            searches[0] += b is bob.times
+            return search(b, *args, **kwargs)
 
         monkeypatch.setattr(coincidence._Search, "windows", counted_windows)
-        monkeypatch.setattr(coincidence._Search, "_walk", counted_walk)
+        monkeypatch.setattr(coincidence.np, "searchsorted", counted_search)
         tally = tally_basis(alice, bob, window_ps=300, duration_s=60.0, accidental_offset_ps=6000)
         # the histogram, coincidence and accidental passes
         assert blocks == [4, 4, 4]
         # 13 of the 250,000 A tags have two B tags in the span, in every block
         assert fixups[0] == sum(blocks) == 12
-        assert walks[0] == fixups[0] == 12
+        # the search's one per block, and one per pass in each of those blocks
+        assert searches[0] - blocks[0] == fixups[0] == 12
         assert tally.counts.total > 0.99 * t_a.size

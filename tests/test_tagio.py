@@ -239,6 +239,30 @@ class TestCorruption:
         assert err.value.offset == 8
         assert str(err.value) == f"{path}: non-zero reserved header field {reserved:#x} (offset 8)"
 
+    def test_time_bound_holds_at_2_60_ps_less_one(self, tmp_path):
+        tags = sample_tags(20, seed=3)
+        tags["time_ps"][-1] = 2**60 - 1
+        path = tmp_path / "edge.mcqt"
+        write_records(path, tags, CHANNEL_ALICE)
+        assert_stream_is(read_timetags(path)[0], tags)
+        assert last_tag_time(path) == (2**60 - 1, CHANNEL_ALICE)
+
+    @pytest.mark.parametrize("time", [2**60, 2**63 + 5], ids=["2**60", "2**63+5"])
+    @pytest.mark.parametrize("i", [12, 19], ids=["middle", "last"])
+    def test_times_from_2_60_ps_rejected(self, tmp_path, i, time):
+        # the simulator's bound on tag times: a time at 2**63 or later would read
+        # as a negative int64, and one in the middle also breaks the order after it
+        tags = sample_tags(20, seed=3)
+        tags["time_ps"][i] = time
+        path = tmp_path / "late.mcqt"
+        write_records(path, tags, CHANNEL_ALICE)
+        readers = [read_timetags, lambda p: read_timetags(p, int(tags["time_ps"][5]))]
+        for reader in readers + [last_tag_time] * (i == 19):
+            with pytest.raises(TagFormatError) as err:
+                reader(path)
+            assert err.value.offset == 16 + 16 * i
+            assert str(err.value) == f"{path}: time {time} ps not below 2**60 (offset {16 + 16 * i})"
+
     def test_truncated_records(self, tmp_path):
         path = tmp_path / "trunc.mcqt"
         write_records(path, sample_tags(10), CHANNEL_ALICE)
