@@ -9,12 +9,12 @@ Verbs:
 * ``reproduce``  - bundled reference scenarios (fig2 / fig3) as CSV + SVG
 
 Every command exits non-zero on any error and zero only on full success; a
-bad option value exits 2 naming the option.  Every verb but ``simulate``,
-which appends to its tag files as it goes, makes its output directory only
-after its results are computed, so a failure leaves none.  ``simulate`` and
-``analyze`` run their pairs on ``runner.parallel_map``, whose pool
-``MCFQKD_THREADS`` caps; results do not depend on it.  Each CSV table is one
-column map written by ``_write_csv``.
+bad option value exits 2 naming the option.  A verb makes its output directory
+only after its results are computed, so a failure leaves none; ``simulate``,
+which appends to its tag files as it goes, once its pairs and schedule are
+known.  ``simulate`` and ``analyze`` run their pairs on ``runner.parallel_map``,
+whose pool ``MCFQKD_THREADS`` caps; results do not depend on it.  Each CSV
+table is one column map written by ``_write_csv``.
 """
 from __future__ import annotations
 
@@ -141,11 +141,10 @@ def _write_csv(path: Path, columns: Dict[str, str], items) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     pairs = selected_pairs(cfg)
     schedule = scan_schedule(cfg)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     meta: Dict = {
         "format": "mcfqkd-run-meta",

@@ -1,8 +1,8 @@
 """Timetag stream analysis: cross-correlation, windowed coincidence matching
 and accidental-coincidence estimation.
 
-All operations work on sorted ``int64`` picosecond timestamp arrays and use
-integer arithmetic throughout, so results stay exact even for timestamps far
+All operations work on sorted ``int64`` picosecond timestamps in [0, 2**60) and
+use integer arithmetic throughout, so results stay exact even for timestamps far
 beyond 2**53 (a day of picoseconds does not fit a double).
 
 One search of A into B spans every window of its passes: per block of A, a
@@ -90,8 +90,8 @@ class CoincidenceTally:
 
 
 class _Search:
-    """Times ``a``/``b`` of two streams, ``index[i]``, the first B index at or after
-    ``a[i] + base`` (4 bytes each where B's indices fit), and ``bounds`` of blocks of about
+    """Times ``a``/``b`` of two streams, in [0, 2**60) ps, ``index[i]``, the first B index at or
+    after ``a[i] + base`` (4 bytes each where B's indices fit), and ``bounds`` of blocks of about
     ``_BLOCK`` A tags that end where two A windows of half width ``hw`` are disjoint.  If B has
     tags: ``delay[i]``, that B tag's delay less ``base``, clipped to ``[-1, top - base]`` where
     it is past the last B tag or the span ``[a[i] + base, a[i] + top)`` (2 bytes each below
@@ -113,19 +113,16 @@ class _Search:
             self.bounds.append((s, e))
             keys = a[s:e] + base
             lo, hi = np.searchsorted(b, keys[[0, -1]]).tolist()
+            # keys and B tags from the first key to the last as 2*(key - x0) and 2*(t - x0) + 1,
+            # below 2**61 as a block spans under 2**60 ps, sorted (a merge of two runs): each B
+            # tag below a key comes before it, so the key's position less its rank counts them
             x0 = int(keys[0])
-            if int(keys[-1]) - x0 >= 1 << 62:  # too wide a block for the shifted keys
-                index = np.searchsorted(b, keys)
-            else:
-                # the keys and the B tags from the first key to the last as 2*(key - x0) and
-                # 2*(t - x0) + 1, sorted (a merge of two runs): each B tag below a key comes
-                # before it, so the key's position less its rank counts them
-                merged = np.concatenate([keys - x0, b[lo:hi] - x0])
-                merged <<= 1
-                merged[keys.size :] |= 1
-                merged.sort(kind="stable")
-                index = np.flatnonzero(np.bitwise_and(merged, 1, out=merged) == 0)
-                index -= np.arange(-lo, keys.size - lo)
+            merged = np.concatenate([keys - x0, b[lo:hi] - x0])
+            merged <<= 1
+            merged[keys.size :] |= 1
+            merged.sort(kind="stable")
+            index = np.flatnonzero(np.bitwise_and(merged, 1, out=merged) == 0)
+            index -= np.arange(-lo, keys.size - lo)
             self.index[s:e] = index
             if b.size:  # a span holds more than one B tag if it holds the one after ``index``
                 t = b.take(index, mode="clip")

@@ -194,6 +194,8 @@ def sweep_lengths(model: LinkModel, lmax_km: float, step_km: float) -> List[Leng
             f"lmax_km must be finite and at least the reference length "
             f"{model.reference_length_km} km, got {lmax_km}"
         )
+    if not lmax_km / step_km < math.inf:  # each finite, the ratio not
+        raise ValueError(f"grid count not finite: lmax_km {lmax_km}, step_km {step_km}")
     points = []
     n = int(math.floor(lmax_km / step_km + 1e-9))
     for i in range(n + 1):

@@ -71,7 +71,7 @@ CH_ALICE_T, CH_ALICE_R, CH_BOB_T, CH_BOB_R = 0, 1, 2, 3
 FLAG_DARK = 0x01
 
 PS_PER_S = 1_000_000_000_000
-#: no tag time reaches it: ``simulate_run`` makes none, and ``tagio`` reads none
+#: no tag time reaches it: a ``Stream`` holds times in [0, 2**60) ps only
 TIME_LIMIT_PS = 1 << 60
 
 #: jitter values per standard normal draw: a chunk's buffer (512 KiB) is reused by the next
@@ -166,7 +166,7 @@ class UnsortedStreamError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Stream:
-    """One arm's tags in time order: ``times`` in ps (``int64``) and ``codes``, each
+    """One arm's tags in time order: ``times`` in [0, 2**60) ps (``int64``) and ``codes``, each
     ``2 * channel + flag`` (``uint8``), on Alice's channels 0/1 for ``channel_id`` 0 or
     Bob's 2/3 for 1 (a tag file's channel id).  Checked here, where it is made."""
 
@@ -183,6 +183,8 @@ class Stream:
         down = t[1:] < t[:-1]
         if down.any():
             raise UnsortedStreamError(f"times are not sorted at index {int(down.argmax()) + 1}")
+        if t.size and not (0 <= t[0] and t[-1] < TIME_LIMIT_PS):  # sorted: the ends suffice
+            raise ValueError(f"times must lie in [0, 2**60) ps, got {t[0] if t[0] < 0 else t[-1]}")
         if c.size and not 4 * ch <= c.min() <= c.max() < 4 * ch + 4:  # not 2*channel + flag
             i = int(np.flatnonzero(c >> 2 != ch)[0])
             raise ValueError(f"code {c[i]} at index {i} is not valid for channel id {ch}")

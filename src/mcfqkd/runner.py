@@ -116,9 +116,12 @@ class MeasurementSchedule:
                 f"acquisition_s {acquisition_s} does not fit into one slot"
                 f" of switch_minutes {switch_minutes}"
             )
+        what = f"total_hours {total_hours}, switch_minutes {switch_minutes}"
+        if not total_hours * 60.0 / switch_minutes < math.inf:  # each finite, the ratio not
+            raise ValueError(f"slot count not finite: {what}")
         n_slots = int(round(total_hours * 60.0 / switch_minutes))
         if n_slots == 0:
-            raise ValueError(f"no slot: total_hours {total_hours}, switch_minutes {switch_minutes}")
+            raise ValueError(f"no slot: {what}")
         bases = ["HV" if k % 2 == 0 else "DA" for k in range(n_slots)]
         return cls._acquisitions(bases, switch_minutes * 60.0, acquisition_s)
 

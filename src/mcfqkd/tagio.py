@@ -14,8 +14,8 @@ Records exist only here: ``write_timetags(path, stream)`` writes a
 channel id, and ``read_timetags`` reads a time range's records into one, found
 by a binary search that reads one record time per step.  Both pass an eighth
 of the records, and at least ``_CHUNK``, at a time through one buffer; a read
-checks each chunk's columns, then the times' order and bound (2**60 ps), and
-names the first bad record's offset.  Appended parts equal a single write.
+checks each chunk's columns, then the times' order and bound as a ``Stream``,
+and names the first bad record's offset.  Appended parts equal a single write.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import struct
 
 import numpy as np
 
-from .photonsim import TIME_LIMIT_PS, Stream, UnsortedStreamError
+from .photonsim import TIME_LIMIT_PS, Stream
 
 __all__ = [
     "MAGIC",
@@ -155,15 +155,12 @@ def read_timetags(path, start_ps: int = 0, end_ps: int | None = None) -> tuple[S
             times[s : s + rec.size] = rec["time_ps"]
             np.left_shift(rec["channel"], 1, out=codes[s : s + rec.size])
             codes[s : s + rec.size] |= rec["flags"]
-        try:  # sorted, all lie in [0, 2**60) if both ends do; one from 2**63 on reads < 0
-            stream = Stream(times, codes, channel_id)
-            if not times.size or 0 <= times[0] and times[-1] < TIME_LIMIT_PS:
-                return stream, channel_id
-        except UnsortedStreamError:
-            pass
-        late = np.flatnonzero(times.view(np.uint64) >= TIME_LIMIT_PS)  # unsigned, as on file
-        if late.size:
-            at(lo + int(late[0]))  # raises, naming the first record past the bound
+        try:  # the stream checks the order and the bound; a time from 2**63 on reads < 0
+            return Stream(times, codes, channel_id), channel_id
+        except ValueError:
+            late = np.flatnonzero(times.view(np.uint64) >= TIME_LIMIT_PS)  # unsigned, as on file
+            if late.size:
+                at(lo + int(late[0]))  # raises, naming the first record past the bound
     # else named by the record before the first one out of order
     offset = _HEADER.size + (lo + int(np.flatnonzero(times[1:] < times[:-1])[0])) * _RECORD_SIZE
     raise TagFormatError(path, "times decrease after this record", offset)

@@ -105,6 +105,25 @@ class TestSimulate:
         assert f"error: {path}: analysis.hist_range_ps: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("layout", "pitch_um", 7, "pitch 7.0 um must exceed the core diameter 8.0 um; cores overlap"),
+            ("source", "temperature_c", 200, "temperature 200.0 C extrapolates to a non-positive"),
+        ],
+        ids=["pitch-7-um", "temperature-200-c"],
+    )
+    def test_bad_geometry_makes_no_directory(self, tmp_path, capsys, section, key, value, message):
+        # the pairs and the schedule are made before the output directory
+        path, out = tmp_path / "bad.json", tmp_path / "out"
+        dump_config(preset_inner(), path)
+        data = json.loads(path.read_text())
+        data[section][key] = value
+        path.write_text(json.dumps(data))
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_json_names_the_file(self, tmp_path, capsys):
         path, out = tmp_path / "bad.json", tmp_path / "out"
         path.write_text('{"seed": 42,}')
@@ -576,6 +595,25 @@ class TestEntryPoint:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"error: argument {option}: expected a finite number > 0, got '{value}'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stability", "--preset", "stability", "--hours", "1e308"],
+             "slot count not finite: total_hours 1e+308, switch_minutes 30.0"),
+            (["reproduce", "fig3", "--hours", "1e308"],
+             "slot count not finite: total_hours 1e+308, switch_minutes 30.0"),
+            (["linkbudget", "--preset", "inner", "--lmax-km", "1e308", "--step-km", "1e-300"],
+             "grid count not finite: lmax_km 1e+308, step_km 1e-300"),
+        ],
+        ids=["stability-hours", "fig3-hours", "linkbudget-grid"],
+    )
+    def test_overflowing_count_names_the_options(self, tmp_path, capsys, argv, message):
+        # each value is finite, but the slot or grid count they give is not
+        assert main([*argv, "--out", str(tmp_path / "out" / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n" and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_names_the_option(self, tmp_path, capsys):

@@ -161,23 +161,27 @@ class TestCountCoincidences:
 
     def test_exact_beyond_double_precision(self):
         # timestamps beyond 2**53 must still match exactly
-        base = 2**60
+        base = 2**59
         a = np.array([base, base + 1000], dtype=np.int64)
         b = np.array([base + 149, base + 1151], dtype=np.int64)
         pairs = count_coincidences(*arms(a, b), 300)
         assert pairs.tolist() == [[0, 0]]  # 151 > 150 excluded, 149 included
 
-    def test_a_block_spanning_2_62_ps(self):
+    def test_times_past_2_60_ps_rejected(self):
         # the search merges each block's keys with B shifted left by one bit
-        # from the block's first key; a block spanning 2**62 ps or more, where
-        # the shift would overflow, takes one binary search per key instead
+        # from the block's first key, which cannot overflow as every stream
+        # holds times in [0, 2**60) ps: a block spanning 2**62 ps is refused
+        # where its streams are made
         a = np.array([0, 10, 2**62 + 10**6, 2**62 + 2 * 10**6])
         b = np.array([20, 300, 2**62 + 10**6 + 25, 2**62 + 2 * 10**6 - 40])
-        hist = cross_correlation(*arms(a, b), 50, 500)
-        np.testing.assert_array_equal(hist.bins, histogram_oracle(a, b, 50, 500))
-        assert hist.bins.sum() == 6
-        # the greedy oracle's 2*|dt| overflows here: the matches worked by hand
-        assert count_coincidences(*arms(a, b), 300).tolist() == [[0, 0], [2, 2], [3, 3]]
+        outside = r"^times must lie in \[0, 2\*\*60\) ps, got {}$"
+        for times, channel in ((a, 0), (b, 2)):
+            with pytest.raises(ValueError, match=outside.format(times[-1])):
+                make_tags(times, channel)
+        # tags near 2**63, where a tally's ``a + top`` would wrap
+        t_a = 2**63 - 5000 + 1000 * np.arange(3)
+        with pytest.raises(ValueError, match=outside.format(t_a[-1])):
+            tally_basis(*arms(t_a, t_a + 10), window_ps=300, duration_s=1.0, accidental_offset_ps=3000)
 
 
 class TestBlockedPasses:
@@ -223,6 +227,7 @@ class TestBlockedPasses:
         rng = np.random.default_rng(step)
         a = np.concatenate([start + step * np.arange(400) for start in (0, 10**6)])
         b = np.sort(np.concatenate([a + rng.integers(-400, 401, a.size), rng.integers(0, 2 * 10**6, 80)]))
+        a, b = a + 1000, b + 1000  # after the draws: B's tags start at -400 ps
         for block in (1, 5, 64):
             self._whole_and_blocked(monkeypatch, block, a, b, 600, 37, 50, 2000)
 
@@ -357,7 +362,7 @@ class TestTallyBasisOracle:
         assert [counts.c_pp, counts.c_pm, counts.c_mp, counts.c_mm] == ports
         assert tally.accidentals.count == accidentals
 
-    @pytest.mark.parametrize("base", [0, 2**60])
+    @pytest.mark.parametrize("base", [0, 2**60 - 2**20])
     def test_random_streams(self, base):
         rng = np.random.default_rng(21 if base else 20)
         for _ in range(60):
@@ -410,10 +415,12 @@ class TestSharedSearch:
     KINDS = ["empty", "dense", "ties", "near-2**60"]
 
     def _times(self, rng, kind, n, window):
+        # from 2**13 ps, as partners at a delay down to -4,460 ps must not fall below 0
         if kind == "ties":
-            return np.sort(rng.integers(0, 12, n)) * int(rng.integers(1, window + 2))
+            return 2**13 + np.sort(rng.integers(0, 12, n)) * int(rng.integers(1, window + 2))
         span = window * int(rng.integers(1, 12)) if kind == "dense" else int(rng.integers(200, 40_000))
-        return (2**60 if kind == "near-2**60" else 0) + np.sort(rng.integers(0, span, n))
+        base = 2**60 - 2**20 if kind == "near-2**60" else 0
+        return base + 2**13 + np.sort(rng.integers(0, span, n))
 
     def _case(self, rng, kind, where):
         window = int(rng.integers(1, 600))

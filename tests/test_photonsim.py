@@ -482,6 +482,10 @@ class TestStream:
         "times, codes, channel_id, error, message",
         [
             ([0, 5, 3], [0, 1, 2], 0, UnsortedStreamError, "times are not sorted at index 2"),
+            ([-1, 5], [0, 1], 0, ValueError, r"times must lie in \[0, 2\*\*60\) ps, got -1"),
+            ([0, 2**60], [0, 1], 0, ValueError, rf"times must lie in \[0, 2\*\*60\) ps, got {2**60}"),
+            ([5, 2**63 - 1], [4, 5], 1, ValueError,
+             rf"times must lie in \[0, 2\*\*60\) ps, got {2**63 - 1}"),
             ([1, 2], [0, 4], 0, ValueError, "code 4 at index 1 is not valid for channel id 0"),
             ([1, 2], [5, 8], 1, ValueError, "code 8 at index 1 is not valid for channel id 1"),
             ([1, 2], [3, 4], 1, ValueError, "code 3 at index 0 is not valid for channel id 1"),
@@ -491,14 +495,19 @@ class TestStream:
             ([1, 2], [0, 0], 2, ValueError, "need one-dimensional int64 times and channel id 0 or 1, got 2"),
         ],
         ids=[
-            "unsorted", "bob-code-on-alice", "code-past-bob", "alice-code-on-bob", "short-codes",
-            "float-times", "2-d", "channel-id-2",
+            "unsorted", "time--1", "time-2**60", "time-2**63-1", "bob-code-on-alice",
+            "code-past-bob", "alice-code-on-bob", "short-codes", "float-times", "2-d", "channel-id-2",
         ],
     )
     def test_bad_stream_rejected(self, times, codes, channel_id, error, message):
         times = np.array(times, dtype=np.float64 if isinstance(times[0], float) else np.int64)
         with pytest.raises(error, match=rf"^{message}$"):
             Stream(times, np.array(codes, dtype=np.uint8), channel_id)
+
+    def test_times_at_the_ends_of_0_to_2_60_ps_accepted(self):
+        times = np.array([0, 0, 2**60 - 1, 2**60 - 1], dtype=np.int64)
+        for t in (times, times[:1], times[-1:]):
+            assert len(Stream(t, np.zeros(t.size, dtype=np.uint8), 0)) == t.size
 
 
 @pytest.mark.parametrize("seed", range(20))
