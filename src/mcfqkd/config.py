@@ -172,6 +172,21 @@ class RunConfig:
             raise ConfigError("analysis.accidental_offset_windows: must be >= 10")
         if self.keyrate.ec_efficiency < 0:
             raise ConfigError("keyrate.ec_efficiency: must be >= 0")
+        for name in ("ring_loss_db", "reference_length_km"):
+            if getattr(self.linkbudget, name) < 0:
+                raise ConfigError(f"linkbudget.{name}: must be >= 0")
+        # the geometry's own checks, named by the section that fails them
+        try:
+            build_layout(self.layout.pitch_um, self.layout.core_radius_um)
+        except ValueError as exc:
+            raise ConfigError(f"layout: {exc}") from exc
+        e = self.emission
+        try:
+            emission_profile_from_temperature(
+                self.source.temperature_c, e.calibration, e.annulus_width_um
+            )
+        except ValueError as exc:
+            raise ConfigError(f"emission: {exc}") from exc
 
 
 def coerce(value: Any, hint: Any, path: str) -> Any:

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List
+
+import numpy as np
 
 from .qkdmath import DEFAULT_EC_EFFICIENCY, KeyRateInputs, secret_key_rate
 
@@ -149,44 +152,55 @@ class LengthPoint:
     skr_ring_bits_s: float  # pairs * max(0, per-pair)
 
 
-def keyrate_at_length(model: LinkModel, length_km: float) -> LengthPoint:
-    """Evaluate the link model at a fiber length.
+def _curve(model: LinkModel, lengths) -> List[LengthPoint]:
+    """The model at each of ``lengths``, in one evaluation of their array.
 
-    Raises:
-        ValueError: for negative lengths.
+    numpy does each length's arithmetic in the scalar order; the power and,
+    in ``binary_entropy``, the logarithms are libm's, one call per element,
+    since numpy's own differ from libm in the last bit on some arguments.
+    So a point's bits do not depend on the other lengths evaluated with it.
     """
-    if length_km < 0:
-        raise ValueError("length must be >= 0")
-    u = 10.0 ** (
-        -model.fiber_loss_db_per_km * (length_km - model.reference_length_km) / 10.0
-    )
+    x = np.asarray(lengths, dtype=float)
+    exponent = -model.fiber_loss_db_per_km * (x - model.reference_length_km) / 10.0
+    u = np.fromiter(map(math.pow, repeat(10.0), exponent.tolist()), float, x.size)
     singles = model.s_photon * u + DETECTORS_PER_ARM * model.dark_rate_cps
     accidentals = singles * singles * model.window_ps * 1e-12
 
-    def basis(c_true_ref: float, q_int: float) -> tuple[float, float]:
+    def basis(c_true_ref: float, q_int: float) -> tuple[np.ndarray, np.ndarray]:
         c_true = c_true_ref * u * u
         c_meas = c_true + accidentals
-        if c_meas <= 0:
-            return 0.0, 0.5
-        q = (q_int * c_true + 0.5 * accidentals) / c_meas
-        return c_meas, min(q, 0.5)
+        errors = q_int * c_true + 0.5 * accidentals
+        # QBER 0.5 where no coincidence is left (no darks, the transmission underflowed)
+        q = np.divide(errors, c_meas, out=np.full(x.size, 0.5), where=c_meas > 0)
+        return c_meas, np.minimum(q, 0.5)
 
     c_hv, q_hv = basis(model.c_true_hv, model.q_int_hv)
     c_da, q_da = basis(model.c_true_da, model.q_int_da)
     skr = secret_key_rate(
         KeyRateInputs(c_hv, c_da, q_hv, q_da, ec_efficiency=model.ec_efficiency)
     )
-    return LengthPoint(
-        length_km=length_km,
-        coin_rate_cps=0.5 * (c_hv + c_da),
-        qber=0.5 * (q_hv + q_da),
-        skr_pair_bits_s=skr,
-        skr_ring_bits_s=model.pairs_in_ring * max(0.0, skr),
-    )
+    ring = model.pairs_in_ring * np.where(skr > 0.0, skr, 0.0)
+    columns = (x, 0.5 * (c_hv + c_da), 0.5 * (q_hv + q_da), skr, ring)
+    return list(map(LengthPoint, *(column.tolist() for column in columns)))
+
+
+def keyrate_at_length(model: LinkModel, length_km: float) -> LengthPoint:
+    """Evaluate the link model at a fiber length.
+
+    Raises:
+        ValueError: for a negative or NaN length.
+    """
+    if not length_km >= 0:
+        raise ValueError(f"length_km must be >= 0, got {length_km}")
+    return _curve(model, [length_km])[0]
 
 
 def sweep_lengths(model: LinkModel, lmax_km: float, step_km: float) -> List[LengthPoint]:
-    """Evaluate the model on the grid [0, lmax] with the given step."""
+    """Evaluate the model on the grid [0, lmax] with the given step.
+
+    A length is the float ``min(i * step_km, lmax_km)``; ``lmax_km`` is
+    appended when the grid falls short of it.
+    """
     if not 0 < step_km < math.inf:
         raise ValueError(f"step_km must be finite and > 0, got {step_km}")
     if not model.reference_length_km <= lmax_km < math.inf:
@@ -196,13 +210,11 @@ def sweep_lengths(model: LinkModel, lmax_km: float, step_km: float) -> List[Leng
         )
     if not lmax_km / step_km < math.inf:  # each finite, the ratio not
         raise ValueError(f"grid count not finite: lmax_km {lmax_km}, step_km {step_km}")
-    points = []
     n = int(math.floor(lmax_km / step_km + 1e-9))
-    for i in range(n + 1):
-        points.append(keyrate_at_length(model, min(i * step_km, lmax_km)))
-    if points[-1].length_km < lmax_km:
-        points.append(keyrate_at_length(model, lmax_km))
-    return points
+    lengths = np.minimum(np.arange(n + 1) * step_km, lmax_km)
+    if lengths[-1] < lmax_km:
+        lengths = np.append(lengths, lmax_km)
+    return _curve(model, lengths)
 
 
 def model_from_config(cfg) -> LinkModel:
@@ -240,14 +252,17 @@ def model_from_config(cfg) -> LinkModel:
 
 
 def max_positive_length(model: LinkModel, tolerance_km: float = 0.1) -> float:
-    """Longest fiber with a positive key rate, by bisection to 0.1 km.
+    """Longest fiber with a positive key rate, by bisection to ``tolerance_km``.
 
     Returns ``math.inf`` when the rate never crosses zero (no noise floor).
 
     Raises:
+        ValueError: unless ``tolerance_km`` is finite and > 0.
         NoPositiveRateError: if the rate is not positive at the reference
             length already.
     """
+    if not 0 < tolerance_km < math.inf:
+        raise ValueError(f"tolerance_km must be finite and > 0, got {tolerance_km}")
     l_ref = model.reference_length_km
     if keyrate_at_length(model, l_ref).skr_pair_bits_s <= 0:
         raise NoPositiveRateError("key rate is not positive at the reference length")
@@ -270,7 +285,7 @@ def max_positive_length(model: LinkModel, tolerance_km: float = 0.1) -> float:
     # recovers (the raw rate legitimately creeps back toward zero from below
     # as the accidental floor fades, so only the sign must be stable there)
     grid = [l_ref + (hi - l_ref) * i / 64 for i in range(65)]
-    rates = [keyrate_at_length(model, l).skr_pair_bits_s for l in grid]
+    rates = [p.skr_pair_bits_s for p in _curve(model, grid)]
     crossed = False
     for prev, nxt in zip(rates, rates[1:]):
         if max(0.0, nxt) > max(0.0, prev) + max(1e-9, 1e-12 * abs(prev)):
@@ -280,10 +295,11 @@ def max_positive_length(model: LinkModel, tolerance_km: float = 0.1) -> float:
         crossed = crossed or nxt <= 0.0
 
     lo = l_ref
-    while hi - lo > tolerance_km:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tolerance_km and lo < mid < hi:  # the bracket may shrink to adjacent floats
         if keyrate_at_length(model, mid).skr_pair_bits_s > 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid

@@ -4,13 +4,17 @@ All functions are pure and stateless. The count-based functions are
 duck-typed on purpose: pass ``fractions.Fraction`` counts (or request
 ``exact=True``) and the arithmetic stays exact, which makes the identity
 ``(1 - V) / 2 == error_counts / total_counts`` hold bit-for-bit instead of
-merely to rounding error.
+merely to rounding error.  ``binary_entropy`` and ``KeyRateInputs`` (so
+``secret_key_rate``) also take float64 arrays, element by element, each
+element giving the bits its own float gives.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_EC_EFFICIENCY",
@@ -77,6 +81,8 @@ class KeyRateInputs:
 
     Rates are in coincidences per second; the resulting key rate is then in
     bits per second.  ``ec_efficiency`` is the error-correction efficiency f.
+    The rates and QBERs may be float64 arrays of one shape, one evaluation
+    per element; a check names the field and its first element out of range.
     """
 
     coin_rate_hv: float
@@ -86,30 +92,49 @@ class KeyRateInputs:
     ec_efficiency: float = DEFAULT_EC_EFFICIENCY
 
     def __post_init__(self) -> None:
-        if self.coin_rate_hv < 0 or self.coin_rate_da < 0:
-            raise DomainError("coincidence rates must be >= 0")
+        for name in ("coin_rate_hv", "coin_rate_da"):
+            bad = _first_outside(getattr(self, name), 0, math.inf)
+            if bad is not None:
+                raise DomainError(f"{name} must be >= 0, got {bad}")
         for name in ("qber_hv", "qber_da"):
-            q = getattr(self, name)
-            if not 0 <= q <= 0.5:
-                raise DomainError(f"{name} must be in [0, 0.5], got {q}")
+            bad = _first_outside(getattr(self, name), 0, 0.5)
+            if bad is not None:
+                raise DomainError(f"{name} must be in [0, 0.5], got {bad}")
         if self.ec_efficiency < 0:
             raise DomainError("ec_efficiency must be >= 0")
 
 
-def binary_entropy(x: float) -> float:
+def _first_outside(values, lo, hi):
+    """The first element of ``values`` (a number or an array) outside
+    [lo, hi], NaN included, or None."""
+    flat = np.ravel(values)
+    inside = (lo <= flat) & (flat <= hi)
+    return None if inside.all() else flat[~inside][0]
+
+
+def binary_entropy(x):
     """Binary Shannon entropy H2(x) in bits, with H2(0) = H2(1) = 0.
 
     Uses ``log1p`` for the (1 - x) term so the result stays accurate to a few
-    ulp over the whole domain, including x close to 0.
+    ulp over the whole domain, including x close to 0.  An array gives an
+    array: numpy does the arithmetic, while ``log2`` and ``log1p`` are libm's
+    (``math``), one call per element, since numpy's own differ from libm in
+    the last bit on some arguments.
 
     Raises:
-        DomainError: if x is outside [0, 1].
+        DomainError: if x, or an element of it, is outside [0, 1].
     """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"entropy argument must be in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -(x * math.log2(x) + (1.0 - x) * (math.log1p(-x) / _LN2))
+    bad = _first_outside(x, 0, 1)
+    if bad is not None:
+        raise DomainError(f"entropy argument must be in [0, 1], got {bad}")
+    xs = np.asarray(x, dtype=float)
+    h = np.zeros_like(xs)
+    inner = (xs != 0.0) & (xs != 1.0)
+    v = xs[inner]
+    log2 = np.fromiter(map(math.log2, v.tolist()), float, v.size)
+    log1p = np.fromiter(map(math.log1p, (-v).tolist()), float, v.size)
+    h[inner] = -(v * log2 + (1.0 - v) * (log1p / _LN2))
+    return h if h.ndim else float(h)
 
 
 def visibility_from_counts(counts: BasisCounts, *, exact: bool = False):

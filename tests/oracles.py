@@ -2,11 +2,13 @@
 
 Everything here is deliberately written with different machinery than the
 package under test: arbitrary-precision ``decimal`` arithmetic for the
-formulas, exact rationals for count ratios, and O(n^2) scans for the stream
-matching.  None of it imports from ``mcfqkd``.
+formulas, exact rationals for count ratios, O(n^2) scans for the stream
+matching, and scalar Python floats for the link-budget curve the package
+evaluates on arrays.  None of it imports from ``mcfqkd``.
 """
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -122,3 +124,50 @@ def histogram_oracle(times_a, times_b, bin_width_ps: int, range_ps: int) -> np.n
     idx = np.minimum((delays + range_ps) // bin_width_ps, n_bins - 1)
     np.add.at(counts, idx, 1)
     return counts
+
+
+def length_grid_oracle(lmax_km: float, step_km: float) -> list:
+    """The link-budget grid, one Python float at a time: ``i * step_km`` up
+    to ``lmax_km``, which ends the grid whether or not a step lands on it."""
+    n = int(math.floor(lmax_km / step_km + 1e-9))
+    lengths = [float(min(i * step_km, lmax_km)) for i in range(n + 1)]
+    return lengths if lengths[-1] >= lmax_km else lengths + [float(lmax_km)]
+
+
+def link_point_oracle(model, length_km: float) -> tuple:
+    """One point of the link-budget curve, in scalar float arithmetic.
+
+    The per-length expressions written against the model's fields, one
+    operation at a time in the order below, with libm's ``pow``, ``log2``
+    and ``log1p``; a length with no coincidence at all (no dark counts, the
+    transmission underflowed) has QBER 0.5.  Each arm has two detectors.
+    Returns ``(length_km, coin_rate_cps, qber, skr_pair_bits_s,
+    skr_ring_bits_s)``.
+    """
+    u = 10.0 ** (-model.fiber_loss_db_per_km * (length_km - model.reference_length_km) / 10.0)
+    singles = model.s_photon * u + 2 * model.dark_rate_cps
+    accidentals = singles * singles * model.window_ps * 1e-12
+
+    def basis(c_true_ref: float, q_int: float) -> tuple:
+        c_true = c_true_ref * u * u
+        c_meas = c_true + accidentals
+        if c_meas <= 0:
+            return 0.0, 0.5
+        return c_meas, min((q_int * c_true + 0.5 * accidentals) / c_meas, 0.5)
+
+    def entropy(x: float) -> float:
+        if x == 0.0 or x == 1.0:
+            return 0.0
+        return -(x * math.log2(x) + (1.0 - x) * (math.log1p(-x) / math.log(2.0)))
+
+    c_hv, q_hv = basis(model.c_true_hv, model.q_int_hv)
+    c_da, q_da = basis(model.c_true_da, model.q_int_da)
+    leak = 1.0 + model.ec_efficiency
+    skr = 0.5 * (c_hv * (1.0 - leak * entropy(q_hv)) + c_da * (1.0 - leak * entropy(q_da)))
+    return (
+        length_km,
+        0.5 * (c_hv + c_da),
+        0.5 * (q_hv + q_da),
+        skr,
+        model.pairs_in_ring * max(0.0, skr),
+    )

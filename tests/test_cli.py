@@ -110,18 +110,21 @@ class TestSimulate:
         [
             ("layout", "pitch_um", 7, "pitch 7.0 um must exceed the core diameter 8.0 um; cores overlap"),
             ("source", "temperature_c", 200, "temperature 200.0 C extrapolates to a non-positive"),
+            ("layout", "core_radius_um", -1, "layout: core radius must be > 0, got -1.0"),
+            ("linkbudget", "ring_loss_db", -10, "linkbudget.ring_loss_db: must be >= 0"),
         ],
-        ids=["pitch-7-um", "temperature-200-c"],
+        ids=["pitch-7-um", "temperature-200-c", "core-radius--1-um", "ring-loss--10-db"],
     )
     def test_bad_geometry_makes_no_directory(self, tmp_path, capsys, section, key, value, message):
-        # the pairs and the schedule are made before the output directory
+        # the config's checks run when it loads, before the output directory
         path, out = tmp_path / "bad.json", tmp_path / "out"
         dump_config(preset_inner(), path)
         data = json.loads(path.read_text())
         data[section][key] = value
         path.write_text(json.dumps(data))
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
         assert not out.exists()
 
     def test_invalid_json_names_the_file(self, tmp_path, capsys):

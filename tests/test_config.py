@@ -214,6 +214,33 @@ def test_invalid_values_rejected_with_field_path(data, path):
 
 
 @pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("layout", "pitch_um", 7, "layout: pitch 7.0 um must exceed the core diameter 8.0 um; cores overlap"),
+        ("layout", "core_radius_um", -1, "layout: core radius must be > 0, got -1.0"),
+        ("emission", "annulus_width_um", -1, "emission: annulus width must be > 0"),
+        (
+            "source",
+            "temperature_c",
+            200,
+            "emission: temperature 200.0 C extrapolates to a non-positive annulus radius (-7088.059 um)",
+        ),
+        ("linkbudget", "ring_loss_db", -10, "linkbudget.ring_loss_db: must be >= 0"),
+        ("linkbudget", "reference_length_km", -0.1, "linkbudget.reference_length_km: must be >= 0"),
+    ],
+    ids=["pitch", "core-radius", "annulus-width", "temperature", "ring-loss", "reference-length"],
+)
+def test_geometry_and_link_budget_checked_at_load(tmp_path, section, key, value, message):
+    # the geometry's own rules, run when the file loads and named by its section
+    from mcfqkd.config import load_config
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_with(section, key, value)))
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
     "data, message",
     [
         (_with("analysis", "subtract_accidentals", False), "analysis.subtract_accidentals: unknown key"),

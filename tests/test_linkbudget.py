@@ -1,10 +1,13 @@
 """Unit tests for the key-rate-versus-length extrapolation."""
 
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 
+from mcfqkd.cli import LINKBUDGET_COLUMNS, _write_csv
 from mcfqkd.config import preset_inner, preset_outer
 from mcfqkd.linkbudget import (
     LinkModel,
@@ -14,6 +17,7 @@ from mcfqkd.linkbudget import (
     model_from_config,
     sweep_lengths,
 )
+from oracles import length_grid_oracle, link_point_oracle
 
 
 def simple_model(**overrides):
@@ -62,6 +66,10 @@ class TestKeyrateAtLength:
         with pytest.raises(ValueError):
             keyrate_at_length(simple_model(), -1.0)
 
+    def test_nan_length_rejected(self):
+        with pytest.raises(ValueError, match="^length_km must be >= 0, got nan$"):
+            keyrate_at_length(simple_model(), math.nan)
+
     def test_monotone_clamped_rate_on_dense_grid(self):
         model = simple_model()
         prev = math.inf
@@ -86,6 +94,59 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_lengths(simple_model(), 0.2, 1.0)  # below the reference length
 
+    def test_lengths_are_floats(self, tmp_path):
+        # an int grid gives float lengths too, which the CSV writes as floats
+        points = sweep_lengths(simple_model(), 3, 1)
+        assert [p.length_km for p in points] == [0.0, 1.0, 2.0, 3.0]
+        assert all(type(p.length_km) is float for p in points)
+        assert type(keyrate_at_length(simple_model(), 3).length_km) is float
+        assert points[3] == keyrate_at_length(simple_model(), 3)
+        path = tmp_path / "curve.csv"
+        _write_csv(path, LINKBUDGET_COLUMNS, points)
+        rows = path.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.0", "1.0", "2.0", "3.0"]
+
+
+def packed(rows):
+    return np.array(rows, dtype=np.float64).tobytes()
+
+
+class TestCurveOracle:
+    """The swept curve against the scalar oracle, bit for bit, on all five fields."""
+
+    @pytest.mark.parametrize("ring", ["inner", "outer"])
+    @pytest.mark.parametrize("lmax_km, step_km", [(250.0, 0.01), (250.0, 1.0)], ids=["bench", "fig2"])
+    def test_presets(self, ring, lmax_km, step_km):
+        model = model_from_config(preset_inner() if ring == "inner" else preset_outer())
+        points = sweep_lengths(model, lmax_km, step_km)
+        assert len(points) == round(lmax_km / step_km) + 1
+        want = [link_point_oracle(model, km) for km in length_grid_oracle(lmax_km, step_km)]
+        assert packed([astuple(p) for p in points]) == packed(want)
+
+    @pytest.mark.parametrize(
+        "overrides, lmax_km, step_km",
+        [
+            # without darks the transmission underflows near 16,200 km: no coincidence left
+            (dict(dark_rate_cps=0.0, s_photon=4000.0), 20_000.0, 50.0),
+            (dict(fiber_loss_db_per_km=0.0), 250.0, 1.0),
+            (dict(ec_efficiency=0.0), 250.0, 1.0),
+            ({}, 0.5, 0.07),  # 0, 0.07, ..., 0.49, then 0.5 appended
+        ],
+        ids=["no-darks-underflow", "lossless", "ec-efficiency-0", "appended-last-point"],
+    )
+    def test_edge_models(self, overrides, lmax_km, step_km):
+        model = simple_model(**overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the no-coincidence lengths divide nothing
+            points = sweep_lengths(model, lmax_km, step_km)
+        want = [link_point_oracle(model, km) for km in length_grid_oracle(lmax_km, step_km)]
+        assert packed([astuple(p) for p in points]) == packed(want)
+        if not overrides:
+            assert [p.length_km for p in points][-2:] == [7 * 0.07, 0.5]
+        if "dark_rate_cps" in overrides:
+            assert points[-1].coin_rate_cps == 0.0 and points[-1].qber == 0.5
+            assert points[0].coin_rate_cps > 0.0
+
 
 class TestMaxPositiveLength:
     def test_no_noise_returns_infinity(self):
@@ -104,6 +165,20 @@ class TestMaxPositiveLength:
         model = simple_model(q_int_hv=0.12, q_int_da=0.12)
         with pytest.raises(NoPositiveRateError):
             max_positive_length(model)
+
+    @pytest.mark.parametrize("tolerance_km", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tolerance_km):
+        # 0 and -1 would bisect forever once the bracket holds two adjacent floats
+        with pytest.raises(ValueError, match=f"^tolerance_km must be finite and > 0, got {tolerance_km}$"):
+            max_positive_length(simple_model(), tolerance_km)
+
+    def test_tolerance_below_the_float_spacing_ends(self):
+        model = simple_model()
+        length = max_positive_length(model, tolerance_km=1e-300)
+        assert length == pytest.approx(max_positive_length(model), abs=0.1)
+        # the bracket ends as two adjacent floats, and the midpoint rounds to one of them
+        assert keyrate_at_length(model, math.nextafter(length, 0.0)).skr_pair_bits_s > 0
+        assert keyrate_at_length(model, math.nextafter(length, math.inf)).skr_pair_bits_s <= 0
 
     def test_bisection_tolerance(self):
         model = simple_model()

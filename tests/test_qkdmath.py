@@ -2,8 +2,10 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mcfqkd.qkdmath import (
@@ -203,3 +205,56 @@ def test_entropy_handles_subnormal_arguments():
     x = 5e-324
     assert 0.0 < binary_entropy(x) < 1e-318
     assert math.isfinite(binary_entropy(x))
+
+
+class TestArrays:
+    """Arrays go element by element, each element as its own float goes."""
+
+    @staticmethod
+    def samples():
+        rng = random.Random(41)
+        xs = [0.0, 0.5, 1.0, 5e-324, 1e-300, 0.03, 1.0 - 2.0**-53]
+        xs += [rng.random() for _ in range(500)]
+        xs += [10.0 ** rng.uniform(-14, -1) for _ in range(250)]
+        xs += [1.0 - 10.0 ** rng.uniform(-14, -1) for _ in range(250)]
+        return xs
+
+    def test_entropy_bit_for_bit(self):
+        xs = self.samples()
+        got = binary_entropy(np.array(xs))
+        assert isinstance(got, np.ndarray) and got.shape == (len(xs),)
+        assert got.tobytes() == np.array([binary_entropy(x) for x in xs]).tobytes()
+        assert got[:3].tolist() == [0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
+    def test_entropy_rejects_one_element_outside(self, bad):
+        message = f"entropy argument must be in [0, 1], got {bad}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            binary_entropy(np.array([0.2, bad, 0.3]))
+
+    def test_key_rate_bit_for_bit(self):
+        rng = random.Random(43)
+        rows = [
+            (rng.uniform(0, 1e5), rng.uniform(0, 1e5), rng.uniform(0, 0.5), rng.uniform(0, 0.5))
+            for _ in range(500)
+        ]
+        rows += [(0.0, 0.0, 0.5, 0.5), (1000.0, 1000.0, 0.0, 0.0)]
+        got = secret_key_rate(KeyRateInputs(*(np.array(col) for col in zip(*rows)), ec_efficiency=1.2))
+        want = [secret_key_rate(KeyRateInputs(*row, ec_efficiency=1.2)) for row in rows]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("coin_rate_hv", -1.0, "coin_rate_hv must be >= 0, got -1.0"),
+            ("coin_rate_da", math.nan, "coin_rate_da must be >= 0, got nan"),
+            ("qber_hv", 0.6, "qber_hv must be in [0, 0.5], got 0.6"),
+            ("qber_da", math.nan, "qber_da must be in [0, 0.5], got nan"),
+        ],
+    )
+    def test_inputs_reject_one_element_and_name_the_field(self, field, bad, message):
+        values = {name: np.array([100.0, 200.0, 300.0]) for name in ("coin_rate_hv", "coin_rate_da")}
+        values.update(qber_hv=np.array([0.01, 0.02, 0.03]), qber_da=np.array([0.01, 0.02, 0.03]))
+        values[field][1] = bad
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            KeyRateInputs(**values)
