@@ -91,8 +91,8 @@ REPORT_COLUMNS = {
     "visibility_da": "da.visibility",
     "qber_hv": "hv.qber",
     "qber_da": "da.qber",
-    "accidentals_hv": "hv.accidental_count",
-    "accidentals_da": "da.accidental_count",
+    "accidentals_hv": "hv.accidentals.count",
+    "accidentals_da": "da.accidentals.count",
     "skr_bits_s": "skr_bits_s",
     "skr_clamped_bits_s": "skr_clamped_bits_s",
 }

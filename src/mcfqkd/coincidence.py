@@ -10,30 +10,33 @@ merge finds each tag's first B tag in the span, one gather keeps its delay
 and a second finds the few tags with more than one B tag there.  A pass
 compares every other tag's delay with its window and searches B for the few.
 Every pass takes two ``photonsim.Stream``, checked where they were made.
-``tally_basis`` builds the search its passes share; a pass called alone
-searches its own window.
+``tally_basis`` builds the search its two passes share; a pass called alone
+searches its own window.  The accidentals come from the histogram's bins far
+from the peak, with no pass of their own.
 
 Cost: a 506k-tag tally takes 8 blocks of ``_BLOCK`` tags, two gathers of B
-per A tag, both in the search, 1 MiB of delays, 24 binary searches for 74
-tags and about 320 numpy function and method calls, operators besides.  Each
+per A tag, both in the search, 1 MiB of delays, 16 binary searches for 46
+tags and about 300 numpy function and method calls, operators besides.  Each
 call releases the GIL for its loop and takes it back after, so two threads
 wait on each other at short calls, not at long ones.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .photonsim import Stream
-from .qkdmath import BasisCounts
+from .qkdmath import BasisCounts, UndefinedVisibilityError, qber_from_visibility
+from .qkdmath import visibility_from_counts
 
 __all__ = [
+    "ACCIDENTAL_GAP_PS",
     "CorrelationHistogram",
     "AccidentalEstimate",
-    "CoincidenceTally",
+    "BasisTally",
     "NoPeakError",
     "cross_correlation",
     "find_peak_delay",
@@ -45,6 +48,11 @@ __all__ = [
 #: A tags per block of the search and the passes: a block's temporaries, a few
 #: ``int64`` per tag at most, do not grow with the stream
 _BLOCK = 1 << 16
+
+#: the accidentals' histogram bins lie this far from the peak delay or farther: a
+#: true pair's delay stays within 2 * ceil(6 sigma) = 600 ps of the true delay at
+#: the presets' 50 ps jitter, and the peak within half a 50 ps bin of it
+ACCIDENTAL_GAP_PS = 1000
 
 
 class NoPeakError(ValueError):
@@ -71,22 +79,29 @@ class CorrelationHistogram:
 
 @dataclass(frozen=True)
 class AccidentalEstimate:
-    """Coincidences counted in the offset window, and ``analytic``, their expected
-    count ``S_a * S_b * window * duration`` over the whole acquisition (not a rate)."""
+    """Accidental coincidences in the window at the peak, over the whole acquisition (counts,
+    not rates): ``count``, the histogram's bins ``ACCIDENTAL_GAP_PS`` or more from the peak
+    scaled to the window, ``sigma``, its Poisson error, and ``analytic``, the expected
+    ``S_a * S_b * window * duration`` with the window's integer delays in ps."""
 
-    count: int
+    count: float
+    sigma: float
     analytic: float
 
 
-@dataclass
-class CoincidenceTally:
-    """Windowed coincidence counts of one acquisition at one basis setting."""
+@dataclass(frozen=True)
+class BasisTally:
+    """One acquisition at one basis setting: its port counts over ``duration_s`` in the
+    window at the peak delay, their rate, visibility and QBER (``None`` where the counts
+    leave the visibility undefined), and the accidentals."""
 
     counts: BasisCounts
     duration_s: float
     delay_ps: int
+    coincidence_rate_cps: float
+    visibility: Optional[float]
+    qber: Optional[float]
     accidentals: AccidentalEstimate
-    histogram: CorrelationHistogram = field(repr=False)
 
 
 class _Search:
@@ -298,38 +313,40 @@ def _match_block(a, offset: int, keep, lo, last, b, hw: int, delay: int, out, n_
 
 
 def estimate_accidentals(
-    stream_a: Stream,
-    stream_b: Stream,
+    hist: CorrelationHistogram,
+    delay_ps: int,
     window_ps: int,
-    offset_ps: int,
+    n_a: int,
+    n_b: int,
     duration_s: float,
-    delay_ps: int = 0,
-    *, search: Optional[_Search] = None,
 ) -> AccidentalEstimate:
-    """Accidental coincidences measured in a window displaced from the peak.
+    """Accidental coincidences in the window at ``delay_ps``, from the histogram's sidebands.
 
-    Counts coincidences at ``delay + offset``, far enough from the true peak
-    that only uncorrelated pairs contribute, and reports alongside the analytic
-    expectation ``S_a * S_b * window * duration``: a count over the whole
-    acquisition, like the measured one, not a rate.
+    The bins whose every integer delay lies ``ACCIDENTAL_GAP_PS`` or more from
+    the peak hold only uncorrelated pairs, flat in the delay.  Their sum, over
+    the integer delays they cover, times the window's ``2 * (window_ps // 2) + 1``
+    is the estimate, beside the analytic ``S_a * S_b * window * duration`` of
+    ``n_a`` and ``n_b`` tags: counts over the whole acquisition, not rates.
 
     Raises:
-        ValueError: if the offset is closer than 10 windows or the duration
-            is not positive.
+        ValueError: if no bin lies that far from the peak, or the duration is
+            not positive.
     """
-    if not math.isfinite(offset_ps):
-        raise ValueError(f"offset_ps must be finite, got {offset_ps}")
-    window_ps = int(window_ps)
-    offset_ps = int(offset_ps)
-    if abs(offset_ps) < 10 * window_ps:
-        raise ValueError(
-            f"offset must be at least 10 windows ({10 * window_ps} ps), got {offset_ps}"
-        )
     if not 0 < duration_s < np.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
-    matches = count_coincidences(stream_a, stream_b, window_ps, delay_ps + offset_ps, search=search)
-    analytic = len(stream_a) * len(stream_b) * (window_ps * 1e-12) / duration_s
-    return AccidentalEstimate(count=len(matches), analytic=analytic)
+    width = 2 * _half_window(window_ps) + 1
+    # each bin's first and last integer delay; the last bin also holds +range
+    first = -hist.range_ps + hist.bin_width_ps * np.arange(len(hist.bins))
+    last = first + hist.bin_width_ps - 1
+    last[-1:] += 1
+    side = (last <= delay_ps - ACCIDENTAL_GAP_PS) | (first >= delay_ps + ACCIDENTAL_GAP_PS)
+    if not side.any():
+        raise ValueError(
+            f"no histogram bin lies {ACCIDENTAL_GAP_PS} ps or more from the peak at {delay_ps} ps"
+        )
+    total, scale = int(hist.bins[side].sum()), width / int((last - first + 1)[side].sum())
+    analytic = n_a * n_b * (width * 1e-12) / duration_s
+    return AccidentalEstimate(count=total * scale, sigma=math.sqrt(total) * scale, analytic=analytic)
 
 
 def tally_basis(
@@ -338,12 +355,11 @@ def tally_basis(
     *,
     window_ps: int,
     duration_s: float,
-    accidental_offset_ps: int,
     hist_bin_ps: int = 50,
     hist_range_ps: int = 5000,
-) -> CoincidenceTally:
+) -> BasisTally:
     """Analyze one acquisition: align, match, classify by detector port and
-    count the accidentals in the window ``accidental_offset_ps`` off the peak.
+    estimate the accidentals from the histogram's sidebands.
 
     ``alice`` and ``bob`` are the two arms' streams, each checked where it was
     made; transmitted ports are even channels, reflected ports odd.  The
@@ -352,11 +368,9 @@ def tally_basis(
     """
     if not 0 < duration_s < np.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
-    if not math.isfinite(accidental_offset_ps):
-        raise ValueError(f"accidental_offset_ps must be finite, got {accidental_offset_ps}")
-    # the peak lies within +-range, so one search spanning every window serves every pass
-    hw, reach, offset = _half_window(window_ps), int(hist_range_ps), int(accidental_offset_ps)
-    search = _Search(alice, bob, -reach - hw + min(offset, 0), reach + hw + max(offset, 0) + 1, hw)
+    # the peak lies within +-range, so one search spanning its window serves both passes
+    hw, reach = _half_window(window_ps), int(hist_range_ps)
+    search = _Search(alice, bob, -reach - hw, reach + hw + 1, hw)
 
     hist = cross_correlation(alice, bob, hist_bin_ps, hist_range_ps, search=search)
     try:
@@ -371,9 +385,13 @@ def tally_basis(
     rb = bob.codes[pairs[:, 1]] >> 1 & 1
     mm, ma, mb = (int(np.count_nonzero(r)) for r in (ra & rb, ra, rb))
     counts = BasisCounts(len(pairs) - ma - mb + mm, mb - mm, ma - mm, mm)
-    del pairs, ra, rb  # freed before the accidental pass
 
-    accidentals = estimate_accidentals(
-        alice, bob, window_ps, accidental_offset_ps, duration_s, delay_ps, search=search
+    accidentals = estimate_accidentals(hist, delay_ps, window_ps, len(alice), len(bob), duration_s)
+    try:
+        visibility = visibility_from_counts(counts)
+        qber = qber_from_visibility(visibility)
+    except UndefinedVisibilityError:
+        visibility = qber = None
+    return BasisTally(
+        counts, duration_s, delay_ps, counts.total / duration_s, visibility, qber, accidentals
     )
-    return CoincidenceTally(counts, duration_s, delay_ps, accidentals, hist)

@@ -22,6 +22,7 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple, get_args, get_origin, get_type_hints
 
+from .coincidence import ACCIDENTAL_GAP_PS
 from .geometry import (
     CorePair,
     RingCalibration,
@@ -94,7 +95,6 @@ class AnalysisConfig:
     window_mode: str = "full"
     hist_bin_ps: int = 50
     hist_range_ps: int = 5000
-    accidental_offset_windows: float = 20.0
 
 
 @dataclass
@@ -168,8 +168,13 @@ class RunConfig:
                 f"analysis.hist_range_ps: must be a positive multiple of hist_bin_ps "
                 f"({a.hist_bin_ps}), got {a.hist_range_ps}"
             )
-        if a.accidental_offset_windows < 10:
-            raise ConfigError("analysis.accidental_offset_windows: must be >= 10")
+        # the outer bins' nearest integer delays lie range - bin + 1 ps from zero, so
+        # the accidentals keep a bin at every peak delay, 0 on an empty histogram too
+        if a.hist_range_ps - a.hist_bin_ps + 1 < ACCIDENTAL_GAP_PS:
+            raise ConfigError(
+                f"analysis.hist_range_ps: must leave a bin {ACCIDENTAL_GAP_PS} ps from a peak at 0, "
+                f"at least hist_bin_ps + {ACCIDENTAL_GAP_PS - 1}, got {a.hist_range_ps}"
+            )
         if self.keyrate.ec_efficiency < 0:
             raise ConfigError("keyrate.ec_efficiency: must be >= 0")
         for name in ("ring_loss_db", "reference_length_km"):
@@ -187,6 +192,14 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"emission: {exc}") from exc
+        # the link model's arm singles follow from the ring loss and must exceed its coincidences
+        from .linkbudget import model_from_config
+
+        try:
+            model_from_config(self)
+        except ValueError as exc:
+            loss = self.linkbudget.ring_loss_db
+            raise ConfigError(f"linkbudget.ring_loss_db: {loss} dB gives no link model: {exc}") from exc
 
 
 def coerce(value: Any, hint: Any, path: str) -> Any:

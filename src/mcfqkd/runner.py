@@ -28,24 +28,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coincidence import tally_basis
+from .coincidence import BasisTally, tally_basis
 from .config import RunConfig, selected_pairs, worker_count
 from .geometry import CorePair
 from .photonsim import PS_PER_S, AnalyzerSetting, PairTruth, Stream, simulate_run
 from .photonsim import apply_polarization_drift
-from .qkdmath import (
-    BasisCounts,
-    KeyRateInputs,
-    UndefinedVisibilityError,
-    qber_from_visibility,
-    secret_key_rate,
-    visibility_from_counts,
-)
+from .qkdmath import KeyRateInputs, secret_key_rate
 
 __all__ = [
     "ScheduleSegment",
     "MeasurementSchedule",
-    "PairBasisResult",
     "PairReport",
     "KeyRateReport",
     "StabilityPoint",
@@ -127,28 +119,11 @@ class MeasurementSchedule:
 
 
 @dataclass
-class PairBasisResult:
-    """One pair's acquisition at one basis.  ``accidental_rate_analytic`` is, despite
-    its name, the expected accidental count ``S_a * S_b * window * duration`` over the
-    whole acquisition (0.4 for 60 s of an inner pair), not a rate in cps."""
-
-    basis: str
-    counts: BasisCounts
-    duration_s: float
-    coincidence_rate_cps: float
-    visibility: Optional[float]
-    qber: Optional[float]
-    delay_ps: int
-    accidental_count: int
-    accidental_rate_analytic: float
-
-
-@dataclass
 class PairReport:
     pair_id: int
     ring: str
-    hv: PairBasisResult
-    da: PairBasisResult
+    hv: BasisTally
+    da: BasisTally
     skr_bits_s: float
     skr_clamped_bits_s: float
 
@@ -189,34 +164,16 @@ class StabilityPoint:
 
 def analyze_segment(
     alice: Stream, bob: Stream, segment: ScheduleSegment, cfg: RunConfig
-) -> PairBasisResult:
+) -> BasisTally:
     """Run the coincidence chain on one acquisition's two tag streams."""
     a = cfg.analysis
-    tally = tally_basis(
+    return tally_basis(
         alice,
         bob,
         window_ps=a.window_ps,
         duration_s=segment.duration_ps / PS_PER_S,
-        accidental_offset_ps=int(round(a.accidental_offset_windows * a.window_ps)),
         hist_bin_ps=a.hist_bin_ps,
         hist_range_ps=a.hist_range_ps,
-    )
-    counts = tally.counts
-    try:
-        visibility = visibility_from_counts(counts)
-        qber = qber_from_visibility(visibility)
-    except UndefinedVisibilityError:
-        visibility = qber = None
-    return PairBasisResult(
-        basis=segment.basis,
-        counts=counts,
-        duration_s=tally.duration_s,
-        coincidence_rate_cps=counts.total / tally.duration_s,
-        visibility=visibility,
-        qber=qber,
-        delay_ps=tally.delay_ps,
-        accidental_count=tally.accidentals.count,
-        accidental_rate_analytic=tally.accidentals.analytic,
     )
 
 
@@ -245,7 +202,7 @@ def simulate_segment(
 
 
 def pair_report(
-    pair_id: int, ring: str, per_basis: Dict[str, PairBasisResult], ec_efficiency: float
+    pair_id: int, ring: str, per_basis: Dict[str, BasisTally], ec_efficiency: float
 ) -> PairReport:
     """Key rate of one pair from its latest result in each basis; a basis
     that was not measured stands in for the other one."""
@@ -327,7 +284,7 @@ def run_stability(
         slot_hours, cfg.drift.rate_deg_per_hour, cfg.seed, cfg.drift.max_offset_deg
     )
 
-    def work(k: int) -> PairBasisResult:
+    def work(k: int) -> BasisTally:
         alice, bob, _ = simulate_segment(cfg, pair, schedule.segments[k], k, float(offsets[k]))
         return analyze_segment(alice, bob, schedule.segments[k], cfg)
 
@@ -336,7 +293,7 @@ def run_stability(
     results = parallel_map(work, range(n_slots))
 
     points: List[StabilityPoint] = []
-    latest: Dict[str, PairBasisResult] = {}
+    latest: Dict[str, BasisTally] = {}
     for k, (segment, result) in enumerate(zip(schedule.segments, results)):
         latest[segment.basis] = result
         report = pair_report(pair.pair_id, pair.ring, latest, cfg.keyrate.ec_efficiency)

@@ -1,0 +1,111 @@
+"""Statistical laws of the simulation and analysis chain, checked over seeds.
+
+A law runs short acquisitions of a configuration through
+``runner.simulate_segment`` (one ``simulate_run``) and
+``runner.analyze_segment`` (one ``tally_basis``) for each seed, core pair
+and basis, and keeps one ``Observation`` per acquisition: the analyzed
+value, its analytic expectation and the standard deviation the expectation
+implies.  ``Law`` pools them and names the acquisition that strays most, so
+a failing law says where it failed.
+
+The laws so far:
+
+* ``accidental_law``: the accidentals estimated from the histogram's
+  sidebands against ``S_a * S_b * window * T``, with the error of the
+  sideband count that expectation implies.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence, Tuple
+
+from mcfqkd.coincidence import ACCIDENTAL_GAP_PS, BasisTally
+from mcfqkd.config import RunConfig, selected_pairs
+from mcfqkd.photonsim import PS_PER_S, PairTruth
+from mcfqkd.runner import ScheduleSegment, analyze_segment, simulate_segment
+from oracles import sideband_oracle
+
+
+@dataclass(frozen=True)
+class Observation:
+    name: str
+    value: float
+    expected: float
+    sigma: float
+
+    @property
+    def z(self) -> float:
+        return (self.value - self.expected) / self.sigma
+
+
+@dataclass(frozen=True)
+class Law:
+    """One observable over many acquisitions.  ``pooled_z`` is the z-score of
+    their sum, which stays normal where each acquisition holds only a few
+    counts; ``worst`` is the acquisition with the largest ``|z|``."""
+
+    name: str
+    observations: Tuple[Observation, ...]
+
+    @property
+    def pooled_z(self) -> float:
+        deviation = sum(o.value - o.expected for o in self.observations)
+        return deviation / math.sqrt(sum(o.sigma**2 for o in self.observations))
+
+    @property
+    def worst(self) -> Observation:
+        return max(self.observations, key=lambda o: abs(o.z))
+
+    def __str__(self) -> str:
+        w = self.worst
+        return (
+            f"{self.name}: pooled z {self.pooled_z:+.2f} over {len(self.observations)} acquisitions;"
+            f" worst {w.name}: z {w.z:+.2f}, {w.value:.4g} against {w.expected:.4g} +- {w.sigma:.3g}"
+        )
+
+
+def acquisitions(
+    cfg: RunConfig, seeds: Sequence[int], duration_s: float, pair_ids: Sequence[int] = ()
+) -> Iterator[Tuple[str, RunConfig, BasisTally, PairTruth]]:
+    """``(name, config, record, truth)`` of one ``duration_s`` acquisition per seed, core pair
+    (all of the ring unless ``pair_ids``) and basis, analyzed as ``mcfqkd analyze`` does."""
+    for seed in seeds:
+        run = replace(cfg, seed=seed)
+        for pair in selected_pairs(run):
+            if pair_ids and pair.pair_id not in pair_ids:
+                continue
+            for k, basis in enumerate(run.schedule.bases):
+                segment = ScheduleSegment(basis, 0, round(duration_s * PS_PER_S))
+                alice, bob, truth = simulate_segment(run, pair, segment, k, 0.0)
+                name = f"{run.ring} seed {seed} pair {pair.pair_id} {basis}"
+                yield name, run, analyze_segment(alice, bob, segment, run), truth
+
+
+def accidental_law(
+    cfg: RunConfig, seeds: Sequence[int], duration_s: float, pair_ids: Sequence[int] = ()
+) -> Law:
+    """The accidental estimate of each acquisition against its analytic count ``m``.
+
+    The estimate is the sideband count times ``width / covered`` (window and
+    sideband integer delays), whose mean is ``m * covered / width``.  It is not
+    Poisson where most tags are paired photons: two pairs detected in both arms
+    ``D`` apart give two cross pairs, at ``+D`` and ``-D``, both in the sidebands,
+    so a share ``f = C**2 / (n_a * n_b)`` of the count (``C`` such pairs, ``n_a``
+    and ``n_b`` tags) comes in twins and its variance is ``1 + f`` times its mean:
+    the sigma is ``sqrt(m * width / covered * (1 + f))``."""
+    observations = []
+    for name, run, tally, truth in acquisitions(cfg, seeds, duration_s, pair_ids):
+        a = run.analysis
+        _, covered = sideband_oracle(
+            [0] * (2 * a.hist_range_ps // a.hist_bin_ps), a.hist_bin_ps, a.hist_range_ps,
+            tally.delay_ps, ACCIDENTAL_GAP_PS,
+        )
+        est, width = tally.accidentals, a.window_ps // 2 * 2 + 1
+        n_a, n_b = (
+            sum(truth.photon_singles[d] + truth.dark_counts[d] for d in arm) for arm in ((0, 1), (2, 3))
+        )
+        twins = truth.true_coincidences**2 / (n_a * n_b) if n_a * n_b else 0.0
+        sigma = math.sqrt(est.analytic * width / covered * (1 + twins))
+        observations.append(Observation(name, est.count, est.analytic, sigma))
+    return Law("accidentals", tuple(observations))

@@ -126,6 +126,20 @@ def histogram_oracle(times_a, times_b, bin_width_ps: int, range_ps: int) -> np.n
     return counts
 
 
+def sideband_oracle(bins, bin_width_ps: int, range_ps: int, delay_ps: int, gap_ps: int):
+    """``(total, covered)``: the count of the histogram bins none of whose integer
+    delays lies nearer than ``gap_ps`` to ``delay_ps``, and how many integer delays
+    they cover; ``None`` when no bin is that far."""
+    total = covered = 0
+    for i, count in enumerate(bins):
+        lo = -range_ps + i * bin_width_ps
+        hi = range_ps if i == len(bins) - 1 else lo + bin_width_ps - 1
+        nearest = 0 if lo <= delay_ps <= hi else min(abs(lo - delay_ps), abs(hi - delay_ps))
+        if nearest >= gap_ps:
+            total, covered = total + int(count), covered + hi - lo + 1
+    return (total, covered) if covered else None
+
+
 def length_grid_oracle(lmax_km: float, step_km: float) -> list:
     """The link-budget grid, one Python float at a time: ``i * step_km`` up
     to ``lmax_km``, which ends the grid whether or not a step lands on it."""

@@ -324,9 +324,13 @@ class TestAnalyze:
                 lambda c: c["analysis"].update(hist_bin_ps=30),
                 "analysis.hist_range_ps: must be a positive multiple of hist_bin_ps (30), got 5000",
             ),
+            (
+                lambda c: c["analysis"].update(accidental_offset_windows=20.0),
+                "analysis.accidental_offset_windows: unknown key",
+            ),
         ],
         ids=["subtract_accidentals", "emit_ground_truth", "propagation_delay_ps", "window_mode-half",
-             "hist-bin-30"],
+             "hist-bin-30", "accidental_offset_windows"],
     )
     def test_bad_config_section_rejected(self, sim_dir, tmp_path, capsys, edit, message):
         # a ground_truth.json whose config sets a deleted option or a bad grid
@@ -477,6 +481,17 @@ class TestLinkBudget:
         assert len(rows) == 11
         assert float(rows[0][0]) == 0.0
         assert float(rows[-1][0]) == 50.0
+
+    def test_no_ring_loss_refused_at_load(self, tmp_path, capsys):
+        # 0 dB leaves no link model: refused when the file loads, naming the field and the file
+        path, out = tmp_path / "lossless.json", tmp_path / "out" / "curve.csv"
+        cfg = preset_inner()
+        cfg.linkbudget.ring_loss_db = 0.0
+        dump_config(cfg, path)
+        assert main(["linkbudget", "--config", str(path), "--out", str(out)]) == 2
+        message = "linkbudget.ring_loss_db: 0.0 dB gives no link model: true coincidences cannot exceed"
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not out.parent.exists()
 
     def test_step_must_be_positive(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -727,10 +742,14 @@ class TestGoldenRoundTrip:
     Poisson-split detection counts and fixed-length seed tuples.  The
     ground-truth pin was re-captured again when its config section lost
     ``analysis.subtract_accidentals``, ``link.propagation_delay_ps`` and
-    ``emit_ground_truth``; every other byte of it stayed the same."""
+    ``emit_ground_truth``, and once more when it lost
+    ``analysis.accidental_offset_windows``; every other byte of it stayed the
+    same.  The report pins were re-captured when the accidentals came from the
+    histogram's sidebands, in one record per acquisition; every count, rate,
+    visibility, QBER, delay and key rate stayed the same."""
 
     SIMULATE_SHA256 = {
-        "ground_truth.json": "6a1f165a8cb1e242a40abcf3ec2cb2b1c8107fbb3e66f79da78e27c97eb6ce56",
+        "ground_truth.json": "f33c316e305383a0e974054bdaa4f30704a10811c5962ec40ec42ba6a82a5f3b",
         "pair0_alice.mcqt": "e9db6a29acb20004a9a1c86dbaf2dec77f2d83ec6d886b9faf3c916a4cc784d1",
         "pair0_bob.mcqt": "bf923ea8f7df74ca26697c35ced109ff72c9e34b00739dd1957e8f39e5040e73",
         "pair1_alice.mcqt": "4c79bc6f3d114e4eee58bfb913bb04e33101c8181bca0f958de4ecf4fc92abec",
@@ -739,8 +758,8 @@ class TestGoldenRoundTrip:
         "pair2_bob.mcqt": "8ac68ba15f0fd3441bdf35cc465219d79944dfb7871ef72e5eeab39e9513ce58",
     }
     ANALYZE_SHA256 = {
-        "report.json": "8fa9225b05304d1133432f475bd3aad3efc5686a6cfb3fe888bfb346bedc5819",
-        "report.csv": "4803d8cd881138e2ea700ac0b1a90252a7b08cfcbd3005184f4c024ec8125dee",
+        "report.json": "18515a87b52a6c77b1a8edd270e56a49ae18b51e49ce2a5a2d09674c5bdadde5",
+        "report.csv": "0be832eff23c06073dbadbf69eda805f9cf9bb5bc025e0cb8f399a0b556ee204",
     }
     STABILITY_CSV_SHA256 = "fc553d6e4d1c3f259bdbb77db4b5660c436c4fbb1d682325523be45479254bcb"
     # captured before the CLI's tables were declared as column maps

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mcfqkd.coincidence import (
+    ACCIDENTAL_GAP_PS,
     CorrelationHistogram,
     NoPeakError,
     count_coincidences,
@@ -17,7 +18,7 @@ from mcfqkd.coincidence import (
 )
 from mcfqkd import coincidence
 from mcfqkd.photonsim import Stream, UnsortedStreamError
-from oracles import greedy_match_oracle, histogram_oracle
+from oracles import greedy_match_oracle, histogram_oracle, sideband_oracle
 
 
 def make_tags(times, channels):
@@ -181,7 +182,7 @@ class TestCountCoincidences:
         # tags near 2**63, where a tally's ``a + top`` would wrap
         t_a = 2**63 - 5000 + 1000 * np.arange(3)
         with pytest.raises(ValueError, match=outside.format(t_a[-1])):
-            tally_basis(*arms(t_a, t_a + 10), window_ps=300, duration_s=1.0, accidental_offset_ps=3000)
+            tally_basis(*arms(t_a, t_a + 10), window_ps=300, duration_s=1.0)
 
 
 class TestBlockedPasses:
@@ -232,6 +233,21 @@ class TestBlockedPasses:
             self._whole_and_blocked(monkeypatch, block, a, b, 600, 37, 50, 2000)
 
 
+def tally_and_histogram(monkeypatch, alice, bob, **kw):
+    """``tally_basis``'s record and the histogram it built on the way."""
+    made, build = [], coincidence.cross_correlation
+
+    def recorded(*args, **kwargs):
+        made.append(build(*args, **kwargs))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(coincidence, "cross_correlation", recorded)
+        tally = tally_basis(alice, bob, **kw)
+    (hist,) = made
+    return tally, hist
+
+
 class TestEstimateAccidentals:
     def test_poisson_streams_match_analytic(self):
         rng = np.random.default_rng(6)
@@ -241,47 +257,46 @@ class TestEstimateAccidentals:
         a = np.sort(rng.integers(0, int(duration_s * 1e12), n))
         n = rng.poisson(rate * duration_s)
         b = np.sort(rng.integers(0, int(duration_s * 1e12), n))
-        est = estimate_accidentals(*arms(a, b), window_ps=300, offset_ps=100_000, duration_s=duration_s)
+        hist = cross_correlation(*arms(a, b), bin_width_ps=50, range_ps=5000)
+        est = estimate_accidentals(hist, 0, 300, a.size, b.size, duration_s)
         assert est.analytic == pytest.approx(180.0, rel=0.05)
-        sigma = np.sqrt(est.analytic)
-        assert abs(est.count - est.analytic) < 3 * sigma + 3
+        # the sidebands cover 8,001 of the 10,001 integer delays: a 1.4% error on 180
+        assert est.sigma == pytest.approx(math.sqrt(est.analytic * 301 / 8001), rel=0.05)
+        assert abs(est.count - est.analytic) < 3 * est.sigma
 
     def test_correlated_peak_excluded(self):
         rng = np.random.default_rng(7)
         a = np.sort(rng.integers(0, int(1e12), 20_000))
         b = a + rng.integers(-20, 20, a.size)  # tightly correlated
         b.sort()
-        est = estimate_accidentals(*arms(a, b), window_ps=300, offset_ps=6000, duration_s=1.0)
-        # true coincidences (20k) never appear at the offset window
-        assert est.count < 500
+        hist = cross_correlation(*arms(a, b), bin_width_ps=50, range_ps=5000)
+        delay = int(round(find_peak_delay(hist)))
+        est = estimate_accidentals(hist, delay, 300, a.size, b.size, 1.0)
+        # none of the 20k true coincidences reaches the sidebands: 0.12 accidentals expected
+        assert hist.bins.sum() > 20_000 and est.count < 1
+
+    def test_sidebands_start_a_gap_from_the_peak(self):
+        # bins of 100 ps over +-2000: at a peak at 150 ps the bins up to [-1000, -901]
+        # and from [1200, 1299] on lie 1 ns or more away, [-900, -801] and
+        # [1100, 1199] do not; the last bin also holds +2000, so 1,901 delays
+        bins = np.arange(1, 41, dtype=np.int64)
+        hist = CorrelationHistogram(100, 2000, bins)
+        est = estimate_accidentals(hist, 150, 300, 10**6, 2 * 10**6, 2.0)
+        side = int(bins[:11].sum() + bins[32:].sum())
+        assert sideband_oracle(bins.tolist(), 100, 2000, 150, ACCIDENTAL_GAP_PS) == (side, 1901)
+        assert est.count == pytest.approx(side * 301 / 1901, rel=1e-15)
+        assert est.sigma == pytest.approx(math.sqrt(side) * 301 / 1901, rel=1e-15)
+        assert est.analytic == pytest.approx(10**6 * 2 * 10**6 * 301e-12 / 2.0, rel=1e-15)
 
     def test_offset_guard(self):
-        with pytest.raises(ValueError):
-            estimate_accidentals(*arms([1], [2]), window_ps=300, offset_ps=2000, duration_s=1.0)
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize(
-    "call, name",
-    [
-        (
-            lambda v: tally_basis(
-                make_tags([], []), make_tags([], []), window_ps=300, duration_s=1.0,
-                accidental_offset_ps=v,
-            ),
-            "accidental_offset_ps",
-        ),
-        (
-            lambda v: estimate_accidentals(*arms([1], [2]), window_ps=300, offset_ps=v, duration_s=1.0),
-            "offset_ps",
-        ),
-    ],
-    ids=["tally_basis", "estimate_accidentals"],
-)
-def test_non_finite_offset_rejected_by_name(call, name, value):
-    # named up front, not left to an integer conversion that names nothing
-    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
-        call(value)
+        # no bin of +-1000 ps lies 1 ns from a peak within 50 ps of zero: no sideband
+        hist = CorrelationHistogram(50, 1000, np.ones(40, dtype=np.int64))
+        for delay in (0, 25, -25):
+            message = rf"^no histogram bin lies 1000 ps or more from the peak at {delay} ps$"
+            with pytest.raises(ValueError, match=message):
+                estimate_accidentals(hist, delay, 300, 1, 1, 1.0)
+        # from a peak at the last bin, the 20 bins at or below -1 ps count: 20 * 301 / 1000
+        assert estimate_accidentals(hist, 1000, 300, 1, 1, 1.0).count == pytest.approx(6.02, rel=1e-15)
 
 
 class TestTallyBasis:
@@ -289,29 +304,39 @@ class TestTallyBasis:
         # two TT pairs, one TR pair, one RT pair, plus an unmatched bob tag
         alice = make_tags([1000, 2000, 3000, 4000], [0, 0, 0, 1])
         bob = make_tags([1010, 2010, 3010, 4010, 9_000_000], [2, 2, 3, 2, 2])
-        tally = tally_basis(alice, bob, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
+        tally = tally_basis(alice, bob, window_ps=300, duration_s=2.0)
         assert tally.delay_ps == 25  # the centre of the peak bin, [0, 50) ps
         assert tally.counts.c_pp == 2
         assert tally.counts.c_pm == 1
         assert tally.counts.c_mp == 1
         assert tally.counts.c_mm == 0
-        assert tally.counts.total == 4 and tally.duration_s == 1.0
+        assert tally.counts.total == 4 and tally.duration_s == 2.0
+        # the one record also holds the rate, the visibility (2 - 2) / 4 and its QBER
+        assert (tally.coincidence_rate_cps, tally.visibility, tally.qber) == (2.0, 0.0, 0.5)
 
     def test_auto_delay_from_peak(self):
         rng = np.random.default_rng(8)
         times = np.sort(rng.integers(0, int(1e12), 5000))
         alice = make_tags(times, np.zeros(times.size, dtype=int))
         bob = make_tags(times + 2000, np.full(times.size, 2))
-        tally = tally_basis(alice, bob, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
+        tally = tally_basis(alice, bob, window_ps=300, duration_s=1.0)
         assert abs(tally.delay_ps - 2000) <= 50
         assert tally.counts.total == 5000
 
     def test_empty_streams_zero_report(self):
         empty = make_tags([], [])
-        tally = tally_basis(empty, empty, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
+        tally = tally_basis(empty, empty, window_ps=300, duration_s=1.0)
         assert tally.counts.total == 0
         assert tally.delay_ps == 0
-        assert tally.accidentals.count == 0
+        assert (tally.accidentals.count, tally.accidentals.sigma, tally.accidentals.analytic) == (0, 0, 0)
+        assert tally.visibility is None and tally.qber is None
+
+    def test_no_sideband_refused(self):
+        # a +-1000 ps histogram leaves no bin 1 ns from a peak inside it
+        alice, bob = arms([1000, 2000], [1010, 2010])
+        message = "^no histogram bin lies 1000 ps or more from the peak at 25 ps$"
+        with pytest.raises(ValueError, match=message):
+            tally_basis(alice, bob, window_ps=300, duration_s=1.0, hist_range_ps=1000)
 
 
 def _peak_delay_oracle(bins, bin_width, hist_range):
@@ -324,98 +349,96 @@ def _peak_delay_oracle(bins, bin_width, hist_range):
     return round(centers[best])
 
 
-def _tally_oracle(alice, bob, window, hist_bin, hist_range, offset):
+def _tally_oracle(alice, bob, window, hist_bin, hist_range):
     t_a, t_b = alice.times, bob.times
     bins = histogram_oracle(t_a, t_b, hist_bin, hist_range)
     delay = _peak_delay_oracle(bins.tolist(), hist_bin, hist_range)
     ports = [0, 0, 0, 0]
     for i, j in greedy_match_oracle(t_a, t_b, window, delay):
         ports[2 * (alice.codes[i] >> 1 & 1) + (bob.codes[j] >> 1 & 1)] += 1
-    accidentals = len(greedy_match_oracle(t_a, t_b, window, delay + offset))
-    return bins, delay, ports, accidentals
+    sidebands = sideband_oracle(bins.tolist(), hist_bin, hist_range, delay, ACCIDENTAL_GAP_PS)
+    return bins, delay, ports, sidebands
+
+
+def _assert_accidentals(est, sidebands, n_a, n_b, window):
+    """``est`` scales the oracle's sidebands to the window's integer delays, with
+    their Poisson error and the analytic count of a 1 s acquisition."""
+    (total, covered), width = sidebands, window // 2 * 2 + 1
+    assert est.count == pytest.approx(total * width / covered, rel=1e-12, abs=0)
+    assert est.sigma == pytest.approx(math.sqrt(total) * width / covered, rel=1e-12, abs=0)
+    assert est.analytic == pytest.approx(n_a * n_b * width * 1e-12, rel=1e-12, abs=0)
 
 
 class TestTallyBasisOracle:
-    """The whole tally path (histogram, peak delay, matching, accidental
-    pass and port classification) against the O(n^2) oracles."""
+    """The whole tally path (histogram, peak delay, matching, port
+    classification and the accidentals from the histogram) against the
+    O(n^2) oracles."""
 
     def _random_tags(self, rng, n, span, base, channels):
         times = base + np.sort(rng.integers(0, span, n))
         return make_tags(times, rng.choice(channels, n))
 
-    def _check(self, alice, bob, *, window, hist_bin, hist_range, offset):
-        tally = tally_basis(
+    def _check(self, monkeypatch, alice, bob, *, window, hist_bin, hist_range):
+        tally, hist = tally_and_histogram(
+            monkeypatch,
             alice,
             bob,
             window_ps=window,
             duration_s=1.0,
             hist_bin_ps=hist_bin,
             hist_range_ps=hist_range,
-            accidental_offset_ps=offset,
         )
-        bins, want_delay, ports, accidentals = _tally_oracle(
-            alice, bob, window, hist_bin, hist_range, offset
-        )
-        np.testing.assert_array_equal(tally.histogram.bins, bins)
+        bins, want_delay, ports, sidebands = _tally_oracle(alice, bob, window, hist_bin, hist_range)
+        np.testing.assert_array_equal(hist.bins, bins)
         assert tally.delay_ps == want_delay
         counts = tally.counts
         assert [counts.c_pp, counts.c_pm, counts.c_mp, counts.c_mm] == ports
-        assert tally.accidentals.count == accidentals
+        _assert_accidentals(tally.accidentals, sidebands, len(alice), len(bob), window)
 
     @pytest.mark.parametrize("base", [0, 2**60 - 2**20])
-    def test_random_streams(self, base):
+    def test_random_streams(self, monkeypatch, base):
         rng = np.random.default_rng(21 if base else 20)
         for _ in range(60):
             # spans down to a few windows give dense, contested segments
             span = int(rng.integers(200, 200_000))
             window = int(rng.integers(1, 600))
             hist_bin = int(rng.integers(1, 100))
-            hist_range = hist_bin * int(rng.integers(1, 40))
-            if rng.random() < 0.5:
-                # an unused draw that keeps the generator, and so every case, as it was
-                rng.integers(-3 * hist_range, 3 * hist_range + 1)
-            offset = int(rng.choice([-1, 1])) * 10 * window * int(rng.integers(1, 4))
-            # half the cases double their window (up to 1,198 ps) and its offset
-            scale = int(rng.choice([1, 2]))
-            window, offset = scale * window, scale * offset
+            # whole bins past the 1 ns the accidentals keep from the peak
+            hist_range = hist_bin * (int(rng.integers(1, 40)) - (-ACCIDENTAL_GAP_PS // hist_bin))
+            # half the cases double their window (up to 1,198 ps)
+            window *= int(rng.choice([1, 2]))
             alice = self._random_tags(rng, int(rng.integers(0, 250)), span, base, [0, 1])
             bob = self._random_tags(rng, int(rng.integers(0, 250)), span, base, [2, 3])
-            self._check(
-                alice,
-                bob,
-                window=window,
-                hist_bin=hist_bin,
-                hist_range=hist_range,
-                offset=offset,
-            )
+            self._check(monkeypatch, alice, bob, window=window, hist_bin=hist_bin, hist_range=hist_range)
 
-    def test_correlated_streams_with_contested_segments(self):
+    def test_correlated_streams_with_contested_segments(self, monkeypatch):
         rng = np.random.default_rng(22)
         times = 2**55 + np.sort(rng.integers(0, 40_000, 300))
         alice = make_tags(times, rng.choice([0, 1], times.size))
         jittered = np.sort(times + 700 + rng.integers(-200, 201, times.size))
         bob = make_tags(jittered, rng.choice([2, 3], times.size))
-        self._check(alice, bob, window=300, hist_bin=50, hist_range=5000, offset=3000)
+        self._check(monkeypatch, alice, bob, window=300, hist_bin=50, hist_range=5000)
 
-    def test_empty_streams(self):
+    def test_empty_streams(self, monkeypatch):
         rng = np.random.default_rng(23)
         some = self._random_tags(rng, 40, 10_000, 2**54, [0, 1])
         empty = make_tags([], [])
         for alice, bob in ((empty, empty), (some, empty), (empty, some)):
-            self._check(alice, bob, window=300, hist_bin=50, hist_range=5000, offset=3000)
+            self._check(monkeypatch, alice, bob, window=300, hist_bin=50, hist_range=5000)
 
 
 class TestSharedSearch:
     """``tally_basis`` runs one search of A into B, a merge per block of A
-    after two binary searches for the B tags the block spans; each pass then
-    searches B only for the window bounds of the few tags with more than one
-    B tag in the span.  Each pass must still give the oracles' index arrays,
-    whatever the block size, with no other search of A."""
+    after two binary searches for the B tags the block spans; each of its two
+    passes then searches B only for the window bounds of the few tags with
+    more than one B tag in the span.  Each pass must still give the oracles'
+    histogram and index arrays, whatever the block size, with no other search
+    of A."""
 
     KINDS = ["empty", "dense", "ties", "near-2**60"]
 
     def _times(self, rng, kind, n, window):
-        # from 2**13 ps, as partners at a delay down to -4,460 ps must not fall below 0
+        # from 2**13 ps, as partners at a delay down to -5,549 ps must not fall below 0
         if kind == "ties":
             return 2**13 + np.sort(rng.integers(0, 12, n)) * int(rng.integers(1, window + 2))
         span = window * int(rng.integers(1, 12)) if kind == "dense" else int(rng.integers(200, 40_000))
@@ -425,8 +448,8 @@ class TestSharedSearch:
     def _case(self, rng, kind, where):
         window = int(rng.integers(1, 600))
         hist_bin = int(rng.integers(1, 100))
-        hist_range = hist_bin * int(rng.integers(1, 40))
-        offset = int(rng.choice([-1, 1])) * 10 * window * int(rng.integers(1, 4))
+        # whole bins past the 1 ns the accidentals keep from the peak
+        hist_range = hist_bin * (int(rng.integers(1, 40)) - (-ACCIDENTAL_GAP_PS // hist_bin))
         delay = int(rng.integers(-hist_range, hist_range + 1)) if where == "inside" else None
         t_a = self._times(rng, kind, int(rng.integers(1, 120)), window)
         t_b = self._times(rng, kind, int(rng.integers(1, 120)), window)
@@ -437,14 +460,10 @@ class TestSharedSearch:
             t_a, t_b = [(t_a[:0], t_b), (t_a, t_b[:0]), (t_a[:0], t_b[:0])][int(rng.integers(0, 3))]
         alice = make_tags(t_a, rng.choice([0, 1], t_a.size))
         bob = make_tags(t_b, rng.choice([2, 3], t_b.size))
-        # half the cases double their window (up to 1,198 ps) and its offset
+        # half the cases double their window (up to 1,198 ps)
         scale = int(rng.choice([1, 2]))
         return alice, bob, dict(
-            window_ps=scale * window,
-            duration_s=1.0,
-            hist_bin_ps=hist_bin,
-            hist_range_ps=hist_range,
-            accidental_offset_ps=scale * offset,
+            window_ps=scale * window, duration_s=1.0, hist_bin_ps=hist_bin, hist_range_ps=hist_range
         )
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -478,32 +497,31 @@ class TestSharedSearch:
             match_passes.clear()
             searches.clear()
             keys.clear()
-            tally = tally_basis(alice, bob, **kw)
+            tally, hist = tally_and_histogram(monkeypatch, alice, bob, **kw)
             # one search: into B, one call of two keys per block of A, and in each of
-            # the three passes one call per block with tags with more than one B tag
+            # the two passes one call per block with tags with more than one B tag
             # in the span, two keys per such tag
             assert len(searches) == 1
             found, into_b = searches[0], [n for b, n in keys if b is searches[0].b]
             multi = [m.size for m in found.multi]
-            assert len(into_b) == len(found.bounds) + 3 * np.count_nonzero(multi)
-            assert sum(into_b) == 2 * len(found.bounds) + 3 * 2 * sum(multi)
+            assert len(into_b) == len(found.bounds) + 2 * np.count_nonzero(multi)
+            assert sum(into_b) == 2 * len(found.bounds) + 2 * 2 * sum(multi)
 
             t_a, t_b = alice.times, bob.times
-            bins, delay, ports, accidentals = _tally_oracle(
-                alice, bob, kw["window_ps"], kw["hist_bin_ps"], kw["hist_range_ps"],
-                kw["accidental_offset_ps"],
+            bins, delay, ports, sidebands = _tally_oracle(
+                alice, bob, kw["window_ps"], kw["hist_bin_ps"], kw["hist_range_ps"]
             )
-            np.testing.assert_array_equal(tally.histogram.bins, bins)
+            np.testing.assert_array_equal(hist.bins, bins)
             assert tally.delay_ps == delay
             counts = tally.counts
             assert [counts.c_pp, counts.c_pm, counts.c_mp, counts.c_mm] == ports
-            assert tally.accidentals.count == accidentals
-            assert [d for d, _ in match_passes] == [delay, delay + kw["accidental_offset_ps"]]
+            _assert_accidentals(tally.accidentals, sidebands, len(alice), len(bob), kw["window_ps"])
+            assert [d for d, _ in match_passes] == [delay]
             for d, pairs in match_passes:
                 assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
                 assert pairs.tolist() == [list(p) for p in greedy_match_oracle(t_a, t_b, kw["window_ps"], d)]
 
-    def test_a_burst_is_galloped_over(self):
+    def test_a_burst_is_galloped_over(self, monkeypatch):
         # 5,000 B tags at one instant within range of one A tag: a walk one
         # tag at a time would take 5,000 rounds for each window across them,
         # and a binary search takes none
@@ -521,13 +539,14 @@ class TestSharedSearch:
         # each gather of B tags is one ``take`` on the search's B times, here
         # a view that counts them
         counted = Stream(bob.times.view(CountedTakes), bob.codes, bob.channel_id)
-        tally = tally_basis(alice, counted, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
+        tally, hist = tally_and_histogram(monkeypatch, alice, counted, window_ps=300, duration_s=1.0)
         assert 0 < rounds[0] < 1000
-        bins, delay, ports, accidentals = _tally_oracle(alice, bob, 300, 50, 5000, 6000)
-        np.testing.assert_array_equal(tally.histogram.bins, bins)
-        assert (tally.delay_ps, tally.counts.c_pp, tally.accidentals.count) == (delay, ports[0], accidentals)
+        bins, delay, ports, sidebands = _tally_oracle(alice, bob, 300, 50, 5000)
+        np.testing.assert_array_equal(hist.bins, bins)
+        assert (tally.delay_ps, tally.counts.c_pp) == (delay, ports[0])
+        _assert_accidentals(tally.accidentals, sidebands, len(alice), len(bob), 300)
 
-    def test_two_b_gathers_per_a_tag(self):
+    def test_two_b_gathers_per_a_tag(self, monkeypatch):
         # the search gathers two B tags per A tag, the first in its span and
         # the next; the passes gather only in the histogram's list of the few
         # tags with more than one B tag in the span
@@ -544,19 +563,17 @@ class TestSharedSearch:
                 return super().take(indices, *args, **kwargs)
 
         counted = Stream(bob.times.view(CountedTakes), bob.codes, bob.channel_id)
-        kw = dict(window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
-        tally = tally_basis(alice, counted, **kw)
+        kw = dict(window_ps=300, duration_s=1.0)
+        tally, hist = tally_and_histogram(monkeypatch, alice, counted, **kw)
         # the B tags in the tally's span of each tag with more than one there
-        base, top = -5000 - 150, 5000 + 150 + 6000 + 1
+        base, top = -5000 - 150, 5000 + 150 + 1
         span = np.searchsorted(t_b, t_a + top) - np.searchsorted(t_b, t_a + base)
         listed = int(span[span > 1].sum())
         assert 0 < listed < t_a.size // 4
         assert gathered[0] <= 2 * t_a.size + listed
-        plain = tally_basis(alice, bob, **kw)
-        np.testing.assert_array_equal(tally.histogram.bins, plain.histogram.bins)
-        assert (tally.delay_ps, tally.counts, tally.accidentals) == (
-            plain.delay_ps, plain.counts, plain.accidentals
-        )
+        plain, plain_hist = tally_and_histogram(monkeypatch, alice, bob, **kw)
+        np.testing.assert_array_equal(hist.bins, plain_hist.bins)
+        assert tally == plain
 
     def test_each_stream_is_checked_once(self, monkeypatch):
         # each stream is checked where it is made, and the passes take the
@@ -572,7 +589,7 @@ class TestSharedSearch:
         monkeypatch.setattr(Stream, "__post_init__", checked)
         alice = make_tags(np.sort(rng.integers(0, 10**7, 500)), 0)
         bob = make_tags(np.sort(rng.integers(0, 10**7, 500)), 2)
-        tally_basis(alice, bob, window_ps=300, duration_s=1.0, accidental_offset_ps=6000)
+        tally_basis(alice, bob, window_ps=300, duration_s=1.0)
         assert checks == [0, 1]
 
 
@@ -581,7 +598,8 @@ class TestOneWalkBounds:
     tag in its search's span, and searches B only for the tags with more than
     one B tag there.  B tags on and just past every window edge and the span's
     own edges, several per A tag, must give the oracles' histogram, index
-    arrays and accidental count, in the tally and in each pass called alone."""
+    arrays and accidentals, in the tally and in each pass called alone, also
+    in a window ``offset`` off the peak that a pass alone counts."""
 
     WINDOW, HW, RANGE = 300, 150, 1000
     # (bin width, B tag of the peak, delay): a peak inside the range, and peaks
@@ -591,10 +609,10 @@ class TestOneWalkBounds:
 
     def _streams(self, rng, peak, delay, offset):
         d, hw, r = delay, self.HW, self.RANGE
-        far = r + hw + abs(offset)  # the tally's span reaches this far on the offset's side
         edges = [d - hw, d + hw, d - hw - 1, d + hw + 1, -r, r, -r - 1, r + 1]
         edges += [d + offset - hw, d + offset + hw, d + offset - hw - 1, d + offset + hw + 1]
-        edges += [d + offset, far * np.sign(offset), (far + 1) * np.sign(offset), -r - hw, r + hw]
+        # the tally's span is [-r - hw, r + hw]
+        edges += [d + offset, -r - hw, r + hw, -r - hw - 1, r + hw + 1]
         a, b = [], []
         for k in range(80):
             t = 10**6 * (k + 1)
@@ -616,8 +634,7 @@ class TestOneWalkBounds:
         monkeypatch.setattr(coincidence, "_BLOCK", block)
         t_a, t_b = self._streams(rng, peak, delay, offset)
         # A tags past the last B tag, and many with more than one B tag in the tally's span
-        reach = self.RANGE + self.HW
-        base, top = -reach + min(offset, 0), reach + max(offset, 0) + 1
+        base, top = -self.RANGE - self.HW, self.RANGE + self.HW + 1
         span = np.searchsorted(t_b, t_a + top) - np.searchsorted(t_b, t_a + base)
         assert t_a[-1] > t_b[-1] and np.count_nonzero(span > 1) > 50
         alice, bob = make_tags(t_a, 0), make_tags(t_b, 2)
@@ -633,24 +650,28 @@ class TestOneWalkBounds:
             return passes[-1]
 
         monkeypatch.setattr(coincidence, "count_coincidences", recorded)
-        tally = tally_basis(
-            alice, bob, window_ps=self.WINDOW, duration_s=1.0, accidental_offset_ps=offset,
+        tally, hist = tally_and_histogram(
+            monkeypatch, alice, bob, window_ps=self.WINDOW, duration_s=1.0,
             hist_bin_ps=bin_width, hist_range_ps=self.RANGE,
         )
         bins = histogram_oracle(t_a, t_b, bin_width, self.RANGE)
         assert tally.delay_ps == delay
-        np.testing.assert_array_equal(tally.histogram.bins, bins)
+        np.testing.assert_array_equal(hist.bins, bins)
         want = [greedy_match_oracle(t_a, t_b, self.WINDOW, delay + o) for o in (0, offset)]
-        assert [p.tolist() for p in passes] == [[list(p) for p in w] for w in want]
+        assert [p.tolist() for p in passes] == [[list(p) for p in want[0]]]
         assert tally.counts.total == len(want[0])
-        assert tally.accidentals.count == len(want[1])
+        sidebands = sideband_oracle(bins.tolist(), bin_width, self.RANGE, delay, ACCIDENTAL_GAP_PS)
+        assert sidebands[0] > 0
+        _assert_accidentals(tally.accidentals, sidebands, len(alice), len(bob), self.WINDOW)
 
         # each pass alone, over a span of its own window only
         np.testing.assert_array_equal(cross_correlation(alice, bob, bin_width, self.RANGE).bins, bins)
         for at, pairs in zip((delay, delay + offset), want):
             assert count(alice, bob, self.WINDOW, at).tolist() == [list(p) for p in pairs]
-        alone = estimate_accidentals(alice, bob, self.WINDOW, offset, 1.0, delay)
-        assert alone.count == len(want[1])
+        alone = estimate_accidentals(
+            CorrelationHistogram(bin_width, self.RANGE, bins), delay, self.WINDOW, len(alice), len(bob), 1.0
+        )
+        assert alone == tally.accidentals
 
     @pytest.mark.parametrize("block", [1, 3, 1 << 16])
     def test_empty_a_or_b(self, monkeypatch, block):
@@ -658,12 +679,12 @@ class TestOneWalkBounds:
         some, none = np.arange(0, 10**5, 97, dtype=np.int64), np.empty(0, dtype=np.int64)
         for t_a, t_b in ((some, none), (none, some), (none, none)):
             alice, bob = arms(t_a, t_b)
-            tally = tally_basis(alice, bob, window_ps=300, duration_s=1.0, accidental_offset_ps=-3000)
-            assert not tally.histogram.bins.any() and tally.histogram.bins.size == 200
+            tally, hist = tally_and_histogram(monkeypatch, alice, bob, window_ps=300, duration_s=1.0)
+            assert not hist.bins.any() and hist.bins.size == 200
             assert (tally.delay_ps, tally.counts.total, tally.accidentals.count) == (0, 0, 0)
             assert not cross_correlation(alice, bob, 50, 5000).bins.any()
             assert count_coincidences(alice, bob, 300, 25).shape == (0, 2)
-            assert estimate_accidentals(alice, bob, 300, 3000, 1.0).count == 0
+            assert estimate_accidentals(hist, 0, 300, t_a.size, t_b.size, 1.0).analytic == 0
 
 
 class TestDelayStore:
@@ -672,14 +693,15 @@ class TestDelayStore:
     ``2**31 - 1`` ps, else int64.  At and around each width edge, with B tags
     on the first and last ps of every span and one ps past each, the tally
     and each pass called alone must give the oracles' bins, index arrays and
-    counts, also with windows more than 2**40 ps from zero."""
+    accidentals, also with windows more than 2**40 ps from zero and in a
+    window ``offset`` off the peak that a pass alone counts."""
 
-    # (bin width, range, accidental offset, bin of the peak): the tally's span is
-    # 2 * (range + 150) + |offset| + 1 ps wide, the histogram's alone 2 * range + 1
+    # (bin width, range, offset, bin of the peak): the tally's span is
+    # 2 * (range + 150) + 1 ps wide, the histogram's alone 2 * range + 1
     CASES = [
-        (50, 14_700, 3065, 300),  # tally 2**15 - 2
-        (50, 14_700, -3066, 100),  # tally 2**15 - 1
-        (50, 14_700, 3067, 500),  # tally 2**15
+        (8, 16_232, 3000, 300),  # tally 2**15 - 3
+        (3, 16_233, -3000, 100),  # tally 2**15 - 1
+        (2, 16_234, 3000, 500),  # tally 2**15 + 1
         (127, 16_383, 3000, 130),  # histogram alone 2**15 - 1
         (128, 16_384, -3000, 200),  # histogram alone 2**15 + 1
         (2**23, 2**30, 3000, 128),  # histogram alone 2**31 + 1
@@ -697,7 +719,7 @@ class TestDelayStore:
         hw = self.HW
         center = Fraction(2 * (bin_width * peak_bin - reach) + bin_width, 2)
         delay = round(center)
-        base, top = -reach - hw + min(offset, 0), reach + hw + max(offset, 0) + 1
+        base, top = -reach - hw, reach + hw + 1
         spans = [(base, top), (-reach, reach + 1)]
         spans += [(d - hw, d + hw + 1) for d in (delay, delay + offset)]
         step = 4 * (top - base)
@@ -722,27 +744,28 @@ class TestDelayStore:
             return passes[-1]
 
         monkeypatch.setattr(coincidence, "count_coincidences", recorded)
-        tally = tally_basis(
-            alice, bob, window_ps=self.WINDOW, duration_s=1.0, accidental_offset_ps=offset,
+        tally, hist = tally_and_histogram(
+            monkeypatch, alice, bob, window_ps=self.WINDOW, duration_s=1.0,
             hist_bin_ps=bin_width, hist_range_ps=reach,
         )
-        bins, want_delay, ports, accidentals = _tally_oracle(
-            alice, bob, self.WINDOW, bin_width, reach, offset
-        )
+        bins, want_delay, ports, sidebands = _tally_oracle(alice, bob, self.WINDOW, bin_width, reach)
         assert tally.delay_ps == want_delay == delay
-        np.testing.assert_array_equal(tally.histogram.bins, bins)
+        np.testing.assert_array_equal(hist.bins, bins)
         counts = tally.counts
         assert [counts.c_pp, counts.c_pm, counts.c_mp, counts.c_mm] == ports
-        assert tally.accidentals.count == accidentals
+        assert sidebands[0] > 0
+        _assert_accidentals(tally.accidentals, sidebands, len(alice), len(bob), self.WINDOW)
         want = [greedy_match_oracle(t_a, t_b, self.WINDOW, delay + o) for o in (0, offset)]
-        assert [p.tolist() for p in passes] == [[list(p) for p in w] for w in want]
+        assert [p.tolist() for p in passes] == [[list(p) for p in want[0]]]
 
         # each pass alone, over a span of its own window only
         np.testing.assert_array_equal(cross_correlation(alice, bob, bin_width, reach).bins, bins)
         for at, pairs in zip((delay, delay + offset), want):
             assert count(alice, bob, self.WINDOW, at).tolist() == [list(p) for p in pairs]
-        alone = estimate_accidentals(alice, bob, self.WINDOW, offset, 1.0, delay)
-        assert alone.count == len(want[1])
+        alone = estimate_accidentals(
+            CorrelationHistogram(bin_width, reach, bins), delay, self.WINDOW, len(alice), len(bob), 1.0
+        )
+        assert alone == tally.accidentals
 
 
 class TestCallBudget:
@@ -773,11 +796,11 @@ class TestCallBudget:
 
         monkeypatch.setattr(coincidence._Search, "windows", counted_windows)
         monkeypatch.setattr(coincidence.np, "searchsorted", counted_search)
-        tally = tally_basis(alice, bob, window_ps=300, duration_s=60.0, accidental_offset_ps=6000)
-        # the histogram, coincidence and accidental passes
-        assert blocks == [4, 4, 4]
-        # 13 of the 250,000 A tags have two B tags in the span, in every block
-        assert fixups[0] == sum(blocks) == 12
+        tally = tally_basis(alice, bob, window_ps=300, duration_s=60.0)
+        # the histogram and coincidence passes
+        assert blocks == [4, 4]
+        # 8 of the 250,000 A tags have two B tags in the span, in 3 of the 4 blocks
+        assert fixups[0] == 2 * 3
         # the search's one per block, and one per pass in each of those blocks
-        assert searches[0] - blocks[0] == fixups[0] == 12
+        assert searches[0] - blocks[0] == fixups[0] == 6
         assert tally.counts.total > 0.99 * t_a.size

@@ -5,8 +5,10 @@ import math
 import re
 from typing import Tuple
 
+import numpy as np
 import pytest
 
+from mcfqkd.coincidence import CorrelationHistogram, estimate_accidentals
 from mcfqkd.config import (
     ConfigError,
     LayoutConfig,
@@ -185,6 +187,7 @@ def _with_top(key, value, **more):
         (_with("link", "jitter_sigma_ps", -1.0), "link: jitter_sigma_ps"),
         (_with("link", "fiber_length_km", -1.0), "link: fiber_length_km"),
         (_with("link", "dark_rate_cps", math.inf), "link.dark_rate_cps"),
+        # a retired key, refused by name before its value is read
         (_with("analysis", "accidental_offset_windows", math.nan), "analysis.accidental_offset_windows"),
         (_with("analysis", "hist_bin_ps", 0), "analysis.hist_bin_ps"),
         (_with("analysis", "hist_range_ps", -5000), "analysis.hist_range_ps"),
@@ -205,12 +208,33 @@ def _with_top(key, value, **more):
         (_with_top("pairs", [3]), "pairs: ids [3] are not on the inner ring"),
         (_with_top("pairs", [3, 0], ring="outer"), "pairs: ids [0] are not on the outer ring"),
         (_with_top("pairs", []), "pairs: must not be empty"),
+        # the accidentals' bins 1 ns from a peak at 0 need a range of bin + 999 ps
+        (_with("analysis", "hist_range_ps", 1000), "analysis.hist_range_ps: must leave a bin 1000 ps"),
+        (
+            _with_top("analysis", {"hist_bin_ps": 1, "hist_range_ps": 999}),
+            "analysis.hist_range_ps: must leave a bin 1000 ps",
+        ),
     ],
 )
 def test_invalid_values_rejected_with_field_path(data, path):
     # NaN and Infinity are what Python's JSON parser accepts for them
     with pytest.raises(ConfigError, match=re.escape(path)):
         loads_config(json.dumps(data))
+
+
+@pytest.mark.parametrize("hist_bin_ps, hist_range_ps", [(1, 1000), (3, 1002), (50, 1050), (200, 1200)])
+def test_smallest_histogram_range_keeps_sidebands(hist_bin_ps, hist_range_ps):
+    # at the bound, every peak the tally can find (a rounded bin centre, or 0 on
+    # an empty histogram) keeps a bin 1 ns away for the accidentals; one bin less is refused
+    grid = {"hist_bin_ps": hist_bin_ps, "hist_range_ps": hist_range_ps}
+    loads_config(json.dumps({**MINIMAL, "analysis": grid}))
+    hist = CorrelationHistogram(hist_bin_ps, hist_range_ps, np.zeros(2 * hist_range_ps // hist_bin_ps))
+    for delay in [0, *(int(round(c)) for c in hist.bin_centers())]:
+        estimate_accidentals(hist, delay, 300, 1, 1, 1.0)
+    fewer = {**grid, "hist_range_ps": hist_range_ps - hist_bin_ps}
+    message = "^analysis.hist_range_ps: must leave a bin 1000 ps from a peak at 0"
+    with pytest.raises(ConfigError, match=message):
+        loads_config(json.dumps({**MINIMAL, "analysis": fewer}))
 
 
 @pytest.mark.parametrize(
@@ -227,8 +251,18 @@ def test_invalid_values_rejected_with_field_path(data, path):
         ),
         ("linkbudget", "ring_loss_db", -10, "linkbudget.ring_loss_db: must be >= 0"),
         ("linkbudget", "reference_length_km", -0.1, "linkbudget.reference_length_km: must be >= 0"),
+        # no arm loss leaves the link model's singles at the mean coincidence rate, below HV's
+        (
+            "linkbudget",
+            "ring_loss_db",
+            0,
+            "linkbudget.ring_loss_db: 0.0 dB gives no link model: "
+            "true coincidences cannot exceed the arm singles",
+        ),
     ],
-    ids=["pitch", "core-radius", "annulus-width", "temperature", "ring-loss", "reference-length"],
+    ids=[
+        "pitch", "core-radius", "annulus-width", "temperature", "ring-loss", "reference-length", "ring-loss-0",
+    ],
 )
 def test_geometry_and_link_budget_checked_at_load(tmp_path, section, key, value, message):
     # the geometry's own rules, run when the file loads and named by its section
@@ -247,12 +281,18 @@ def test_geometry_and_link_budget_checked_at_load(tmp_path, section, key, value,
         (_with_top("emit_ground_truth", True), "emit_ground_truth: unknown key"),
         (_with("link", "propagation_delay_ps", 0), "link.propagation_delay_ps: unknown key"),
         (_with("analysis", "window_mode", "half"), "analysis.window_mode: must be 'full', got 'half'"),
+        (
+            _with("analysis", "accidental_offset_windows", 20.0),
+            "analysis.accidental_offset_windows: unknown key",
+        ),
     ],
-    ids=["subtract_accidentals", "emit_ground_truth", "propagation_delay_ps", "window_mode-half"],
+    ids=["subtract_accidentals", "emit_ground_truth", "propagation_delay_ps", "window_mode-half",
+         "accidental_offset_windows"],
 )
 def test_deleted_options_rejected_with_field_path(data, message):
-    # the accidental subtraction, the dark-flag switch, the link delay and the
-    # half-width window are gone; a config that still sets one is refused
+    # the accidental subtraction, the dark-flag switch, the link delay, the
+    # half-width window and the offset window of the accidentals are gone; a
+    # config that still sets one is refused
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         loads_config(json.dumps(data))
 

@@ -163,9 +163,7 @@ class TestSimulateRun:
         for setting in (AnalyzerSetting.hv(), AnalyzerSetting.da()):
             res = simulate_run(source, *ch, setting, 1.0, seed=13)
             streams = res.streams[0]
-            tally = tally_basis(
-                streams.alice, streams.bob, window_ps=300, duration_s=1.0, accidental_offset_ps=6000
-            )
+            tally = tally_basis(streams.alice, streams.bob, window_ps=300, duration_s=1.0)
             v = visibility_from_counts(tally.counts)
             sigma = math.sqrt((1 - 0.94**2) / tally.counts.total)
             assert abs(v - 0.94) < 4 * sigma

@@ -297,9 +297,7 @@ _NO_TAGS = Stream(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8), 0)
         (lambda: LinkParams(dark_rate_cps=math.nan), "dark_rate_cps"),
         (lambda: LinkParams(jitter_sigma_ps=math.nan), "jitter_sigma_ps"),
         (lambda: LinkParams(fiber_length_km=math.inf), "fiber_length_km"),
-        (lambda: tally_basis(
-            _NO_TAGS, _NO_TAGS, window_ps=300, duration_s=math.nan, accidental_offset_ps=6000
-        ), "duration_s"),
+        (lambda: tally_basis(_NO_TAGS, _NO_TAGS, window_ps=300, duration_s=math.nan), "duration_s"),
     ],
     ids=[
         "stability-hours-inf", "stability-hours-nan", "stability-switch-nan",
