@@ -13,8 +13,11 @@ bad option value exits 2 naming the option.  A verb makes its output directory
 only after its results are computed, so a failure leaves none; ``simulate``,
 which appends to its tag files as it goes, once its pairs and schedule are
 known.  ``simulate`` and ``analyze`` run their pairs on ``runner.parallel_map``,
-whose pool ``MCFQKD_THREADS`` caps; results do not depend on it.  Each CSV
-table is one column map written by ``_write_csv``.
+whose pool ``MCFQKD_THREADS`` caps; results do not depend on it.  The
+``ground_truth.json`` that ``simulate`` writes holds the run's config and the
+per-pair truth; ``analyze`` derives the schedule and each pair's tag files
+(``pair{id}_{alice,bob}.mcqt``) from that config, as ``simulate`` did.  Each
+CSV table is one column map written by ``_write_csv``.
 """
 from __future__ import annotations
 
@@ -53,7 +56,6 @@ from .linkbudget import (
 )
 from .photonsim import PS_PER_S, Stream
 from .runner import (
-    MeasurementSchedule,
     ScheduleSegment,
     parallel_map,
     run_stability,
@@ -146,37 +148,29 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    meta: Dict = {
-        "format": "mcfqkd-run-meta",
-        "version": 1,
-        "seed": cfg.seed,
-        "config": json.loads(dumps_config(cfg)),
-        "schedule": [asdict(seg) for seg in schedule.segments],
-        "files": {
-            str(p.pair_id): {role: f"pair{p.pair_id}_{role}.mcqt" for role in ("alice", "bob")}
-            for p in pairs
-        },
-    }
-
     def work(pair) -> Dict:
-        names = meta["files"][str(pair.pair_id)]
+        files = _tag_files(out_dir, pair.pair_id)
         truth_entry: Dict = {
-            "ring": pair.ring,
             "coupling_prob": pair.coupling_prob,
             "emitted": 0,
             "true_coincidences": {},
         }
-        for idx, segment in enumerate(schedule.segments):
+        for idx, segment in enumerate(schedule):
             alice, bob, truth = simulate_segment(cfg, pair, segment, idx, 0.0)
-            write_timetags(out_dir / names["alice"], alice, append=idx > 0)
-            write_timetags(out_dir / names["bob"], bob, append=idx > 0)
+            write_timetags(files["alice"], alice, append=idx > 0)
+            write_timetags(files["bob"], bob, append=idx > 0)
             truth_entry["emitted"] += truth.emitted
             truth_entry["true_coincidences"][segment.basis] = truth.true_coincidences
             del alice, bob  # freed before the next segment is simulated
         return truth_entry
 
-    meta["truth"] = {"per_pair": dict(zip(meta["files"], parallel_map(work, pairs)))}
-
+    truth = dict(zip((str(p.pair_id) for p in pairs), parallel_map(work, pairs)))
+    meta = {
+        "format": "mcfqkd-run-meta",
+        "version": 1,
+        "config": json.loads(dumps_config(cfg)),
+        "truth": {"per_pair": truth},
+    }
     _write_json(out_dir / META_FILENAME, meta)
     print(f"simulate: wrote {2 * len(pairs)} timetag files to {out_dir}")
     return 0
@@ -185,9 +179,14 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------- analyze
 
 
-def _load_meta(in_dir: Path) -> Tuple[Dict, Tuple[ScheduleSegment, ...], RunConfig]:
-    """The run metadata of a simulate output directory, its schedule's
-    segments and its config; every failure names the file."""
+def _tag_files(run_dir: Path, pair_id: int) -> Dict[str, Path]:
+    """A pair's Alice and Bob tag files in a simulate output directory."""
+    return {role: run_dir / f"pair{pair_id}_{role}.mcqt" for role in ("alice", "bob")}
+
+
+def _load_meta(in_dir: Path) -> Tuple[Dict, RunConfig, Tuple[CorePair, ...]]:
+    """The run metadata of a simulate output directory, its config and the
+    pairs that config measures, each with its truth; every failure names the file."""
     meta_path = in_dir / META_FILENAME
     if not meta_path.exists():
         raise CliError(f"missing {META_FILENAME} in {in_dir}")
@@ -197,73 +196,53 @@ def _load_meta(in_dir: Path) -> Tuple[Dict, Tuple[ScheduleSegment, ...], RunConf
         raise CliError(f"{meta_path}: invalid JSON: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("format") != "mcfqkd-run-meta":
         raise CliError(f"{meta_path} is not a run metadata file")
-    for key in ("version", "config", "schedule", "files", "truth"):
+    for key in ("version", "config", "truth"):
         if key not in meta:
             raise CliError(f"{meta_path}: missing key {key!r}")
     if type(meta["version"]) is not int or meta["version"] != 1:
         raise CliError(f"{meta_path}: version: expected 1, got {meta['version']!r}")
-    segments = coerce(meta["schedule"], Tuple[ScheduleSegment, ...], f"{meta_path}: schedule")
     try:
-        MeasurementSchedule(segments)
-    except ValueError as exc:
-        raise CliError(f"{meta_path}: {exc}") from exc
-    for idx, seg in enumerate(segments):
-        if seg.basis in [earlier.basis for earlier in segments[:idx]]:
-            raise CliError(f"{meta_path}: schedule[{idx}].basis: {seg.basis!r} is measured twice")
+        cfg = loads_config(json.dumps(meta["config"]))
+    except ConfigError as exc:
+        raise CliError(f"{meta_path}: config: {exc}") from exc
+    pairs = selected_pairs(cfg)
     per_pair = meta["truth"].get("per_pair") if isinstance(meta["truth"], dict) else None
-    if not isinstance(meta["files"], dict):
-        raise CliError(f"{meta_path}: files: expected an object")
-    for pair_id, files in meta["files"].items():
-        where = f"{meta_path}: files.{pair_id}"
-        if not pair_id.isdecimal():
-            raise CliError(f"{where}: pair id is not a decimal integer")
-        roles = files if isinstance(files, dict) else {}
-        if not all(isinstance(roles.get(k), str) for k in ("alice", "bob")):
-            raise CliError(f"{where}: expected an object with string 'alice' and 'bob'")
-        if not isinstance(per_pair, dict) or pair_id not in per_pair:
-            raise CliError(f"{meta_path}: truth.per_pair: no entry for pair {pair_id}")
-        truth = per_pair[pair_id]
-        if not (isinstance(truth, dict) and {"ring", "true_coincidences"} <= truth.keys()):
-            raise CliError(f"{where}: truth.per_pair entry needs 'ring' and 'true_coincidences'")
-        entry = f"{meta_path}: truth.per_pair.{pair_id}"
-        if truth["ring"] not in ("inner", "outer"):
-            raise CliError(f"{entry}.ring: expected 'inner' or 'outer', got {truth['ring']!r}")
+    for pair in pairs:
+        if not isinstance(per_pair, dict) or str(pair.pair_id) not in per_pair:
+            raise CliError(f"{meta_path}: truth.per_pair: no entry for pair {pair.pair_id}")
+        truth, entry = per_pair[str(pair.pair_id)], f"{meta_path}: truth.per_pair.{pair.pair_id}"
+        if not (isinstance(truth, dict) and "true_coincidences" in truth):
+            raise CliError(f"{entry}: truth.per_pair entry needs 'true_coincidences'")
         counts = coerce(truth["true_coincidences"], Dict[str, int], f"{entry}.true_coincidences")
         if not counts.keys() <= {"HV", "DA"}:
             raise CliError(f"{entry}.true_coincidences: keys must be HV/DA, got {sorted(counts)}")
-        for seg in segments:
-            if seg.basis not in counts:
-                raise CliError(f"{entry}.true_coincidences: no count for basis {seg.basis!r}")
-    try:
-        return meta, segments, loads_config(json.dumps(meta["config"]))
-    except ConfigError as exc:
-        raise CliError(f"{meta_path}: config: {exc}") from exc
+        for basis in cfg.schedule.bases:
+            if basis not in counts:
+                raise CliError(f"{entry}.true_coincidences: no count for basis {basis!r}")
+    return meta, cfg, pairs
 
 
 def cmd_analyze(args) -> int:
     in_dir = Path(getattr(args, "in_dir"))
-    meta, segments, cfg = _load_meta(in_dir)
-    pairs = selected_pairs(cfg)
-    ids, want = sorted(meta["files"], key=int), [str(p.pair_id) for p in pairs]
-    if ids != want:
-        raise CliError(f"{in_dir / META_FILENAME}: files: pairs {ids}, config.pairs {want}")
+    meta, cfg, pairs = _load_meta(in_dir)
     if getattr(args, "window_ps", None) is not None:
         cfg.analysis.window_ps = args.window_ps
         cfg.validate()
 
-    ranges = {pid: _segment_ranges(in_dir, meta["files"][pid], pid, segments) for pid in want}
+    segments = scan_schedule(cfg)
+    ranges = {p.pair_id: _segment_ranges(in_dir, p.pair_id, segments) for p in pairs}
 
     def stored(pair: CorePair, k: int, segment: ScheduleSegment) -> List[Stream]:
-        names, (start, end) = meta["files"][str(pair.pair_id)], ranges[str(pair.pair_id)][k]
-        return [read_timetags(in_dir / names[role], start, end)[0] for role in ("alice", "bob")]
+        files, (start, end) = _tag_files(in_dir, pair.pair_id), ranges[pair.pair_id][k]
+        return [read_timetags(files[role], start, end)[0] for role in ("alice", "bob")]
 
     report = scan(cfg, pairs, segments, stored)
     truth_compare = {
-        pid: {
+        str(p.pair_id): {
             "analyzed": {s.basis: getattr(p, s.basis.lower()).counts.total for s in segments},
-            "ground_truth": meta["truth"]["per_pair"][pid]["true_coincidences"],
+            "ground_truth": meta["truth"]["per_pair"][str(p.pair_id)]["true_coincidences"],
         }
-        for pid, p in zip(want, report.pairs)
+        for p in report.pairs
     }
     payload = {
         "ring": report.ring,
@@ -284,16 +263,17 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _segment_ranges(in_dir: Path, files: Dict, pair_id: str, segments) -> List[Tuple]:
+def _segment_ranges(in_dir: Path, pair_id: int, segments) -> List[Tuple]:
     """Each segment's ``[start_ps, end_ps)`` in a pair's files, whose channel
     ids must match their roles.  Streams that end far apart are cut at the
     earlier end, with a warning; coincidence rates still use the nominal
     durations, so a truncated stream shows as a low rate, not a shifted one.
     """
-    (end_a, ch_a), (end_b, ch_b) = (last_tag_time(in_dir / files[r]) for r in ("alice", "bob"))
+    files = _tag_files(in_dir, pair_id)
+    (end_a, ch_a), (end_b, ch_b) = (last_tag_time(files[r]) for r in ("alice", "bob"))
     for role, channel, want in (("alice", ch_a, CHANNEL_ALICE), ("bob", ch_b, CHANNEL_BOB)):
         if channel != want:
-            path = in_dir / files[role]
+            path = files[role]
             raise TagFormatError(path, f"channel id {channel} is not the {role} stream's {want}", 6)
     starts = [seg.start_ps for seg in segments]
     span = segments[-1].start_ps + segments[-1].duration_ps
@@ -308,7 +288,7 @@ def _segment_ranges(in_dir: Path, files: Dict, pair_id: str, segments) -> List[T
     )
     cutoff = min(end_a, end_b) + 1
     # the analysis never loads the longer stream's tail past the cutoff; a read checks its order
-    read_timetags(in_dir / files["alice" if end_a > end_b else "bob"], cutoff)
+    read_timetags(files["alice" if end_a > end_b else "bob"], cutoff)
     return [(start, min(end, cutoff)) for start, end in zip(starts, starts[1:] + [cutoff])]
 
 

@@ -105,7 +105,6 @@ class KeyRateConfig:
 @dataclass
 class LinkBudgetConfig:
     ring_loss_db: float = 40.06
-    reference_length_km: float = 0.411
 
 
 @dataclass
@@ -177,9 +176,8 @@ class RunConfig:
             )
         if self.keyrate.ec_efficiency < 0:
             raise ConfigError("keyrate.ec_efficiency: must be >= 0")
-        for name in ("ring_loss_db", "reference_length_km"):
-            if getattr(self.linkbudget, name) < 0:
-                raise ConfigError(f"linkbudget.{name}: must be >= 0")
+        if self.linkbudget.ring_loss_db < 0:
+            raise ConfigError("linkbudget.ring_loss_db: must be >= 0")
         # the geometry's own checks, named by the section that fails them
         try:
             build_layout(self.layout.pitch_um, self.layout.core_radius_um)
@@ -230,11 +228,10 @@ def coerce(value: Any, hint: Any, path: str) -> Any:
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
         return value
-    if origin in (list, tuple):  # List[X] or Tuple[X, ...]
+    if origin is list:
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list")
-        items = [coerce(v, args[0], f"{path}[{i}]") for i, v in enumerate(value)]
-        return items if origin is list else tuple(items)
+        return [coerce(v, args[0], f"{path}[{i}]") for i, v in enumerate(value)]
     if origin is dict:
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object")

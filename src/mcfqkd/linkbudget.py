@@ -221,8 +221,9 @@ def model_from_config(cfg) -> LinkModel:
     """Link model whose baseline is a config's expected measured rates.
 
     The per-pair coincidence rates and QBER follow analytically from the
-    configuration's calibration (source rate, coupling, window capture);
-    the arm singles follow from the configured total ring loss split evenly
+    configuration's calibration (source rate, coupling, window capture) at
+    its reference length, the configured ``link.fiber_length_km``; the arm
+    singles follow from the configured total ring loss split evenly
     between the two arms, which is what makes the accidental floor realistic
     even though the simulator folds loss into its effective pair rate.
     """
@@ -245,7 +246,7 @@ def model_from_config(cfg) -> LinkModel:
         dark_rate_cps=cfg.link.dark_rate_cps,
         window_ps=cfg.analysis.window_ps,
         pairs_in_ring=len(pairs),
-        reference_length_km=cfg.linkbudget.reference_length_km,
+        reference_length_km=cfg.link.fiber_length_km,
         fiber_loss_db_per_km=cfg.link.fiber_loss_db_per_km,
         ec_efficiency=cfg.keyrate.ec_efficiency,
     )

@@ -9,15 +9,15 @@ same pieces: ``config.selected_pairs`` picks the measured core pairs,
 setting, ``analyze_segment`` analyzes its two streams, and ``pair_report``
 turns a pair's per-basis results into its key rate; ``scan`` is the loop of
 both over a ring, on streams that the basis scan simulates or ``analyze``
-reads.  A schedule is a ``MeasurementSchedule`` of ``ScheduleSegment``
-(basis, start and duration in the integer picoseconds of the tag files);
-``simulate`` writes it to ``ground_truth.json`` and ``analyze`` parses it back
-into the same type, whose checks are the only schedule checks.  Core pairs
-and stability slots are independent acquisitions, so every loop over them,
-here and in the CLI, runs on ``parallel_map``: one thread pool capped by
-``MCFQKD_THREADS``, with results in input order.  Each acquisition derives its
-own random stream from the seed, pair and segment index, so results do not
-depend on the thread count or on how the pool schedules them.
+reads.  A schedule is a tuple of ``ScheduleSegment`` (basis, start and
+duration in the integer picoseconds of the tag files) from ``scan_schedule``,
+which ``simulate`` and ``analyze`` both derive from the run's config, or from
+``stability_schedule``.  Core pairs and stability slots are independent
+acquisitions, so every loop over them, here and in the CLI, runs on
+``parallel_map``: one thread pool capped by ``MCFQKD_THREADS``, with results in
+input order.  Each acquisition derives its own random stream from the seed,
+pair and segment index, so results do not depend on the thread count or on
+how the pool schedules them.
 """
 from __future__ import annotations
 
@@ -37,11 +37,11 @@ from .qkdmath import KeyRateInputs, secret_key_rate
 
 __all__ = [
     "ScheduleSegment",
-    "MeasurementSchedule",
     "PairReport",
     "KeyRateReport",
     "StabilityPoint",
     "scan_schedule",
+    "stability_schedule",
     "parallel_map",
     "pair_report",
     "scan",
@@ -73,49 +73,36 @@ class ScheduleSegment:
             raise ValueError(f"duration_ps must be > 0, got {self.duration_ps}")
 
 
-@dataclass(frozen=True)
-class MeasurementSchedule:
-    segments: Tuple[ScheduleSegment, ...]
+def _acquisitions(
+    bases: Sequence[str], slot_s: float, acquisition_s: float
+) -> Tuple[ScheduleSegment, ...]:
+    """One acquisition of ``acquisition_s`` at the start of each ``slot_s`` slot."""
+    slot_ps, duration_ps = round(slot_s * PS_PER_S), round(acquisition_s * PS_PER_S)
+    return tuple(ScheduleSegment(b, k * slot_ps, duration_ps) for k, b in enumerate(bases))
 
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("schedule: has no segments")
-        end = 0
-        for i, seg in enumerate(self.segments):
-            if seg.start_ps < end:
-                raise ValueError(f"schedule[{i}]: start_ps must be >= {end}, got {seg.start_ps}")
-            end = seg.start_ps + seg.duration_ps
 
-    @classmethod
-    def _acquisitions(
-        cls, bases: Sequence[str], slot_s: float, acquisition_s: float
-    ) -> "MeasurementSchedule":
-        """One acquisition of ``acquisition_s`` at the start of each ``slot_s`` slot."""
-        slot_ps, duration_ps = round(slot_s * PS_PER_S), round(acquisition_s * PS_PER_S)
-        return cls(tuple(ScheduleSegment(b, k * slot_ps, duration_ps) for k, b in enumerate(bases)))
-
-    @classmethod
-    def stability(
-        cls, total_hours: float, switch_minutes: float, acquisition_s: float
-    ) -> "MeasurementSchedule":
-        for name, value in dict(
-            total_hours=total_hours, switch_minutes=switch_minutes, acquisition_s=acquisition_s
-        ).items():
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if acquisition_s > switch_minutes * 60.0:
-            raise ValueError(
-                f"acquisition_s {acquisition_s} does not fit into one slot"
-                f" of switch_minutes {switch_minutes}"
-            )
-        what = f"total_hours {total_hours}, switch_minutes {switch_minutes}"
-        if not total_hours * 60.0 / switch_minutes < math.inf:  # each finite, the ratio not
-            raise ValueError(f"slot count not finite: {what}")
-        n_slots = int(round(total_hours * 60.0 / switch_minutes))
-        if n_slots == 0:
-            raise ValueError(f"no slot: {what}")
-        bases = ["HV" if k % 2 == 0 else "DA" for k in range(n_slots)]
-        return cls._acquisitions(bases, switch_minutes * 60.0, acquisition_s)
+def stability_schedule(
+    total_hours: float, switch_minutes: float, acquisition_s: float
+) -> Tuple[ScheduleSegment, ...]:
+    """One acquisition at the start of each ``switch_minutes`` slot, alternating HV and DA."""
+    for name, value in dict(
+        total_hours=total_hours, switch_minutes=switch_minutes, acquisition_s=acquisition_s
+    ).items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if acquisition_s > switch_minutes * 60.0:
+        raise ValueError(
+            f"acquisition_s {acquisition_s} does not fit into one slot"
+            f" of switch_minutes {switch_minutes}"
+        )
+    what = f"total_hours {total_hours}, switch_minutes {switch_minutes}"
+    if not total_hours * 60.0 / switch_minutes < math.inf:  # each finite, the ratio not
+        raise ValueError(f"slot count not finite: {what}")
+    n_slots = int(round(total_hours * 60.0 / switch_minutes))
+    if n_slots == 0:
+        raise ValueError(f"no slot: {what}")
+    bases = ["HV" if k % 2 == 0 else "DA" for k in range(n_slots)]
+    return _acquisitions(bases, switch_minutes * 60.0, acquisition_s)
 
 
 @dataclass
@@ -224,10 +211,10 @@ def pair_report(
     )
 
 
-def scan_schedule(cfg: RunConfig) -> MeasurementSchedule:
-    """One acquisition per configured basis, back to back."""
+def scan_schedule(cfg: RunConfig) -> Tuple[ScheduleSegment, ...]:
+    """One acquisition per configured basis, back to back, in the configured order."""
     acquisition_s = cfg.schedule.acquisition_s
-    return MeasurementSchedule._acquisitions(cfg.schedule.bases, acquisition_s, acquisition_s)
+    return _acquisitions(cfg.schedule.bases, acquisition_s, acquisition_s)
 
 
 def scan(cfg: RunConfig, pairs: Sequence[CorePair], segments, streams: Callable) -> KeyRateReport:
@@ -257,7 +244,7 @@ def run_basis_scan(cfg: RunConfig) -> KeyRateReport:
     def simulated(pair: CorePair, k: int, segment: ScheduleSegment) -> Tuple[Stream, Stream]:
         return simulate_segment(cfg, pair, segment, k, 0.0)[:2]
 
-    return scan(cfg, selected_pairs(cfg), scan_schedule(cfg).segments, simulated)
+    return scan(cfg, selected_pairs(cfg), scan_schedule(cfg), simulated)
 
 
 def run_stability(
@@ -276,8 +263,8 @@ def run_stability(
     """
     pair = selected_pairs(cfg)[0]
 
-    schedule = MeasurementSchedule.stability(total_hours, switch_minutes, acquisition_s)
-    n_slots = len(schedule.segments)
+    schedule = stability_schedule(total_hours, switch_minutes, acquisition_s)
+    n_slots = len(schedule)
     # from the slot starts in float seconds, not from their rounded start_ps
     slot_hours = np.array([k * switch_minutes * 60.0 / 3600.0 for k in range(n_slots)])
     offsets = apply_polarization_drift(
@@ -285,8 +272,8 @@ def run_stability(
     )
 
     def work(k: int) -> BasisTally:
-        alice, bob, _ = simulate_segment(cfg, pair, schedule.segments[k], k, float(offsets[k]))
-        return analyze_segment(alice, bob, schedule.segments[k], cfg)
+        alice, bob, _ = simulate_segment(cfg, pair, schedule[k], k, float(offsets[k]))
+        return analyze_segment(alice, bob, schedule[k], cfg)
 
     # the slots run on the pool; pairing each with the latest result in the
     # other basis is a serial pass over them in slot order
@@ -294,7 +281,7 @@ def run_stability(
 
     points: List[StabilityPoint] = []
     latest: Dict[str, BasisTally] = {}
-    for k, (segment, result) in enumerate(zip(schedule.segments, results)):
+    for k, (segment, result) in enumerate(zip(schedule, results)):
         latest[segment.basis] = result
         report = pair_report(pair.pair_id, pair.ring, latest, cfg.keyrate.ec_efficiency)
         points.append(

@@ -12,13 +12,7 @@ import pytest
 from mcfqkd.cli import LINKBUDGET_CSV_HEADER, main
 from mcfqkd.config import dump_config, preset, preset_inner, selected_pairs, window_capture_fraction
 from mcfqkd.photonsim import PS_PER_S
-from mcfqkd.runner import (
-    ScheduleSegment,
-    analyze_segment,
-    run_basis_scan,
-    scan_schedule,
-    simulate_segment,
-)
+from mcfqkd.runner import analyze_segment, run_basis_scan, scan_schedule, simulate_segment
 from mcfqkd.tagio import TAG_DTYPE, read_timetags
 
 
@@ -211,63 +205,15 @@ class TestAnalyze:
         rc = main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")])
         return rc, capsys.readouterr().err, meta_path
 
-    def test_empty_schedule_rejected(self, sim_dir, tmp_path, capsys):
-        rc, err, meta_path = self._analyze_with_meta(
-            sim_dir, tmp_path, capsys, lambda m: m.update(schedule=[])
-        )
-        assert rc == 2
-        assert f"error: {meta_path}: schedule: has no segments" in err
-
-    @pytest.mark.parametrize("key", ["basis", "start_ps", "duration_ps"])
-    def test_schedule_entry_without_key_rejected(self, sim_dir, tmp_path, capsys, key):
-        rc, err, meta_path = self._analyze_with_meta(
-            sim_dir, tmp_path, capsys, lambda m: m["schedule"][1].pop(key)
-        )
-        assert rc == 2
-        assert f"error: {meta_path}: schedule[1].{key}: missing key" in err
-
-    @pytest.mark.parametrize(
-        "idx, key, value, message",
-        [
-            (0, "start_ps", "5", ".start_ps: expected an integer, got '5'"),
-            (0, "start_ps", True, ".start_ps: expected an integer, got True"),
-            (1, "duration_ps", 2.5e12, ".duration_ps: expected an integer, got 2500000000000.0"),
-            (0, "duration_ps", 0, ": duration_ps must be > 0, got 0"),
-            (1, "duration_ps", -1, ": duration_ps must be > 0, got -1"),
-            (0, "start_ps", -5, ": start_ps must be >= 0, got -5"),
-            (1, "start_ps", 10**12, ": start_ps must be >= 2000000000000, got 1000000000000"),
-            (1, "basis", "XY", ": basis must be 'HV' or 'DA', got 'XY'"),
-            (1, "basis", "HV", ".basis: 'HV' is measured twice"),
-        ],
-        ids=["str-start", "bool-start", "float-duration", "zero-duration", "negative-duration",
-             "negative-start", "overlap", "basis-XY", "duplicate-basis"],
-    )
-    def test_bad_schedule_value_rejected(self, sim_dir, tmp_path, capsys, idx, key, value, message):
-        rc, err, meta_path = self._analyze_with_meta(
-            sim_dir, tmp_path, capsys, lambda m: m["schedule"][idx].update({key: value})
-        )
-        assert rc == 2
-        assert f"error: {meta_path}: schedule[{idx}]{message}" in err
-
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda m: m["files"]["0"].pop("bob"), "files.0: expected an object with string"),
-            (lambda m: m["files"].update({"0": "pair0_alice.mcqt"}), "files.0: expected an object"),
-            (lambda m: m["files"]["0"].update(bob=5), "files.0: expected an object with string"),
-            (lambda m: m["truth"]["per_pair"]["0"].pop("ring"), "files.0: truth.per_pair entry needs"),
             (
                 lambda m: m["truth"]["per_pair"]["0"].pop("true_coincidences"),
-                "files.0: truth.per_pair entry needs",
+                "truth.per_pair.0: truth.per_pair entry needs",
             ),
-            (lambda m: m["files"].update(x=m["files"].pop("0")), "files.x: pair id is not a decimal"),
-            (lambda m: m.update(files=[]), "files: expected an object"),
             (lambda m: m.update(version=99), "version: expected 1, got 99"),
             (lambda m: m.pop("version"), "missing key 'version'"),
-            (
-                lambda m: m["truth"]["per_pair"]["0"].update(ring=7),
-                "truth.per_pair.0.ring: expected 'inner' or 'outer', got 7",
-            ),
             (
                 lambda m: m["truth"]["per_pair"]["0"]["true_coincidences"].update(HV="lots"),
                 "truth.per_pair.0.true_coincidences.HV: expected an integer, got 'lots'",
@@ -285,11 +231,11 @@ class TestAnalyze:
                 "truth.per_pair.2.true_coincidences: no count for basis 'HV'",
             ),
         ],
-        ids=["no-bob", "string-entry", "int-bob", "no-ring", "no-true-coincidences", "id-x", "list",
-             "version-99", "no-version", "ring-7", "count-string", "count-basis-XY", "no-count-DA",
-             "no-counts"],
+        ids=["no-true-coincidences", "version-99", "no-version", "count-string", "count-basis-XY",
+             "no-count-DA", "no-counts"],
     )
     def test_bad_files_entry_rejected(self, sim_dir, tmp_path, capsys, edit, message):
+        # the version and the truth entry of each pair that the stored config measures
         rc, err, meta_path = self._analyze_with_meta(sim_dir, tmp_path, capsys, edit)
         assert rc == 2
         assert f"error: {meta_path}: {message}" in err
@@ -328,9 +274,13 @@ class TestAnalyze:
                 lambda c: c["analysis"].update(accidental_offset_windows=20.0),
                 "analysis.accidental_offset_windows: unknown key",
             ),
+            (
+                lambda c: c["linkbudget"].update(reference_length_km=0.411),
+                "linkbudget.reference_length_km: unknown key",
+            ),
         ],
         ids=["subtract_accidentals", "emit_ground_truth", "propagation_delay_ps", "window_mode-half",
-             "hist-bin-30", "accidental_offset_windows"],
+             "hist-bin-30", "accidental_offset_windows", "reference_length_km"],
     )
     def test_bad_config_section_rejected(self, sim_dir, tmp_path, capsys, edit, message):
         # a ground_truth.json whose config sets a deleted option or a bad grid
@@ -340,19 +290,12 @@ class TestAnalyze:
         assert rc == 2
         assert f"error: {meta_path}: config: {message}" in err
 
-    @pytest.mark.parametrize(
-        "edit, ids",
-        [
-            (lambda m: m["files"].pop("2"), "pairs ['0', '1'], config.pairs ['0', '1', '2']"),
-            (lambda m: m["config"].update(pairs=[0, 2]), "pairs ['0', '1', '2'], config.pairs ['0', '2']"),
-        ],
-        ids=["file-missing", "config-subset"],
-    )
-    def test_files_other_than_the_config_pairs_rejected(self, sim_dir, tmp_path, capsys, edit, ids):
-        # analyze measures the pairs of the config, which files must list exactly
-        rc, err, meta_path = self._analyze_with_meta(sim_dir, tmp_path, capsys, edit)
-        assert rc == 2
-        assert err == f"error: {meta_path}: files: {ids}\n"
+    @pytest.mark.parametrize("name", ["pair2_bob.mcqt"], ids=["file-missing"])
+    def test_files_other_than_the_config_pairs_rejected(self, sim_dir, tmp_path, capsys, name):
+        # analyze reads the tag files of the stored config's pairs; a missing one is named
+        (sim_dir / name).unlink()
+        assert main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{sim_dir / name}'\n"
         assert not (tmp_path / "rep").exists()
 
     def test_empty_streams_zero_report(self, sim_dir, tmp_path):
@@ -453,19 +396,36 @@ class TestAnalyze:
             assert main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep")]) == 0
 
 
-@pytest.mark.parametrize("name", ["inner", "outer"])
-def test_analyze_agrees_with_the_basis_scan(name, tmp_path):
-    # the CLI round trip and the library scan of one config give the same pairs
+@pytest.mark.parametrize(
+    "name, bases, pairs",
+    [
+        ("inner", ["HV", "DA"], None),
+        ("outer", ["HV", "DA"], None),
+        ("inner", ["DA", "HV"], None),
+        ("inner", ["HV"], None),
+        ("inner", ["HV", "DA"], [0, 2]),
+    ],
+    ids=["inner", "outer", "inner-DA-HV", "inner-HV", "inner-pairs-0-2"],
+)
+def test_analyze_agrees_with_the_basis_scan(name, bases, pairs, tmp_path):
+    # the CLI round trip and the library scan of one config give the same pairs:
+    # analyze derives the schedule, in the config's basis order, and the tag
+    # files from the stored config, as simulate and the scan do
     cfg = preset(name)
-    cfg.schedule.acquisition_s = 5.0
+    cfg.schedule.acquisition_s, cfg.schedule.bases, cfg.pairs = 5.0, bases, pairs
     path, sim, rep = tmp_path / "run.json", tmp_path / "sim", tmp_path / "rep"
     dump_config(cfg, path)
     assert main(["simulate", "--config", str(path), "--out", str(sim)]) == 0
+    ids = [p.pair_id for p in selected_pairs(cfg)]
+    want = sorted(f"pair{i}_{role}.mcqt" for i in ids for role in ("alice", "bob"))
+    assert sorted(p.name for p in sim.glob("*.mcqt")) == want
     assert main(["analyze", "--in", str(sim), "--out", str(rep)]) == 0
     report = json.loads((rep / "report.json").read_text())
     scan = run_basis_scan(cfg)
+    assert [p["pair_id"] for p in report["pairs"]] == ids
     assert report["pairs"] == [asdict(p) for p in scan.pairs]
     assert report["total_bits_s"] == scan.total_bits_s
+    assert all(sorted(c["analyzed"]) == sorted(bases) for c in report["truth_comparison"].values())
 
 
 class TestLinkBudget:
@@ -699,7 +659,7 @@ class TestWorkingSet:
         pair = selected_pairs(cfg)[0]
         one = max(
             self.traced_peak(simulate_segment, cfg, pair, segment, idx, 0.0)
-            for idx, segment in enumerate(scan_schedule(cfg).segments)
+            for idx, segment in enumerate(scan_schedule(cfg))
         )
         sim = tmp_path / "sim"
         peak = self.traced_peak(main, ["simulate", "--config", str(path), "--out", str(sim)])
@@ -711,15 +671,15 @@ class TestWorkingSet:
         cfg, path = one_pair
         sim = tmp_path / "sim"
         assert main(["simulate", "--config", str(path), "--out", str(sim)]) == 0
-        schedule = json.loads((sim / "ground_truth.json").read_text())["schedule"]
-        ends = [seg["start_ps"] for seg in schedule[1:]] + [None]
+        schedule = scan_schedule(cfg)
+        ends = [seg.start_ps for seg in schedule[1:]] + [None]
 
         def analyze_one(seg, end_ps):
             streams = [
-                read_timetags(sim / f"pair0_{role}.mcqt", seg["start_ps"], end_ps)[0]
+                read_timetags(sim / f"pair0_{role}.mcqt", seg.start_ps, end_ps)[0]
                 for role in ("alice", "bob")
             ]
-            analyze_segment(*streams, ScheduleSegment(**seg), cfg)
+            analyze_segment(*streams, seg, cfg)
 
         def on_new_thread(*args):
             # as on the CLI's pool: a thread's first acquisition makes the
@@ -743,13 +703,16 @@ class TestGoldenRoundTrip:
     ground-truth pin was re-captured again when its config section lost
     ``analysis.subtract_accidentals``, ``link.propagation_delay_ps`` and
     ``emit_ground_truth``, and once more when it lost
-    ``analysis.accidental_offset_windows``; every other byte of it stayed the
+    ``analysis.accidental_offset_windows``, and once more when it lost the
+    copies of the run that its config already states (``schedule``,
+    ``files``, ``seed``, each pair's ``ring``) and the config lost
+    ``linkbudget.reference_length_km``; every other byte of it stayed the
     same.  The report pins were re-captured when the accidentals came from the
     histogram's sidebands, in one record per acquisition; every count, rate,
     visibility, QBER, delay and key rate stayed the same."""
 
     SIMULATE_SHA256 = {
-        "ground_truth.json": "f33c316e305383a0e974054bdaa4f30704a10811c5962ec40ec42ba6a82a5f3b",
+        "ground_truth.json": "77431178344138a44d018000e813197916979e1698b80862cf12a92c637e263e",
         "pair0_alice.mcqt": "e9db6a29acb20004a9a1c86dbaf2dec77f2d83ec6d886b9faf3c916a4cc784d1",
         "pair0_bob.mcqt": "bf923ea8f7df74ca26697c35ced109ff72c9e34b00739dd1957e8f39e5040e73",
         "pair1_alice.mcqt": "4c79bc6f3d114e4eee58bfb913bb04e33101c8181bca0f958de4ecf4fc92abec",

@@ -3,7 +3,6 @@
 import json
 import math
 import re
-from typing import Tuple
 
 import numpy as np
 import pytest
@@ -11,8 +10,6 @@ import pytest
 from mcfqkd.coincidence import CorrelationHistogram, estimate_accidentals
 from mcfqkd.config import (
     ConfigError,
-    LayoutConfig,
-    coerce,
     dumps_config,
     loads_config,
     preset,
@@ -62,14 +59,6 @@ class TestParsing:
             loads_config("{}")
         with pytest.raises(ConfigError, match=r"^source\.pair_rate: missing key$"):
             loads_config(json.dumps({"source": {"visibility": 0.9}}))
-
-    def test_tuple_of_dataclasses(self):
-        parsed = coerce([{"pitch_um": 30.0}], Tuple[LayoutConfig, ...], "layouts")
-        assert parsed == (LayoutConfig(pitch_um=30.0),)
-        with pytest.raises(ConfigError, match=r"^layouts\[0\]\.pitch_um: expected a number"):
-            coerce([{"pitch_um": "wide"}], Tuple[LayoutConfig, ...], "layouts")
-        with pytest.raises(ConfigError, match="^layouts: expected a list"):
-            coerce({}, Tuple[LayoutConfig, ...], "layouts")
 
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
@@ -250,7 +239,6 @@ def test_smallest_histogram_range_keeps_sidebands(hist_bin_ps, hist_range_ps):
             "emission: temperature 200.0 C extrapolates to a non-positive annulus radius (-7088.059 um)",
         ),
         ("linkbudget", "ring_loss_db", -10, "linkbudget.ring_loss_db: must be >= 0"),
-        ("linkbudget", "reference_length_km", -0.1, "linkbudget.reference_length_km: must be >= 0"),
         # no arm loss leaves the link model's singles at the mean coincidence rate, below HV's
         (
             "linkbudget",
@@ -261,7 +249,7 @@ def test_smallest_histogram_range_keeps_sidebands(hist_bin_ps, hist_range_ps):
         ),
     ],
     ids=[
-        "pitch", "core-radius", "annulus-width", "temperature", "ring-loss", "reference-length", "ring-loss-0",
+        "pitch", "core-radius", "annulus-width", "temperature", "ring-loss", "ring-loss-0",
     ],
 )
 def test_geometry_and_link_budget_checked_at_load(tmp_path, section, key, value, message):
@@ -285,14 +273,19 @@ def test_geometry_and_link_budget_checked_at_load(tmp_path, section, key, value,
             _with("analysis", "accidental_offset_windows", 20.0),
             "analysis.accidental_offset_windows: unknown key",
         ),
+        (
+            _with("linkbudget", "reference_length_km", 0.411),
+            "linkbudget.reference_length_km: unknown key",
+        ),
     ],
     ids=["subtract_accidentals", "emit_ground_truth", "propagation_delay_ps", "window_mode-half",
-         "accidental_offset_windows"],
+         "accidental_offset_windows", "reference_length_km"],
 )
 def test_deleted_options_rejected_with_field_path(data, message):
     # the accidental subtraction, the dark-flag switch, the link delay, the
-    # half-width window and the offset window of the accidentals are gone; a
-    # config that still sets one is refused
+    # half-width window, the offset window of the accidentals and the link
+    # budget's own reference length (it is ``link.fiber_length_km``) are gone;
+    # a config that still sets one is refused
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         loads_config(json.dumps(data))
 
