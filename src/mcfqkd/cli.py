@@ -50,6 +50,7 @@ from .config import (
 )
 from .geometry import CorePair
 from .linkbudget import (
+    LengthCurve,
     max_positive_length,
     model_from_config,
     sweep_lengths,
@@ -125,16 +126,21 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_csv(path: Path, columns: Dict[str, str], items) -> None:
-    """The header of ``columns``, then one row per item: a float cell is its
-    ``repr``, ``None`` an empty cell, and anything else is written as it is."""
+    """The header of ``columns``, then one row per item, or per grid length
+    of a ``LengthCurve``, whose attributes are whole columns: a float cell is
+    its ``repr``, ``None`` an empty cell, and anything else is written as it is."""
     cells = operator.attrgetter(*columns.values())
+    if isinstance(items, LengthCurve):
+        rows = zip(*(column.tolist() for column in cells(items)))
+    else:
+        rows = map(cells, items)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for item in items:
+        for row in rows:
             writer.writerow(
                 "" if v is None else repr(float(v)) if isinstance(v, float) else v
-                for v in cells(item)
+                for v in row
             )
 
 
@@ -298,16 +304,16 @@ def _segment_ranges(in_dir: Path, pair_id: int, segments) -> List[Tuple]:
 def cmd_linkbudget(args) -> int:
     cfg = _load_run_config(args)
     model = model_from_config(cfg)
-    points = sweep_lengths(model, args.lmax_km, args.step_km)
+    curve = sweep_lengths(model, args.lmax_km, args.step_km)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, LINKBUDGET_COLUMNS, points)
+    _write_csv(out, LINKBUDGET_COLUMNS, curve)
     try:
         reach = max_positive_length(model)
         reach_text = f"{reach:.1f} km"
     except ValueError:
         reach_text = "none (already non-positive at reference)"
-    print(f"linkbudget: {len(points)} grid points -> {out}; max positive length {reach_text}")
+    print(f"linkbudget: {len(curve)} grid points -> {out}; max positive length {reach_text}")
     return 0
 
 
@@ -348,17 +354,17 @@ def _reproduce_fig2(out_dir: Path) -> int:
         model = model_from_config(cfg)
         curves[name] = (model, sweep_lengths(model, 250.0, 1.0))
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (_, points) in curves.items():
-        _write_csv(out_dir / f"fig2_{name}.csv", LINKBUDGET_COLUMNS, points)
+    for name, (_, curve) in curves.items():
+        _write_csv(out_dir / f"fig2_{name}.csv", LINKBUDGET_COLUMNS, curve)
 
     series = [
         Series(
             name=f"{name} ring (model)",
-            xs=[p.length_km for p in pts],
-            ys=[p.skr_ring_bits_s for p in pts],
+            xs=curve.length_km.tolist(),
+            ys=curve.skr_ring_bits_s.tolist(),
             color="#2a7a2a" if name == "inner" else "#e08020",
         )
-        for name, (_, pts) in curves.items()
+        for name, (_, curve) in curves.items()
     ]
     markers = [
         Marker(0.411, 7300.0, "7.3 kbit/s at 411 m", "#2a7a2a"),

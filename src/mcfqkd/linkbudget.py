@@ -10,9 +10,9 @@ distance.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .qkdmath import DEFAULT_EC_EFFICIENCY, KeyRateInputs, secret_key_rate
 __all__ = [
     "LinkModel",
     "LengthPoint",
+    "LengthCurve",
     "NoPositiveRateError",
     "keyrate_at_length",
     "sweep_lengths",
@@ -152,7 +153,35 @@ class LengthPoint:
     skr_ring_bits_s: float  # pairs * max(0, per-pair)
 
 
-def _curve(model: LinkModel, lengths) -> List[LengthPoint]:
+@dataclass(eq=False)
+class LengthCurve(Sequence):
+    """The model on a grid of lengths: one float64 array per ``LengthPoint``
+    field, of the same name.  It is also the sequence of the grid's
+    ``LengthPoint``s, each built only when indexed or iterated."""
+
+    length_km: np.ndarray
+    coin_rate_cps: np.ndarray
+    qber: np.ndarray
+    skr_pair_bits_s: np.ndarray
+    skr_ring_bits_s: np.ndarray
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The five arrays, in the order of ``LengthPoint``'s fields."""
+        return (
+            self.length_km, self.coin_rate_cps, self.qber, self.skr_pair_bits_s, self.skr_ring_bits_s
+        )
+
+    def __len__(self) -> int:
+        return self.length_km.size
+
+    def __getitem__(self, i: int) -> LengthPoint:
+        return LengthPoint(*[column.item(i) for column in self.columns()])
+
+    def __iter__(self):
+        return map(LengthPoint, *(column.tolist() for column in self.columns()))
+
+
+def _curve(model: LinkModel, lengths) -> LengthCurve:
     """The model at each of ``lengths``, in one evaluation of their array.
 
     numpy does each length's arithmetic in the scalar order; the power and,
@@ -180,8 +209,7 @@ def _curve(model: LinkModel, lengths) -> List[LengthPoint]:
         KeyRateInputs(c_hv, c_da, q_hv, q_da, ec_efficiency=model.ec_efficiency)
     )
     ring = model.pairs_in_ring * np.where(skr > 0.0, skr, 0.0)
-    columns = (x, 0.5 * (c_hv + c_da), 0.5 * (q_hv + q_da), skr, ring)
-    return list(map(LengthPoint, *(column.tolist() for column in columns)))
+    return LengthCurve(x, 0.5 * (c_hv + c_da), 0.5 * (q_hv + q_da), skr, ring)
 
 
 def keyrate_at_length(model: LinkModel, length_km: float) -> LengthPoint:
@@ -195,11 +223,15 @@ def keyrate_at_length(model: LinkModel, length_km: float) -> LengthPoint:
     return _curve(model, [length_km])[0]
 
 
-def sweep_lengths(model: LinkModel, lmax_km: float, step_km: float) -> List[LengthPoint]:
+def sweep_lengths(model: LinkModel, lmax_km: float, step_km: float) -> LengthCurve:
     """Evaluate the model on the grid [0, lmax] with the given step.
 
     A length is the float ``min(i * step_km, lmax_km)``; ``lmax_km`` is
     appended when the grid falls short of it.
+
+    Raises:
+        ValueError: for a step or ``lmax_km`` out of range, or a grid too
+            large to allocate.
     """
     if not 0 < step_km < math.inf:
         raise ValueError(f"step_km must be finite and > 0, got {step_km}")
@@ -211,7 +243,12 @@ def sweep_lengths(model: LinkModel, lmax_km: float, step_km: float) -> List[Leng
     if not lmax_km / step_km < math.inf:  # each finite, the ratio not
         raise ValueError(f"grid count not finite: lmax_km {lmax_km}, step_km {step_km}")
     n = int(math.floor(lmax_km / step_km + 1e-9))
-    lengths = np.minimum(np.arange(n + 1) * step_km, lmax_km)
+    try:
+        lengths = np.minimum(np.arange(n + 1) * step_km, lmax_km)
+    except MemoryError:
+        raise ValueError(
+            f"grid of {n + 1} lengths cannot be allocated: lmax_km {lmax_km}, step_km {step_km}"
+        ) from None
     if lengths[-1] < lmax_km:
         lengths = np.append(lengths, lmax_km)
     return _curve(model, lengths)
@@ -268,14 +305,17 @@ def max_positive_length(model: LinkModel, tolerance_km: float = 0.1) -> float:
     if keyrate_at_length(model, l_ref).skr_pair_bits_s <= 0:
         raise NoPositiveRateError("key rate is not positive at the reference length")
 
-    hi = max(2.0 * l_ref, 1.0)
-    while True:
-        point = keyrate_at_length(model, hi)
-        if point.skr_pair_bits_s <= 0:
-            break
-        hi *= 2.0
-        if hi > _SEARCH_CEILING_KM:
-            return math.inf
+    # the doubling bracket in one evaluation, each length up to the ceiling
+    # (the first even above it): it ends at the first non-positive rate
+    doublings = [max(2.0 * l_ref, 1.0)]
+    while 2.0 * doublings[-1] <= _SEARCH_CEILING_KM:
+        doublings.append(2.0 * doublings[-1])
+    bracket = _curve(model, doublings)
+    ends = np.flatnonzero(bracket.skr_pair_bits_s <= 0)
+    if not ends.size:
+        return math.inf
+    point = bracket[ends[0]]
+    hi = point.length_km
     if point.skr_pair_bits_s == 0.0 and point.coin_rate_cps == 0.0:
         # the transmission underflowed before the rate ever went negative:
         # there is no noise floor, the key rate stays positive at any length
@@ -286,7 +326,7 @@ def max_positive_length(model: LinkModel, tolerance_km: float = 0.1) -> float:
     # recovers (the raw rate legitimately creeps back toward zero from below
     # as the accidental floor fades, so only the sign must be stable there)
     grid = [l_ref + (hi - l_ref) * i / 64 for i in range(65)]
-    rates = [p.skr_pair_bits_s for p in _curve(model, grid)]
+    rates = _curve(model, grid).skr_pair_bits_s.tolist()
     crossed = False
     for prev, nxt in zip(rates, rates[1:]):
         if max(0.0, nxt) > max(0.0, prev) + max(1e-9, 1e-12 * abs(prev)):

@@ -584,11 +584,15 @@ class TestEntryPoint:
              "slot count not finite: total_hours 1e+308, switch_minutes 30.0"),
             (["linkbudget", "--preset", "inner", "--lmax-km", "1e308", "--step-km", "1e-300"],
              "grid count not finite: lmax_km 1e+308, step_km 1e-300"),
+            # 7 PiB of lengths, beyond any x86-64 address space: refused, never filled
+            (["linkbudget", "--preset", "inner", "--lmax-km", "1e6", "--step-km", "1e-9"],
+             "grid of 1000000000000001 lengths cannot be allocated: lmax_km 1000000.0, step_km 1e-09"),
         ],
-        ids=["stability-hours", "fig3-hours", "linkbudget-grid"],
+        ids=["stability-hours", "fig3-hours", "linkbudget-grid", "linkbudget-grid-memory"],
     )
     def test_overflowing_count_names_the_options(self, tmp_path, capsys, argv, message):
-        # each value is finite, but the slot or grid count they give is not
+        # each value is finite, but the slot or grid count they give is not,
+        # or the grid does not fit in memory
         assert main([*argv, "--out", str(tmp_path / "out" / "x")]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {message}\n" and "Traceback" not in err
@@ -733,6 +737,11 @@ class TestGoldenRoundTrip:
         "fig2_outer.csv": "e6440e1d53a23cb5d634c3a5349f737228727e7144f16b70871fd0a877738f86",
         "fig2.svg": "b9d951a85e233760821e184074a4e38a6b02b0c2cbbdf393110706e1fb95b9cb",
     }
+    # the benchmark's 10 m grid to 250 km, captured before the curve became columns
+    LINKBUDGET_10M_SHA256 = {
+        "lb_inner.csv": "56bd9add39df7d1abfb590e249d17e8f740371db73896a3720c1d2b6e3bd8437",
+        "lb_outer.csv": "bc4bcceb1222b1eaa68a5a3d1e726e447019be92d40b6e6dd2dea715c6c520f1",
+    }
 
     @staticmethod
     def digests(directory, names):
@@ -759,6 +768,12 @@ class TestGoldenRoundTrip:
         out = tmp_path / "fig2"
         assert main(["reproduce", "fig2", "--out", str(out)]) == 0
         assert self.digests(out, self.FIG2_SHA256) == self.FIG2_SHA256
+
+    def test_linkbudget_10m_csvs(self, tmp_path):
+        for ring in ("inner", "outer"):
+            argv = ["linkbudget", "--preset", ring, "--lmax-km", "250", "--step-km", "0.01"]
+            assert main([*argv, "--out", str(tmp_path / f"lb_{ring}.csv")]) == 0
+        assert self.digests(tmp_path, self.LINKBUDGET_10M_SHA256) == self.LINKBUDGET_10M_SHA256
 
     def test_reproduce_fig3(self, tmp_path):
         out = tmp_path / "fig3"

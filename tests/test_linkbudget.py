@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ import pytest
 from mcfqkd.cli import LINKBUDGET_COLUMNS, _write_csv
 from mcfqkd.config import preset_inner, preset_outer
 from mcfqkd.linkbudget import (
+    LengthPoint,
     LinkModel,
     NoPositiveRateError,
     keyrate_at_length,
@@ -112,7 +113,17 @@ def packed(rows):
 
 
 class TestCurveOracle:
-    """The swept curve against the scalar oracle, bit for bit, on all five fields."""
+    """The swept curve against the scalar oracle, bit for bit, on all five
+    fields, both as its columns and as the points it iterates."""
+
+    @staticmethod
+    def assert_columns(curve, want):
+        columns = curve.columns()
+        assert len(columns) == len(fields(LengthPoint))
+        for column, field in zip(columns, fields(LengthPoint)):
+            assert column is getattr(curve, field.name)
+            assert column.dtype == np.float64 and column.shape == (len(want),)
+        assert np.column_stack(columns).tobytes() == packed(want)
 
     @pytest.mark.parametrize("ring", ["inner", "outer"])
     @pytest.mark.parametrize("lmax_km, step_km", [(250.0, 0.01), (250.0, 1.0)], ids=["bench", "fig2"])
@@ -121,6 +132,7 @@ class TestCurveOracle:
         points = sweep_lengths(model, lmax_km, step_km)
         assert len(points) == round(lmax_km / step_km) + 1
         want = [link_point_oracle(model, km) for km in length_grid_oracle(lmax_km, step_km)]
+        self.assert_columns(points, want)
         assert packed([astuple(p) for p in points]) == packed(want)
 
     @pytest.mark.parametrize(
@@ -140,9 +152,15 @@ class TestCurveOracle:
             warnings.simplefilter("error")  # the no-coincidence lengths divide nothing
             points = sweep_lengths(model, lmax_km, step_km)
         want = [link_point_oracle(model, km) for km in length_grid_oracle(lmax_km, step_km)]
+        self.assert_columns(points, want)
         assert packed([astuple(p) for p in points]) == packed(want)
         if not overrides:
             assert [p.length_km for p in points][-2:] == [7 * 0.07, 0.5]
+            # a point, iterated or indexed, is the scalar evaluation at its length
+            scalar = [keyrate_at_length(model, km) for km in length_grid_oracle(lmax_km, step_km)]
+            assert list(points) == scalar
+            assert [points[i] for i in range(len(points))] == scalar
+            assert points[-1] == scalar[-1]
         if "dark_rate_cps" in overrides:
             assert points[-1].coin_rate_cps == 0.0 and points[-1].qber == 0.5
             assert points[0].coin_rate_cps > 0.0
