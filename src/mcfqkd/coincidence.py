@@ -132,7 +132,8 @@ class _Search:
             # below 2**61 as a block spans under 2**60 ps, sorted (a merge of two runs): each B
             # tag below a key comes before it, so the key's position less its rank counts them
             x0 = int(keys[0])
-            merged = np.concatenate([keys - x0, b[lo:hi] - x0])
+            merged = np.concatenate([keys, b[lo:hi]])
+            merged -= x0
             merged <<= 1
             merged[keys.size :] |= 1
             merged.sort(kind="stable")

@@ -188,10 +188,21 @@ def _curve(model: LinkModel, lengths) -> LengthCurve:
     in ``binary_entropy``, the logarithms are libm's, one call per element,
     since numpy's own differ from libm in the last bit on some arguments.
     So a point's bits do not depend on the other lengths evaluated with it.
+
+    Raises:
+        ValueError: where a length's transmission relative to the reference
+            overflows a float, naming the length and the model's terms.
     """
     x = np.asarray(lengths, dtype=float)
     exponent = -model.fiber_loss_db_per_km * (x - model.reference_length_km) / 10.0
-    u = np.fromiter(map(math.pow, repeat(10.0), exponent.tolist()), float, x.size)
+    try:
+        u = np.fromiter(map(math.pow, repeat(10.0), exponent.tolist()), float, x.size)
+    except OverflowError:
+        raise ValueError(
+            f"transmission overflows at length_km {float(x[np.nanargmax(exponent)])}: "
+            f"reference_length_km {model.reference_length_km}, "
+            f"fiber_loss_db_per_km {model.fiber_loss_db_per_km}"
+        ) from None
     singles = model.s_photon * u + DETECTORS_PER_ARM * model.dark_rate_cps
     accidentals = singles * singles * model.window_ps * 1e-12
 
@@ -216,7 +227,8 @@ def keyrate_at_length(model: LinkModel, length_km: float) -> LengthPoint:
     """Evaluate the link model at a fiber length.
 
     Raises:
-        ValueError: for a negative or NaN length.
+        ValueError: for a negative or NaN length, or one whose transmission
+            overflows (a reference length far beyond it).
     """
     if not length_km >= 0:
         raise ValueError(f"length_km must be >= 0, got {length_km}")

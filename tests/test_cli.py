@@ -2,13 +2,20 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mcfqkd import cli
 from mcfqkd.cli import LINKBUDGET_CSV_HEADER, main
 from mcfqkd.config import dump_config, preset, preset_inner, selected_pairs, window_capture_fraction
 from mcfqkd.photonsim import PS_PER_S
@@ -626,6 +633,114 @@ class TestEntryPoint:
             trees.append({p.name: p.read_bytes() for d in (sim, rep) for p in d.iterdir()})
         assert len(trees[0]) == 9
         assert trees[0] == trees[1]
+
+
+def _under_glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestAllocatorPolicy:
+    """``main`` keeps the heap an acquisition frees for the next one, under
+    glibc; importing the CLI and the library calls leave the allocator alone."""
+
+    SRC = str(Path(cli.__file__).resolve().parents[1])
+
+    def run_python(self, code, *args, env=None):
+        run = subprocess.run(
+            [sys.executable, "-I", "-c", textwrap.dedent(code), self.SRC, *map(str, args)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        return json.loads(run.stdout.splitlines()[-1])  # after what the code itself prints
+
+    @pytest.mark.skipif(not _under_glibc(), reason="the policy is glibc's mallopt")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_later_analyses_fault_in_no_heap(self, tmp_path, threads):
+        # in a fresh interpreter, since frees from earlier tests would already
+        # have raised glibc's dynamic mmap threshold in pytest's own process;
+        # without the policy each analysis of this run takes 9k-13k faults
+        code = """
+            import contextlib, io, json, resource, sys
+            sys.path.insert(0, sys.argv[1])
+            from mcfqkd.cli import main
+            run, faults = sys.argv[2], []
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["simulate", "--preset", "inner", "--out", f"{run}/sim"]) == 0
+                for k in range(3):
+                    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                    assert main(["analyze", "--in", f"{run}/sim", "--out", f"{run}/rep{k}"]) == 0
+                    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            print(json.dumps(faults))
+        """
+        faults = self.run_python(code, tmp_path, env={**os.environ, "MCFQKD_THREADS": threads})
+        assert max(faults[1:]) < 1000, faults
+
+    def test_library_sets_no_policy(self):
+        # a stand-in for ``ctypes.CDLL`` records every mallopt call from
+        # importing the CLI, a basis scan and a stability run (none), then
+        # from ``main`` (the policy)
+        code = """
+            import ctypes, json, sys, types
+            sys.path.insert(0, sys.argv[1])
+            calls = []
+            libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+            ctypes.CDLL = lambda *args, **kwargs: libc
+            import mcfqkd.cli
+            from mcfqkd.config import preset_inner, preset_stability
+            from mcfqkd.runner import run_basis_scan, run_stability
+            cfg = preset_inner()
+            cfg.schedule.acquisition_s = 1.0
+            run_basis_scan(cfg)
+            run_stability(preset_stability(), total_hours=1.0, switch_minutes=30.0, acquisition_s=1.0)
+            library = list(calls)
+            try:
+                mcfqkd.cli.main(["--version"])
+            except SystemExit:
+                pass
+            print(json.dumps([library, calls[len(library):]]))
+        """
+        library, command = self.run_python(code)
+        assert library == []
+        assert command == ([[-3, 32 * 2**20], [-1, 64 * 2**20]] if _under_glibc() else [])
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """The calls ``main`` makes on a stand-in for glibc whose ``mallopt``
+        returns ``result``."""
+
+        def run(result=1, confstr=lambda name: "glibc 2.36"):
+            calls = []
+
+            def mallopt(param, value):
+                calls.append((param, value))
+                return result
+
+            monkeypatch.setattr(cli.os, "confstr", confstr)
+            monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+            with pytest.raises(SystemExit):
+                main(["--version"])  # the policy is set before the arguments are parsed
+            return calls
+
+        return run
+
+    def test_mmap_threshold_then_trim_threshold(self, libc):
+        assert libc() == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+
+    def test_no_trim_threshold_when_mmap_threshold_refused(self, libc):
+        # set alone, the trim threshold would freeze the dynamic mmap threshold
+        assert libc(result=0) == [(-3, 32 * 2**20)]
+
+    @pytest.mark.parametrize("error", [AttributeError, ValueError, OSError, None])
+    def test_nothing_without_glibc(self, libc, error):
+        def confstr(name):
+            if error is not None:
+                raise error(name)
+            return None
+
+        assert libc(confstr=confstr) == []
 
 
 class TestWorkingSet:

@@ -71,6 +71,21 @@ class TestKeyrateAtLength:
         with pytest.raises(ValueError, match="^length_km must be >= 0, got nan$"):
             keyrate_at_length(simple_model(), math.nan)
 
+    def test_overflowing_transmission_names_the_model(self):
+        # a reference 2,000 km out at 2 dB/km puts 10**400 at 0 km: the
+        # error names the length and the two terms, at a point and on a grid
+        model = simple_model(reference_length_km=2000.0, fiber_loss_db_per_km=2.0)
+        message = (
+            "^transmission overflows at length_km 0.0: "
+            "reference_length_km 2000.0, fiber_loss_db_per_km 2.0$"
+        )
+        with pytest.raises(ValueError, match=message):
+            keyrate_at_length(model, 0.0)
+        with pytest.raises(ValueError, match=message):
+            sweep_lengths(model, 2000.0, 1.0)
+        # lengths whose transmission fits still evaluate
+        assert keyrate_at_length(model, 1900.0).coin_rate_cps > keyrate_at_length(model, 2000.0).coin_rate_cps
+
     def test_monotone_clamped_rate_on_dense_grid(self):
         model = simple_model()
         prev = math.inf
