@@ -289,12 +289,21 @@ def dump_config(cfg: RunConfig, path) -> None:
 
 
 def geometry_from_config(cfg: RunConfig) -> Tuple[CorePair, ...]:
-    """Temperature-driven coupling probabilities of a config's core pairs."""
-    layout = build_layout(cfg.layout.pitch_um, cfg.layout.core_radius_um)
-    profile = emission_profile_from_temperature(
-        cfg.source.temperature_c, cfg.emission.calibration, cfg.emission.annulus_width_um
-    )
-    return coupling_probabilities(profile, layout)
+    """Temperature-driven coupling probabilities of a config's core pairs.
+
+    The config keeps the last geometry built from it with the fields it was
+    built from, and gives it again while those fields are unchanged: so
+    validating a config, selecting its pairs and validating it again after
+    another field changed build it once.
+    """
+    inputs = (cfg.layout.pitch_um, cfg.layout.core_radius_um, cfg.source.temperature_c,
+              cfg.emission.calibration, cfg.emission.annulus_width_um)
+    kept = getattr(cfg, "_geometry", None)
+    if kept is None or kept[0] != inputs:
+        layout = build_layout(*inputs[:2])
+        profile = emission_profile_from_temperature(*inputs[2:])
+        kept = cfg._geometry = (inputs, coupling_probabilities(profile, layout))
+    return kept[1]
 
 
 def selected_pairs(cfg: RunConfig) -> Tuple[CorePair, ...]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -30,6 +29,8 @@ __all__ = [
 ]
 
 _SEARCH_CEILING_KM = 1.0e5
+#: bisection steps evaluated together, ``2**levels - 1`` lengths a call
+_BISECTION_LEVELS = 6
 
 #: detectors behind each arm's analyzer (transmitted and reflected port)
 DETECTORS_PER_ARM = 2
@@ -184,10 +185,13 @@ class LengthCurve(Sequence):
 def _curve(model: LinkModel, lengths) -> LengthCurve:
     """The model at each of ``lengths``, in one evaluation of their array.
 
-    numpy does each length's arithmetic in the scalar order; the power and,
-    in ``binary_entropy``, the logarithms are libm's, one call per element,
-    since numpy's own differ from libm in the last bit on some arguments.
-    So a point's bits do not depend on the other lengths evaluated with it.
+    numpy does each length's arithmetic in the scalar order, and the power
+    and, in ``binary_entropy``, the logarithms are libm's, one call per
+    element: ``np.float_power`` calls libm's ``pow`` element by element, so
+    it gives ``math.pow``'s bits, where ``np.power``'s vectorized loop
+    differs from libm in the last bit on some arguments, as numpy's own
+    logarithms do.  So a point's bits do not depend on the other lengths
+    evaluated with it.
 
     Raises:
         ValueError: where a length's transmission relative to the reference
@@ -195,9 +199,9 @@ def _curve(model: LinkModel, lengths) -> LengthCurve:
     """
     x = np.asarray(lengths, dtype=float)
     exponent = -model.fiber_loss_db_per_km * (x - model.reference_length_km) / 10.0
-    try:
-        u = np.fromiter(map(math.pow, repeat(10.0), exponent.tolist()), float, x.size)
-    except OverflowError:
+    with np.errstate(over="ignore"):
+        u = np.float_power(10.0, exponent)
+    if (np.isinf(u) & np.isfinite(exponent)).any():  # where math.pow raises OverflowError
         raise ValueError(
             f"transmission overflows at length_km {float(x[np.nanargmax(exponent)])}: "
             f"reference_length_km {model.reference_length_km}, "
@@ -304,7 +308,10 @@ def model_from_config(cfg) -> LinkModel:
 def max_positive_length(model: LinkModel, tolerance_km: float = 0.1) -> float:
     """Longest fiber with a positive key rate, by bisection to ``tolerance_km``.
 
-    Returns ``math.inf`` when the rate never crosses zero (no noise floor).
+    The bisection evaluates the midpoints its next ``_BISECTION_LEVELS``
+    steps can reach in one call, and ends on the float that evaluating one
+    midpoint at a time ends on.  Returns ``math.inf`` when the rate never
+    crosses zero (no noise floor).
 
     Raises:
         ValueError: unless ``tolerance_km`` is finite and > 0.
@@ -349,10 +356,27 @@ def max_positive_length(model: LinkModel, tolerance_km: float = 0.1) -> float:
 
     lo = l_ref
     mid = 0.5 * (lo + hi)
+    level = _BISECTION_LEVELS
     while hi - lo > tolerance_km and lo < mid < hi:  # the bracket may shrink to adjacent floats
-        if keyrate_at_length(model, mid).skr_pair_bits_s > 0:
-            lo = mid
+        if level == _BISECTION_LEVELS:
+            # the midpoints the next _BISECTION_LEVELS steps can reach, in one
+            # evaluation: grid[i] is mid, and a step moves i by half its last move
+            grid = _midpoints(lo, hi)
+            positive = (_curve(model, grid).skr_pair_bits_s > 0).tolist()
+            level, i, step = 0, len(grid) // 2, (len(grid) + 1) // 2
+        level, step = level + 1, step // 2
+        if positive[i]:
+            lo, i = mid, i + step
         else:
-            hi = mid
+            hi, i = mid, i - step
         mid = 0.5 * (lo + hi)
     return mid
+
+
+def _midpoints(lo: float, hi: float, levels: int = _BISECTION_LEVELS) -> list:
+    """The ``2**levels - 1`` midpoints that ``levels`` bisection steps on
+    [lo, hi] can reach, in order of length, each computed as the step does."""
+    if not levels:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [*_midpoints(lo, mid, levels - 1), mid, *_midpoints(mid, hi, levels - 1)]

@@ -128,12 +128,17 @@ def binary_entropy(x):
     if bad is not None:
         raise DomainError(f"entropy argument must be in [0, 1], got {bad}")
     xs = np.asarray(x, dtype=float)
-    h = np.zeros_like(xs)
     inner = (xs != 0.0) & (xs != 1.0)
-    v = xs[inner]
-    log2 = np.fromiter(map(math.log2, v.tolist()), float, v.size)
-    log1p = np.fromiter(map(math.log1p, (-v).tolist()), float, v.size)
-    h[inner] = -(v * log2 + (1.0 - v) * (log1p / _LN2))
+    whole = inner.all()
+    v = xs.ravel() if whole else xs[inner]  # one dimension, contiguous
+    log2 = np.fromiter(map(math.log2, memoryview(v)), float, v.size)
+    log1p = np.fromiter(map(math.log1p, memoryview(-v)), float, v.size)
+    terms = -(v * log2 + (1.0 - v) * (log1p / _LN2))
+    if whole:
+        h = terms.reshape(xs.shape)
+    else:
+        h = np.zeros_like(xs)
+        h[inner] = terms
     return h if h.ndim else float(h)
 
 
@@ -191,7 +196,8 @@ def positive_qber_threshold(ec_efficiency: float = DEFAULT_EC_EFFICIENCY) -> flo
     """QBER at which the per-basis factor 1 - (1+f) H2(Q) crosses zero.
 
     Below the returned value a basis contributes positively to the key rate;
-    above it the contribution is negative.  Solved by bisection on [0, 0.5].
+    above it the contribution is negative.  Solved by bisection on [0, 0.5],
+    which stops once the bracket stops shrinking.
     """
     if ec_efficiency < 0:
         raise DomainError("ec_efficiency must be >= 0")
@@ -199,10 +205,11 @@ def positive_qber_threshold(ec_efficiency: float = DEFAULT_EC_EFFICIENCY) -> flo
     if target >= 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    mid = 0.25
+    while lo < mid < hi:  # until the bracket holds two adjacent floats
         if binary_entropy(mid) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid

@@ -185,3 +185,33 @@ def link_point_oracle(model, length_km: float) -> tuple:
         skr,
         model.pairs_in_ring * max(0.0, skr),
     )
+
+
+def reach_oracle(model, tolerance_km: float) -> float:
+    """The longest length with a positive key rate, one ``link_point_oracle``
+    point at a time: the doubling bracket from ``max(2 * reference, 1)`` km,
+    doubled while the double stays within 1e5 km, ends at the first
+    non-positive rate, and plain bisection from the reference length to that
+    end stops once the bracket is no wider than ``tolerance_km`` or holds two
+    adjacent floats.  ``math.inf`` where no doubling ends the bracket or the
+    transmission underflowed first (no coincidence left, rate 0)."""
+    l_ref = model.reference_length_km
+    hi = max(2.0 * l_ref, 1.0)
+    while True:
+        _, coin, _, skr, _ = link_point_oracle(model, hi)
+        if skr <= 0:
+            break
+        if 2.0 * hi > 1.0e5:
+            return math.inf
+        hi = 2.0 * hi
+    if skr == 0.0 and coin == 0.0:
+        return math.inf
+    lo = l_ref
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tolerance_km and lo < mid < hi:
+        if link_point_oracle(model, mid)[3] > 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid

@@ -15,9 +15,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mcfqkd import cli
+from mcfqkd import cli, config
 from mcfqkd.cli import LINKBUDGET_CSV_HEADER, main
 from mcfqkd.config import dump_config, preset, preset_inner, selected_pairs, window_capture_fraction
+from mcfqkd.geometry import coupling_probabilities
 from mcfqkd.photonsim import PS_PER_S
 from mcfqkd.runner import analyze_segment, run_basis_scan, scan_schedule, simulate_segment
 from mcfqkd.tagio import TAG_DTYPE, read_timetags
@@ -172,6 +173,20 @@ class TestAnalyze:
         c_narrow = narrow["pairs"][0]["hv"]["coincidence_rate_cps"]
         c_wide = wide["pairs"][0]["hv"]["coincidence_rate_cps"]
         assert c_narrow < c_wide
+
+    @pytest.mark.parametrize("window", [[], ["--window-ps", "200"]], ids=["stored", "window-ps"])
+    def test_geometry_built_once(self, sim_dir, tmp_path, monkeypatch, window):
+        # the stored config's validation, its pair selection and the window
+        # override's validation share one build of the core geometry
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return coupling_probabilities(*args)
+
+        monkeypatch.setattr(config, "coupling_probabilities", counted)
+        assert main(["analyze", "--in", str(sim_dir), "--out", str(tmp_path / "rep"), *window]) == 0
+        assert len(builds) == 1
 
     def test_corrupt_tag_file_fails_with_offset(self, sim_dir, tmp_path, capsys):
         victim = sim_dir / "pair0_alice.mcqt"

@@ -18,7 +18,7 @@ from mcfqkd.linkbudget import (
     model_from_config,
     sweep_lengths,
 )
-from oracles import length_grid_oracle, link_point_oracle
+from oracles import length_grid_oracle, link_point_oracle, reach_oracle
 
 
 def simple_model(**overrides):
@@ -181,7 +181,29 @@ class TestCurveOracle:
             assert points[0].coin_rate_cps > 0.0
 
 
+def test_float_power_is_libm_pow():
+    # the curve's transmission is np.float_power, one libm pow per element:
+    # a numpy that vectorizes it, as np.power is, would move the curve's bits
+    grid = np.array(length_grid_oracle(250.0, 0.01))
+    exponents = [np.random.default_rng(31).uniform(-60.0, 1.0, 10**5)]
+    for cfg in (preset_inner(), preset_outer()):
+        model = model_from_config(cfg)
+        exponents.append(-model.fiber_loss_db_per_km * (grid - model.reference_length_km) / 10.0)
+    exponents = np.concatenate(exponents)
+    got = np.float_power(10.0, exponents)
+    assert got.tobytes() == np.array([math.pow(10.0, x) for x in exponents.tolist()]).tobytes()
+
+
 class TestMaxPositiveLength:
+    @pytest.mark.parametrize("tolerance_km", [1.0, 0.1, 1e-6, 1e-300])
+    @pytest.mark.parametrize("name", ["inner", "outer", "simple"])
+    def test_reach_oracle_bit_for_bit(self, name, tolerance_km):
+        # six bisection levels an evaluation reach the float that one length
+        # at a time reaches, down to a bracket of two adjacent floats
+        cfgs = {"inner": preset_inner, "outer": preset_outer}
+        model = model_from_config(cfgs[name]()) if name in cfgs else simple_model()
+        assert max_positive_length(model, tolerance_km) == reach_oracle(model, tolerance_km)
+
     def test_no_noise_returns_infinity(self):
         model = simple_model(
             dark_rate_cps=0.0, q_int_hv=0.0, q_int_da=0.0,

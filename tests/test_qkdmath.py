@@ -192,6 +192,31 @@ class TestQberThreshold:
         with pytest.raises(DomainError):
             positive_qber_threshold(-0.1)
 
+    @pytest.mark.parametrize(
+        "f, threshold",
+        [
+            (0.5, 0.1739523314093952),
+            (1.0, 0.11002786443835955),
+            (1.2, 0.09549353849071596),
+            (2.0, 0.06149047007872417),
+            (10.0, 0.011551119907138328),
+            (1e6, 3.8344863106931315e-08),
+            (1e42, 6.748784452605309e-45),
+        ],
+    )
+    def test_bisection_floats_pinned(self, f, threshold):
+        # captured from the 200-step bisection this one, which stops once
+        # the bracket stops shrinking, replaced
+        assert positive_qber_threshold(f) == threshold
+
+    def test_bisection_converges_for_a_tiny_threshold(self):
+        # f = 1e50 puts the root near 5.7e-53, which 200 halvings of [0, 0.5]
+        # do not reach; the result's two neighbours straddle the crossing
+        f = 1e50
+        q = positive_qber_threshold(f)
+        below, above = math.nextafter(q, 0.0), math.nextafter(q, 1.0)
+        assert (1.0 + f) * binary_entropy(below) < 1.0 < (1.0 + f) * binary_entropy(above)
+
 
 def test_entropy_is_concave_on_samples():
     rng = random.Random(99)
@@ -225,6 +250,16 @@ class TestArrays:
         assert isinstance(got, np.ndarray) and got.shape == (len(xs),)
         assert got.tobytes() == np.array([binary_entropy(x) for x in xs]).tobytes()
         assert got[:3].tolist() == [0.0, 1.0, 0.0]
+        # no 0 or 1: every element takes the logarithms, with no mask
+        inner = [x for x in xs if x not in (0.0, 1.0)]
+        got = binary_entropy(np.array(inner))
+        assert got.shape == (len(inner),)
+        assert got.tobytes() == np.array([binary_entropy(x) for x in inner]).tobytes()
+        # a 2-D array keeps its shape, on either path
+        for values, shape in ((xs, (19, 53)), (inner, (15, 67))):
+            got = binary_entropy(np.array(values).reshape(shape))
+            assert got.shape == shape
+            assert got.tobytes() == np.array([binary_entropy(x) for x in values]).tobytes()
 
     @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
     def test_entropy_rejects_one_element_outside(self, bad):
