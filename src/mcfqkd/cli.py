@@ -59,9 +59,8 @@ from .linkbudget import (
     model_from_config,
     sweep_lengths,
 )
-from .photonsim import PS_PER_S, Stream
+from .photonsim import ANALYZER_ANGLE_DEG, PS_PER_S, ScheduleSegment, Stream
 from .runner import (
-    ScheduleSegment,
     parallel_map,
     run_stability,
     scan,
@@ -224,8 +223,9 @@ def _load_meta(in_dir: Path) -> Tuple[Dict, RunConfig, Tuple[CorePair, ...]]:
         if not (isinstance(truth, dict) and "true_coincidences" in truth):
             raise CliError(f"{entry}: truth.per_pair entry needs 'true_coincidences'")
         counts = coerce(truth["true_coincidences"], Dict[str, int], f"{entry}.true_coincidences")
-        if not counts.keys() <= {"HV", "DA"}:
-            raise CliError(f"{entry}.true_coincidences: keys must be HV/DA, got {sorted(counts)}")
+        if not counts.keys() <= ANALYZER_ANGLE_DEG.keys():
+            bases = "/".join(ANALYZER_ANGLE_DEG)
+            raise CliError(f"{entry}.true_coincidences: keys must be {bases}, got {sorted(counts)}")
         for basis in cfg.schedule.bases:
             if basis not in counts:
                 raise CliError(f"{entry}.true_coincidences: no count for basis {basis!r}")

@@ -30,7 +30,7 @@ from .geometry import (
     coupling_probabilities,
     emission_profile_from_temperature,
 )
-from .photonsim import LinkParams, SourceParams
+from .photonsim import ANALYZER_ANGLE_DEG, LinkParams, SourceParams
 
 __all__ = [
     "ConfigError",
@@ -138,14 +138,14 @@ class RunConfig:
             if len(set(self.pairs)) != len(self.pairs):
                 raise ConfigError(f"pairs: duplicate pair id in {self.pairs}")
         for basis in self.schedule.bases:
-            if basis not in ("HV", "DA"):
+            if basis not in ANALYZER_ANGLE_DEG:
                 raise ConfigError(f"schedule.bases: unknown basis {basis!r}")
         if not self.schedule.bases:
             raise ConfigError("schedule.bases: must not be empty")
         if len(set(self.schedule.bases)) != len(self.schedule.bases):
             raise ConfigError(f"schedule.bases: duplicate basis in {self.schedule.bases}")
         for basis, scale in self.schedule.rate_scales.items():
-            if basis not in ("HV", "DA"):
+            if basis not in ANALYZER_ANGLE_DEG:
                 raise ConfigError(f"schedule.rate_scales.{basis}: unknown basis")
             if scale <= 0:
                 raise ConfigError(f"schedule.rate_scales.{basis}: must be > 0")

@@ -78,6 +78,8 @@ class LinkModel:
             raise ValueError("window must be > 0 and pairs_in_ring >= 1")
         if self.fiber_loss_db_per_km < 0 or self.reference_length_km < 0:
             raise ValueError("losses and lengths must be >= 0")
+        if not 0 <= self.ec_efficiency < math.inf:  # NaN too
+            raise ValueError(f"ec_efficiency must be finite and >= 0, got {self.ec_efficiency}")
 
     @classmethod
     def from_reference(

@@ -1,15 +1,16 @@
 """Monte Carlo generation of detector timetag streams for entangled pairs.
 
-One call simulates one acquisition of one core pair: both photons cross the
-same link and are analyzed at the same plate setting, with an optional drift
-offset on Bob's analyzer.  Pair emission into the core pair is a Poisson
-process of rate lambda, and each photon reaches its own detector with
-probability p = transmission x (1 - crosstalk): crosstalk into a neighboring
-core is a loss that breaks the photon's coincidence.  Split by which photons
-are detected, the pairs form independent Poisson processes: both detected
-(lambda p^2), only Alice's and only Bob's (lambda p(1-p) each).  Only their
-counts and times are drawn, so the cost follows the detections, not the
-emissions, with the same distribution as thinning every emission.
+One call simulates one acquisition of one core pair, a ``ScheduleSegment``:
+both photons cross the same link and are analyzed in the segment's basis, at
+its ``ANALYZER_ANGLE_DEG``, with an optional drift offset on Bob's analyzer.
+Pair emission into the core pair is a Poisson process of rate lambda, and
+each photon reaches its own detector with probability p = transmission x
+(1 - crosstalk): crosstalk into a neighboring core is a loss that breaks the
+photon's coincidence.  Split by which photons are detected, the pairs form
+independent Poisson processes: both detected (lambda p^2), only Alice's and
+only Bob's (lambda p(1-p) each).  Only their counts and times are drawn, so
+the cost follows the detections, not the emissions, with the same
+distribution as thinning every emission.
 
 Each stream is a PCG64 seeded by ``SeedSequence([seed, purpose,
 segment_index, pair_id])``, ``PURPOSE_TAGS`` for the tag streams and
@@ -26,7 +27,10 @@ outcome; per arm, Alice's first, ``uint8`` ``integers`` for each lone
 photon's port and the jitter (none without it), ``standard_normal`` in chunks
 of ``_CHUNK`` scaled by sigma, which gives the values of one ``normal(0, sigma,
 n)`` draw; per detector 0-3, ``poisson`` for its dark counts and ``integers``
-for their times.  Speed changes keep each draw's values and place.
+for their times.  Every time is drawn in the segment's [start, start +
+duration) ps, which numpy computes as start plus a draw on [0, duration): the
+start moves every time and changes no other value.  Speed changes keep each
+draw's values and place.
 
 Each arm comes back as a ``Stream``: sorted ``int64`` times and ``uint8`` codes
 ``2 * channel + flag``, checked once where it is made.  Only ``tagio`` turns a
@@ -55,7 +59,8 @@ __all__ = [
     "UnsortedStreamError",
     "SourceParams",
     "LinkParams",
-    "AnalyzerSetting",
+    "ANALYZER_ANGLE_DEG",
+    "ScheduleSegment",
     "PairStreams",
     "PairTruth",
     "GroundTruth",
@@ -76,6 +81,9 @@ TIME_LIMIT_PS = 1 << 60
 
 #: jitter values per standard normal draw: a chunk's buffer (512 KiB) is reused by the next
 _CHUNK = 1 << 16
+
+#: each basis's analyzer angle in the polarization frame: twice its half-wave plate's 0 and 22.5 deg
+ANALYZER_ANGLE_DEG = {"HV": 0.0, "DA": 45.0}
 
 #: purpose tags, the second entropy word of the tag streams and the drift walk
 PURPOSE_TAGS, PURPOSE_DRIFT = 1, 2
@@ -141,23 +149,20 @@ class LinkParams:
 
 
 @dataclass(frozen=True)
-class AnalyzerSetting:
-    """Half-wave plate angle of one polarization analysis module."""
+class ScheduleSegment:
+    """One acquisition: its basis, and its start and duration in integer picoseconds."""
 
-    hwp_angle_deg: float
+    basis: str
+    start_ps: int
+    duration_ps: int
 
-    @property
-    def analyzer_angle_deg(self) -> float:
-        """Polarization-frame analyzer angle (twice the plate angle)."""
-        return 2.0 * self.hwp_angle_deg
-
-    @classmethod
-    def hv(cls) -> "AnalyzerSetting":
-        return cls(0.0)
-
-    @classmethod
-    def da(cls) -> "AnalyzerSetting":
-        return cls(22.5)
+    def __post_init__(self) -> None:
+        if self.basis not in ANALYZER_ANGLE_DEG:
+            raise ValueError(f"basis must be one of {list(ANALYZER_ANGLE_DEG)}, got {self.basis!r}")
+        if not isinstance(self.start_ps, int):
+            raise ValueError(f"start_ps must be an integer, got {self.start_ps!r}")
+        if not (isinstance(self.duration_ps, int) and self.duration_ps > 0):
+            raise ValueError(f"duration_ps must be an integer > 0, got {self.duration_ps!r}")
 
 
 class UnsortedStreamError(ValueError):
@@ -245,36 +250,34 @@ def simulate_run(
     source: SourceParams,
     pair: CorePair,
     link: LinkParams,
-    setting: AnalyzerSetting,
-    duration_s: float,
+    segment: ScheduleSegment,
     seed: int,
     *,
     segment_index: int = 0,
     angle_offset_deg: float = 0.0,
-    time_offset_ps: int = 0,
 ) -> SimulationResult:
     """Simulate one acquisition of one core pair and return its two streams.
 
     Emissions couple into the pair with its coupling probability; each
     photon independently survives the link's transmission and crosstalk (a
-    loss), and a detected one gets Gaussian jitter truncated at 6 sigma.  Dark
-    counts are added per detector as independent Poisson processes, each tag
-    flagged ``FLAG_DARK``.  Streams come back sorted by time with a
-    ground-truth record of what was generated, both keyed by the pair id.
+    loss), and a detected one gets Gaussian jitter truncated at 6 sigma and
+    clipped at the segment's start.  Dark counts are added per detector as
+    independent Poisson processes, each tag flagged ``FLAG_DARK``.  Streams
+    come back sorted by time with a ground-truth record of what was
+    generated, both keyed by the pair id.
 
     Args:
+        segment: the basis of both analyzers, and the span [start, start +
+            duration) ps in which every emission and dark count is drawn.
         seed, segment_index: select the random stream, with the pair id.
-        setting: plate setting of both analyzers.
         angle_offset_deg: polarization drift added to Bob's analyzer angle.
-        time_offset_ps: added to all timestamps (schedule segment start).
     """
-    if not 0 < duration_s < math.inf:
-        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
-    duration_ps = max(1, int(round(duration_s * PS_PER_S)))
-    # every tag time lies in [offset, offset + duration + slack) and packs into a key of
+    start, end = segment.start_ps, segment.start_ps + segment.duration_ps
+    duration_s = segment.duration_ps / PS_PER_S
+    # every tag time lies in [start, end + slack) and packs into a key of
     # ``_assemble`` below 2**63: time*8 + code
     slack = int(math.ceil(6.0 * link.jitter_sigma_ps))
-    if time_offset_ps < 0 or time_offset_ps + duration_ps + slack > TIME_LIMIT_PS:
+    if start < 0 or end + slack > TIME_LIMIT_PS:
         raise ValueError("tag times must lie in [0, 2**60) ps")
     rng = _stream_rng(seed, PURPOSE_TAGS, segment_index, pair.pair_id)
 
@@ -286,7 +289,7 @@ def simulate_run(
             stacklevel=2,
         )
 
-    theta = setting.analyzer_angle_deg
+    theta = ANALYZER_ANGLE_DEG[segment.basis]
     probs = joint_outcome_probs(theta, theta + angle_offset_deg, source.visibility)
     # a pair's outcome (++, +-, -+, --) is the count of these at or below its draw
     cum_probs = np.cumsum(probs)[:3]
@@ -297,13 +300,13 @@ def simulate_run(
     means = (p * p, p * (1.0 - p), (1.0 - p) * p, (1.0 - p) ** 2)
     n_both, n_a, n_b, n_none = (int(rng.poisson(lam * m)) for m in means)
 
-    # each arm's photon times in [0, duration) in one array, the both-detected
+    # each arm's photon times in [start, end) in one array, the both-detected
     # pairs' first, each part sorted, so the jittered photons are nearly in
     # time order; both arms cross the same link, so no delay separates them
-    times = [rng.integers(0, duration_ps, n_both + n_a, np.int64), np.empty(n_both + n_b, np.int64)]
+    times = [rng.integers(start, end, n_both + n_a, np.int64), np.empty(n_both + n_b, np.int64)]
     times[0][:n_both].sort()
     times[1][:n_both] = times[0][:n_both]
-    times[1][n_both:] = rng.integers(0, duration_ps, n_b, np.int64)
+    times[1][n_both:] = rng.integers(start, end, n_b, np.int64)
     above = np.less_equal.outer(cum_probs, rng.random(n_both))
     # pairs with outcome >= 0, 1, 2, 3 and 4
     n_ge = [n_both] + [int(np.count_nonzero(g)) for g in above] + [0]
@@ -321,10 +324,10 @@ def simulate_run(
         lone = rng.integers(ch_t, ch_t + 2, t.size - n_both, dtype=np.uint8)
         chunk.append((t, 2 * np.concatenate([ch_t + refl.view(np.uint8), lone])))
         if slack:
-            # t += rint(clip(sigma * z)) chunk by chunk; only the times below slack in
-            # each sorted part can fall below 0, and only they are clipped there
+            # t += rint(clip(sigma * z)) chunk by chunk; only the times below start + slack
+            # in each sorted part can fall below start, and only they are clipped there
             parts = ((0, n_both), (n_both, None))
-            low = [(k, k + np.searchsorted(t[k:j], slack)) for k, j in parts]
+            low = [(k, k + np.searchsorted(t[k:j], start + slack)) for k, j in parts]
             buf = np.empty(min(t.size, _CHUNK))
             for s in range(0, t.size, _CHUNK):
                 z = rng.standard_normal(out=buf[: t.size - s])
@@ -333,7 +336,7 @@ def simulate_run(
                 part = t[s : s + z.size]
                 np.add(part, z, out=part, dtype=np.int64, casting="unsafe")
             for k, j in low:
-                np.maximum(t[k:j], 0, out=t[k:j])
+                np.maximum(t[k:j], start, out=t[k:j])
     del above, t, refl, lone  # the loop's last arrays too
 
     # dark counts per detector; channels 0/1 are Alice's, 2/3 Bob's
@@ -341,7 +344,7 @@ def simulate_run(
     for det in (CH_ALICE_T, CH_ALICE_R, CH_BOB_T, CH_BOB_R):
         photon_singles[det] = int(np.count_nonzero(chunks[det // 2][0][1] == 2 * det))
         dark_counts[det] = n_dark = int(rng.poisson(link.dark_rate_cps * duration_s))
-        d_times = rng.integers(0, duration_ps, n_dark, dtype=np.int64)
+        d_times = rng.integers(start, end, n_dark, dtype=np.int64)
         chunks[det // 2].append((d_times, np.full(n_dark, 2 * det + FLAG_DARK, dtype=np.uint8)))
 
     truth = PairTruth(
@@ -352,15 +355,13 @@ def simulate_run(
         photon_singles=photon_singles,
         dark_counts=dark_counts,
     )
-    streams = PairStreams(*(_assemble(c, time_offset_ps, k) for k, c in enumerate(chunks)))
+    streams = PairStreams(*(_assemble(c, k) for k, c in enumerate(chunks)))
     return SimulationResult(
         streams={pair.pair_id: streams}, truth=GroundTruth(pairs={pair.pair_id: truth})
     )
 
 
-def _assemble(
-    chunks: List[Tuple[np.ndarray, np.ndarray]], time_offset_ps: int, channel_id: int
-) -> Stream:
+def _assemble(chunks: List[Tuple[np.ndarray, np.ndarray]], channel_id: int) -> Stream:
     # one sort of the int64 key time*8 + 2*channel + flag (channels 0-3, flag
     # 0 or FLAG_DARK); equal keys are equal tags, so any sort gives the same
     # stream, and the stable one (a timsort) is the fastest here: the photons
@@ -369,8 +370,7 @@ def _assemble(
     key, end = np.empty(sum(t.size for t, _ in chunks), dtype=np.int64), 0
     while chunks:
         t, code = chunks.pop(0)
-        part = np.add(t, time_offset_ps, out=key[end : end + t.size])
-        part <<= 3
+        part = np.left_shift(t, 3, out=key[end : end + t.size])
         part |= code
         end += t.size
     key.sort(kind="stable")

@@ -100,8 +100,8 @@ class KeyRateInputs:
             bad = _first_outside(getattr(self, name), 0, 0.5)
             if bad is not None:
                 raise DomainError(f"{name} must be in [0, 0.5], got {bad}")
-        if self.ec_efficiency < 0:
-            raise DomainError("ec_efficiency must be >= 0")
+        if not 0 <= self.ec_efficiency < math.inf:  # NaN too
+            raise DomainError(f"ec_efficiency must be finite and >= 0, got {self.ec_efficiency}")
 
 
 def _first_outside(values, lo, hi):
@@ -199,8 +199,8 @@ def positive_qber_threshold(ec_efficiency: float = DEFAULT_EC_EFFICIENCY) -> flo
     above it the contribution is negative.  Solved by bisection on [0, 0.5],
     which stops once the bracket stops shrinking.
     """
-    if ec_efficiency < 0:
-        raise DomainError("ec_efficiency must be >= 0")
+    if not 0 <= ec_efficiency < math.inf:  # NaN too
+        raise DomainError(f"ec_efficiency must be finite and >= 0, got {ec_efficiency}")
     target = 1.0 / (1.0 + ec_efficiency)
     if target >= 1.0:
         return 0.5

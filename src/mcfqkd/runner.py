@@ -31,12 +31,11 @@ import numpy as np
 from .coincidence import BasisTally, tally_basis
 from .config import RunConfig, selected_pairs, worker_count
 from .geometry import CorePair
-from .photonsim import PS_PER_S, AnalyzerSetting, PairTruth, Stream, simulate_run
+from .photonsim import PS_PER_S, PairTruth, ScheduleSegment, Stream, simulate_run
 from .photonsim import apply_polarization_drift
 from .qkdmath import KeyRateInputs, secret_key_rate
 
 __all__ = [
-    "ScheduleSegment",
     "PairReport",
     "KeyRateReport",
     "StabilityPoint",
@@ -51,26 +50,11 @@ __all__ = [
     "analyze_segment",
 ]
 
-_BASIS_SETTINGS = {"HV": AnalyzerSetting.hv(), "DA": AnalyzerSetting.da()}
-
 
 def parallel_map(fn: Callable, items: Sequence) -> list:
     """``[fn(item) for item in items]`` on a pool of ``worker_count(len(items))`` threads."""
     with ThreadPoolExecutor(max_workers=worker_count(len(items))) as pool:
         return list(pool.map(fn, items))
-
-
-@dataclass(frozen=True)
-class ScheduleSegment:
-    basis: str
-    start_ps: int
-    duration_ps: int
-
-    def __post_init__(self) -> None:
-        if self.basis not in _BASIS_SETTINGS:
-            raise ValueError(f"basis must be 'HV' or 'DA', got {self.basis!r}")
-        if self.duration_ps <= 0:
-            raise ValueError(f"duration_ps must be > 0, got {self.duration_ps}")
 
 
 def _acquisitions(
@@ -177,12 +161,10 @@ def simulate_segment(
         replace(cfg.source, pair_rate=cfg.source.pair_rate * scale),
         pair,
         cfg.link,
-        _BASIS_SETTINGS[segment.basis],
-        segment.duration_ps / PS_PER_S,
+        segment,
         seed=cfg.seed,
         segment_index=segment_index,
         angle_offset_deg=angle_offset_deg,
-        time_offset_ps=segment.start_ps,
     )
     streams = sim.streams[pair.pair_id]
     return streams.alice, streams.bob, sim.truth.pairs[pair.pair_id]

@@ -13,6 +13,8 @@ The laws so far:
 * ``accidental_law``: the accidentals estimated from the histogram's
   sidebands against ``S_a * S_b * window * T``, with the error of the
   sideband count that expectation implies.
+* ``drift_law``: each slot's QBER of a stability run against the Born rule
+  at that slot's drift offset, with the binomial error of its coincidences.
 """
 from __future__ import annotations
 
@@ -22,9 +24,9 @@ from typing import Iterator, Sequence, Tuple
 
 from mcfqkd.coincidence import ACCIDENTAL_GAP_PS, BasisTally
 from mcfqkd.config import RunConfig, selected_pairs
-from mcfqkd.photonsim import PS_PER_S, PairTruth
-from mcfqkd.runner import ScheduleSegment, analyze_segment, simulate_segment
-from oracles import sideband_oracle
+from mcfqkd.photonsim import ANALYZER_ANGLE_DEG, PS_PER_S, PairTruth, ScheduleSegment
+from mcfqkd.runner import StabilityPoint, analyze_segment, simulate_segment
+from oracles import born_rule_probs, sideband_oracle
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,11 @@ class Law:
     def pooled_z(self) -> float:
         deviation = sum(o.value - o.expected for o in self.observations)
         return deviation / math.sqrt(sum(o.sigma**2 for o in self.observations))
+
+    @property
+    def chi2(self) -> float:
+        """Sum of the squared z-scores: chi-square with one degree per acquisition."""
+        return sum(o.z**2 for o in self.observations)
 
     @property
     def worst(self) -> Observation:
@@ -109,3 +116,19 @@ def accidental_law(
         sigma = math.sqrt(est.analytic * width / covered * (1 + twins))
         observations.append(Observation(name, est.count, est.analytic, sigma))
     return Law("accidentals", tuple(observations))
+
+
+def drift_law(cfg: RunConfig, points: Sequence[StabilityPoint], acquisition_s: float) -> Law:
+    """The QBER of each slot of ``run_stability`` against the Born rule at its basis angle
+    ``t`` and drift offset ``d``: Alice's analyzer at ``t`` and Bob's at ``t + d`` give
+    different outcomes with probability ``Q = (1 - V cos 2d) / 2``, and the slot's ``N``
+    coincidences give the binomial sigma ``sqrt(Q (1 - Q) / N)``.  ``Q`` is even in ``d``:
+    the law sees a dropped or scaled offset, not its sign."""
+    observations = []
+    for p in points:
+        theta, offset = ANALYZER_ANGLE_DEG[p.basis], p.drift_offset_deg
+        _, pm, mp, _ = born_rule_probs(theta, theta + offset, cfg.source.visibility)
+        q, n = pm + mp, round(p.coincidence_rate_cps * acquisition_s)
+        name = f"slot {p.slot} {p.basis} at {offset:+.2f} deg"
+        observations.append(Observation(name, p.qber, q, math.sqrt(q * (1.0 - q) / n)))
+    return Law("drift", tuple(observations))

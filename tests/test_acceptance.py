@@ -24,8 +24,9 @@ from mcfqkd.coincidence import count_coincidences, cross_correlation
 from mcfqkd.geometry import build_layout
 from mcfqkd.linkbudget import keyrate_at_length, max_positive_length, model_from_config
 from mcfqkd.photonsim import (
-    AnalyzerSetting,
+    PS_PER_S,
     LinkParams,
+    ScheduleSegment,
     SourceParams,
     joint_outcome_probs,
     simulate_run,
@@ -42,6 +43,7 @@ from mcfqkd.qkdmath import (
 from mcfqkd.runner import run_basis_scan, run_stability
 from mcfqkd.coincidence import tally_basis
 from test_coincidence import arms
+from laws import drift_law
 from oracles import (
     entropy_oracle,
     greedy_match_oracle,
@@ -200,7 +202,8 @@ def test_criterion_5_quantum_correlation_statistics():
         source = SourceParams(pair_rate=100_000, visibility=1.0)
         for k, delta in enumerate((0.0, 22.5, 45.0, 67.5, 90.0)):
             res = simulate_run(
-                source, *channel, AnalyzerSetting(0.0), 1.0, seed=600 + k, angle_offset_deg=delta
+                source, *channel, ScheduleSegment("HV", 0, PS_PER_S), seed=600 + k,
+                angle_offset_deg=delta,
             )
             tally = tally_basis(
                 res.streams[0].alice,
@@ -225,8 +228,8 @@ def test_criterion_5_quantum_correlation_statistics():
                     assert abs(obs - n * p) <= 3 * sigma + 1, f"delta={delta}"
 
         source = SourceParams(pair_rate=100_000, visibility=0.94)
-        for setting, seed in ((AnalyzerSetting.hv(), 701), (AnalyzerSetting.da(), 702)):
-            res = simulate_run(source, *channel, setting, 1.0, seed=seed)
+        for basis, seed in (("HV", 701), ("DA", 702)):
+            res = simulate_run(source, *channel, ScheduleSegment(basis, 0, PS_PER_S), seed=seed)
             tally = tally_basis(
                 res.streams[0].alice,
                 res.streams[0].bob,
@@ -288,16 +291,21 @@ def test_criterion_7_distance_limits():
 
 
 def test_criterion_8_stability_protocol():
-    with check(8, "24 h run yields 48 points, QBER mean in [2.5, 3.5]%, key rate mean in [2.0, 2.6] kbit/s"):
-        points = run_stability(
-            preset_stability(), total_hours=24.0, switch_minutes=30.0, acquisition_s=60.0
-        )
+    with check(8, "24 h run yields 48 points, QBER mean in [2.5, 3.5]%, key rate mean in [2.0, 2.6] kbit/s"
+               "; each slot's QBER follows its drift offset"):
+        cfg = preset_stability()
+        points = run_stability(cfg, total_hours=24.0, switch_minutes=30.0, acquisition_s=60.0)
         assert len(points) == 48
         qbers = np.array([p.qber for p in points], dtype=float)
         rates = np.array([p.skr_bits_s for p in points], dtype=float)
         assert 0.025 <= qbers.mean() <= 0.035, f"QBER mean {qbers.mean():.4f}"
         assert 2000.0 <= rates.mean() <= 2600.0, f"rate mean {rates.mean():.0f}"
         assert np.all(np.abs([p.drift_offset_deg for p in points]) <= 3.0)
+        # the drift law on the same run: the slots' QBERs pooled within 3 sigma, and
+        # their chi-square below 84.04, the 0.1% tail of 48 degrees, so that no
+        # slot's offset goes astray unseen
+        law = drift_law(cfg, points, 60.0)
+        assert abs(law.pooled_z) < 3 and law.chi2 < 84.04, f"{law}; chi2 {law.chi2:.1f}"
 
 
 def test_criterion_9_determinism_and_formats(tmp_path):

@@ -71,6 +71,12 @@ class TestKeyrateAtLength:
         with pytest.raises(ValueError, match="^length_km must be >= 0, got nan$"):
             keyrate_at_length(simple_model(), math.nan)
 
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -0.5], ids=str)
+    def test_bad_efficiency_rejected_by_name(self, f):
+        # the model checked no efficiency: a NaN made every key rate NaN
+        with pytest.raises(ValueError, match=rf"^ec_efficiency must be finite and >= 0, got {f}$"):
+            simple_model(ec_efficiency=f)
+
     def test_overflowing_transmission_names_the_model(self):
         # a reference 2,000 km out at 2 dB/km puts 10**400 at 0 km: the
         # error names the length and the two terms, at a point and on a grid

@@ -17,9 +17,10 @@ from mcfqkd.photonsim import (
     CH_ALICE_T,
     FLAG_DARK,
     PURPOSE_DRIFT,
+    PS_PER_S,
     PURPOSE_TAGS,
-    AnalyzerSetting,
     LinkParams,
+    ScheduleSegment,
     SourceParams,
     Stream,
     UnsortedStreamError,
@@ -40,6 +41,11 @@ def record_sha256(stream, tmp_path):
     path = tmp_path / f"channel{stream.channel_id}.mcqt"
     write_timetags(path, stream)
     return hashlib.sha256(path.read_bytes()[16:]).hexdigest()
+
+
+def segment(duration_s, basis="HV", start_ps=0):
+    """The ``duration_s`` acquisition in ``basis`` from ``start_ps``."""
+    return ScheduleSegment(basis, start_ps, round(duration_s * PS_PER_S))
 
 
 def make_channel(pair_index=0, coupling=1.0, **link_kwargs):
@@ -97,7 +103,7 @@ class TestSimulateRun:
         source = SourceParams(pair_rate=50_000, visibility=0.94)
         ch = make_channel(dark_rate_cps=100.0, jitter_sigma_ps=50.0)
         runs = [
-            simulate_run(source, *ch, AnalyzerSetting.hv(), 0.5, seed=7)
+            simulate_run(source, *ch, segment(0.5), seed=7)
             for _ in range(2)
         ]
         a0 = runs[0].streams[0]
@@ -109,7 +115,7 @@ class TestSimulateRun:
     def test_streams_sorted_and_bounded(self):
         source = SourceParams(pair_rate=100_000, visibility=0.9)
         ch = make_channel(dark_rate_cps=500.0, jitter_sigma_ps=80.0)
-        res = simulate_run(source, *ch, AnalyzerSetting.hv(), 0.2, seed=3, angle_offset_deg=45.0)
+        res = simulate_run(source, *ch, segment(0.2), seed=3, angle_offset_deg=45.0)
         bound = 0.2e12 + 6 * 80
         for tags in (res.streams[0].alice, res.streams[0].bob):
             times = tags.times
@@ -123,14 +129,8 @@ class TestSimulateRun:
         ch = make_channel(dark_rate_cps=100.0)
         for offset in (-10**11, 2**60 - 10**9):
             with pytest.raises(ValueError, match="2\\*\\*60"):
-                simulate_run(
-                    source, *ch, AnalyzerSetting.hv(), 0.01, seed=5,
-                    time_offset_ps=offset,
-                )
-        res = simulate_run(
-            source, *ch, AnalyzerSetting.hv(), 0.01, seed=5,
-            time_offset_ps=2**60 - 10**11,
-        )
+                simulate_run(source, *ch, segment(0.01, start_ps=offset), seed=5)
+        res = simulate_run(source, *ch, segment(0.01, start_ps=2**60 - 10**11), seed=5)
         assert int(res.streams[0].alice.times.max()) < 2**60
 
     def test_singles_rate_poisson_consistency(self):
@@ -142,7 +142,7 @@ class TestSimulateRun:
         expected = 40_000 * coupling * t * duration + 2 * dark * duration
         totals = []
         for seed in range(100):
-            res = simulate_run(source, *ch, AnalyzerSetting.hv(), duration, seed=seed)
+            res = simulate_run(source, *ch, segment(duration), seed=seed)
             totals.append(len(res.streams[0].alice))
         mean = np.mean(totals)
         sigma = math.sqrt(expected / len(totals))
@@ -151,7 +151,7 @@ class TestSimulateRun:
     def test_no_anticorrelated_events_at_unit_visibility(self):
         source = SourceParams(pair_rate=200_000, visibility=1.0)
         ch = make_channel()
-        res = simulate_run(source, *ch, AnalyzerSetting.hv(), 0.5, seed=11)
+        res = simulate_run(source, *ch, segment(0.5), seed=11)
         truth = res.truth.pairs[0]
         assert truth.outcome_counts[1] == 0
         assert truth.outcome_counts[2] == 0
@@ -160,8 +160,8 @@ class TestSimulateRun:
     def test_visibility_recovery_end_to_end(self):
         source = SourceParams(pair_rate=150_000, visibility=0.94)
         ch = make_channel(jitter_sigma_ps=50.0)
-        for setting in (AnalyzerSetting.hv(), AnalyzerSetting.da()):
-            res = simulate_run(source, *ch, setting, 1.0, seed=13)
+        for basis in ("HV", "DA"):
+            res = simulate_run(source, *ch, segment(1.0, basis), seed=13)
             streams = res.streams[0]
             tally = tally_basis(streams.alice, streams.bob, window_ps=300, duration_s=1.0)
             v = visibility_from_counts(tally.counts)
@@ -170,7 +170,7 @@ class TestSimulateRun:
 
     def test_ground_truth_bookkeeping(self):
         source = SourceParams(pair_rate=80_000, visibility=0.94)
-        res = simulate_run(source, *make_channel(0, 0.5), AnalyzerSetting.hv(), 0.25, seed=17)
+        res = simulate_run(source, *make_channel(0, 0.5), segment(0.25), seed=17)
         truth = res.truth
         lam = 80_000 * 0.5 * 0.25
         assert abs(sum(p.emitted for p in truth.pairs.values()) - lam) < 5 * math.sqrt(lam)
@@ -178,7 +178,7 @@ class TestSimulateRun:
     def test_dark_tags_always_flagged(self):
         source = SourceParams(pair_rate=1_000, visibility=0.9)
         ch = make_channel(dark_rate_cps=5_000.0)
-        res = simulate_run(source, *ch, AnalyzerSetting.hv(), 0.2, seed=5)
+        res = simulate_run(source, *ch, segment(0.2), seed=5)
         n_marked = int(np.count_nonzero(res.streams[0].alice.codes & FLAG_DARK))
         assert n_marked == sum(
             res.truth.pairs[0].dark_counts[ch_id] for ch_id in (CH_ALICE_T, CH_ALICE_R)
@@ -188,7 +188,7 @@ class TestSimulateRun:
         source = SourceParams(pair_rate=1_000, visibility=0.9)
         ch = make_channel(coupling=0.0)
         with pytest.warns(RuntimeWarning):
-            simulate_run(source, *ch, AnalyzerSetting.hv(), 0.1, seed=1)
+            simulate_run(source, *ch, segment(0.1), seed=1)
 
     def test_crosstalk_lost_without_layout(self):
         source = SourceParams(pair_rate=100_000, visibility=0.94)
@@ -196,7 +196,7 @@ class TestSimulateRun:
             fiber_length_km=0.0, dark_rate_cps=0.0, jitter_sigma_ps=0.0, crosstalk_prob=0.05
         )
         pair = __import__("dataclasses").replace(LAYOUT.pairs[0], coupling_prob=0.5)
-        res = simulate_run(source, pair, link, AnalyzerSetting.hv(), 0.2, seed=29)
+        res = simulate_run(source, pair, link, segment(0.2), seed=29)
         truth = res.truth.pairs[0]
         # lost photons leave both streams and break their coincidences: a
         # photon without its partner is in one stream only
@@ -209,11 +209,8 @@ class TestSimulateRun:
     def test_time_offset_shifts_streams(self):
         source = SourceParams(pair_rate=50_000, visibility=0.9)
         ch = make_channel()
-        base = simulate_run(source, *ch, AnalyzerSetting.hv(), 0.1, seed=31)
-        shifted = simulate_run(
-            source, *ch, AnalyzerSetting.hv(), 0.1, seed=31,
-            time_offset_ps=10**9,
-        )
+        base = simulate_run(source, *ch, segment(0.1), seed=31)
+        shifted = simulate_run(source, *ch, segment(0.1, start_ps=10**9), seed=31)
         np.testing.assert_array_equal(
             base.streams[0].alice.times + 10**9, shifted.streams[0].alice.times
         )
@@ -229,13 +226,13 @@ class TestPoissonSplit:
     SEEDS = range(8)
     RATE, COUPLING, DURATION = 400_000, 0.5, 0.05
 
-    def runs(self, setting=AnalyzerSetting.hv(), angle=0.0, **link_kwargs):
+    def runs(self, basis="HV", angle=0.0, **link_kwargs):
         pair, link = make_channel(coupling=self.COUPLING, **link_kwargs)
         source = SourceParams(pair_rate=self.RATE, visibility=0.9)
         lam = self.RATE * self.COUPLING * self.DURATION
         p = link.transmission * (1.0 - link.crosstalk_prob)
         results = [
-            simulate_run(source, pair, link, setting, self.DURATION, seed=s, angle_offset_deg=angle)
+            simulate_run(source, pair, link, segment(self.DURATION, basis), seed=s, angle_offset_deg=angle)
             for s in self.SEEDS
         ]
         return [(r.streams[pair.pair_id], r.truth.pairs[pair.pair_id]) for r in results], lam, p
@@ -271,7 +268,7 @@ class TestPoissonSplit:
             assert abs(n - len(runs) * mean) < 4 * math.sqrt(len(runs) * mean)
 
     def test_outcome_frequencies(self):
-        runs, _, _ = self.runs(AnalyzerSetting.da(), 10.0, system_loss_db=1.0, crosstalk_prob=0.02)
+        runs, _, _ = self.runs("DA", 10.0, system_loss_db=1.0, crosstalk_prob=0.02)
         probs = joint_outcome_probs(45.0, 55.0, 0.9)
         counts = np.sum([t.outcome_counts for _, t in runs], axis=0)
         n = int(counts.sum())
@@ -310,7 +307,7 @@ class TestStreamSeeds:
         source = SourceParams(pair_rate=50_000, visibility=0.9)
         pair, link = make_channel(dark_rate_cps=100.0, jitter_sigma_ps=50.0)
         runs = [
-            simulate_run(source, pair, link, AnalyzerSetting.hv(), 0.05, seed=s, segment_index=k)
+            simulate_run(source, pair, link, segment(0.05), seed=s, segment_index=k)
             for s, k in ((42, 1), (7961, 0), (42, 0))
         ]
         times = [r.streams[pair.pair_id].alice.times for r in runs]
@@ -325,7 +322,7 @@ class TestStreamSeeds:
             (lambda: _stream_rng(0, PURPOSE_TAGS, 2**32, 0), "segment_index"),
             (
                 lambda: simulate_run(
-                    SourceParams(pair_rate=1_000), *make_channel(), AnalyzerSetting.hv(), 0.01,
+                    SourceParams(pair_rate=1_000), *make_channel(), segment(0.01),
                     seed=2**32 + 5,
                 ),
                 "seed",
@@ -360,8 +357,8 @@ class TestGoldenRun:
             dark_rate_cps=5_000.0, jitter_sigma_ps=80.0, crosstalk_prob=0.05,
         )
         res = simulate_run(
-            SourceParams(pair_rate=300_000, visibility=0.9), *ch, AnalyzerSetting.da(), 0.05,
-            seed=2024, angle_offset_deg=7.5, time_offset_ps=3 * 10**12,
+            SourceParams(pair_rate=300_000, visibility=0.9), *ch, segment(0.05, "DA", 3 * 10**12),
+            seed=2024, angle_offset_deg=7.5,
         )
         streams = res.streams[4]
         assert (len(streams.alice), len(streams.bob)) == (3974, 3936)
@@ -435,7 +432,7 @@ class TestGoldenCorners:
         pair, link = make_channel(**link_kwargs)
         run = functools.partial(
             simulate_run, SourceParams(pair_rate=rate, visibility=0.9), pair, link,
-            AnalyzerSetting.da(), duration, seed=77, angle_offset_deg=4.0,
+            segment(duration, "DA"), seed=77, angle_offset_deg=4.0,
         )
         if pair.coupling_prob == 0.0:
             with pytest.warns(RuntimeWarning, match="zero coupling"):
@@ -457,7 +454,7 @@ def test_marked_tags_match_truth_per_channel():
         crosstalk_prob=0.02,
     )
     res = simulate_run(
-        SourceParams(pair_rate=400_000, visibility=0.9), pair, link, AnalyzerSetting.hv(), 0.05,
+        SourceParams(pair_rate=400_000, visibility=0.9), pair, link, segment(0.05),
         seed=3,
     )
     truth = res.truth.pairs[pair.pair_id]
@@ -522,6 +519,18 @@ def test_chunked_jitter_equals_one_normal_draw(seed):
         z *= sigma
         assert z.tobytes() == want[s : s + z.size].tobytes()
     assert one.bit_generator.state == chunked.bit_generator.state
+
+
+@pytest.mark.parametrize("duration", [1, 7, 2**32 + 1, 60 * PS_PER_S])
+def test_draw_from_start_equals_start_plus_a_draw_from_zero(duration):
+    # ``simulate_run`` draws its times on [start, start + duration): the values of
+    # a draw on [0, duration) plus start, with the generator left where that draw
+    # leaves it, so a segment's start moves its times and changes no other value
+    start, n = 86_000 * PS_PER_S, 1000
+    shifted, zero = np.random.default_rng(5), np.random.default_rng(5)
+    got = shifted.integers(start, start + duration, n, np.int64)
+    assert got.tobytes() == (start + zero.integers(0, duration, n, np.int64)).tobytes()
+    assert shifted.bit_generator.state == zero.bit_generator.state
 
 
 class TestLinkParams:

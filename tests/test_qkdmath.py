@@ -143,6 +143,12 @@ class TestSecretKeyRate:
         with pytest.raises(DomainError):
             KeyRateInputs(1.0, 1.0, 0.1, 0.1, ec_efficiency=-0.5)
 
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -0.5], ids=str)
+    def test_bad_efficiency_rejected_by_name(self, f):
+        # a NaN passed the old ``< 0`` check, and the key rate came out NaN
+        with pytest.raises(DomainError, match=rf"^ec_efficiency must be finite and >= 0, got {f}$"):
+            KeyRateInputs(1.0, 1.0, 0.1, 0.1, ec_efficiency=f)
+
     def test_monotone_in_qber(self):
         rates = [
             secret_key_rate(KeyRateInputs(5000.0, 5000.0, q, q))
@@ -191,6 +197,12 @@ class TestQberThreshold:
     def test_negative_efficiency_rejected(self):
         with pytest.raises(DomainError):
             positive_qber_threshold(-0.1)
+
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf, -0.5], ids=str)
+    def test_bad_efficiency_rejected_by_name(self, f):
+        # NaN and inf passed the old ``< 0`` check and gave a threshold of 0.0
+        with pytest.raises(DomainError, match=rf"^ec_efficiency must be finite and >= 0, got {f}$"):
+            positive_qber_threshold(f)
 
     @pytest.mark.parametrize(
         "f, threshold",

@@ -11,17 +11,9 @@ from mcfqkd import runner
 from mcfqkd.coincidence import count_coincidences, cross_correlation, find_peak_delay, tally_basis
 from mcfqkd.config import preset_inner, preset_stability, selected_pairs
 from mcfqkd.linkbudget import model_from_config, sweep_lengths
-from mcfqkd.photonsim import (
-    PS_PER_S,
-    AnalyzerSetting,
-    LinkParams,
-    SourceParams,
-    Stream,
-    simulate_run,
-)
+from mcfqkd.photonsim import PS_PER_S, LinkParams, ScheduleSegment, SourceParams, Stream
 from mcfqkd.qkdmath import positive_qber_threshold
 from mcfqkd.runner import (
-    ScheduleSegment,
     analyze_segment,
     run_basis_scan,
     run_stability,
@@ -78,10 +70,13 @@ class TestSchedules:
             stability_schedule(0.2, 30.0, 60.0)
 
     def test_invalid_segment(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^basis must be one of \['HV', 'DA'\], got 'XY'$"):
             ScheduleSegment("XY", 0, 60 * PS_PER_S)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^duration_ps must be an integer > 0, got 0$"):
             ScheduleSegment("HV", 0, 0)
+        # the simulator draws integer times: a float start is refused, not rounded
+        with pytest.raises(ValueError, match=r"^start_ps must be an integer, got 1\.5$"):
+            ScheduleSegment("HV", 1.5, 60 * PS_PER_S)
 
     def test_acquisition_must_fit_slot(self):
         with pytest.raises(ValueError):
@@ -258,12 +253,6 @@ class TestGoldenSegment:
         assert hashlib.sha256(pairs.tobytes()).hexdigest() == self.PAIRS_SHA256
 
 
-def _simulate(duration_s):
-    cfg = preset_inner()
-    pair = selected_pairs(cfg)[0]
-    return simulate_run(cfg.source, pair, cfg.link, AnalyzerSetting.hv(), duration_s, seed=1)
-
-
 _NO_TAGS = Stream(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8), 0)
 
 
@@ -279,8 +268,9 @@ _NO_TAGS = Stream(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8), 0)
         (lambda: sweep_lengths(model_from_config(preset_inner()), math.nan, 0.01), "lmax_km"),
         (lambda: sweep_lengths(model_from_config(preset_inner()), 250.0, math.inf), "step_km"),
         (lambda: sweep_lengths(model_from_config(preset_inner()), 250.0, math.nan), "step_km"),
-        (lambda: _simulate(math.nan), "duration_s"),
-        (lambda: _simulate(math.inf), "duration_s"),
+        (lambda: ScheduleSegment("HV", 0, math.nan), "duration_ps"),
+        (lambda: ScheduleSegment("HV", 0, math.inf), "duration_ps"),
+        (lambda: ScheduleSegment("HV", 0, 1e12), "duration_ps"),
         (lambda: SourceParams(pair_rate=math.nan), "pair_rate"),
         (lambda: SourceParams(pair_rate=math.inf), "pair_rate"),
         (lambda: LinkParams(dark_rate_cps=math.nan), "dark_rate_cps"),
@@ -292,8 +282,8 @@ _NO_TAGS = Stream(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8), 0)
         "stability-hours-inf", "stability-hours-nan", "stability-switch-nan",
         "stability-acquisition-nan", "run_stability-hours-nan", "sweep-lmax-inf",
         "sweep-lmax-nan", "sweep-step-inf", "sweep-step-nan", "simulate-duration-nan",
-        "simulate-duration-inf", "source-rate-nan", "source-rate-inf", "link-dark-nan",
-        "link-jitter-nan", "link-length-inf", "tally-duration-nan",
+        "simulate-duration-inf", "simulate-duration-float", "source-rate-nan", "source-rate-inf",
+        "link-dark-nan", "link-jitter-nan", "link-length-inf", "tally-duration-nan",
     ],
 )
 def test_non_finite_argument_rejected_by_name(call, name):
