@@ -30,7 +30,7 @@ from .geometry import (
     coupling_probabilities,
     emission_profile_from_temperature,
 )
-from .photonsim import ANALYZER_ANGLE_DEG, LinkParams, SourceParams
+from .photonsim import ANALYZER_ANGLE_DEG, PS_PER_S, LinkParams, SourceParams
 
 __all__ = [
     "ConfigError",
@@ -149,8 +149,10 @@ class RunConfig:
                 raise ConfigError(f"schedule.rate_scales.{basis}: unknown basis")
             if scale <= 0:
                 raise ConfigError(f"schedule.rate_scales.{basis}: must be > 0")
-        if self.schedule.acquisition_s <= 0:
-            raise ConfigError("schedule.acquisition_s: must be > 0")
+        if not self.schedule.acquisition_s * PS_PER_S > 0.5:  # rounds to 0 ps
+            raise ConfigError(
+                f"schedule.acquisition_s: must round to 1 ps or more, got {self.schedule.acquisition_s}"
+            )
         if self.drift.rate_deg_per_hour < 0:
             raise ConfigError("drift.rate_deg_per_hour: must be >= 0")
         if self.drift.max_offset_deg <= 0:

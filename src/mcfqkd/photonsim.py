@@ -23,14 +23,19 @@ The draws fix the output bytes.  ``simulate_run`` makes them in this order:
 ``poisson`` for the pairs detected by both, only Alice, only Bob and neither;
 ``integers`` for Alice's photon times, the both-detected pairs' first, and
 for Bob's lone photons' times; ``random`` for each both-detected pair's
-outcome; per arm, Alice's first, ``uint8`` ``integers`` for each lone
-photon's port and the jitter (none without it), ``standard_normal`` in chunks
-of ``_CHUNK`` scaled by sigma, which gives the values of one ``normal(0, sigma,
-n)`` draw; per detector 0-3, ``poisson`` for its dark counts and ``integers``
-for their times.  Every time is drawn in the segment's [start, start +
-duration) ps, which numpy computes as start plus a draw on [0, duration): the
-start moves every time and changes no other value.  Speed changes keep each
-draw's values and place.
+outcome, in chunks of ``_CHUNK`` through the buffer that the jitter reuses,
+which gives the values of one ``random(n)`` draw; per arm, Alice's first,
+``uint8`` ``integers`` for each lone photon's port and the jitter (none
+without it), ``standard_normal`` in chunks of ``_CHUNK`` scaled by sigma,
+which gives the values of one ``normal(0, sigma, n)`` draw; per detector 0-3,
+``poisson`` for its dark counts and ``integers`` for their times, sorted after
+the draw.  Every time is drawn in the segment's [start, start + duration) ps,
+which numpy computes as start plus a draw on [0, duration): the start moves
+every time and changes no other value.  Speed changes keep each draw's values
+and place.  Each arm's times and codes are written in place, and the outcomes
+and jitter go through one reused buffer of ``_CHUNK`` floats, so the only
+other arrays as long as a stream are the key and codes that ``_assemble``
+returns.
 
 Each arm comes back as a ``Stream``: sorted ``int64`` times and ``uint8`` codes
 ``2 * channel + flag``, checked once where it is made.  Only ``tagio`` turns a
@@ -302,49 +307,48 @@ def simulate_run(
 
     # each arm's photon times in [start, end) in one array, the both-detected
     # pairs' first, each part sorted, so the jittered photons are nearly in
-    # time order; both arms cross the same link, so no delay separates them
-    times = [rng.integers(start, end, n_both + n_a, np.int64), np.empty(n_both + n_b, np.int64)]
+    # time order; both arms cross the same link, so no delay separates them;
+    # each arm's codes, 2*channel + flag, are allocated right after its times, so
+    # that ``_assemble`` frees the two as one hole that Bob's key fits into
+    try:
+        times = [rng.integers(start, end, n_both + n_a, np.int64)]
+        codes = [np.empty(times[0].size, np.uint8)]
+        times.append(np.empty(n_both + n_b, np.int64))
+        codes.append(np.empty(times[1].size, np.uint8))
+    except MemoryError:
+        n = 2 * n_both + n_a + n_b
+        raise ValueError(f"{n} photon tags of a {duration_s:g} s acquisition cannot be allocated") from None
     times[0][:n_both].sort()
     times[1][:n_both] = times[0][:n_both]
     times[1][n_both:] = rng.integers(start, end, n_b, np.int64)
-    above = np.less_equal.outer(cum_probs, rng.random(n_both))
-    # pairs with outcome >= 0, 1, 2, 3 and 4
-    n_ge = [n_both] + [int(np.count_nonzero(g)) for g in above] + [0]
+    buf = np.empty(min(max(n_both + n_a, n_both + n_b), _CHUNK))  # outcome and jitter draws
+    n_ge = _draw_outcomes(rng, cum_probs, n_both, buf, codes)
     outcome_counts = tuple(n_ge[k] - n_ge[k + 1] for k in range(4))
 
-    # per arm, Alice's first: each tag's code, 2*channel + flag (see ``_assemble``),
-    # with the transmitted port for a pair's +, the reflected one for -, so Alice's
-    # reflects for outcomes 2 and 3 and Bob's for the odd ones, and a random port for
-    # a lone photon; then Gaussian jitter truncated at 6 sigma
-    reflected = [above[1], above[0] ^ above[1] ^ above[2]]
-    chunks = ([], [])  # (times, codes) chunks of Alice's and Bob's stream
-    for chunk, ch_t in zip(chunks, (CH_ALICE_T, CH_BOB_T)):
-        t, refl = times.pop(0), reflected.pop(0)
+    # per arm, Alice's first: a random port for each lone photon, then Gaussian
+    # jitter truncated at 6 sigma; a pair's photon reflects at Alice for outcomes
+    # 2 and 3 and at Bob for the odd ones
+    photon_singles, chunks = {}, ([], [])  # (times, codes) chunks of Alice's and Bob's stream
+    pairs_reflected = (n_ge[2], outcome_counts[1] + outcome_counts[3])
+    for arm, ch_t in enumerate((CH_ALICE_T, CH_BOB_T)):
+        t, c = times[arm], codes[arm]
         t[n_both:].sort()
         lone = rng.integers(ch_t, ch_t + 2, t.size - n_both, dtype=np.uint8)
-        chunk.append((t, 2 * np.concatenate([ch_t + refl.view(np.uint8), lone])))
+        reflected = pairs_reflected[arm] + int(lone.sum()) - ch_t * lone.size
+        photon_singles[ch_t], photon_singles[ch_t + 1] = t.size - reflected, reflected
+        np.left_shift(lone, 1, out=c[n_both:])
+        chunks[arm].append((t, c))
         if slack:
-            # t += rint(clip(sigma * z)) chunk by chunk; only the times below start + slack
-            # in each sorted part can fall below start, and only they are clipped there
-            parts = ((0, n_both), (n_both, None))
-            low = [(k, k + np.searchsorted(t[k:j], start + slack)) for k, j in parts]
-            buf = np.empty(min(t.size, _CHUNK))
-            for s in range(0, t.size, _CHUNK):
-                z = rng.standard_normal(out=buf[: t.size - s])
-                z *= link.jitter_sigma_ps
-                np.rint(np.clip(z, -slack, slack, out=z), out=z)
-                part = t[s : s + z.size]
-                np.add(part, z, out=part, dtype=np.int64, casting="unsafe")
-            for k, j in low:
-                np.maximum(t[k:j], start, out=t[k:j])
-    del above, t, refl, lone  # the loop's last arrays too
+            _jitter(rng, t, n_both, start, slack, link.jitter_sigma_ps, buf)
+    del times, codes, buf, t, c, lone  # only ``chunks`` holds the arms
 
-    # dark counts per detector; channels 0/1 are Alice's, 2/3 Bob's
-    photon_singles, dark_counts = {}, {}
+    # dark counts per detector, sorted as drawn for ``_assemble`` to merge;
+    # channels 0/1 are Alice's, 2/3 Bob's
+    dark_counts = {}
     for det in (CH_ALICE_T, CH_ALICE_R, CH_BOB_T, CH_BOB_R):
-        photon_singles[det] = int(np.count_nonzero(chunks[det // 2][0][1] == 2 * det))
         dark_counts[det] = n_dark = int(rng.poisson(link.dark_rate_cps * duration_s))
         d_times = rng.integers(start, end, n_dark, dtype=np.int64)
+        d_times.sort()
         chunks[det // 2].append((d_times, np.full(n_dark, 2 * det + FLAG_DARK, dtype=np.uint8)))
 
     truth = PairTruth(
@@ -361,13 +365,48 @@ def simulate_run(
     )
 
 
+def _draw_outcomes(rng, cum_probs, n: int, buf: np.ndarray, codes: List[np.ndarray]) -> List[int]:
+    """Counts of the ``n`` both-detected pairs with outcome >= 0, 1, 2, 3 and 4, each
+    pair's outcome drawn by ``random`` through ``buf`` (the values of one ``random(n)``)
+    and its photons' codes written to the first ``n`` of Alice's and Bob's ``codes``."""
+    n_ge, ge = [n, 0, 0, 0, 0], np.empty((3, buf.size), dtype=bool)
+    for s in range(0, n, _CHUNK):
+        u = rng.random(out=buf[: n - s])
+        m, alice, bob = ge[:, : u.size], codes[0][s : s + u.size], codes[1][s : s + u.size]
+        for k in range(3):
+            n_ge[k + 1] += int(np.count_nonzero(np.greater_equal(u, cum_probs[k], out=m[k])))
+        np.left_shift(m[1].view(np.uint8), 1, out=alice)  # reflected for outcomes 2 and 3
+        m[0] ^= m[1]
+        m[0] ^= m[2]  # odd outcomes
+        np.left_shift(m[0].view(np.uint8), 1, out=bob)
+        bob |= 2 * CH_BOB_T
+    return n_ge
+
+
+def _jitter(rng, t: np.ndarray, n_both: int, start: int, slack: int, sigma: float, buf) -> None:
+    """``t += rint(clip(sigma * z))``, z ``standard_normal`` drawn through ``buf`` (the values
+    of one draw), then clipped at ``start``: only the times below ``start + slack`` in
+    each sorted part, ``[:n_both]`` and ``[n_both:]``, can fall below it."""
+    low = [(k, k + np.searchsorted(t[k:j], start + slack)) for k, j in ((0, n_both), (n_both, None))]
+    for s in range(0, t.size, _CHUNK):
+        z = rng.standard_normal(out=buf[: t.size - s])
+        z *= sigma
+        np.rint(np.clip(z, -slack, slack, out=z), out=z)
+        part = t[s : s + z.size]
+        np.add(part, z, out=part, dtype=np.int64, casting="unsafe")
+    for k, j in low:
+        np.maximum(t[k:j], start, out=t[k:j])
+
+
 def _assemble(chunks: List[Tuple[np.ndarray, np.ndarray]], channel_id: int) -> Stream:
     # one sort of the int64 key time*8 + 2*channel + flag (channels 0-3, flag
     # 0 or FLAG_DARK); equal keys are equal tags, so any sort gives the same
     # stream, and the stable one (a timsort) is the fastest here: the photons
     # are in time order but where jitter swaps two, and the few dark tags are
-    # merged in; each chunk is taken from ``chunks`` and freed once in the key
+    # merged in; each chunk is taken from ``chunks`` and freed once in the key,
+    # after the codes are allocated, so that the next arm's key can take its place
     key, end = np.empty(sum(t.size for t, _ in chunks), dtype=np.int64), 0
+    codes = np.empty(key.size, dtype=np.uint8)
     while chunks:
         t, code = chunks.pop(0)
         part = np.left_shift(t, 3, out=key[end : end + t.size])
@@ -375,7 +414,6 @@ def _assemble(chunks: List[Tuple[np.ndarray, np.ndarray]], channel_id: int) -> S
         end += t.size
     key.sort(kind="stable")
     # split in place: the codes out of the key's low bits, then the times
-    codes = np.empty(key.size, dtype=np.uint8)
     np.bitwise_and(key, 7, out=codes, casting="unsafe")
     key >>= 3
     return Stream(key, codes, channel_id)

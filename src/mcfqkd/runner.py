@@ -74,6 +74,8 @@ def stability_schedule(
     ).items():
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if not acquisition_s * PS_PER_S > 0.5:  # rounds to 0 ps
+        raise ValueError(f"acquisition_s must round to 1 ps or more, got {acquisition_s}")
     if acquisition_s > switch_minutes * 60.0:
         raise ValueError(
             f"acquisition_s {acquisition_s} does not fit into one slot"

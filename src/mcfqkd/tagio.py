@@ -13,9 +13,11 @@ Records exist only here: ``write_timetags(path, stream)`` writes a
 ``photonsim.Stream`` (times and codes ``2 * channel + flags``) under its
 channel id, and ``read_timetags`` reads a time range's records into one, found
 by a binary search that reads one record time per step.  Both pass an eighth
-of the records, and at least ``_CHUNK``, at a time through one buffer; a read
-checks each chunk's columns, then the times' order and bound as a ``Stream``,
-and names the first bad record's offset.  Appended parts equal a single write.
+of the records, and at least ``_CHUNK``, at a time through one buffer of
+``TAG_DTYPE`` records: a write fills a zeroed one column by column (the time,
+``code >> 1`` and ``code & 1``), and a read checks each chunk's columns, then
+the times' order and bound as a ``Stream``, and names the first bad record's
+offset.  Appended parts equal a single write.
 """
 from __future__ import annotations
 
@@ -54,8 +56,6 @@ _HEADER = struct.Struct("<4sHHQ")
 _RECORD_SIZE = TAG_DTYPE.itemsize
 #: least records per chunk of a read or a write (128 KiB); a longer range moves an eighth
 _CHUNK = 1 << 13
-# second record word of each code 2*channel + flag: channel | flag << 8
-_CODE_WORDS = np.array([c >> 1 | (c & 1) << 8 for c in range(8)], dtype=np.int64)
 
 
 class TagFormatError(ValueError):
@@ -70,17 +70,18 @@ def write_timetags(path, tags: Stream, *, append: bool = False) -> None:
     """Write the stream ``tags`` as records of its channel id; ``append`` adds them to its file."""
     if not isinstance(tags, Stream):
         raise ValueError(f"tags must be a Stream, got {type(tags).__name__}")
-    # each record as two little-endian int64 words: the time, then channel | flags << 8
+    # each record's columns from the stream's: the time, code >> 1, code & 1 and zeros
     step = max(_CHUNK, len(tags) // 8)
-    words = np.zeros((min(len(tags), step), 2), dtype="<i8")
+    records = np.zeros(min(len(tags), step), dtype=TAG_DTYPE)
     with open(path, "ab" if append else "wb") as fh:
         if not append:
             fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, tags.channel_id, 0))
         for s in range(0, len(tags), step):
-            chunk = words[: len(tags) - s]
-            chunk[:, 0] = tags.times[s : s + len(chunk)]
-            chunk[:, 1] = _CODE_WORDS.take(tags.codes[s : s + len(chunk)])
-            fh.write(chunk)
+            rec, codes = records[: len(tags) - s], tags.codes[s : s + step]
+            rec["time_ps"] = tags.times[s : s + step]
+            np.right_shift(codes, 1, out=rec["channel"])
+            np.bitwise_and(codes, 1, out=rec["flags"])
+            fh.write(rec)
 
 
 def _check_header(fh) -> tuple[int, int]:

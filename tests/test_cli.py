@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mcfqkd import cli, config
+from mcfqkd import cli, config, photonsim
 from mcfqkd.cli import LINKBUDGET_CSV_HEADER, main
 from mcfqkd.config import dump_config, preset, preset_inner, selected_pairs, window_capture_fraction
 from mcfqkd.geometry import coupling_probabilities
@@ -79,6 +80,30 @@ class TestSimulate:
         # refused when the file loads, with its path, before the output directory is made
         assert capsys.readouterr().err == f"error: {path}: pairs: must not be empty\n"
         assert not (tmp_path / "x").exists()
+
+    def test_acquisition_rounding_to_0_ps_names_the_field(self, tmp_path, capsys):
+        cfg = preset_inner()
+        cfg.schedule.acquisition_s = 1e-13
+        path = tmp_path / "bad.json"
+        dump_config(cfg, path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: schedule.acquisition_s: must round to 1 ps or more, got 1e-13\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_acquisition_too_large_to_allocate_exits_2(self, quick_config, tmp_path, capsys, monkeypatch):
+        # a stand-in generator whose arrays of times cannot be allocated, as a 6e5 s
+        # acquisition's cannot: an error naming the acquisition, not numpy's traceback
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        real = photonsim._stream_rng
+        monkeypatch.setattr(
+            photonsim, "_stream_rng", lambda *args: SimpleNamespace(poisson=real(*args).poisson, integers=no_memory)
+        )
+        assert main(["simulate", "--config", str(quick_config), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \d+ photon tags of a 2 s acquisition cannot be allocated\n", err)
 
     def test_schema_violation_reports_path(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -521,6 +546,13 @@ class TestStability:
         assert main([*argv, "--acquisition-s", "120", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "error: acquisition_s 120.0 does not fit into one slot of switch_minutes 1.0\n"
+        assert not out.exists()
+
+    def test_acquisition_rounding_to_0_ps_names_the_option(self, tmp_path, capsys):
+        out = tmp_path / "stab"
+        argv = ["stability", "--preset", "stability", "--hours", "1", "--switch-min", "15"]
+        assert main([*argv, "--acquisition-s", "1e-13", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: acquisition_s must round to 1 ps or more, got 1e-13\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("acquisition", ["0", "-1"])

@@ -203,6 +203,9 @@ def _with_top(key, value, **more):
             _with_top("analysis", {"hist_bin_ps": 1, "hist_range_ps": 999}),
             "analysis.hist_range_ps: must leave a bin 1000 ps",
         ),
+        # a segment holds whole ps, so an acquisition must round to 1 ps or more
+        (_with("schedule", "acquisition_s", 0.0), "schedule.acquisition_s: must round to 1 ps or more, got 0.0"),
+        (_with("schedule", "acquisition_s", 1e-13), "schedule.acquisition_s: must round to 1 ps or more, got 1e-13"),
     ],
 )
 def test_invalid_values_rejected_with_field_path(data, path):

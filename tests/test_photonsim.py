@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -519,6 +520,78 @@ def test_chunked_jitter_equals_one_normal_draw(seed):
         z *= sigma
         assert z.tobytes() == want[s : s + z.size].tobytes()
     assert one.bit_generator.state == chunked.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_chunked_outcomes_equal_one_random_draw(seed):
+    # ``simulate_run`` draws the pairs' outcomes as ``random`` chunks through the
+    # buffer its jitter reuses: the values of one random(n) draw, with the
+    # generator left where that draw leaves it
+    n, chunk = 3 * photonsim._CHUNK + 17, photonsim._CHUNK
+    one, chunked = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = one.random(n)
+    buf = np.empty(chunk)
+    for s in range(0, n, chunk):
+        u = chunked.random(out=buf[: n - s])
+        assert u.tobytes() == want[s : s + u.size].tobytes()
+    assert one.bit_generator.state == chunked.bit_generator.state
+
+
+def test_outcome_codes_are_those_of_one_random_draw():
+    # oracle: the outcome (++, +-, -+, --) of each of one random(n) draw is the count
+    # of cumulative probabilities at or below it; Alice's photon reflects (code 2)
+    # for outcomes 2 and 3, Bob's (code 6, else 4) for the odd ones
+    n = 3 * photonsim._CHUNK + 17
+    cum_probs = np.cumsum(joint_outcome_probs(0.0, 30.0, 0.9))[:3]
+    one, chunked = np.random.default_rng(8), np.random.default_rng(8)
+    outcome = np.sum(cum_probs[:, None] <= one.random(n), axis=0)
+    codes = [np.full(n + 3, 99, dtype=np.uint8), np.full(n + 2, 99, dtype=np.uint8)]
+    n_ge = photonsim._draw_outcomes(chunked, cum_probs, n, np.empty(photonsim._CHUNK), codes)
+    assert one.bit_generator.state == chunked.bit_generator.state
+    assert n_ge == [int(np.count_nonzero(outcome >= k)) for k in range(5)]
+    assert np.array_equal(codes[0][:n], 2 * (outcome >= 2))
+    assert np.array_equal(codes[1][:n], 4 + 2 * (outcome % 2))
+    assert (codes[0][n:] == 99).all() and (codes[1][n:] == 99).all()  # the lone photons' part
+
+
+def test_truth_counts_are_those_of_the_codes_past_two_chunks():
+    # outcomes drawn in more than two chunks: with no loss, darks or jitter both
+    # arms hold every pair at one time, so each pair's outcome reads off its two
+    # codes; on a lossy, noisy link each channel's photon singles are its flag-0 tags
+    pair, link = make_channel()
+    res = simulate_run(SourceParams(pair_rate=30_000, visibility=0.9), pair, link, segment(6.0),
+                       seed=2, angle_offset_deg=20.0)
+    streams, truth = res.streams[pair.pair_id], res.truth.pairs[pair.pair_id]
+    assert truth.true_coincidences > 2 * photonsim._CHUNK
+    assert np.array_equal(streams.alice.times, streams.bob.times)
+    outcome = (streams.alice.codes & 2) + (streams.bob.codes >> 1 & 1)
+    assert truth.outcome_counts == tuple(int(np.count_nonzero(outcome == k)) for k in range(4))
+    pair, link = make_channel(
+        system_loss_db=1.0, dark_rate_cps=10_000.0, jitter_sigma_ps=300.0, crosstalk_prob=0.02
+    )
+    res = simulate_run(SourceParams(pair_rate=3_000_000, visibility=0.9), pair, link, segment(0.1),
+                       seed=3, angle_offset_deg=20.0)
+    streams, truth = res.streams[pair.pair_id], res.truth.pairs[pair.pair_id]
+    assert truth.true_coincidences > 2 * photonsim._CHUNK and sum(truth.outcome_counts) == truth.true_coincidences
+    codes = np.concatenate([streams.alice.codes, streams.bob.codes])
+    assert truth.photon_singles == {ch: int(np.count_nonzero(codes == 2 * ch)) for ch in range(4)}
+    assert truth.dark_counts == {ch: int(np.count_nonzero(codes == 2 * ch + FLAG_DARK)) for ch in range(4)}
+
+
+def test_acquisition_too_large_to_allocate_names_its_size(monkeypatch):
+    # a stand-in generator whose arrays of times cannot be allocated, as a 6e5 s
+    # acquisition's cannot: refused by name, not with numpy's error
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    real = photonsim._stream_rng
+    monkeypatch.setattr(
+        photonsim, "_stream_rng", lambda *args: SimpleNamespace(poisson=real(*args).poisson, integers=no_memory)
+    )
+    pair, link = make_channel()  # lossless: the tags are the pairs' two photons
+    n_both = int(real(1, PURPOSE_TAGS, 0, pair.pair_id).poisson(1_000.0 * 0.5))
+    with pytest.raises(ValueError, match=rf"^{2 * n_both} photon tags of a 0.5 s acquisition cannot be allocated$"):
+        simulate_run(SourceParams(pair_rate=1_000.0), pair, link, segment(0.5), seed=1)
 
 
 @pytest.mark.parametrize("duration", [1, 7, 2**32 + 1, 60 * PS_PER_S])

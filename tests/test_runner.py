@@ -78,6 +78,13 @@ class TestSchedules:
         with pytest.raises(ValueError, match=r"^start_ps must be an integer, got 1\.5$"):
             ScheduleSegment("HV", 1.5, 60 * PS_PER_S)
 
+    @pytest.mark.parametrize("acquisition_s", [1e-13, 4e-13])
+    def test_acquisition_rounding_to_0_ps_names_it(self, acquisition_s):
+        # a segment holds whole ps: 1e-13 s would become an acquisition of 0 ps
+        with pytest.raises(ValueError, match=rf"^acquisition_s must round to 1 ps or more, got {acquisition_s}$"):
+            stability_schedule(1.0, 15.0, acquisition_s)
+        assert stability_schedule(1.0, 15.0, 1e-12)[0].duration_ps == 1
+
     def test_acquisition_must_fit_slot(self):
         with pytest.raises(ValueError):
             stability_schedule(1.0, 1.0, 120.0)

@@ -1,5 +1,6 @@
 """Unit tests for the binary timetag format."""
 
+import itertools
 import struct
 import tracemalloc
 
@@ -56,13 +57,19 @@ def assert_stream_is(stream, tags):
 
 class TestRoundTrip:
     def test_bit_exact_roundtrip(self, tmp_path):
-        tags = sample_tags(5000)
+        # 5000 records go out in one chunk, 8 * _CHUNK + 9 in eight of n // 8 and a
+        # ninth of one; each file holds all four codes of its channel id
         path = tmp_path / "stream.mcqt"
-        write_timetags(path, stream_of(tags, CHANNEL_ALICE))
-        assert path.read_bytes() == header(CHANNEL_ALICE) + tags.tobytes()
-        back, channel = read_timetags(path)
-        assert channel == CHANNEL_ALICE
-        assert_stream_is(back, tags)
+        for n, channel_id in itertools.product([5000, 8 * tagio._CHUNK + 9], [CHANNEL_ALICE, CHANNEL_BOB]):
+            tags = sample_tags(n, channel_id=channel_id)
+            assert set(zip(tags["channel"].tolist(), tags["flags"].tolist())) == {
+                (2 * channel_id + port, flag) for port in (0, 1) for flag in (0, 1)
+            }
+            write_timetags(path, stream_of(tags, channel_id))
+            assert path.read_bytes() == header(channel_id) + tags.tobytes()
+            back, channel = read_timetags(path)
+            assert channel == channel_id
+            assert_stream_is(back, tags)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         tags = sample_tags(1000, seed=3, channel_id=CHANNEL_BOB)
