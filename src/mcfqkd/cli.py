@@ -13,23 +13,19 @@ bad option value exits 2 naming the option.  A verb makes its output directory
 only after its results are computed, so a failure leaves none; ``simulate``,
 which appends to its tag files as it goes, once its pairs and schedule are
 known.  ``simulate`` and ``analyze`` run their pairs on ``runner.parallel_map``,
-whose pool ``MCFQKD_THREADS`` caps; results do not depend on it.  The
-``ground_truth.json`` that ``simulate`` writes holds the run's config and the
-per-pair truth; ``analyze`` derives the schedule and each pair's tag files
-(``pair{id}_{alice,bob}.mcqt``) from that config, as ``simulate`` did.  Each
-CSV table is one column map written by ``_write_csv``.  Under glibc, ``main``
-keeps the heap that each acquisition frees for the next (``_keep_freed_heap``);
-importing this module, or calling the library, leaves the allocator alone.
+which sets the heap policy and whose pool ``MCFQKD_THREADS`` caps; results do
+not depend on it.  The ``ground_truth.json`` that ``simulate`` writes holds the
+run's config and the per-pair truth; ``analyze`` derives the schedule and each
+pair's tag files (``pair{id}_{alice,bob}.mcqt``) from that config, as
+``simulate`` did.  Each CSV table is one column map written by ``_write_csv``.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import json
 import math
 import operator
-import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -481,27 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_freed_heap() -> None:
-    """Under glibc, serve blocks below 32 MiB from the heap and keep up to
-    64 MiB of freed heap mapped, so that each acquisition reuses the pages of
-    the time arrays, match buffer and block temporaries the previous one
-    freed instead of faulting them in again.  The trim threshold is set only
-    once the mmap threshold is: set alone, it freezes glibc's dynamic mmap
-    threshold at 128 KiB.  On another libc this does nothing."""
-    try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
-        return
-    if not (libc or "").startswith("glibc"):
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    if mallopt(-3, 32 * 2**20) == 1:  # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD (malloc.h)
-        mallopt(-1, 64 * 2**20)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    _keep_freed_heap()  # the process's allocator policy, which only the command line owns
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -30,7 +30,7 @@ from .geometry import (
     coupling_probabilities,
     emission_profile_from_temperature,
 )
-from .photonsim import ANALYZER_ANGLE_DEG, PS_PER_S, LinkParams, SourceParams
+from .photonsim import ANALYZER_ANGLE_DEG, PS_PER_S, TIME_LIMIT_PS, LinkParams, SourceParams
 
 __all__ = [
     "ConfigError",
@@ -152,6 +152,14 @@ class RunConfig:
         if not self.schedule.acquisition_s * PS_PER_S > 0.5:  # rounds to 0 ps
             raise ConfigError(
                 f"schedule.acquisition_s: must round to 1 ps or more, got {self.schedule.acquisition_s}"
+            )
+        # the scan's last tag as ``simulate_run`` bounds it: its end plus 6 sigma of jitter
+        acquisition_ps, n = self.schedule.acquisition_s * PS_PER_S, len(self.schedule.bases)
+        slack = math.ceil(6.0 * self.link.jitter_sigma_ps)
+        if not acquisition_ps < TIME_LIMIT_PS or n * round(acquisition_ps) + slack > TIME_LIMIT_PS:
+            raise ConfigError(
+                f"schedule.acquisition_s: the scan of {n}, plus 6 sigma of jitter, must end"
+                f" before 2**60 ps, got {self.schedule.acquisition_s}"
             )
         if self.drift.rate_deg_per_hour < 0:
             raise ConfigError("drift.rate_deg_per_hour: must be >= 0")

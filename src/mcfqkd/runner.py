@@ -14,15 +14,21 @@ duration in the integer picoseconds of the tag files) from ``scan_schedule``,
 which ``simulate`` and ``analyze`` both derive from the run's config, or from
 ``stability_schedule``.  Core pairs and stability slots are independent
 acquisitions, so every loop over them, here and in the CLI, runs on
-``parallel_map``: one thread pool capped by ``MCFQKD_THREADS``, with results in
-input order.  Each acquisition derives its own random stream from the seed,
-pair and segment index, so results do not depend on the thread count or on
-how the pool schedules them.
+``parallel_map``: one thread pool capped by ``MCFQKD_THREADS`` and kept for the
+process, with results in input order.  Each acquisition derives its own random
+stream from the seed, pair and segment index, so results do not depend on the
+thread count or on how the pool schedules them.  Under glibc, ``parallel_map``
+first keeps the heap each acquisition frees for the next (``_keep_freed_heap``);
+nothing else sets an allocator policy, and importing a module sets none.
 """
 from __future__ import annotations
 
+import ctypes
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -31,7 +37,7 @@ import numpy as np
 from .coincidence import BasisTally, tally_basis
 from .config import RunConfig, selected_pairs, worker_count
 from .geometry import CorePair
-from .photonsim import PS_PER_S, PairTruth, ScheduleSegment, Stream, simulate_run
+from .photonsim import PS_PER_S, TIME_LIMIT_PS, PairTruth, ScheduleSegment, Stream, simulate_run
 from .photonsim import apply_polarization_drift
 from .qkdmath import KeyRateInputs, secret_key_rate
 
@@ -51,10 +57,50 @@ __all__ = [
 ]
 
 
+def _keep_freed_heap() -> None:
+    """Under glibc, serve blocks below 32 MiB from the heap and keep up to
+    64 MiB of freed heap mapped, so that each acquisition reuses the pages of
+    the time arrays, match buffer and block temporaries the previous one
+    freed instead of faulting them in again.  The trim threshold is set only
+    once the mmap threshold is: set alone, it freezes glibc's dynamic mmap
+    threshold at 128 KiB.  On another libc this does nothing."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    if not (libc or "").startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    if mallopt(-3, 32 * 2**20) == 1:  # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD (malloc.h)
+        mallopt(-1, 64 * 2**20)
+
+
+#: the pools by process id and thread cap, whose threads outlive each call and so keep
+#: their glibc arenas: a new thread may take a fresh one while the last is still exiting
+_POOLS: Dict[Tuple[int, int], ThreadPoolExecutor] = {}
+_IN_POOL = threading.local()  # ``.worker`` is set in a pool's threads
+
+
 def parallel_map(fn: Callable, items: Sequence) -> list:
-    """``[fn(item) for item in items]`` on a pool of ``worker_count(len(items))`` threads."""
-    with ThreadPoolExecutor(max_workers=worker_count(len(items))) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(item) for item in items]`` on the process's pool of ``worker_count`` threads,
+    or in the calling thread if it is one of them, which would wait on itself.
+
+    As on leaving a pool's ``with``, no item still runs when this returns or raises."""
+    _keep_freed_heap()
+    if getattr(_IN_POOL, "worker", False):
+        return [fn(item) for item in items]
+    key = (os.getpid(), worker_count(sys.maxsize))  # a forked child starts its own
+    pool = _POOLS.get(key) or _POOLS.setdefault(
+        key, ThreadPoolExecutor(key[1], initializer=setattr, initargs=(_IN_POOL, "worker", True))
+    )
+    futures = [pool.submit(fn, item) for item in items]
+    try:
+        return [future.result() for future in futures]
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def _acquisitions(
@@ -87,6 +133,9 @@ def stability_schedule(
     n_slots = int(round(total_hours * 60.0 / switch_minutes))
     if n_slots == 0:
         raise ValueError(f"no slot: {what}")
+    slot_ps = switch_minutes * 60.0 * PS_PER_S  # checked before the slots are listed
+    if not slot_ps < TIME_LIMIT_PS or n_slots * round(slot_ps) > TIME_LIMIT_PS:
+        raise ValueError(f"last slot ends past 2**60 ps: {what}")
     bases = ["HV" if k % 2 == 0 else "DA" for k in range(n_slots)]
     return _acquisitions(bases, switch_minutes * 60.0, acquisition_s)
 

@@ -292,7 +292,8 @@ def test_criterion_7_distance_limits():
 
 def test_criterion_8_stability_protocol():
     with check(8, "24 h run yields 48 points, QBER mean in [2.5, 3.5]%, key rate mean in [2.0, 2.6] kbit/s"
-               "; each slot's QBER follows its drift offset"):
+               "; each slot's QBER follows its drift offset; each slot's key rate pairs it with the"
+               " latest slot of the other basis"):
         cfg = preset_stability()
         points = run_stability(cfg, total_hours=24.0, switch_minutes=30.0, acquisition_s=60.0)
         assert len(points) == 48
@@ -306,6 +307,23 @@ def test_criterion_8_stability_protocol():
         # slot's offset goes astray unseen
         law = drift_law(cfg, points, 60.0)
         assert abs(law.pooled_z) < 3 and law.chi2 < 84.04, f"{law}; chi2 {law.chi2:.1f}"
+        # the key-rate identity on the same run, from the points' own rates and QBERs:
+        # each slot with the latest slot of the other basis, the first slot standing
+        # in for a basis not yet measured; exact, as the same floats go in
+        latest = {}
+        for p in points:
+            latest[p.basis] = p
+            hv, da = (latest.get(basis, points[0]) for basis in ("HV", "DA"))
+            expected = secret_key_rate(
+                KeyRateInputs(
+                    coin_rate_hv=hv.coincidence_rate_cps,
+                    coin_rate_da=da.coincidence_rate_cps,
+                    qber_hv=min(hv.qber, 0.5),
+                    qber_da=min(da.qber, 0.5),
+                    ec_efficiency=cfg.keyrate.ec_efficiency,
+                )
+            )
+            assert p.skr_bits_s == expected, f"slot {p.slot}: {p.skr_bits_s} != {expected}"
 
 
 def test_criterion_9_determinism_and_formats(tmp_path):

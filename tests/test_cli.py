@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mcfqkd import cli, config, photonsim
+from mcfqkd import cli, config, photonsim, runner
 from mcfqkd.cli import LINKBUDGET_CSV_HEADER, main
 from mcfqkd.config import dump_config, preset, preset_inner, selected_pairs, window_capture_fraction
 from mcfqkd.geometry import coupling_probabilities
@@ -89,6 +89,21 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {path}: schedule.acquisition_s: must round to 1 ps or more, got 1e-13\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("acquisition_s", [1e300, 2e6])
+    def test_scan_past_the_tag_time_limit_names_the_field(self, tmp_path, capsys, acquisition_s):
+        # refused at load, where the scan is described, not by an overflow in the
+        # schedule (1e300) or by the simulator's unnamed tag-time bound (2e6)
+        cfg = preset_inner()
+        cfg.schedule.acquisition_s = acquisition_s
+        path = tmp_path / "bad.json"
+        dump_config(cfg, path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: schedule.acquisition_s: the scan of 2, plus 6 sigma of jitter,"
+            f" must end before 2**60 ps, got {acquisition_s}\n"
+        )
         assert not (tmp_path / "x").exists()
 
     def test_acquisition_too_large_to_allocate_exits_2(self, quick_config, tmp_path, capsys, monkeypatch):
@@ -555,6 +570,15 @@ class TestStability:
         assert capsys.readouterr().err == "error: acquisition_s must round to 1 ps or more, got 1e-13\n"
         assert not out.exists()
 
+    def test_run_past_the_tag_time_limit_names_its_hours(self, tmp_path, capsys):
+        # 400 h of 30 min slots end at 1.44e18 ps, past 2**60: refused before any slot runs
+        out = tmp_path / "stab"
+        argv = ["stability", "--preset", "stability", "--hours", "400", "--acquisition-s", "1"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: last slot ends past 2**60 ps: total_hours 400.0, switch_minutes 30.0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("acquisition", ["0", "-1"])
     def test_non_positive_acquisition_names_the_option(self, tmp_path, capsys, acquisition):
         with pytest.raises(SystemExit) as exc:
@@ -690,8 +714,10 @@ def _under_glibc() -> bool:
 
 
 class TestAllocatorPolicy:
-    """``main`` keeps the heap an acquisition frees for the next one, under
-    glibc; importing the CLI and the library calls leave the allocator alone."""
+    """``runner.parallel_map``, the executor of every acquisition loop, keeps
+    the heap an acquisition frees for the next one, under glibc; importing a
+    module, the calls that run no such loop and ``main`` itself leave the
+    allocator alone."""
 
     SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -725,38 +751,83 @@ class TestAllocatorPolicy:
         faults = self.run_python(code, tmp_path, env={**os.environ, "MCFQKD_THREADS": threads})
         assert max(faults[1:]) < 1000, faults
 
-    def test_library_sets_no_policy(self):
-        # a stand-in for ``ctypes.CDLL`` records every mallopt call from
-        # importing the CLI, a basis scan and a stability run (none), then
-        # from ``main`` (the policy)
+    @pytest.mark.skipif(not _under_glibc(), reason="the policy is glibc's mallopt")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_later_stability_runs_fault_in_no_heap(self, threads):
+        # the library's own loop, with no ``main`` in the process; without the
+        # policy the second and third 4 h runs take 2.7k-19k faults each
+        code = """
+            import json, resource, sys
+            sys.path.insert(0, sys.argv[1])
+            from mcfqkd.config import preset_stability
+            from mcfqkd.runner import run_stability
+            faults = []
+            for k in range(3):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                run_stability(preset_stability(), 4.0, 30.0, 60.0)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            print(json.dumps(faults))
+        """
+        faults = self.run_python(code, env={**os.environ, "MCFQKD_THREADS": threads})
+        assert max(faults[1:]) < 1000, faults
+
+    def test_library_sets_no_policy(self, tmp_path):
+        # a stand-in for ``ctypes.CDLL`` records the mallopt calls of each step:
+        # importing the CLI, the direct calls that run no acquisition loop and
+        # ``main`` with no verb make none; a basis scan and a stability run each
+        # set the policy, on the ``parallel_map`` they run on
         code = """
             import ctypes, json, sys, types
             sys.path.insert(0, sys.argv[1])
-            calls = []
+            calls, steps = [], {}
             libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
             ctypes.CDLL = lambda *args, **kwargs: libc
+
+            def step(name, run):
+                before = len(calls)
+                try:
+                    run()
+                except SystemExit:
+                    pass
+                steps[name] = calls[before:]
+
+            step("import", lambda: __import__("mcfqkd.cli"))
             import mcfqkd.cli
-            from mcfqkd.config import preset_inner, preset_stability
-            from mcfqkd.runner import run_basis_scan, run_stability
+            from mcfqkd.coincidence import tally_basis
+            from mcfqkd.config import preset_inner, preset_stability, selected_pairs
+            from mcfqkd.photonsim import simulate_run
+            from mcfqkd.runner import run_basis_scan, run_stability, scan_schedule
+            from mcfqkd.tagio import read_timetags, write_timetags
             cfg = preset_inner()
             cfg.schedule.acquisition_s = 1.0
-            run_basis_scan(cfg)
-            run_stability(preset_stability(), total_hours=1.0, switch_minutes=30.0, acquisition_s=1.0)
-            library = list(calls)
-            try:
-                mcfqkd.cli.main(["--version"])
-            except SystemExit:
-                pass
-            print(json.dumps([library, calls[len(library):]]))
+            segment = scan_schedule(cfg)[0]
+            run = []
+            step("simulate_run", lambda: run.append(
+                simulate_run(cfg.source, selected_pairs(cfg)[0], cfg.link, segment, cfg.seed)
+            ))
+            arms = run[0].streams[selected_pairs(cfg)[0].pair_id]
+            step("tally_basis", lambda: tally_basis(arms.alice, arms.bob, window_ps=300, duration_s=1.0))
+            path = f"{sys.argv[2]}/alice.mcqt"
+            write_timetags(path, arms.alice)
+            step("read_timetags", lambda: read_timetags(path))
+            step("main", lambda: mcfqkd.cli.main(["--version"]))
+            step("run_basis_scan", lambda: run_basis_scan(cfg))
+            step("run_stability", lambda: run_stability(
+                preset_stability(), total_hours=1.0, switch_minutes=30.0, acquisition_s=1.0
+            ))
+            print(json.dumps(steps))
         """
-        library, command = self.run_python(code)
-        assert library == []
-        assert command == ([[-3, 32 * 2**20], [-1, 64 * 2**20]] if _under_glibc() else [])
+        steps = self.run_python(code, tmp_path)
+        policy = [[-3, 32 * 2**20], [-1, 64 * 2**20]] if _under_glibc() else []
+        assert steps == {
+            "import": [], "simulate_run": [], "tally_basis": [], "read_timetags": [], "main": [],
+            "run_basis_scan": policy, "run_stability": policy,
+        }
 
     @pytest.fixture
     def libc(self, monkeypatch):
-        """The calls ``main`` makes on a stand-in for glibc whose ``mallopt``
-        returns ``result``."""
+        """The calls a one-item ``parallel_map`` makes on a stand-in for glibc
+        whose ``mallopt`` returns ``result``."""
 
         def run(result=1, confstr=lambda name: "glibc 2.36"):
             calls = []
@@ -765,10 +836,9 @@ class TestAllocatorPolicy:
                 calls.append((param, value))
                 return result
 
-            monkeypatch.setattr(cli.os, "confstr", confstr)
-            monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
-            with pytest.raises(SystemExit):
-                main(["--version"])  # the policy is set before the arguments are parsed
+            monkeypatch.setattr(runner.os, "confstr", confstr)
+            monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+            assert runner.parallel_map(str, [0]) == ["0"]
             return calls
 
         return run

@@ -206,11 +206,31 @@ def _with_top(key, value, **more):
         # a segment holds whole ps, so an acquisition must round to 1 ps or more
         (_with("schedule", "acquisition_s", 0.0), "schedule.acquisition_s: must round to 1 ps or more, got 0.0"),
         (_with("schedule", "acquisition_s", 1e-13), "schedule.acquisition_s: must round to 1 ps or more, got 1e-13"),
+        # the scan's two acquisitions and the jitter's 6 sigma must end before 2**60 ps, the
+        # tag times' limit: refused at load, not by an overflow or by the simulator unnamed
+        (
+            _with("schedule", "acquisition_s", 1e300),
+            "schedule.acquisition_s: the scan of 2, plus 6 sigma of jitter, must end before 2**60 ps, got 1e+300",
+        ),
+        (
+            _with("schedule", "acquisition_s", 2e6),
+            "schedule.acquisition_s: the scan of 2, plus 6 sigma of jitter, must end before 2**60 ps, got 2000000.0",
+        ),
     ],
 )
 def test_invalid_values_rejected_with_field_path(data, path):
     # NaN and Infinity are what Python's JSON parser accepts for them
     with pytest.raises(ConfigError, match=re.escape(path)):
+        loads_config(json.dumps(data))
+
+
+@pytest.mark.parametrize("bases, acquisition_s", [(["HV", "DA"], 576_460.0), (["HV"], 1_152_921.0)])
+def test_scan_that_ends_just_before_the_tag_time_limit_loads(bases, acquisition_s):
+    # 2**60 ps is 1,152,921.5 s; the refusal counts every acquisition of the scan
+    data = {**MINIMAL, "schedule": {"bases": bases, "acquisition_s": acquisition_s}}
+    assert loads_config(json.dumps(data)).schedule.acquisition_s == acquisition_s
+    data["schedule"]["acquisition_s"] = acquisition_s + 1.0
+    with pytest.raises(ConfigError, match=rf"^schedule\.acquisition_s: the scan of {len(bases)},"):
         loads_config(json.dumps(data))
 
 

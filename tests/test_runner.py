@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,7 @@ from mcfqkd.photonsim import PS_PER_S, LinkParams, ScheduleSegment, SourceParams
 from mcfqkd.qkdmath import positive_qber_threshold
 from mcfqkd.runner import (
     analyze_segment,
+    parallel_map,
     run_basis_scan,
     run_stability,
     scan_schedule,
@@ -35,6 +39,74 @@ def quick_inner(acquisition_s=2.0, seed=42):
     cfg = preset_inner(seed=seed)
     cfg.schedule.acquisition_s = acquisition_s
     return cfg
+
+
+class TestParallelMap:
+    """The pool outlives each call, as its threads' glibc arenas do, and a call
+    behaves as one on a pool of its own."""
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self, monkeypatch):
+        monkeypatch.setenv("MCFQKD_THREADS", "2")
+
+    @staticmethod
+    def thread(k):
+        time.sleep(0.01)  # so that both threads take items
+        return threading.current_thread()
+
+    def test_threads_outlive_each_call(self):
+        first = parallel_map(self.thread, range(4))
+        assert len(set(first)) == 2 and threading.current_thread() not in first
+        assert set(parallel_map(self.thread, range(4))) == set(first)
+
+    def test_call_from_a_pool_thread_runs_in_it(self):
+        # on the pool it would wait for its own threads, which wait for it
+        def outer(k):
+            return parallel_map(self.thread, range(3)), threading.current_thread()
+
+        done = []
+        caller = threading.Thread(target=lambda: done.append(parallel_map(outer, range(4))), daemon=True)
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive() and len(done) == 1, "nested call did not return"
+        for inner, thread in done[0]:
+            assert inner == [thread] * 3
+
+    def test_first_calls_from_many_threads_share_one_pool(self, monkeypatch):
+        # eight callers race to make the pool of a process that has none yet;
+        # each gets its own results, and one pool is kept
+        monkeypatch.setattr(runner, "_POOLS", {})
+        results, switch = {}, sys.getswitchinterval()
+        callers = [
+            threading.Thread(target=lambda c=c: results.update({c: parallel_map(lambda x: x * c, range(50))}))
+            for c in range(8)
+        ]
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == {c: [x * c for x in range(50)] for c in range(8)}
+        assert len(runner._POOLS) == 1
+
+    def test_no_item_runs_once_a_call_raises(self):
+        finished = []
+
+        def work(k):
+            if k == 0:
+                raise ValueError("item 0")
+            time.sleep(0.05)
+            finished.append(k)
+
+        with pytest.raises(ValueError, match="^item 0$"):
+            parallel_map(work, range(8))
+        done = list(finished)
+        time.sleep(0.3)
+        assert finished == done and len(done) < 7
 
 
 class TestSchedules:
@@ -84,6 +156,14 @@ class TestSchedules:
         with pytest.raises(ValueError, match=rf"^acquisition_s must round to 1 ps or more, got {acquisition_s}$"):
             stability_schedule(1.0, 15.0, acquisition_s)
         assert stability_schedule(1.0, 15.0, 1e-12)[0].duration_ps == 1
+
+    @pytest.mark.parametrize("total_hours", [1e5, 320.5])
+    def test_schedule_past_the_tag_time_limit_names_its_hours(self, total_hours):
+        # 2**60 ps is 320.26 h: 641 slots of 30 min end past it, refused before the
+        # slots are listed, where a mistyped ``--hours`` would list billions of them
+        with pytest.raises(ValueError, match=rf"^last slot ends past 2\*\*60 ps: total_hours {total_hours}, "):
+            stability_schedule(total_hours, 30.0, 60.0)
+        assert len(stability_schedule(320.0, 30.0, 60.0)) == 640
 
     def test_acquisition_must_fit_slot(self):
         with pytest.raises(ValueError):
