@@ -12,12 +12,12 @@ Every command exits non-zero on any error and zero only on full success; a
 bad option value exits 2 naming the option.  A verb makes its output directory
 only after its results are computed, so a failure leaves none; ``simulate``,
 which appends to its tag files as it goes, once its pairs and schedule are
-known.  ``simulate`` and ``analyze`` run their pairs on ``runner.parallel_map``,
-which sets the heap policy and whose pool ``MCFQKD_THREADS`` caps; results do
-not depend on it.  The ``ground_truth.json`` that ``simulate`` writes holds the
-run's config and the per-pair truth; ``analyze`` derives the schedule and each
-pair's tag files (``pair{id}_{alice,bob}.mcqt``) from that config, as
-``simulate`` did.  Each CSV table is one column map written by ``_write_csv``.
+known.  ``simulate`` runs its pairs and ``analyze`` each (pair, segment) on
+``runner.parallel_map``, which sets the heap policy and whose pool
+``MCFQKD_THREADS`` caps; results do not depend on it.  ``simulate`` writes the
+run's config and the per-pair truth to ``ground_truth.json``; ``analyze``
+derives the schedule and each pair's tag files (``pair{id}_{alice,bob}.mcqt``)
+from it, as ``simulate`` did.  Each CSV table is one ``_write_csv`` column map.
 """
 from __future__ import annotations
 

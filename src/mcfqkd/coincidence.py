@@ -34,6 +34,8 @@ from .qkdmath import visibility_from_counts
 
 __all__ = [
     "ACCIDENTAL_GAP_PS",
+    "HIST_BIN_PS",
+    "HIST_RANGE_PS",
     "CorrelationHistogram",
     "AccidentalEstimate",
     "BasisTally",
@@ -53,6 +55,10 @@ _BLOCK = 1 << 16
 #: true pair's delay stays within 2 * ceil(6 sigma) = 600 ps of the true delay at
 #: the presets' 50 ps jitter, and the peak within half a 50 ps bin of it
 ACCIDENTAL_GAP_PS = 1000
+
+#: the tally's histogram grid, 50 ps bins over +-5 ns: its outer bins lie range - bin + 1 ps
+#: from 0, past ``ACCIDENTAL_GAP_PS``, so the accidentals keep a bin at every peak delay
+HIST_BIN_PS, HIST_RANGE_PS = 50, 5000
 
 
 class NoPeakError(ValueError):
@@ -356,8 +362,8 @@ def tally_basis(
     *,
     window_ps: int,
     duration_s: float,
-    hist_bin_ps: int = 50,
-    hist_range_ps: int = 5000,
+    hist_bin_ps: int = HIST_BIN_PS,
+    hist_range_ps: int = HIST_RANGE_PS,
 ) -> BasisTally:
     """Analyze one acquisition: align, match, classify by detector port and
     estimate the accidentals from the histogram's sidebands.

@@ -22,7 +22,6 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple, get_args, get_origin, get_type_hints
 
-from .coincidence import ACCIDENTAL_GAP_PS
 from .geometry import (
     CorePair,
     RingCalibration,
@@ -89,12 +88,12 @@ class DriftConfig:
 
 @dataclass
 class AnalysisConfig:
-    window_ps: int = 300
-    # "full" (``window_ps`` is the total width) is the only mode; the key
-    # stays because the benchmark harness reads it in traced runs
-    window_mode: str = "full"
-    hist_bin_ps: int = 50
-    hist_range_ps: int = 5000
+    window_ps: int = 300  # the total width; the histogram grid is the tally's own
+
+    @property
+    def window_mode(self) -> str:
+        """Always "full", the only window mode: no config key, read by the benchmark harness."""
+        return "full"
 
 
 @dataclass
@@ -165,25 +164,8 @@ class RunConfig:
             raise ConfigError("drift.rate_deg_per_hour: must be >= 0")
         if self.drift.max_offset_deg <= 0:
             raise ConfigError("drift.max_offset_deg: must be > 0")
-        a = self.analysis
-        if a.window_mode != "full":
-            raise ConfigError(f"analysis.window_mode: must be 'full', got {a.window_mode!r}")
-        if a.window_ps <= 0:
+        if self.analysis.window_ps <= 0:
             raise ConfigError("analysis.window_ps: must be > 0")
-        if a.hist_bin_ps <= 0:
-            raise ConfigError("analysis.hist_bin_ps: must be > 0")
-        if a.hist_range_ps < a.hist_bin_ps or a.hist_range_ps % a.hist_bin_ps:
-            raise ConfigError(
-                f"analysis.hist_range_ps: must be a positive multiple of hist_bin_ps "
-                f"({a.hist_bin_ps}), got {a.hist_range_ps}"
-            )
-        # the outer bins' nearest integer delays lie range - bin + 1 ps from zero, so
-        # the accidentals keep a bin at every peak delay, 0 on an empty histogram too
-        if a.hist_range_ps - a.hist_bin_ps + 1 < ACCIDENTAL_GAP_PS:
-            raise ConfigError(
-                f"analysis.hist_range_ps: must leave a bin {ACCIDENTAL_GAP_PS} ps from a peak at 0, "
-                f"at least hist_bin_ps + {ACCIDENTAL_GAP_PS - 1}, got {a.hist_range_ps}"
-            )
         if self.keyrate.ec_efficiency < 0:
             raise ConfigError("keyrate.ec_efficiency: must be >= 0")
         if self.linkbudget.ring_loss_db < 0:

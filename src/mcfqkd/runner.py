@@ -12,14 +12,16 @@ both over a ring, on streams that the basis scan simulates or ``analyze``
 reads.  A schedule is a tuple of ``ScheduleSegment`` (basis, start and
 duration in the integer picoseconds of the tag files) from ``scan_schedule``,
 which ``simulate`` and ``analyze`` both derive from the run's config, or from
-``stability_schedule``.  Core pairs and stability slots are independent
-acquisitions, so every loop over them, here and in the CLI, runs on
-``parallel_map``: one thread pool capped by ``MCFQKD_THREADS`` and kept for the
-process, with results in input order.  Each acquisition derives its own random
-stream from the seed, pair and segment index, so results do not depend on the
-thread count or on how the pool schedules them.  Under glibc, ``parallel_map``
-first keeps the heap each acquisition frees for the next (``_keep_freed_heap``);
-nothing else sets an allocator policy, and importing a module sets none.
+``stability_schedule``.  Acquisitions are independent, so every loop over them,
+here and in the CLI, runs on ``parallel_map``: one thread pool capped by
+``MCFQKD_THREADS`` and kept for the process, with results in input order.  The
+pool's unit is one acquisition: a scan hands it one item per (pair, segment) and
+folds the tallies per pair after, a stability run one per slot.  Each
+acquisition derives its own random stream from the seed, pair and segment
+index, so results do not depend on the thread count or on how the pool
+schedules them.  Under glibc, ``parallel_map`` first keeps the heap each
+acquisition frees for the next (``_keep_freed_heap``); nothing else sets an
+allocator policy, and importing a module sets none.
 """
 from __future__ import annotations
 
@@ -187,16 +189,9 @@ class StabilityPoint:
 def analyze_segment(
     alice: Stream, bob: Stream, segment: ScheduleSegment, cfg: RunConfig
 ) -> BasisTally:
-    """Run the coincidence chain on one acquisition's two tag streams."""
-    a = cfg.analysis
-    return tally_basis(
-        alice,
-        bob,
-        window_ps=a.window_ps,
-        duration_s=segment.duration_ps / PS_PER_S,
-        hist_bin_ps=a.hist_bin_ps,
-        hist_range_ps=a.hist_range_ps,
-    )
+    """Run the coincidence chain, on the tally's own grid, on one acquisition's two streams."""
+    duration_s = segment.duration_ps / PS_PER_S
+    return tally_basis(alice, bob, window_ps=cfg.analysis.window_ps, duration_s=duration_s)
 
 
 def simulate_segment(
@@ -252,17 +247,19 @@ def scan_schedule(cfg: RunConfig) -> Tuple[ScheduleSegment, ...]:
 
 def scan(cfg: RunConfig, pairs: Sequence[CorePair], segments, streams: Callable) -> KeyRateReport:
     """The ring report of ``pairs`` analyzed per segment on the (Alice, Bob) streams
-    of ``streams(pair, k, segments[k])``, one acquisition at a time per worker."""
+    of ``streams(pair, k, segments[k])``, one (pair, segment) acquisition per pool item."""
 
-    def work(pair: CorePair) -> PairReport:
-        per_basis = {
-            seg.basis: analyze_segment(*streams(pair, k, seg), seg, cfg)
-            for k, seg in enumerate(segments)
-        }
-        return pair_report(pair.pair_id, pair.ring, per_basis, cfg.keyrate.ec_efficiency)
+    def work(item: Tuple[CorePair, int]) -> BasisTally:
+        pair, k = item
+        return analyze_segment(*streams(pair, k, segments[k]), segments[k], cfg)
 
-    reports = parallel_map(work, pairs)
-    return KeyRateReport(ring=cfg.ring, ec_efficiency=cfg.keyrate.ec_efficiency, pairs=reports)
+    ec = cfg.keyrate.ec_efficiency
+    tallies = iter(parallel_map(work, [(pair, k) for pair in pairs for k in range(len(segments))]))
+    reports = [
+        pair_report(pair.pair_id, pair.ring, {seg.basis: next(tallies) for seg in segments}, ec)
+        for pair in pairs
+    ]
+    return KeyRateReport(ring=cfg.ring, ec_efficiency=ec, pairs=reports)
 
 
 def run_basis_scan(cfg: RunConfig) -> KeyRateReport:

@@ -15,6 +15,8 @@ The laws so far:
   sideband count that expectation implies.
 * ``drift_law``: each slot's QBER of a stability run against the Born rule
   at that slot's drift offset, with the binomial error of its coincidences.
+* ``drift_step_law``: the drift walk's increments between slots against
+  N(0, rate**2 * dt), on a walk whose walls are too far to fold it.
 """
 from __future__ import annotations
 
@@ -22,9 +24,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence, Tuple
 
-from mcfqkd.coincidence import ACCIDENTAL_GAP_PS, BasisTally
+from mcfqkd.coincidence import ACCIDENTAL_GAP_PS, HIST_BIN_PS, HIST_RANGE_PS, BasisTally
 from mcfqkd.config import RunConfig, selected_pairs
 from mcfqkd.photonsim import ANALYZER_ANGLE_DEG, PS_PER_S, PairTruth, ScheduleSegment
+from mcfqkd.photonsim import apply_polarization_drift
 from mcfqkd.runner import StabilityPoint, analyze_segment, simulate_segment
 from oracles import born_rule_probs, sideband_oracle
 
@@ -103,12 +106,12 @@ def accidental_law(
     the sigma is ``sqrt(m * width / covered * (1 + f))``."""
     observations = []
     for name, run, tally, truth in acquisitions(cfg, seeds, duration_s, pair_ids):
-        a = run.analysis
+        # the tally's own grid, which ``analyze_segment`` uses
         _, covered = sideband_oracle(
-            [0] * (2 * a.hist_range_ps // a.hist_bin_ps), a.hist_bin_ps, a.hist_range_ps,
+            [0] * (2 * HIST_RANGE_PS // HIST_BIN_PS), HIST_BIN_PS, HIST_RANGE_PS,
             tally.delay_ps, ACCIDENTAL_GAP_PS,
         )
-        est, width = tally.accidentals, a.window_ps // 2 * 2 + 1
+        est, width = tally.accidentals, run.analysis.window_ps // 2 * 2 + 1
         n_a, n_b = (
             sum(truth.photon_singles[d] + truth.dark_counts[d] for d in arm) for arm in ((0, 1), (2, 3))
         )
@@ -132,3 +135,28 @@ def drift_law(cfg: RunConfig, points: Sequence[StabilityPoint], acquisition_s: f
         name = f"slot {p.slot} {p.basis} at {offset:+.2f} deg"
         observations.append(Observation(name, p.qber, q, math.sqrt(q * (1.0 - q) / n)))
     return Law("drift", tuple(observations))
+
+
+#: walls of the drift walk that no 24 h walk of a few degrees per hour reaches
+UNFOLDED_DEG = 1000.0
+
+
+def drift_step_law(cfg: RunConfig, seeds: Sequence[int], slot_hours: Sequence[float]) -> Law:
+    """The increments of each seed's drift walk between consecutive slots against
+    N(0, rate**2 * dt), one observation per increment, so ``chi2`` has one degree each.
+
+    The walk is ``apply_polarization_drift`` at the config's rate and seed with walls
+    at +-``UNFOLDED_DEG``, which it must not reach: every increment is then one with
+    no fold.  The run's own offsets are this walk reflected at ``max_offset_deg``
+    (the caller checks that against ``oracles.reflect_oracle``).  Taking only the
+    increments of the reflected walk that no fold touched would not do: that choice
+    keeps the shorter steps (their chi-square per degree reads about 0.77)."""
+    rate, observations = cfg.drift.rate_deg_per_hour, []
+    dt = [b - a for a, b in zip(slot_hours, slot_hours[1:])]
+    for seed in seeds:
+        walk = apply_polarization_drift(slot_hours, rate, seed, UNFOLDED_DEG)
+        assert max(abs(walk)) < UNFOLDED_DEG / 2, f"seed {seed}: the walk nears its walls"
+        for k, step in enumerate(walk[1:] - walk[:-1]):
+            sigma = rate * math.sqrt(dt[k])
+            observations.append(Observation(f"seed {seed} slots {k}-{k + 1}", float(step), 0.0, sigma))
+    return Law("drift steps", tuple(observations))

@@ -140,6 +140,14 @@ def sideband_oracle(bins, bin_width_ps: int, range_ps: int, delay_ps: int, gap_p
     return (total, covered) if covered else None
 
 
+def reflect_oracle(x: float, bound: float) -> float:
+    """``x`` mirrored at +-``bound`` until it lies between them: a walk reflected at
+    both walls, one reflection at a time, where the package folds with a modulo."""
+    while abs(x) > bound:
+        x = (2.0 if x > 0 else -2.0) * bound - x
+    return x
+
+
 def length_grid_oracle(lmax_km: float, step_km: float) -> list:
     """The link-budget grid, one Python float at a time: ``i * step_km`` up
     to ``lmax_km``, which ends the grid whether or not a step lands on it."""

@@ -136,16 +136,18 @@ class TestSimulate:
         ids=["simulate", "stability"],
     )
     def test_bad_histogram_grid_names_the_field(self, tmp_path, capsys, args):
-        # a 5000 ps range is not a multiple of 30 ps bins: refused when the
-        # config loads, not later inside the cross-correlation
-        cfg = preset_inner()
-        cfg.analysis.hist_bin_ps = 30
+        # the histogram grid and the window mode are no config keys: a --config
+        # that sets one, even to its former default (the 30 ps bins that left
+        # 5000 ps no whole number of them too), is refused by name when it loads
         path, out = tmp_path / "bad.json", tmp_path / "out"
-        dump_config(cfg, path)
-        assert main([*args, "--config", str(path), "--out", str(out)]) == 2
-        message = "must be a positive multiple of hist_bin_ps (30), got 5000"
-        assert f"error: {path}: analysis.hist_range_ps: {message}" in capsys.readouterr().err
-        assert not out.exists()
+        grids = [("hist_bin_ps", 30), ("hist_bin_ps", 50), ("hist_range_ps", 5000), ("window_mode", "full")]
+        for key, value in grids:
+            data = json.loads(config.dumps_config(preset_inner()))
+            data["analysis"][key] = value
+            path.write_text(json.dumps(data))
+            assert main([*args, "--config", str(path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {path}: analysis.{key}: unknown key\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "section, key, value, message",
@@ -324,14 +326,8 @@ class TestAnalyze:
             ),
             (lambda c: c.update(emit_ground_truth=True), "emit_ground_truth: unknown key"),
             (lambda c: c["link"].update(propagation_delay_ps=0), "link.propagation_delay_ps: unknown key"),
-            (
-                lambda c: c["analysis"].update(window_mode="half"),
-                "analysis.window_mode: must be 'full', got 'half'",
-            ),
-            (
-                lambda c: c["analysis"].update(hist_bin_ps=30),
-                "analysis.hist_range_ps: must be a positive multiple of hist_bin_ps (30), got 5000",
-            ),
+            (lambda c: c["analysis"].update(window_mode="half"), "analysis.window_mode: unknown key"),
+            (lambda c: c["analysis"].update(hist_bin_ps=30), "analysis.hist_bin_ps: unknown key"),
             (
                 lambda c: c["analysis"].update(accidental_offset_windows=20.0),
                 "analysis.accidental_offset_windows: unknown key",
@@ -340,12 +336,17 @@ class TestAnalyze:
                 lambda c: c["linkbudget"].update(reference_length_km=0.411),
                 "linkbudget.reference_length_km: unknown key",
             ),
+            # the former defaults, as a ground_truth.json written before the keys went holds them
+            (lambda c: c["analysis"].update(hist_bin_ps=50), "analysis.hist_bin_ps: unknown key"),
+            (lambda c: c["analysis"].update(hist_range_ps=5000), "analysis.hist_range_ps: unknown key"),
+            (lambda c: c["analysis"].update(window_mode="full"), "analysis.window_mode: unknown key"),
         ],
         ids=["subtract_accidentals", "emit_ground_truth", "propagation_delay_ps", "window_mode-half",
-             "hist-bin-30", "accidental_offset_windows", "reference_length_km"],
+             "hist-bin-30", "accidental_offset_windows", "reference_length_km", "hist_bin_ps-50",
+             "hist_range_ps-5000", "window_mode-full"],
     )
     def test_bad_config_section_rejected(self, sim_dir, tmp_path, capsys, edit, message):
-        # a ground_truth.json whose config sets a deleted option or a bad grid
+        # a ground_truth.json whose config sets a deleted option
         rc, err, meta_path = self._analyze_with_meta(
             sim_dir, tmp_path, capsys, lambda m: edit(m["config"])
         )
@@ -942,13 +943,15 @@ class TestGoldenRoundTrip:
     ``analysis.accidental_offset_windows``, and once more when it lost the
     copies of the run that its config already states (``schedule``,
     ``files``, ``seed``, each pair's ``ring``) and the config lost
-    ``linkbudget.reference_length_km``; every other byte of it stayed the
-    same.  The report pins were re-captured when the accidentals came from the
+    ``linkbudget.reference_length_km``, and once more when the config lost
+    ``analysis.hist_bin_ps``, ``analysis.hist_range_ps`` and
+    ``analysis.window_mode``; every other byte of it stayed the same.  The
+    report pins were re-captured when the accidentals came from the
     histogram's sidebands, in one record per acquisition; every count, rate,
     visibility, QBER, delay and key rate stayed the same."""
 
     SIMULATE_SHA256 = {
-        "ground_truth.json": "77431178344138a44d018000e813197916979e1698b80862cf12a92c637e263e",
+        "ground_truth.json": "a1aec74f75196ef3cd378c39a513c969b010b9bfcfcda1675eae523ea60eb666",
         "pair0_alice.mcqt": "e9db6a29acb20004a9a1c86dbaf2dec77f2d83ec6d886b9faf3c916a4cc784d1",
         "pair0_bob.mcqt": "bf923ea8f7df74ca26697c35ced109ff72c9e34b00739dd1957e8f39e5040e73",
         "pair1_alice.mcqt": "4c79bc6f3d114e4eee58bfb913bb04e33101c8181bca0f958de4ecf4fc92abec",

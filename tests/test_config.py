@@ -3,11 +3,20 @@
 import json
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mcfqkd.coincidence import CorrelationHistogram, estimate_accidentals
+from mcfqkd.coincidence import (
+    ACCIDENTAL_GAP_PS,
+    HIST_BIN_PS,
+    HIST_RANGE_PS,
+    CorrelationHistogram,
+    estimate_accidentals,
+)
 from mcfqkd.config import (
     ConfigError,
     dumps_config,
@@ -185,10 +194,10 @@ def _with_top(key, value, **more):
         (_with("schedule", "rate_scales", {"HV": 1.0, "XY": 1.0}), "schedule.rate_scales.XY"),
         (_with("schedule", "rate_scales", {"HV": 1.0, "DA": 0.0}), "schedule.rate_scales.DA"),
         (_with("keyrate", "ec_efficiency", 10**400), "keyrate.ec_efficiency"),
-        # the histogram grid: +-range in whole bins, at least one
-        (_with("analysis", "hist_bin_ps", 30), "analysis.hist_range_ps: must be a positive multiple"),
-        (_with("analysis", "hist_range_ps", 25), "analysis.hist_range_ps: must be a positive multiple"),
-        (_with("analysis", "hist_range_ps", 5025), "analysis.hist_range_ps: must be a positive multiple"),
+        # grids that were refused as no whole number of bins, while the grid was a key
+        (_with("analysis", "hist_bin_ps", 30), "analysis.hist_bin_ps: unknown key"),
+        (_with("analysis", "hist_range_ps", 25), "analysis.hist_range_ps: unknown key"),
+        (_with("analysis", "hist_range_ps", 5025), "analysis.hist_range_ps: unknown key"),
         # drift and pair selections, refused before a run rather than during one
         (_with("drift", "rate_deg_per_hour", -1.0), "drift.rate_deg_per_hour: must be >= 0"),
         (_with("drift", "max_offset_deg", 0.0), "drift.max_offset_deg: must be > 0"),
@@ -197,12 +206,9 @@ def _with_top(key, value, **more):
         (_with_top("pairs", [3]), "pairs: ids [3] are not on the inner ring"),
         (_with_top("pairs", [3, 0], ring="outer"), "pairs: ids [0] are not on the outer ring"),
         (_with_top("pairs", []), "pairs: must not be empty"),
-        # the accidentals' bins 1 ns from a peak at 0 need a range of bin + 999 ps
-        (_with("analysis", "hist_range_ps", 1000), "analysis.hist_range_ps: must leave a bin 1000 ps"),
-        (
-            _with_top("analysis", {"hist_bin_ps": 1, "hist_range_ps": 999}),
-            "analysis.hist_range_ps: must leave a bin 1000 ps",
-        ),
+        # grids that were refused as leaving no sideband, while the grid was a key
+        (_with("analysis", "hist_range_ps", 1000), "analysis.hist_range_ps: unknown key"),
+        (_with_top("analysis", {"hist_bin_ps": 1, "hist_range_ps": 999}), "analysis.hist_bin_ps: unknown key"),
         # a segment holds whole ps, so an acquisition must round to 1 ps or more
         (_with("schedule", "acquisition_s", 0.0), "schedule.acquisition_s: must round to 1 ps or more, got 0.0"),
         (_with("schedule", "acquisition_s", 1e-13), "schedule.acquisition_s: must round to 1 ps or more, got 1e-13"),
@@ -234,19 +240,23 @@ def test_scan_that_ends_just_before_the_tag_time_limit_loads(bases, acquisition_
         loads_config(json.dumps(data))
 
 
-@pytest.mark.parametrize("hist_bin_ps, hist_range_ps", [(1, 1000), (3, 1002), (50, 1050), (200, 1200)])
+@pytest.mark.parametrize(
+    "hist_bin_ps, hist_range_ps",
+    [(1, 1000), (3, 1002), (50, 1050), (200, 1200), (HIST_BIN_PS, HIST_RANGE_PS)],
+)
 def test_smallest_histogram_range_keeps_sidebands(hist_bin_ps, hist_range_ps):
-    # at the bound, every peak the tally can find (a rounded bin centre, or 0 on
-    # an empty histogram) keeps a bin 1 ns away for the accidentals; one bin less is refused
-    grid = {"hist_bin_ps": hist_bin_ps, "hist_range_ps": hist_range_ps}
-    loads_config(json.dumps({**MINIMAL, "analysis": grid}))
+    # the grid is no config key: the accidentals' own check is the only one.  At
+    # range = bin + 999 ps, and on the tally's own grid, every peak the tally can
+    # find (a rounded bin centre, or 0 on an empty histogram) keeps a bin 1 ns
+    # away; one bin less leaves none from a peak at 0
     hist = CorrelationHistogram(hist_bin_ps, hist_range_ps, np.zeros(2 * hist_range_ps // hist_bin_ps))
     for delay in [0, *(int(round(c)) for c in hist.bin_centers())]:
         estimate_accidentals(hist, delay, 300, 1, 1, 1.0)
-    fewer = {**grid, "hist_range_ps": hist_range_ps - hist_bin_ps}
-    message = "^analysis.hist_range_ps: must leave a bin 1000 ps from a peak at 0"
-    with pytest.raises(ConfigError, match=message):
-        loads_config(json.dumps({**MINIMAL, "analysis": fewer}))
+    if hist_range_ps - hist_bin_ps + 1 == ACCIDENTAL_GAP_PS:
+        fewer = hist_range_ps - hist_bin_ps
+        hist = CorrelationHistogram(hist_bin_ps, fewer, np.zeros(2 * fewer // hist_bin_ps))
+        with pytest.raises(ValueError, match="^no histogram bin lies 1000 ps or more from the peak at 0 ps$"):
+            estimate_accidentals(hist, 0, 300, 1, 1, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -291,7 +301,7 @@ def test_geometry_and_link_budget_checked_at_load(tmp_path, section, key, value,
         (_with("analysis", "subtract_accidentals", False), "analysis.subtract_accidentals: unknown key"),
         (_with_top("emit_ground_truth", True), "emit_ground_truth: unknown key"),
         (_with("link", "propagation_delay_ps", 0), "link.propagation_delay_ps: unknown key"),
-        (_with("analysis", "window_mode", "half"), "analysis.window_mode: must be 'full', got 'half'"),
+        (_with("analysis", "window_mode", "half"), "analysis.window_mode: unknown key"),
         (
             _with("analysis", "accidental_offset_windows", 20.0),
             "analysis.accidental_offset_windows: unknown key",
@@ -300,15 +310,20 @@ def test_geometry_and_link_budget_checked_at_load(tmp_path, section, key, value,
             _with("linkbudget", "reference_length_km", 0.411),
             "linkbudget.reference_length_km: unknown key",
         ),
+        # the keys' own former defaults, as a config written before they went holds them
+        (_with("analysis", "hist_bin_ps", 50), "analysis.hist_bin_ps: unknown key"),
+        (_with("analysis", "hist_range_ps", 5000), "analysis.hist_range_ps: unknown key"),
+        (_with("analysis", "window_mode", "full"), "analysis.window_mode: unknown key"),
     ],
     ids=["subtract_accidentals", "emit_ground_truth", "propagation_delay_ps", "window_mode-half",
-         "accidental_offset_windows", "reference_length_km"],
+         "accidental_offset_windows", "reference_length_km", "hist_bin_ps-50", "hist_range_ps-5000",
+         "window_mode-full"],
 )
 def test_deleted_options_rejected_with_field_path(data, message):
     # the accidental subtraction, the dark-flag switch, the link delay, the
-    # half-width window, the offset window of the accidentals and the link
-    # budget's own reference length (it is ``link.fiber_length_km``) are gone;
-    # a config that still sets one is refused
+    # window mode, the offset window of the accidentals, the link budget's own
+    # reference length (it is ``link.fiber_length_km``) and the histogram grid
+    # (the tally's own) are gone; a config that still sets one is refused
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         loads_config(json.dumps(data))
 
@@ -318,3 +333,27 @@ def test_window_capture_fraction_has_one_mode():
     assert window_capture_fraction(300, 50.0) == pytest.approx(math.erf(1.5))
     with pytest.raises(ValueError, match="window mode must be 'full', got 'half'"):
         window_capture_fraction(300, 50.0, "half")
+
+
+def test_analysis_section_is_the_window():
+    # the window mode the benchmark harness reads is a property, not a key
+    cfg = preset_inner()
+    assert json.loads(dumps_config(cfg))["analysis"] == {"window_ps": 300}
+    assert cfg.analysis.window_mode == "full"
+    with pytest.raises(AttributeError):
+        cfg.analysis.window_mode = "half"
+
+
+def test_config_loads_no_coincidence_module():
+    # the config checks no histogram grid, so loading and checking one, in a
+    # fresh interpreter, imports nothing of the coincidence chain
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import mcfqkd.config as c; "
+        "c.loads_config(c.dumps_config(c.preset_outer())); "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('mcfqkd'))))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    modules = json.loads(run.stdout)
+    assert "mcfqkd.config" in modules and "mcfqkd.coincidence" not in modules, modules

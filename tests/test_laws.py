@@ -2,8 +2,13 @@
 
 from dataclasses import replace
 
-from mcfqkd.config import preset_inner, preset_outer
-from laws import Law, accidental_law
+import pytest
+from scipy.stats import chi2
+
+from mcfqkd.config import preset_inner, preset_outer, preset_stability
+from mcfqkd.photonsim import apply_polarization_drift
+from laws import UNFOLDED_DEG, Law, accidental_law, drift_step_law
+from oracles import reflect_oracle
 
 #: each preset at its own seed and at these, taken in order, not picked
 EXTRA_SEEDS = [1, 2, 3, 4, 5]
@@ -32,3 +37,24 @@ def test_accidentals_of_a_noisy_link():
         assert len(law.observations) == 4
         assert all(90 < o.expected < 110 and o.sigma < 2 for o in law.observations), str(law)
         assert abs(law.worst.z) < 3 and abs(law.pooled_z) < 3, str(law)
+
+
+def test_drift_steps_of_the_stability_preset():
+    # criterion 8's 24 h of 30 min slots, from the slot starts as ``run_stability``
+    # takes them: 47 increments per seed, each N(0, rate**2 * 0.5 h) where no fold
+    # touched it; the chi-square of all 282 lies inside its two 0.05% tails
+    cfg = preset_stability()
+    hours = [k * 30.0 * 60.0 / 3600.0 for k in range(48)]
+    seeds = [cfg.seed, *EXTRA_SEEDS]
+    law = drift_step_law(cfg, seeds, hours)
+    n = len(law.observations)
+    assert n == 6 * 47
+    lo, hi = chi2.ppf([0.0005, 0.9995], n)
+    z = (law.chi2 - n) / (2 * n) ** 0.5
+    assert lo < law.chi2 < hi, f"{law}; chi2 {law.chi2:.1f} of {n} degrees, z {z:+.2f}"
+    # the run's offsets are that walk reflected at the preset's walls
+    bound = cfg.drift.max_offset_deg
+    for seed in seeds:
+        walk = apply_polarization_drift(hours, cfg.drift.rate_deg_per_hour, seed, UNFOLDED_DEG)
+        offsets = apply_polarization_drift(hours, cfg.drift.rate_deg_per_hour, seed, bound)
+        assert offsets.tolist() == pytest.approx([reflect_oracle(w, bound) for w in walk], abs=1e-9)

@@ -206,6 +206,25 @@ class TestRunBasisScan:
             assert a.skr_bits_s == b.skr_bits_s
             assert a.hv.counts == b.hv.counts
 
+    def test_pool_item_is_one_acquisition(self, monkeypatch):
+        # the scan hands the pool one (pair, segment) acquisition per item, so the
+        # inner ring's 3 pairs keep 2 threads busy, and folds each pair's tallies
+        # into its report in pair order, each under its own basis
+        cfg, items, pool = quick_inner(), [], runner.parallel_map
+
+        def recording(fn, work):
+            items.extend(work)
+            return pool(fn, work)
+
+        monkeypatch.setattr(runner, "parallel_map", recording)
+        report = run_basis_scan(cfg)
+        assert [(pair.pair_id, k) for pair, k in items] == [(p, k) for p in (0, 1, 2) for k in (0, 1)]
+        segments = scan_schedule(cfg)
+        for pair, reported in zip(selected_pairs(cfg), report.pairs):
+            for k, segment in enumerate(segments):
+                alice, bob, _ = simulate_segment(cfg, pair, segment, k, 0.0)
+                assert getattr(reported, segment.basis.lower()) == analyze_segment(alice, bob, segment, cfg)
+
     def test_single_pair_subset(self):
         cfg = quick_inner()
         cfg.pairs = [1]
