@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qkdmath import DEFAULT_EC_EFFICIENCY, KeyRateInputs, secret_key_rate
+from .qkdmath import DEFAULT_EC_EFFICIENCY, KeyRateInputs, check_ec_efficiency, secret_key_rate
 
 __all__ = [
     "LinkModel",
@@ -78,8 +78,7 @@ class LinkModel:
             raise ValueError("window must be > 0 and pairs_in_ring >= 1")
         if self.fiber_loss_db_per_km < 0 or self.reference_length_km < 0:
             raise ValueError("losses and lengths must be >= 0")
-        if not 0 <= self.ec_efficiency < math.inf:  # NaN too
-            raise ValueError(f"ec_efficiency must be finite and >= 0, got {self.ec_efficiency}")
+        check_ec_efficiency(self.ec_efficiency)
 
     @classmethod
     def from_reference(

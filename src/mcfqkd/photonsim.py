@@ -66,6 +66,8 @@ __all__ = [
     "LinkParams",
     "ANALYZER_ANGLE_DEG",
     "ScheduleSegment",
+    "acquisitions",
+    "jitter_slack_ps",
     "PairStreams",
     "PairTruth",
     "GroundTruth",
@@ -94,12 +96,17 @@ ANALYZER_ANGLE_DEG = {"HV": 0.0, "DA": 45.0}
 PURPOSE_TAGS, PURPOSE_DRIFT = 1, 2
 
 
-def _stream_rng(seed: int, purpose: int, segment_index: int, pair_id: int) -> np.random.Generator:
-    """PCG64 seeded by ``SeedSequence([seed, purpose, segment_index, pair_id])``."""
+def _stream_words(seed: int, purpose: int, segment_index: int, pair_id: int) -> List[int]:
+    """A stream's checked entropy words: no generator, so checking a config loads no ``numpy.random``."""
     for name, value in dict(seed=seed, segment_index=segment_index, pair_id=pair_id).items():
         if not 0 <= value < 2**32:  # one uint32 word each, see the module docstring
             raise ValueError(f"{name} must be in [0, 2**32), got {value}")
-    return np.random.default_rng([seed, purpose, segment_index, pair_id])
+    return [seed, purpose, segment_index, pair_id]
+
+
+def _stream_rng(seed: int, purpose: int, segment_index: int, pair_id: int) -> np.random.Generator:
+    """PCG64 seeded by ``SeedSequence([seed, purpose, segment_index, pair_id])``."""
+    return np.random.default_rng(_stream_words(seed, purpose, segment_index, pair_id))
 
 
 @dataclass(frozen=True)
@@ -168,6 +175,25 @@ class ScheduleSegment:
             raise ValueError(f"start_ps must be an integer, got {self.start_ps!r}")
         if not (isinstance(self.duration_ps, int) and self.duration_ps > 0):
             raise ValueError(f"duration_ps must be an integer > 0, got {self.duration_ps!r}")
+
+
+def acquisitions(bases: Sequence[str], slot_s: float, acquisition_s: float) -> Tuple[ScheduleSegment, ...]:
+    """One acquisition of ``acquisition_s`` at the start of each ``slot_s`` slot, in whole ps;
+    the acquisition is checked before ``round`` can overflow, and NaN too."""
+    if not 0.5 < acquisition_s * PS_PER_S < TIME_LIMIT_PS:
+        raise ValueError(f"acquisition_s must be in [1 ps, 2**60 ps) once rounded, got {acquisition_s}")
+    slot_ps, duration_ps = round(slot_s * PS_PER_S), round(acquisition_s * PS_PER_S)
+    return tuple(ScheduleSegment(b, k * slot_ps, duration_ps) for k, b in enumerate(bases))
+
+
+def jitter_slack_ps(segment: ScheduleSegment, jitter_sigma_ps: float) -> int:
+    """The jitter's 6 sigma in whole ps, where it is truncated: every tag of ``segment`` lies in
+    [start, end + slack), which must lie in [0, 2**60) ps for ``_assemble``'s keys time*8 + code."""
+    slack, start = math.ceil(6.0 * jitter_sigma_ps), segment.start_ps
+    end = start + segment.duration_ps + slack
+    if start < 0 or end > TIME_LIMIT_PS:
+        raise ValueError(f"tag times must lie in [0, 2**60) ps, got [{start}, {end}) with 6 sigma of jitter")
+    return slack
 
 
 class UnsortedStreamError(ValueError):
@@ -243,6 +269,9 @@ def joint_outcome_probs(
     the correlation of a maximally entangled state mixed with isotropic
     noise of visibility V.
     """
+    for name, angle in dict(theta_a_deg=theta_a_deg, theta_b_deg=theta_b_deg).items():
+        if not math.isfinite(angle):
+            raise ValueError(f"{name} must be finite, got {angle}")
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must be in [0, 1]")
     c = visibility * math.cos(2.0 * math.radians(theta_a_deg - theta_b_deg))
@@ -279,11 +308,7 @@ def simulate_run(
     """
     start, end = segment.start_ps, segment.start_ps + segment.duration_ps
     duration_s = segment.duration_ps / PS_PER_S
-    # every tag time lies in [start, end + slack) and packs into a key of
-    # ``_assemble`` below 2**63: time*8 + code
-    slack = int(math.ceil(6.0 * link.jitter_sigma_ps))
-    if start < 0 or end + slack > TIME_LIMIT_PS:
-        raise ValueError("tag times must lie in [0, 2**60) ps")
+    slack = jitter_slack_ps(segment, link.jitter_sigma_ps)
     rng = _stream_rng(seed, PURPOSE_TAGS, segment_index, pair.pair_id)
 
     if pair.coupling_prob == 0.0:
@@ -432,15 +457,15 @@ def apply_polarization_drift(
     +-max_offset so the misalignment stays bounded, as it does for a fiber
     left alone at fixed temperature.
     """
-    if drift_rate_deg_per_hour < 0:
-        raise ValueError("drift rate must be >= 0")
+    if not 0 <= drift_rate_deg_per_hour < math.inf:  # NaN too
+        raise ValueError(f"drift rate must be finite and >= 0, got {drift_rate_deg_per_hour}")
+    if not 0 < max_offset_deg < math.inf:
+        raise ValueError(f"max_offset_deg must be finite and > 0, got {max_offset_deg}")
     times = np.asarray(sample_times_hours, dtype=float)
     if times.size and np.any(np.diff(times) < 0):
         raise ValueError("sample times must be non-decreasing")
     if drift_rate_deg_per_hour == 0 or times.size == 0:
         return np.zeros(times.size)
-    if max_offset_deg <= 0:
-        raise ValueError("max_offset_deg must be > 0")
     rng = _stream_rng(seed, PURPOSE_DRIFT, 0, 0)
     dt = np.diff(np.concatenate(([0.0], times)))
     steps = rng.normal(0.0, 1.0, times.size) * drift_rate_deg_per_hour * np.sqrt(dt)

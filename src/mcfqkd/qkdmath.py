@@ -22,6 +22,7 @@ __all__ = [
     "UndefinedVisibilityError",
     "BasisCounts",
     "KeyRateInputs",
+    "check_ec_efficiency",
     "binary_entropy",
     "visibility_from_counts",
     "qber_from_visibility",
@@ -100,8 +101,13 @@ class KeyRateInputs:
             bad = _first_outside(getattr(self, name), 0, 0.5)
             if bad is not None:
                 raise DomainError(f"{name} must be in [0, 0.5], got {bad}")
-        if not 0 <= self.ec_efficiency < math.inf:  # NaN too
-            raise DomainError(f"ec_efficiency must be finite and >= 0, got {self.ec_efficiency}")
+        check_ec_efficiency(self.ec_efficiency)
+
+
+def check_ec_efficiency(f: float) -> None:
+    """Refuse an error-correction efficiency that is not finite and >= 0, NaN too."""
+    if not 0 <= f < math.inf:
+        raise DomainError(f"ec_efficiency must be finite and >= 0, got {f}")
 
 
 def _first_outside(values, lo, hi):
@@ -199,8 +205,7 @@ def positive_qber_threshold(ec_efficiency: float = DEFAULT_EC_EFFICIENCY) -> flo
     above it the contribution is negative.  Solved by bisection on [0, 0.5],
     which stops once the bracket stops shrinking.
     """
-    if not 0 <= ec_efficiency < math.inf:  # NaN too
-        raise DomainError(f"ec_efficiency must be finite and >= 0, got {ec_efficiency}")
+    check_ec_efficiency(ec_efficiency)
     target = 1.0 / (1.0 + ec_efficiency)
     if target >= 1.0:
         return 0.5

@@ -40,7 +40,7 @@ from .coincidence import BasisTally, tally_basis
 from .config import RunConfig, selected_pairs, worker_count
 from .geometry import CorePair
 from .photonsim import PS_PER_S, TIME_LIMIT_PS, PairTruth, ScheduleSegment, Stream, simulate_run
-from .photonsim import apply_polarization_drift
+from .photonsim import acquisitions, apply_polarization_drift
 from .qkdmath import KeyRateInputs, secret_key_rate
 
 __all__ = [
@@ -105,25 +105,13 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
         wait(futures)
 
 
-def _acquisitions(
-    bases: Sequence[str], slot_s: float, acquisition_s: float
-) -> Tuple[ScheduleSegment, ...]:
-    """One acquisition of ``acquisition_s`` at the start of each ``slot_s`` slot."""
-    slot_ps, duration_ps = round(slot_s * PS_PER_S), round(acquisition_s * PS_PER_S)
-    return tuple(ScheduleSegment(b, k * slot_ps, duration_ps) for k, b in enumerate(bases))
-
-
 def stability_schedule(
     total_hours: float, switch_minutes: float, acquisition_s: float
 ) -> Tuple[ScheduleSegment, ...]:
     """One acquisition at the start of each ``switch_minutes`` slot, alternating HV and DA."""
-    for name, value in dict(
-        total_hours=total_hours, switch_minutes=switch_minutes, acquisition_s=acquisition_s
-    ).items():
+    for name, value in dict(total_hours=total_hours, switch_minutes=switch_minutes).items():
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-    if not acquisition_s * PS_PER_S > 0.5:  # rounds to 0 ps
-        raise ValueError(f"acquisition_s must round to 1 ps or more, got {acquisition_s}")
     if acquisition_s > switch_minutes * 60.0:
         raise ValueError(
             f"acquisition_s {acquisition_s} does not fit into one slot"
@@ -139,7 +127,7 @@ def stability_schedule(
     if not slot_ps < TIME_LIMIT_PS or n_slots * round(slot_ps) > TIME_LIMIT_PS:
         raise ValueError(f"last slot ends past 2**60 ps: {what}")
     bases = ["HV" if k % 2 == 0 else "DA" for k in range(n_slots)]
-    return _acquisitions(bases, switch_minutes * 60.0, acquisition_s)
+    return acquisitions(bases, switch_minutes * 60.0, acquisition_s)
 
 
 @dataclass
@@ -242,7 +230,7 @@ def pair_report(
 def scan_schedule(cfg: RunConfig) -> Tuple[ScheduleSegment, ...]:
     """One acquisition per configured basis, back to back, in the configured order."""
     acquisition_s = cfg.schedule.acquisition_s
-    return _acquisitions(cfg.schedule.bases, acquisition_s, acquisition_s)
+    return acquisitions(cfg.schedule.bases, acquisition_s, acquisition_s)
 
 
 def scan(cfg: RunConfig, pairs: Sequence[CorePair], segments, streams: Callable) -> KeyRateReport:

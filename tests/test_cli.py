@@ -88,22 +88,21 @@ class TestSimulate:
         dump_config(cfg, path)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: {path}: schedule.acquisition_s: must round to 1 ps or more, got 1e-13\n"
+        want = "acquisition_s must be in [1 ps, 2**60 ps) once rounded, got 1e-13"
+        assert err == f"error: {path}: schedule.acquisition_s: {want}\n"
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("acquisition_s", [1e300, 2e6])
     def test_scan_past_the_tag_time_limit_names_the_field(self, tmp_path, capsys, acquisition_s):
-        # refused at load, where the scan is described, not by an overflow in the
-        # schedule (1e300) or by the simulator's unnamed tag-time bound (2e6)
+        # refused at load, by the schedule that converts it to ps, not by an overflow
+        # in ``round`` (1e300) or by the simulator's tag-time bound unnamed (2e6)
         cfg = preset_inner()
         cfg.schedule.acquisition_s = acquisition_s
         path = tmp_path / "bad.json"
         dump_config(cfg, path)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {path}: schedule.acquisition_s: the scan of 2, plus 6 sigma of jitter,"
-            f" must end before 2**60 ps, got {acquisition_s}\n"
-        )
+        want = f"acquisition_s must be in [1 ps, 2**60 ps) once rounded, got {acquisition_s}"
+        assert capsys.readouterr().err == f"error: {path}: schedule.acquisition_s: {want}\n"
         assert not (tmp_path / "x").exists()
 
     def test_acquisition_too_large_to_allocate_exits_2(self, quick_config, tmp_path, capsys, monkeypatch):
@@ -568,7 +567,8 @@ class TestStability:
         out = tmp_path / "stab"
         argv = ["stability", "--preset", "stability", "--hours", "1", "--switch-min", "15"]
         assert main([*argv, "--acquisition-s", "1e-13", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: acquisition_s must round to 1 ps or more, got 1e-13\n"
+        want = "acquisition_s must be in [1 ps, 2**60 ps) once rounded, got 1e-13"
+        assert capsys.readouterr().err == f"error: {want}\n"
         assert not out.exists()
 
     def test_run_past_the_tag_time_limit_names_its_hours(self, tmp_path, capsys):
@@ -680,14 +680,14 @@ class TestEntryPoint:
     def test_negative_seed_names_the_option(self, tmp_path, capsys):
         rc = main(["simulate", "--preset", "inner", "--seed", "-1", "--out", str(tmp_path / "sim")])
         assert rc == 2
-        assert "error: seed: must be >= 0" in capsys.readouterr().err
+        assert "error: seed: seed must be in [0, 2**32), got -1" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("seed", ["4294967296", "4294967301"])
     def test_seed_beyond_uint32_names_the_option(self, tmp_path, capsys, seed):
         rc = main(["simulate", "--preset", "inner", "--seed", seed, "--out", str(tmp_path / "sim")])
         assert rc == 2
-        assert f"error: seed: must be >= 0 and < 2**32, got {seed}" in capsys.readouterr().err
+        assert f"error: seed: seed must be in [0, 2**32), got {seed}" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
     def test_threads_env_respected(self, quick_config, tmp_path, monkeypatch):

@@ -29,6 +29,10 @@ from mcfqkd.config import (
     window_capture_fraction,
     worker_count,
 )
+from mcfqkd.geometry import build_layout
+from mcfqkd.photonsim import PS_PER_S, PURPOSE_TAGS, LinkParams, SourceParams, _stream_rng, acquisitions
+from mcfqkd.photonsim import apply_polarization_drift, simulate_run
+from mcfqkd.qkdmath import KeyRateInputs, secret_key_rate
 
 MINIMAL = {"source": {"pair_rate": 1000.0}}
 
@@ -85,7 +89,7 @@ class TestParsing:
     def test_seed_beyond_one_uint32_word_rejected(self, seed):
         # the seed is one 32-bit entropy word of every stream's SeedSequence,
         # which would split 2**32 + 5 into the words of another seed's stream
-        with pytest.raises(ConfigError, match=rf"^seed: must be >= 0 and < 2\*\*32, got {seed}$"):
+        with pytest.raises(ConfigError, match=rf"^seed: seed must be in \[0, 2\*\*32\), got {seed}$"):
             loads_config(json.dumps({**MINIMAL, "seed": seed}))
         assert loads_config(json.dumps({**MINIMAL, "seed": 2**32 - 1})).seed == 2**32 - 1
 
@@ -198,10 +202,24 @@ def _with_top(key, value, **more):
         (_with("analysis", "hist_bin_ps", 30), "analysis.hist_bin_ps: unknown key"),
         (_with("analysis", "hist_range_ps", 25), "analysis.hist_range_ps: unknown key"),
         (_with("analysis", "hist_range_ps", 5025), "analysis.hist_range_ps: unknown key"),
-        # drift and pair selections, refused before a run rather than during one
-        (_with("drift", "rate_deg_per_hour", -1.0), "drift.rate_deg_per_hour: must be >= 0"),
-        (_with("drift", "max_offset_deg", 0.0), "drift.max_offset_deg: must be > 0"),
-        (_with("drift", "max_offset_deg", -3.0), "drift.max_offset_deg: must be > 0"),
+        # drift and pair selections, refused before a run rather than during one; an
+        # explicit id, here and below, keeps a case's name stable now that its message
+        # is that of the value's owner in ``photonsim``
+        pytest.param(
+            _with("drift", "rate_deg_per_hour", -1.0),
+            "drift.rate_deg_per_hour: drift rate must be finite and >= 0, got -1.0",
+            id="data19-drift.rate_deg_per_hour: must be >= 0",
+        ),
+        pytest.param(
+            _with("drift", "max_offset_deg", 0.0),
+            "drift.max_offset_deg: max_offset_deg must be finite and > 0, got 0.0",
+            id="data20-drift.max_offset_deg: must be > 0",
+        ),
+        pytest.param(
+            _with("drift", "max_offset_deg", -3.0),
+            "drift.max_offset_deg: max_offset_deg must be finite and > 0, got -3.0",
+            id="data21-drift.max_offset_deg: must be > 0",
+        ),
         (_with_top("pairs", [0, 0]), "pairs: duplicate pair id in [0, 0]"),
         (_with_top("pairs", [3]), "pairs: ids [3] are not on the inner ring"),
         (_with_top("pairs", [3, 0], ring="outer"), "pairs: ids [0] are not on the outer ring"),
@@ -210,17 +228,40 @@ def _with_top(key, value, **more):
         (_with("analysis", "hist_range_ps", 1000), "analysis.hist_range_ps: unknown key"),
         (_with_top("analysis", {"hist_bin_ps": 1, "hist_range_ps": 999}), "analysis.hist_bin_ps: unknown key"),
         # a segment holds whole ps, so an acquisition must round to 1 ps or more
-        (_with("schedule", "acquisition_s", 0.0), "schedule.acquisition_s: must round to 1 ps or more, got 0.0"),
-        (_with("schedule", "acquisition_s", 1e-13), "schedule.acquisition_s: must round to 1 ps or more, got 1e-13"),
-        # the scan's two acquisitions and the jitter's 6 sigma must end before 2**60 ps, the
-        # tag times' limit: refused at load, not by an overflow or by the simulator unnamed
-        (
-            _with("schedule", "acquisition_s", 1e300),
-            "schedule.acquisition_s: the scan of 2, plus 6 sigma of jitter, must end before 2**60 ps, got 1e+300",
+        pytest.param(
+            _with("schedule", "acquisition_s", 0.0),
+            "schedule.acquisition_s: acquisition_s must be in [1 ps, 2**60 ps) once rounded, got 0.0",
+            id="data28-schedule.acquisition_s: must round to 1 ps or more, got 0.0",
         ),
-        (
+        pytest.param(
+            _with("schedule", "acquisition_s", 1e-13),
+            "schedule.acquisition_s: acquisition_s must be in [1 ps, 2**60 ps) once rounded, got 1e-13",
+            id="data29-schedule.acquisition_s: must round to 1 ps or more, got 1e-13",
+        ),
+        # the scan's two acquisitions and the jitter's 6 sigma must end before 2**60 ps, the
+        # tag times' limit: refused at load, not by an overflow or by the simulator unnamed;
+        # either acquisition alone already passes it
+        pytest.param(
+            _with("schedule", "acquisition_s", 1e300),
+            "schedule.acquisition_s: acquisition_s must be in [1 ps, 2**60 ps) once rounded, got 1e+300",
+            id=(
+                "data30-schedule.acquisition_s: the scan of 2, plus 6 sigma of jitter,"
+                " must end before 2**60 ps, got 1e+300"
+            ),
+        ),
+        pytest.param(
             _with("schedule", "acquisition_s", 2e6),
-            "schedule.acquisition_s: the scan of 2, plus 6 sigma of jitter, must end before 2**60 ps, got 2000000.0",
+            "schedule.acquisition_s: acquisition_s must be in [1 ps, 2**60 ps) once rounded, got 2000000.0",
+            id=(
+                "data31-schedule.acquisition_s: the scan of 2, plus 6 sigma of jitter,"
+                " must end before 2**60 ps, got 2000000.0"
+            ),
+        ),
+        # a negative f, refused by the key rate's own check before the link model,
+        # whose copy of it would name the ring loss
+        (
+            _with("keyrate", "ec_efficiency", -0.1),
+            "keyrate.ec_efficiency: ec_efficiency must be finite and >= 0, got -0.1",
         ),
     ],
 )
@@ -236,8 +277,51 @@ def test_scan_that_ends_just_before_the_tag_time_limit_loads(bases, acquisition_
     data = {**MINIMAL, "schedule": {"bases": bases, "acquisition_s": acquisition_s}}
     assert loads_config(json.dumps(data)).schedule.acquisition_s == acquisition_s
     data["schedule"]["acquisition_s"] = acquisition_s + 1.0
-    with pytest.raises(ConfigError, match=rf"^schedule\.acquisition_s: the scan of {len(bases)},"):
+    # one acquisition past the limit is refused by the schedule, the second one's
+    # tags, which start before it, by the simulator's bound
+    start = round((acquisition_s + 1.0) * PS_PER_S)
+    message = {
+        1: f"acquisition_s must be in [1 ps, 2**60 ps) once rounded, got {acquisition_s + 1.0}",
+        2: f"tag times must lie in [0, 2**60) ps, got [{start}, {2 * start + 300}) with 6 sigma of jitter",
+    }[len(bases)]
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'schedule.acquisition_s: {message}')}$"):
         loads_config(json.dumps(data))
+
+
+def _tags_of_second_acquisition(acquisition_s):
+    # the simulator's run of the scan's last acquisition, on the presets' link
+    segment = acquisitions(["HV", "DA"], acquisition_s, acquisition_s)[-1]
+    return simulate_run(SourceParams(pair_rate=1.0), build_layout().pairs[0], LinkParams(), segment, seed=42)
+
+
+@pytest.mark.parametrize(
+    "path, value, owner",
+    [
+        ("seed", 2**32, lambda v: _stream_rng(v, PURPOSE_TAGS, 0, 0)),
+        ("seed", -1, lambda v: _stream_rng(v, PURPOSE_TAGS, 0, 0)),
+        ("schedule.bases", ["HV", "XY"], lambda v: acquisitions(v, 60.0, 60.0)),
+        ("schedule.acquisition_s", 1e-13, lambda v: acquisitions(["HV", "DA"], v, v)),
+        ("schedule.acquisition_s", 1e300, lambda v: acquisitions(["HV", "DA"], v, v)),
+        ("schedule.acquisition_s", 576_461.0, _tags_of_second_acquisition),
+        ("drift.rate_deg_per_hour", -1.0, lambda v: apply_polarization_drift([0.0, 0.5], v, 44)),
+        ("drift.max_offset_deg", 0.0, lambda v: apply_polarization_drift([0.0, 0.5], 2.0, 44, v)),
+        ("drift.max_offset_deg", -3.0, lambda v: apply_polarization_drift([0.0, 0.5], 0.0, 44, v)),
+        ("keyrate.ec_efficiency", -0.1, lambda v: secret_key_rate(KeyRateInputs(1.0, 1.0, 0.01, 0.01, v))),
+    ],
+    ids=["seed-2**32", "seed-negative", "basis", "acquisition-0-ps", "acquisition-1e300", "scan-past-2**60",
+         "drift-rate", "max-offset-0", "max-offset-negative", "ec-efficiency"],
+)
+def test_value_refused_at_load_in_its_owners_words(path, value, owner):
+    # one check per value: the load names the field, then says what the code that
+    # uses the value says of it, so no second wording of the rule can creep back
+    with pytest.raises(ValueError) as own:
+        owner(value)
+    data = json.loads(dumps_config(preset_inner()))
+    *section, key = path.split(".")
+    (data[section[0]] if section else data)[key] = value
+    with pytest.raises(ConfigError) as err:
+        loads_config(json.dumps(data))
+    assert str(err.value) == f"{path}: {own.value}"
 
 
 @pytest.mark.parametrize(
@@ -342,6 +426,20 @@ def test_analysis_section_is_the_window():
     assert cfg.analysis.window_mode == "full"
     with pytest.raises(AttributeError):
         cfg.analysis.window_mode = "half"
+
+
+def test_config_loads_no_random_module():
+    # the seed's check is the streams' own, made without building a generator, so
+    # that loading a config (each ``analyze`` does) does not load ``numpy.random``
+    # and add its import time and resident memory to a run that draws nothing
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import mcfqkd.config as c; "
+        "c.loads_config(c.dumps_config(c.preset_stability())); print('numpy.random' in sys.modules)"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_config_loads_no_coincidence_module():

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+import re
 from dataclasses import astuple
 from types import SimpleNamespace
 
@@ -98,6 +99,14 @@ class TestJointOutcomeProbs:
         with pytest.raises(ValueError):
             joint_outcome_probs(0, 0, 1.5)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_named(self, angle):
+        # cos(nan) would make every probability NaN, and every pair's draw ++
+        with pytest.raises(ValueError, match=rf"^theta_b_deg must be finite, got {angle}$"):
+            joint_outcome_probs(0.0, angle, 0.94)
+        with pytest.raises(ValueError, match=rf"^theta_a_deg must be finite, got {angle}$"):
+            joint_outcome_probs(angle, 0.0, 0.94)
+
 
 class TestSimulateRun:
     def test_deterministic_streams(self):
@@ -133,6 +142,12 @@ class TestSimulateRun:
                 simulate_run(source, *ch, segment(0.01, start_ps=offset), seed=5)
         res = simulate_run(source, *ch, segment(0.01, start_ps=2**60 - 10**11), seed=5)
         assert int(res.streams[0].alice.times.max()) < 2**60
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf])
+    def test_non_finite_drift_offset_named(self, offset):
+        source = SourceParams(pair_rate=10_000, visibility=0.94)
+        with pytest.raises(ValueError, match=rf"^theta_b_deg must be finite, got {offset}$"):
+            simulate_run(source, *make_channel(), segment(0.01), seed=5, angle_offset_deg=offset)
 
     def test_singles_rate_poisson_consistency(self):
         # expected singles per arm: rate * coupling * transmission * T + dark * T
@@ -665,3 +680,21 @@ class TestPolarizationDrift:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             apply_polarization_drift([1.0], -1.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "rate, max_offset, message",
+        [
+            (math.nan, 3.0, "drift rate must be finite and >= 0, got nan"),
+            (math.inf, 3.0, "drift rate must be finite and >= 0, got inf"),
+            (2.0, math.nan, "max_offset_deg must be finite and > 0, got nan"),
+            (2.0, math.inf, "max_offset_deg must be finite and > 0, got inf"),
+            # refused before the zero rate's early return
+            (0.0, 0.0, "max_offset_deg must be finite and > 0, got 0.0"),
+            (0.0, -3.0, "max_offset_deg must be finite and > 0, got -3.0"),
+        ],
+        ids=["rate-nan", "rate-inf", "max-offset-nan", "max-offset-inf", "max-offset-0", "max-offset-negative"],
+    )
+    def test_bad_walk_rejected(self, rate, max_offset, message):
+        # unchecked, a NaN or infinite argument gives NaN offsets, and a bad bound at rate 0 zeros
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_polarization_drift([0.0, 1.0], rate, seed=1, max_offset_deg=max_offset)
